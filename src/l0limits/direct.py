@@ -31,37 +31,16 @@ from .modules import (
     ModuleMorphism,
     apply,
     compose,
-    identity_morphism,
     mask_module,
     morphism_deviation,
     operator_pointwise_norm,
     pointwise_norm,
     submodule_generated,
 )
+from .systems import System, SystemReport, Violation, validate_system
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One law failure found while validating a system or morphism."""
-
-    kind: str
-    indices: tuple
-    deviation: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class SystemReport:
-    passed: bool
-    violations: Tuple[Violation, ...]
-
-    def worst(self) -> Optional[Violation]:
-        if not self.violations:
-            return None
-        return max(self.violations, key=lambda v: v.deviation)
-
-
-class DirectSystem:
+class DirectSystem(System):
     """Modules indexed by a directed set with forward connecting maps.
 
     Maps may be supplied for any covering family of related pairs; the
@@ -70,102 +49,36 @@ class DirectSystem:
     :func:`validate_direct_system`, not by the constructor.
     """
 
-    def __init__(self, index, modules: Dict, maps: Dict):
-        self.index = index
-        explicit = index.explicit_indices()
-        for i in explicit:
-            if i not in modules:
-                raise KeyError(f"missing module at index {i!r}")
-        self.modules = {i: modules[i] for i in explicit}
-        spaces = {m.space for m in self.modules.values()}
-        if len(spaces) != 1:
-            raise ShapeMismatchError("all system modules must share one base space")
-        self.space = next(iter(spaces))
-        self.maps = {}
-        for (i, j), phi in maps.items():
-            if not index.leq(i, j):
-                raise KeyError(f"map supplied for unrelated pair ({i!r}, {j!r})")
-            if phi.source != self.modules[i] or phi.target != self.modules[j]:
-                raise ShapeMismatchError(f"map at ({i!r}, {j!r}) has wrong endpoints")
-            self.maps[(i, j)] = phi
-        self._closure: Dict[tuple, ModuleMorphism] = {}
-
     def map(self, i, j) -> ModuleMorphism:
         """Connecting map from stage i to stage j (composing provided maps)."""
-        if i == j:
-            return identity_morphism(self.modules[i])
-        key = (i, j)
-        if key in self.maps:
-            return self.maps[key]
-        if key not in self._closure:
-            path = self._find_path(i, j)
-            if path is None:
-                raise KeyError(f"no provided maps connect {i!r} to {j!r}")
-            phi = self.maps[(path[0], path[1])]
-            for a, b in zip(path[1:], path[2:]):
-                phi = compose(self.maps[(a, b)], phi)
-            self._closure[key] = phi
-        return self._closure[key]
-
-    def _find_path(self, i, j) -> Optional[list]:
-        edges: Dict[object, list] = {}
-        for a, b in sorted(self.maps.keys(), key=lambda p: (str(p[0]), str(p[1]))):
-            edges.setdefault(a, []).append(b)
-        frontier = [[i]]
-        seen = {i}
-        while frontier:
-            path = frontier.pop(0)
-            for nxt in edges.get(path[-1], []):
-                if nxt in seen:
-                    continue
-                if nxt == j:
-                    return path + [nxt]
-                seen.add(nxt)
-                frontier.append(path + [nxt])
-        return None
-
-    def related_pairs(self):
-        return self.index.related_pairs()
+        return self._connect(i, j)
 
 
 def validate_direct_system(system: DirectSystem, tol: Optional[float] = None) -> SystemReport:
-    """Diagnostics: identity law, cocycle law, admissibility of every map."""
-    tol = tolerance() if tol is None else tol
-    violations: List[Violation] = []
-    for (i, j) in system.maps:
-        if i == j:
-            dev = morphism_deviation(
-                system.maps[(i, j)], identity_morphism(system.modules[i])
-            )
-            if dev > tol:
-                violations.append(Violation("identity", (i,), dev, "phi_ii != id"))
-    for (i, j) in system.related_pairs():
-        try:
-            phi = system.map(i, j)
-        except KeyError as exc:
-            violations.append(Violation("missing-map", (i, j), float("inf"), str(exc)))
-            continue
-        norm = operator_pointwise_norm(phi)
-        dev = float(np.max(norm.values, initial=0.0)) - 1.0
-        if dev > tol:
-            violations.append(
-                Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
-            )
-    for (i, j) in system.related_pairs():
-        for k in system.index.explicit_indices():
-            if k == i or k == j or not system.index.leq(j, k):
-                continue
-            try:
-                direct_map = system.map(i, k)
-                composite = compose(system.map(j, k), system.map(i, j))
-            except KeyError:
-                continue
-            dev = morphism_deviation(direct_map, composite)
-            if dev > tol:
-                violations.append(
-                    Violation("cocycle", (i, j, k), dev, "phi_ik != phi_jk . phi_ij")
-                )
-    return SystemReport(not violations, tuple(violations))
+    """Diagnostics: identity law, cocycle law, admissibility of every map.
+
+    Every law is checked where it can fail, and only there:
+
+    * identity: every supplied map at a pair (i, i) is compared with the
+      identity;
+    * admissibility: the pointwise operator norm of every supplied map is
+      evaluated exactly.  A composed map is admissible without evaluation
+      when every edge on its path has an exact kernel (vertex, facet or
+      spectral, not the bracket) and the per-atom product of the edge
+      norms, times ``1 + PRODUCT_SLACK`` (1e-12, in :mod:`l0limits.systems`),
+      is at most ``1 + tol``: operator norms are submultiplicative, and
+      the slack absorbs the rounding of the evaluated norms.  Every other
+      composed map is evaluated exactly;
+    * cocycle: a triple (i, j, k) is evaluated only when at least two
+      paths of supplied maps join i to k.  With a single path every map
+      involved is a composite along that one path, so the law is
+      associativity of composition and holds up to rounding.
+
+    Violations come in the order of the related pairs, then of the
+    explicit indices, as a stage-by-stage check of every pair and triple
+    would report them.
+    """
+    return validate_system(system, tol)
 
 
 class SystemMorphism:

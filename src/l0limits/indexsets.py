@@ -44,24 +44,26 @@ class FinitePoset:
         for a, b in rel:
             if a not in known or b not in known:
                 raise KeyError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
-        rel |= {(e, e) for e in elements}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        # Warshall's closure on the reachability matrix, one pivot at a time.
+        position = {e: k for k, e in enumerate(elements)}
+        reach = np.eye(len(elements), dtype=bool)
         for a, b in rel:
-            if a != b and (b, a) in rel:
-                raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
-        for a in elements:
-            for b in elements:
-                if not any((a, c) in rel and (b, c) in rel for c in elements):
-                    raise ValueError(
-                        f"relation is not directed: {a!r}, {b!r} have no upper bound"
-                    )
+            reach[position[a], position[b]] = True
+        for k in range(len(elements)):
+            reach |= np.outer(reach[:, k], reach[k])
+        cycle = np.argwhere(reach & reach.T & ~np.eye(len(elements), dtype=bool))
+        if cycle.size:
+            a, b = (elements[k] for k in cycle[0])
+            raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
+        # A finite poset is directed exactly when it has a greatest element;
+        # only without one are the pairs scanned, for the first unbounded one.
+        if not np.any(reach.all(axis=0)):
+            shared = reach.astype(np.int64) @ reach.T.astype(np.int64)
+            a, b = (elements[k] for k in np.argwhere(shared == 0)[0])
+            raise ValueError(
+                f"relation is not directed: {a!r}, {b!r} have no upper bound"
+            )
+        rel = {(elements[a], elements[b]) for a, b in zip(*np.nonzero(reach))}
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "relation", frozenset(rel))
 

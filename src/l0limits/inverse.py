@@ -10,7 +10,7 @@ case analysis of the tail (never by truncation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from .direct import (
     DirectSystem,
     LimitPresentation,
     SystemMorphism,
-    SystemReport,
-    Violation,
     direct_limit,
     validate_system_morphism,
 )
@@ -35,7 +33,6 @@ from .modules import (
     apply,
     certify_isometric_iso,
     compose,
-    identity_morphism,
     mask_inclusion,
     mask_module,
     morphism_deviation,
@@ -43,9 +40,10 @@ from .modules import (
     pointwise_norm,
     scalar_module,
 )
+from .systems import System, SystemReport, validate_system
 
 
-class InverseSystem:
+class InverseSystem(System):
     """Modules indexed by a directed set with backward connecting maps.
 
     The map stored at a pair (i, j) with i <= j goes from stage j down to
@@ -53,103 +51,29 @@ class InverseSystem:
     lives in :func:`validate_inverse_system`.
     """
 
-    def __init__(self, index, modules: Dict, maps: Dict):
-        self.index = index
-        explicit = index.explicit_indices()
-        for i in explicit:
-            if i not in modules:
-                raise KeyError(f"missing module at index {i!r}")
-        self.modules = {i: modules[i] for i in explicit}
-        spaces = {m.space for m in self.modules.values()}
-        if len(spaces) != 1:
-            raise ShapeMismatchError("all system modules must share one base space")
-        self.space = next(iter(spaces))
-        self.maps = {}
-        for (i, j), phi in maps.items():
-            if not index.leq(i, j):
-                raise KeyError(f"map supplied for unrelated pair ({i!r}, {j!r})")
-            if phi.source != self.modules[j] or phi.target != self.modules[i]:
-                raise ShapeMismatchError(f"map at ({i!r}, {j!r}) has wrong endpoints")
-            self.maps[(i, j)] = phi
-        self._closure: Dict[tuple, ModuleMorphism] = {}
+    forward = False
+    missing_text = "no provided maps connect {j!r} down to {i!r}"
+    identity_detail = "P_ii != id"
+    cocycle_detail = "P_ik != P_ij . P_jk"
 
     def map(self, i, j) -> ModuleMorphism:
         """Backward connecting map from stage j down to stage i."""
-        if i == j:
-            return identity_morphism(self.modules[i])
-        key = (i, j)
-        if key in self.maps:
-            return self.maps[key]
-        if key not in self._closure:
-            path = self._find_path(i, j)
-            if path is None:
-                raise KeyError(f"no provided maps connect {j!r} down to {i!r}")
-            phi = self.maps[(path[0], path[1])]
-            for a, b in zip(path[1:], path[2:]):
-                phi = compose(phi, self.maps[(a, b)])
-            self._closure[key] = phi
-        return self._closure[key]
-
-    def _find_path(self, i, j) -> Optional[list]:
-        # Walk downward: edges (a, b) usable from b to a.
-        edges: Dict[object, list] = {}
-        for a, b in sorted(self.maps.keys(), key=lambda p: (str(p[0]), str(p[1]))):
-            edges.setdefault(a, []).append(b)
-        frontier = [[i]]
-        seen = {i}
-        while frontier:
-            path = frontier.pop(0)
-            for nxt in edges.get(path[-1], []):
-                if nxt in seen:
-                    continue
-                if nxt == j:
-                    return path + [nxt]
-                seen.add(nxt)
-                frontier.append(path + [nxt])
-        return None
-
-    def related_pairs(self):
-        return self.index.related_pairs()
+        return self._connect(i, j)
 
 
 def validate_inverse_system(system: InverseSystem, tol: Optional[float] = None) -> SystemReport:
-    """Diagnostics mirroring the direct case with arrows reversed."""
-    tol = tolerance() if tol is None else tol
-    violations: List[Violation] = []
-    for (i, j) in system.maps:
-        if i == j:
-            dev = morphism_deviation(
-                system.maps[(i, j)], identity_morphism(system.modules[i])
-            )
-            if dev > tol:
-                violations.append(Violation("identity", (i,), dev, "P_ii != id"))
-    for (i, j) in system.related_pairs():
-        try:
-            phi = system.map(i, j)
-        except KeyError as exc:
-            violations.append(Violation("missing-map", (i, j), float("inf"), str(exc)))
-            continue
-        norm = operator_pointwise_norm(phi)
-        dev = float(np.max(norm.values, initial=0.0)) - 1.0
-        if dev > tol:
-            violations.append(
-                Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
-            )
-    for (i, j) in system.related_pairs():
-        for k in system.index.explicit_indices():
-            if k == i or k == j or not system.index.leq(j, k):
-                continue
-            try:
-                direct_map = system.map(i, k)
-                composite = compose(system.map(i, j), system.map(j, k))
-            except KeyError:
-                continue
-            dev = morphism_deviation(direct_map, composite)
-            if dev > tol:
-                violations.append(
-                    Violation("cocycle", (i, j, k), dev, "P_ik != P_ij . P_jk")
-                )
-    return SystemReport(not violations, tuple(violations))
+    """Diagnostics mirroring the direct case with arrows reversed.
+
+    The same laws are evaluated at the same places as in
+    :func:`l0limits.direct.validate_direct_system`: the identity law on
+    supplied maps at pairs (i, i); the exact operator norm of every
+    supplied map and of every composite that submultiplicativity of exact
+    edge norms (with ``PRODUCT_SLACK``) does not already bound by
+    ``1 + tol``; and the cocycle law ``P_ik = P_ij . P_jk`` on the triples
+    where at least two paths of supplied maps join i to k, since along a
+    single path it is associativity of composition.
+    """
+    return validate_system(system, tol)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,8 @@ class AtomicMeasureSpace:
             raise KeyError(f"unknown atom id {atom_id!r}") from None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, AtomicMeasureSpace)
             and self.atom_ids == other.atom_ids

@@ -77,6 +77,8 @@ class FiberModule:
         return all(f.dim == 0 for f in self.fibers)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FiberModule)
             and self.space == other.space

@@ -39,10 +39,6 @@ INF = float("inf")
 #: Sign-pattern and subset enumeration is limited to this many dimensions.
 VERTEX_DIM_CAP = 12
 
-# Iteration budget for the power-iteration spectral kernel.  Each step
-# squares the Gram matrix, so the effective power after k steps is 2**k.
-_SPECTRAL_SQUARINGS = 64
-
 
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -91,13 +87,7 @@ def _p_norm(y: np.ndarray, p: float) -> float:
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value, by power iteration on the Gram matrix.
-
-    The iteration is accelerated by repeated squaring (normalizing each
-    step), so the dominance gap decays doubly exponentially and the
-    Rayleigh quotient of the resulting vector is exact to machine
-    precision for the small dense matrices used here.
-    """
+    """Largest singular value (LAPACK SVD, scale safe across the float range)."""
     return spectral_norm_witness(mat)[0]
 
 
@@ -110,38 +100,8 @@ def spectral_norm_witness(mat: np.ndarray):
         if cols:
             v[0] = 1.0
         return 0.0, v
-    # Work with the smaller Gram matrix; recover the right-singular vector.
-    if cols <= rows:
-        gram = mat.T @ mat
-    else:
-        gram = mat @ mat.T
-    power = gram / np.linalg.norm(gram)
-    for _ in range(_SPECTRAL_SQUARINGS):
-        nxt = power @ power
-        scale = np.linalg.norm(nxt)
-        if scale == 0.0:
-            break
-        nxt = nxt / scale
-        if np.linalg.norm(nxt - power) <= 1e-16:
-            power = nxt
-            break
-        power = nxt
-    # Any nonzero column of the limiting projector spans the top eigenspace.
-    col = int(np.argmax(np.linalg.norm(power, axis=0)))
-    vec = power[:, col]
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:  # fall back to a deterministic start
-        vec = np.ones(gram.shape[0])
-        norm = np.linalg.norm(vec)
-    vec = vec / norm
-    value = float(np.sqrt(max(0.0, vec @ gram @ vec)))
-    if cols <= rows:
-        right = vec
-    else:
-        right = mat.T @ vec
-        n = np.linalg.norm(right)
-        right = right / n if n > 0 else np.zeros(cols)
-    return value, right
+    _, sv, vt = np.linalg.svd(mat, full_matrices=False)
+    return float(sv[0]), vt[0]
 
 
 class WeightedP:
@@ -631,6 +591,25 @@ def _bracket_norm(mat, source_spec, target_spec):
     raise BracketTooWideError(lower, upper, "uncertified operator norm combination")
 
 
+def kernel_path(source_spec, target_spec) -> str:
+    """The route :func:`operator_norm_witness` takes for a pair of fiber norms.
+
+    ``"trivial"`` (a zero-dimensional side), ``"vertex"``, ``"facet"`` and
+    ``"spectral"`` evaluate the operator norm exactly; ``"bracket"`` is the
+    certified-bracket fallback.
+    """
+    if source_spec.dim == 0 or target_spec.dim == 0:
+        return "trivial"
+    if source_spec.is_polyhedral:
+        return "vertex"
+    if source_spec.euclidean_transform() is not None:
+        if target_spec.is_polyhedral:
+            return "facet"
+        if target_spec.euclidean_transform() is not None:
+            return "spectral"
+    return "bracket"
+
+
 def operator_norm_witness(mat, source_spec, target_spec):
     """Exact pointwise operator norm with a maximizing unit vector.
 
@@ -641,33 +620,32 @@ def operator_norm_witness(mat, source_spec, target_spec):
     t, s = mat.shape
     if s != source_spec.dim or t != target_spec.dim:
         raise ShapeMismatchError("matrix shape does not match fiber dimensions")
-    if s == 0 or t == 0:
+    path = kernel_path(source_spec, target_spec)
+    if path == "trivial":
         return 0.0, None
-    if source_spec.is_polyhedral:
+    if path == "vertex":
         cands = source_spec.ball_candidates()
         values = np.array([norm_eval(target_spec, mat @ v) for v in cands])
         best = int(np.argmax(values))
         return float(values[best]), cands[best]
+    if path == "bracket":
+        return _bracket_norm(mat, source_spec, target_spec)
     r = source_spec.euclidean_transform()
-    if r is not None:
-        r_inv = np.linalg.inv(r)
-        if target_spec.is_polyhedral:
-            duals = target_spec.dual_ball_candidates()
-            scores = np.array([np.linalg.norm(r_inv.T @ (mat.T @ w)) for w in duals])
-            best = int(np.argmax(scores))
-            value = float(scores[best])
-            if value <= 0.0:
-                unit = r_inv[:, 0] / np.linalg.norm(r @ r_inv[:, 0])
-                return 0.0, unit
-            u = r_inv.T @ (mat.T @ duals[best])
-            x = r_inv @ (u / np.linalg.norm(u))
-            return value, x
-        q = target_spec.euclidean_transform()
-        if q is not None:
-            core = q @ mat @ r_inv
-            sigma, u = spectral_norm_witness(core)
-            return float(sigma), r_inv @ u
-    return _bracket_norm(mat, source_spec, target_spec)
+    r_inv = np.linalg.inv(r)
+    if path == "facet":
+        duals = target_spec.dual_ball_candidates()
+        scores = np.array([np.linalg.norm(r_inv.T @ (mat.T @ w)) for w in duals])
+        best = int(np.argmax(scores))
+        value = float(scores[best])
+        if value <= 0.0:
+            unit = r_inv[:, 0] / np.linalg.norm(r @ r_inv[:, 0])
+            return 0.0, unit
+        u = r_inv.T @ (mat.T @ duals[best])
+        x = r_inv @ (u / np.linalg.norm(u))
+        return value, x
+    core = target_spec.euclidean_transform() @ mat @ r_inv
+    sigma, u = spectral_norm_witness(core)
+    return float(sigma), r_inv @ u
 
 
 def operator_norm_value(mat, source_spec, target_spec) -> float:

@@ -4,17 +4,32 @@ These deliberately take different routes than the library: linear
 programming and least squares for minima over affine sets, and random
 sampling with derivative-free polishing for operator-norm lower bounds.
 Dual-ball candidate sets for the base norm kinds are recomputed locally.
+
+System validation and poset closure are checked against the plain
+versions they replaced: a fresh breadth-first search for every composite,
+every law evaluated on every pair and triple, and a fixed-point closure
+of the order pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
+from l0limits.config import tolerance
 from l0limits.indexsets import greatest_element
-from l0limits.modules import pointwise_norm
+from l0limits.modules import (
+    ModuleMorphism,
+    compose,
+    identity_morphism,
+    morphism_deviation,
+    operator_pointwise_norm,
+    pointwise_norm,
+)
+from l0limits.systems import SystemReport, Violation
 from l0limits.norms import INF, DualOf, FramedP, WeightedP, norm_eval
 
 # ---------------------------------------------------------------------------
@@ -218,3 +233,184 @@ def exhaustive_component_sup(system, thread_components):
 
 def poset_top(system):
     return greatest_element(system.index)
+
+
+# ---------------------------------------------------------------------------
+# Reference system validation: every composite folded along a fresh
+# breadth-first path, every pair's norm and every triple's cocycle law
+# evaluated.
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceSystem:
+    def __init__(self, system):
+        self.index = system.index
+        self.modules = system.modules
+        self.maps = dict(system.maps)
+        self._closure: Dict[tuple, ModuleMorphism] = {}
+
+    def _find_path(self, i, j) -> Optional[list]:
+        edges: Dict[object, list] = {}
+        for a, b in sorted(self.maps.keys(), key=lambda p: (str(p[0]), str(p[1]))):
+            edges.setdefault(a, []).append(b)
+        frontier = [[i]]
+        seen = {i}
+        while frontier:
+            path = frontier.pop(0)
+            for nxt in edges.get(path[-1], []):
+                if nxt in seen:
+                    continue
+                if nxt == j:
+                    return path + [nxt]
+                seen.add(nxt)
+                frontier.append(path + [nxt])
+        return None
+
+    def related_pairs(self):
+        return self.index.related_pairs()
+
+
+class ReferenceDirectSystem(_ReferenceSystem):
+    def map(self, i, j) -> ModuleMorphism:
+        """Connecting map from stage i to stage j (composing provided maps)."""
+        if i == j:
+            return identity_morphism(self.modules[i])
+        key = (i, j)
+        if key in self.maps:
+            return self.maps[key]
+        if key not in self._closure:
+            path = self._find_path(i, j)
+            if path is None:
+                raise KeyError(f"no provided maps connect {i!r} to {j!r}")
+            phi = self.maps[(path[0], path[1])]
+            for a, b in zip(path[1:], path[2:]):
+                phi = compose(self.maps[(a, b)], phi)
+            self._closure[key] = phi
+        return self._closure[key]
+
+
+class ReferenceInverseSystem(_ReferenceSystem):
+    def map(self, i, j) -> ModuleMorphism:
+        """Backward connecting map from stage j down to stage i."""
+        if i == j:
+            return identity_morphism(self.modules[i])
+        key = (i, j)
+        if key in self.maps:
+            return self.maps[key]
+        if key not in self._closure:
+            path = self._find_path(i, j)
+            if path is None:
+                raise KeyError(f"no provided maps connect {j!r} down to {i!r}")
+            phi = self.maps[(path[0], path[1])]
+            for a, b in zip(path[1:], path[2:]):
+                phi = compose(phi, self.maps[(a, b)])
+            self._closure[key] = phi
+        return self._closure[key]
+
+
+def reference_validate_direct_system(system, tol: Optional[float] = None) -> SystemReport:
+    """Diagnostics: identity law, cocycle law, admissibility of every map."""
+    system = ReferenceDirectSystem(system)
+    tol = tolerance() if tol is None else tol
+    violations: List[Violation] = []
+    for (i, j) in system.maps:
+        if i == j:
+            dev = morphism_deviation(
+                system.maps[(i, j)], identity_morphism(system.modules[i])
+            )
+            if dev > tol:
+                violations.append(Violation("identity", (i,), dev, "phi_ii != id"))
+    for (i, j) in system.related_pairs():
+        try:
+            phi = system.map(i, j)
+        except KeyError as exc:
+            violations.append(Violation("missing-map", (i, j), float("inf"), str(exc)))
+            continue
+        norm = operator_pointwise_norm(phi)
+        dev = float(np.max(norm.values, initial=0.0)) - 1.0
+        if dev > tol:
+            violations.append(
+                Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
+            )
+    for (i, j) in system.related_pairs():
+        for k in system.index.explicit_indices():
+            if k == i or k == j or not system.index.leq(j, k):
+                continue
+            try:
+                direct_map = system.map(i, k)
+                composite = compose(system.map(j, k), system.map(i, j))
+            except KeyError:
+                continue
+            dev = morphism_deviation(direct_map, composite)
+            if dev > tol:
+                violations.append(
+                    Violation("cocycle", (i, j, k), dev, "phi_ik != phi_jk . phi_ij")
+                )
+    return SystemReport(not violations, tuple(violations))
+
+
+def reference_validate_inverse_system(system, tol: Optional[float] = None) -> SystemReport:
+    """Diagnostics mirroring the direct case with arrows reversed."""
+    system = ReferenceInverseSystem(system)
+    tol = tolerance() if tol is None else tol
+    violations: List[Violation] = []
+    for (i, j) in system.maps:
+        if i == j:
+            dev = morphism_deviation(
+                system.maps[(i, j)], identity_morphism(system.modules[i])
+            )
+            if dev > tol:
+                violations.append(Violation("identity", (i,), dev, "P_ii != id"))
+    for (i, j) in system.related_pairs():
+        try:
+            phi = system.map(i, j)
+        except KeyError as exc:
+            violations.append(Violation("missing-map", (i, j), float("inf"), str(exc)))
+            continue
+        norm = operator_pointwise_norm(phi)
+        dev = float(np.max(norm.values, initial=0.0)) - 1.0
+        if dev > tol:
+            violations.append(
+                Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
+            )
+    for (i, j) in system.related_pairs():
+        for k in system.index.explicit_indices():
+            if k == i or k == j or not system.index.leq(j, k):
+                continue
+            try:
+                direct_map = system.map(i, k)
+                composite = compose(system.map(i, j), system.map(j, k))
+            except KeyError:
+                continue
+            dev = morphism_deviation(direct_map, composite)
+            if dev > tol:
+                violations.append(
+                    Violation("cocycle", (i, j, k), dev, "P_ik != P_ij . P_jk")
+                )
+    return SystemReport(not violations, tuple(violations))
+
+
+def reference_poset_relation(elements, pairs) -> frozenset:
+    """Reflexive-transitive closure of order pairs by fixed-point iteration,
+    with the directedness scan over every pair of elements."""
+    elements = tuple(str(e) for e in elements)
+    rel = {(str(a), str(b)) for a, b in pairs}
+    rel |= {(e, e) for e in elements}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for c, d in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    for a, b in rel:
+        if a != b and (b, a) in rel:
+            raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
+    for a in elements:
+        for b in elements:
+            if not any((a, c) in rel and (b, c) in rel for c in elements):
+                raise ValueError(
+                    f"relation is not directed: {a!r}, {b!r} have no upper bound"
+                )
+    return frozenset(rel)

@@ -32,6 +32,18 @@ def run_cli(*args):
     )
 
 
+def test_fixture_suite_structured_output_is_byte_stable():
+    """The structured report of every fixture is part of the behaviour
+    contract: compare it byte for byte with the committed copy."""
+    root = FIXTURES.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_fixture_suite.py"), "--format", "structured"],
+        capture_output=True,
+        check=True,
+    ).stdout
+    assert out == (root / "tests" / "data" / "fixture_suite_structured.txt").read_bytes()
+
+
 def test_fixtures_exist():
     names = {p.name for p in ALL_FIXTURES}
     assert names == {

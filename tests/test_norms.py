@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l0limits.errors import DimensionCapError, UnsupportedNormError
+from l0limits.measure import AtomicMeasureSpace
+from l0limits.modules import ModuleMorphism, euclidean_module, is_morphism, operator_pointwise_norm
 from l0limits.norms import (
     INF,
     DualOf,
@@ -159,6 +161,26 @@ def test_spectral_norm_degenerate_spectrum():
     assert spectral_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
     m = np.diag([2.0, 2.0, 1.0])
     assert spectral_norm(m) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("diag", [(1e200, 1e199), (3e-170, 1e-171)])
+def test_spectral_kernel_at_extreme_scales(diag):
+    # Squaring the Gram matrix overflowed (underflowed) here to a norm of 0,
+    # which passed a map of norm 1e200 as admissible.
+    plane = euclidean_module(AtomicMeasureSpace(["pt"], [1.0]), 2)
+    phi = ModuleMorphism(plane, plane, [np.diag(diag)])
+    assert operator_pointwise_norm(phi).values[0] == pytest.approx(diag[0], rel=1e-12, abs=0.0)
+    assert is_morphism(phi) == (diag[0] <= 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(norm_strategy, norm_strategy, st.integers(0, 10_000), st.floats(-150, 150), st.booleans())
+def test_operator_norm_is_scale_invariant(source, target, seed, exponent, negative):
+    mat = np.random.default_rng(seed).standard_normal((target.dim, source.dim))
+    c = (-1.0 if negative else 1.0) * 10.0**exponent
+    base, _ = operator_norm_witness(mat, source, target)
+    scaled, _ = operator_norm_witness(c * mat, source, target)
+    assert scaled == pytest.approx(abs(c) * base, rel=1e-12, abs=0.0)
 
 
 def test_operator_norm_identity_is_one():

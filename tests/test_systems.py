@@ -1,0 +1,194 @@
+"""The shared system core against the plain reference validation.
+
+The core skips the admissibility evaluations that submultiplicativity
+settles and the cocycle evaluations that associativity settles; its
+reports and connecting maps must still equal those of the reference,
+which evaluates every law on every pair and triple.
+"""
+
+import numpy as np
+import pytest
+
+from l0limits import randgen, systems
+from l0limits.direct import DirectSystem, validate_direct_system
+from l0limits.errors import L0LimitsError
+from l0limits.indexsets import Chain, FinitePoset, IdentityTail
+from l0limits.homdual import hom_module
+from l0limits.inverse import InverseSystem, validate_inverse_system
+from l0limits.measure import AtomicMeasureSpace
+from l0limits.modules import (
+    euclidean_module,
+    identity_morphism,
+    operator_pointwise_norm,
+    scale_morphism,
+    zero_morphism,
+)
+
+from oracles import (
+    ReferenceDirectSystem,
+    ReferenceInverseSystem,
+    reference_poset_relation,
+    reference_validate_direct_system,
+    reference_validate_inverse_system,
+)
+
+#: Factors applied to one supplied map: just inside the tolerance, over
+#: the admissibility bound, far over it, and a sign flip (same norm,
+#: broken cocycle).
+SCALES = (1 + 5e-10, 1.5, 3.0, -1.0)
+
+
+def _inverse_chain(rng):
+    space = randgen.random_space(rng)
+    stages = int(rng.integers(2, 7))
+    modules = {k: randgen.random_module(rng, space) for k in range(stages)}
+    maps = {
+        (k, k + 1): randgen.random_admissible_morphism(rng, modules[k + 1], modules[k])
+        for k in range(stages - 1)
+    }
+    return InverseSystem(Chain(stages, randgen.random_tail(rng, space)), modules, maps)
+
+
+RANDOM_SYSTEMS = {
+    "direct-chain": lambda rng: randgen.random_chain_direct_system(
+        rng, stages=int(rng.integers(2, 7))
+    ),
+    "direct-poset": randgen.random_direct_system,
+    "inverse-chain": _inverse_chain,
+    "inverse-poset": randgen.random_inverse_system,
+}
+
+
+def _mutants(system, rng):
+    """The system, then variants with one supplied map scaled by each factor,
+    with one supplied map dropped, and with a scaled identity at a loop."""
+    yield system
+    keys = list(system.maps)
+    for factor in SCALES + (None,) if keys else ():
+        key = keys[int(rng.integers(len(keys)))]
+        maps = dict(system.maps)
+        if factor is None:
+            del maps[key]
+        else:
+            maps[key] = scale_morphism(maps[key], factor)
+        yield type(system)(system.index, system.modules, maps)
+    stage = system.index.explicit_indices()[-1]
+    loop = scale_morphism(identity_morphism(system.modules[stage]), 1.5)
+    yield type(system)(system.index, system.modules, {**system.maps, (stage, stage): loop})
+
+
+def _outcome(validate, system):
+    try:
+        report = validate(system)
+    except L0LimitsError as exc:
+        return type(exc)
+    return report.passed, [(v.kind, v.indices, v.deviation, v.detail) for v in report.violations]
+
+
+def _check_against_reference(system):
+    if isinstance(system, DirectSystem):
+        validate, reference, ref_system = (
+            validate_direct_system, reference_validate_direct_system, ReferenceDirectSystem
+        )
+    else:
+        validate, reference, ref_system = (
+            validate_inverse_system, reference_validate_inverse_system, ReferenceInverseSystem
+        )
+    got = _outcome(validate, system)
+    assert got == _outcome(reference, system)
+    ref = ref_system(system)
+    for i, j in system.related_pairs():
+        try:
+            want = ref.map(i, j)
+        except KeyError as exc:
+            with pytest.raises(KeyError) as raised:
+                system.map(i, j)
+            assert str(raised.value) == str(exc)
+            continue
+        mats = system.map(i, j).matrices
+        assert all(np.array_equal(a, b) for a, b in zip(mats, want.matrices))
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_SYSTEMS))
+def test_reports_and_maps_match_reference(kind):
+    failing = set()
+    for seed in range(30):
+        rng = np.random.default_rng([seed, len(kind)])
+        for system in _mutants(RANDOM_SYSTEMS[kind](rng), rng):
+            got = _check_against_reference(system)
+            if not isinstance(got, type) and not got[0]:
+                failing.update(v[0] for v in got[1])
+    # The mutations must reach every violation kind the system shape allows.
+    assert {"identity", "admissibility", "missing-map"} <= failing
+    if kind.endswith("poset"):
+        assert "cocycle" in failing
+
+
+@pytest.mark.parametrize("bracket", [False, True])
+def test_only_exact_kernels_certify_composites(monkeypatch, bracket):
+    """Zero maps along a 4-stage chain: with Euclidean fibers the three
+    composites are certified from the three edge norms; with operator-norm
+    fibers the edges take the bracket kernel, so each composite is
+    evaluated too."""
+    calls = []
+    monkeypatch.setattr(systems, "operator_pointwise_norm",
+                        lambda phi: calls.append(phi) or operator_pointwise_norm(phi))
+    plane = euclidean_module(AtomicMeasureSpace(["a"], [1.0]), 2)
+    module = hom_module(plane, plane) if bracket else plane
+    zero = zero_morphism(module, module)
+    system = DirectSystem(
+        Chain(4, IdentityTail()), {k: module for k in range(4)}, {(k, k + 1): zero for k in range(3)}
+    )
+    assert validate_direct_system(system).passed
+    assert len(calls) == (6 if bracket else 3)
+
+
+@pytest.mark.parametrize("cls", [DirectSystem, InverseSystem])
+def test_identity_chain_evaluates_only_supplied_maps(monkeypatch, cls):
+    """A 200-stage chain: one norm per supplied map, no composition at all."""
+    calls = {"norm": 0, "compose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(systems, "operator_pointwise_norm",
+                        counted("norm", systems.operator_pointwise_norm))
+    monkeypatch.setattr(systems, "compose", counted("compose", systems.compose))
+    module = euclidean_module(AtomicMeasureSpace(["a0", "a1"], [1.0, 1.0]), 3)
+    ident = identity_morphism(module)
+    system = cls(
+        Chain(200, IdentityTail()),
+        {k: module for k in range(200)},
+        {(k, k + 1): ident for k in range(199)},
+    )
+    report = validate_direct_system(system) if cls is DirectSystem else validate_inverse_system(system)
+    assert report.passed
+    assert calls == {"norm": 199, "compose": 0}
+
+
+def test_poset_closure_matches_fixed_point_reference():
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        labels = [f"e{k}" for k in range(n)]
+        pairs = [(a, b) for a in labels for b in labels if a != b and rng.random() < 0.25]
+        try:
+            want = reference_poset_relation(labels, pairs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                FinitePoset(labels, pairs)
+            if "directed" in str(exc):
+                assert str(raised.value) == str(exc)
+                outcomes.add("undirected")
+            else:
+                assert "not antisymmetric" in str(raised.value)
+                outcomes.add("cyclic")
+            continue
+        assert FinitePoset(labels, pairs).relation == want
+        outcomes.add("ok")
+    assert outcomes == {"ok", "undirected", "cyclic"}
