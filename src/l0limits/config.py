@@ -3,34 +3,43 @@
 All approximate comparisons in the library share a single absolute
 tolerance.  Keeping one knob avoids mixed-tolerance inconsistencies
 between validation, certification and limit construction.
+
+The tolerance is context-local (a :class:`contextvars.ContextVar`, PEP
+567): a change made in one thread or asyncio task is never seen by
+another.
 """
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 DEFAULT_TOLERANCE = 1e-9
 
-_tolerance = DEFAULT_TOLERANCE
+_tolerance: ContextVar[float] = ContextVar("l0limits_tolerance", default=DEFAULT_TOLERANCE)
 
 
 def tolerance() -> float:
     """Current absolute comparison tolerance."""
-    return _tolerance
+    return _tolerance.get()
 
 
-def set_tolerance(value: float) -> None:
+def _checked(value: float) -> float:
     value = float(value)
     if not value > 0.0:
         raise ValueError(f"tolerance must be positive, got {value}")
-    global _tolerance
-    _tolerance = value
+    return value
+
+
+def set_tolerance(value: float) -> None:
+    """Replace the tolerance in the current context."""
+    _tolerance.set(_checked(value))
 
 
 @contextmanager
 def tolerance_override(value: float):
-    """Temporarily replace the global tolerance (mainly for tests and CLI)."""
-    previous = tolerance()
-    set_tolerance(value)
+    """Temporarily replace the tolerance in the current context (mainly for
+    tests and CLI)."""
+    token = _tolerance.set(_checked(value))
     try:
         yield
     finally:
-        set_tolerance(previous)
+        _tolerance.reset(token)

@@ -19,6 +19,7 @@ from .measure import AtomicMeasureSpace, L0Function, l0_distance
 from .norms import (
     WeightedP,
     norm_eval,
+    norm_rows,
     operator_norm_witness,
     zero_norm,
 )
@@ -192,7 +193,17 @@ class ModuleMorphism:
     target: FiberModule
     matrices: Tuple[np.ndarray, ...]
 
-    def __init__(self, source: FiberModule, target: FiberModule, matrices: Sequence):
+    def __init__(
+        self,
+        source: FiberModule,
+        target: FiberModule,
+        matrices: Sequence,
+        *,
+        _fresh: bool = False,
+    ):
+        # ``_fresh`` is for callers in this module that pass arrays they
+        # have just computed and hold no other reference to; those arrays
+        # are adopted instead of copied.
         if source.space != target.space:
             raise SpaceMismatchError("morphism endpoints live over different spaces")
         mats = []
@@ -206,7 +217,8 @@ class ModuleMorphism:
                     f"matrix at atom {source.space.atom_ids[a]!r} has shape "
                     f"{m.shape}, expected {expected}"
                 )
-            m = m.copy()
+            if not _fresh:
+                m = m.copy()
             m.setflags(write=False)
             mats.append(m)
         if len(mats) != source.space.atom_count:
@@ -241,9 +253,8 @@ def compose(psi: ModuleMorphism, phi: ModuleMorphism) -> ModuleMorphism:
     """The composite ``psi after phi``."""
     if psi.source != phi.target:
         raise ShapeMismatchError("composition endpoints do not match")
-    return ModuleMorphism(
-        phi.source, psi.target, [b @ a for b, a in zip(psi.matrices, phi.matrices)]
-    )
+    mats = [b @ a for b, a in zip(psi.matrices, phi.matrices)]
+    return ModuleMorphism(phi.source, psi.target, mats, _fresh=True)
 
 
 def scale_morphism(phi: ModuleMorphism, factor) -> ModuleMorphism:
@@ -254,9 +265,8 @@ def scale_morphism(phi: ModuleMorphism, factor) -> ModuleMorphism:
         factors = factor.values
     else:
         factors = np.full(phi.source.space.atom_count, float(factor))
-    return ModuleMorphism(
-        phi.source, phi.target, [f * m for f, m in zip(factors, phi.matrices)]
-    )
+    mats = [f * m for f, m in zip(factors, phi.matrices)]
+    return ModuleMorphism(phi.source, phi.target, mats, _fresh=True)
 
 
 def morphisms_close(a: ModuleMorphism, b: ModuleMorphism, tol: Optional[float] = None) -> bool:
@@ -457,14 +467,16 @@ def certify_isometric_iso(
         if s.dim and np.linalg.matrix_rank(m, tol=1e-10) != s.dim:
             bijective = False
             break
-    probes = basis_elements(phi.source)
-    for _ in range(samples):
-        coords = [rng.standard_normal(f.dim) for f in phi.source.fibers]
-        probes.append(Element(phi.source, coords))
+    # Per atom, the probes are the identity rows (the standard basis
+    # elements there) and that atom's slice of each random element.
+    draws = rng.standard_normal((samples, sum(phi.source.dims())))
     max_dev = 0.0
-    for v in probes:
-        before = pointwise_norm(v).values
-        after = pointwise_norm(apply(phi, v)).values
+    offset = 0
+    for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers):
+        probes = np.vstack([np.eye(s.dim), draws[:, offset:offset + s.dim]])
+        offset += s.dim
+        before = norm_rows(s.norm, probes)
+        after = norm_rows(t.norm, probes @ m.T)
         if before.size:
             max_dev = max(max_dev, float(np.max(np.abs(before - after))))
     ok = bijective and max_dev <= tol

@@ -76,14 +76,13 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _p_norm(y: np.ndarray, p: float) -> float:
-    if y.size == 0:
-        return 0.0
+def _p_norm_rows(ys: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm of each row of a (k, n) array with n > 0."""
     if p == 1:
-        return float(np.abs(y).sum())
+        return np.abs(ys).sum(axis=1)
     if p == INF:
-        return float(np.abs(y).max())
-    return float(np.sqrt(np.dot(y, y)))
+        return np.abs(ys).max(axis=1)
+    return np.sqrt(np.einsum("ij,ij->i", ys, ys))
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -129,12 +128,16 @@ class WeightedP:
     def is_polyhedral(self) -> bool:
         return self.p != 2.0 and self.dim > 0
 
-    def eval(self, x: np.ndarray) -> float:
-        return _p_norm(self.weights * x, self.p)
+    def eval_rows(self, xs: np.ndarray) -> np.ndarray:
+        return _p_norm_rows(xs * self.weights, self.p)
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        return np.diag(self.weights)
 
     def euclidean_transform(self) -> Optional[np.ndarray]:
         if self.p == 2.0:
-            return np.diag(self.weights)
+            return self._diagonal
         return None
 
     @cached_property
@@ -226,8 +229,8 @@ class FramedP:
     def is_polyhedral(self) -> bool:
         return self.p != 2.0 and self.dim > 0
 
-    def eval(self, x: np.ndarray) -> float:
-        return _p_norm(self.matrix @ x, self.p)
+    def eval_rows(self, xs: np.ndarray) -> np.ndarray:
+        return _p_norm_rows(xs @ self.matrix.T, self.p)
 
     @cached_property
     def _square_transform(self) -> np.ndarray:
@@ -264,7 +267,7 @@ class FramedP:
             # the vertex u / ||A u||_1.
             if cols == 1:
                 u = np.ones(1)
-                return np.array([u, -u]) / _p_norm(self.matrix @ u, 1.0)
+                return np.array([u, -u]) / np.abs(self.matrix @ u).sum()
             verts = []
             for subset in itertools.combinations(range(rows), cols - 1):
                 sub = self.matrix[list(subset), :]
@@ -273,7 +276,7 @@ class FramedP:
                 if rank != cols - 1:
                     continue
                 u = vt[-1]
-                val = _p_norm(self.matrix @ u, 1.0)
+                val = np.abs(self.matrix @ u).sum()
                 if val > 1e-12:
                     verts.append(u / val)
                     verts.append(-u / val)
@@ -369,12 +372,10 @@ class DualOf:
     def is_polyhedral(self) -> bool:
         return True
 
-    def eval(self, x: np.ndarray) -> float:
-        if x.size == 0:
-            return 0.0
+    def eval_rows(self, xs: np.ndarray) -> np.ndarray:
         # The candidate set is symmetric, so the plain maximum of the
         # pairings equals the maximum of their absolute values.
-        return float(np.max(self.inner.ball_candidates() @ x))
+        return np.max(xs @ self.inner.ball_candidates().T, axis=1)
 
     def euclidean_transform(self) -> Optional[np.ndarray]:
         return None
@@ -449,9 +450,9 @@ class OperatorNorm:
     def is_polyhedral(self) -> bool:
         return False
 
-    def eval(self, x: np.ndarray) -> float:
-        mat = np.asarray(x, dtype=float).reshape(self.target_dim, self.source_dim)
-        return operator_norm_value(mat, self.source_spec, self.target_spec)
+    def eval_rows(self, xs: np.ndarray) -> np.ndarray:
+        mats = xs.reshape(-1, self.target_dim, self.source_dim)
+        return operator_norm_values(mats, self.source_spec, self.target_spec)
 
     def euclidean_transform(self) -> Optional[np.ndarray]:
         return None
@@ -481,7 +482,7 @@ class OperatorNorm:
 
 
 def _is_unit_scalar(dim: int, spec) -> bool:
-    return dim == 1 and abs(spec.eval(np.ones(1)) - 1.0) <= 1e-15
+    return dim == 1 and abs(norm_rows(spec, np.ones((1, 1)))[0] - 1.0) <= 1e-15
 
 
 def dual_spec(spec):
@@ -507,14 +508,22 @@ def operator_spec(source_dim, source_spec, target_dim, target_spec):
     return OperatorNorm(source_dim, source_spec, target_dim, target_spec)
 
 
+def norm_rows(spec, xs) -> np.ndarray:
+    """Evaluate a norm spec on each row of a (k, dim) array of coordinates."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != spec.dim:
+        raise ShapeMismatchError(f"rows of shape {xs.shape} against norm of dim {spec.dim}")
+    if spec.dim == 0 or xs.shape[0] == 0:
+        return np.zeros(xs.shape[0])
+    return spec.eval_rows(xs)
+
+
 def norm_eval(spec, x) -> float:
     """Evaluate a norm spec on a coordinate vector."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != spec.dim:
         raise ShapeMismatchError(f"vector of length {x.size} against norm of dim {spec.dim}")
-    if spec.dim == 0:
-        return 0.0
-    return float(spec.eval(x))
+    return float(norm_rows(spec, x[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +564,7 @@ def _euclidean_lower(spec) -> float:
         return 1.0 / reach if reach > 0 else INF
     r = spec.euclidean_transform()
     if r is not None:
-        s = spectral_norm(np.linalg.inv(r))
-        return 1.0 / s if s > 0 else INF
+        return float(np.linalg.svd(r, compute_uv=False)[-1])
     assert isinstance(spec, OperatorNorm)
     up = _euclidean_upper(spec.source_spec)
     if up == 0.0 or up == INF:
@@ -569,20 +577,18 @@ _BRACKET_RNG_SEED = 0x5EED
 
 
 def _bracket_norm(mat, source_spec, target_spec):
+    cols = mat.shape[1]
+    rng = np.random.default_rng(_BRACKET_RNG_SEED)
+    dirs = np.vstack([np.ones((1, cols)), np.eye(cols), rng.standard_normal((64, cols))])
+    sizes = norm_rows(source_spec, dirs)
+    keep = sizes > 1e-14
+    units = dirs[keep] / sizes[keep, None]
+    values = norm_rows(target_spec, units @ mat.T)
     lower = 0.0
     witness = None
-    dirs = [np.ones(mat.shape[1])]
-    dirs.extend(np.eye(mat.shape[1]))
-    rng = np.random.default_rng(_BRACKET_RNG_SEED)
-    dirs.extend(rng.standard_normal((64, mat.shape[1])))
-    for d in dirs:
-        n = norm_eval(source_spec, d)
-        if n <= 1e-14:
-            continue
-        x = d / n
-        val = norm_eval(target_spec, mat @ x)
-        if val > lower:
-            lower, witness = val, x
+    if values.size and values.max() > 0.0:
+        best = int(np.argmax(values))
+        lower, witness = float(values[best]), units[best]
     upper = _euclidean_upper(target_spec) * spectral_norm(mat)
     lo_src = _euclidean_lower(source_spec)
     upper = INF if lo_src == 0.0 else upper / lo_src
@@ -625,7 +631,7 @@ def operator_norm_witness(mat, source_spec, target_spec):
         return 0.0, None
     if path == "vertex":
         cands = source_spec.ball_candidates()
-        values = np.array([norm_eval(target_spec, mat @ v) for v in cands])
+        values = norm_rows(target_spec, cands @ mat.T)
         best = int(np.argmax(values))
         return float(values[best]), cands[best]
     if path == "bracket":
@@ -633,20 +639,42 @@ def operator_norm_witness(mat, source_spec, target_spec):
     r = source_spec.euclidean_transform()
     r_inv = np.linalg.inv(r)
     if path == "facet":
-        duals = target_spec.dual_ball_candidates()
-        scores = np.array([np.linalg.norm(r_inv.T @ (mat.T @ w)) for w in duals])
+        rows = target_spec.dual_ball_candidates() @ mat @ r_inv
+        scores = np.linalg.norm(rows, axis=1)
         best = int(np.argmax(scores))
         value = float(scores[best])
         if value <= 0.0:
             unit = r_inv[:, 0] / np.linalg.norm(r @ r_inv[:, 0])
             return 0.0, unit
-        u = r_inv.T @ (mat.T @ duals[best])
-        x = r_inv @ (u / np.linalg.norm(u))
-        return value, x
+        return value, r_inv @ (rows[best] / value)
     core = target_spec.euclidean_transform() @ mat @ r_inv
     sigma, u = spectral_norm_witness(core)
     return float(sigma), r_inv @ u
 
 
-def operator_norm_value(mat, source_spec, target_spec) -> float:
-    return operator_norm_witness(mat, source_spec, target_spec)[0]
+def operator_norm_values(mats, source_spec, target_spec) -> np.ndarray:
+    """Exact operator norm of each matrix in a (k, t, s) stack.
+
+    Takes the route of :func:`operator_norm_witness` once for the whole
+    stack, without the maximizers.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != (target_spec.dim, source_spec.dim):
+        raise ShapeMismatchError("matrix stack shape does not match fiber dimensions")
+    count = mats.shape[0]
+    path = kernel_path(source_spec, target_spec)
+    if path == "trivial" or count == 0:
+        return np.zeros(count)
+    if path == "vertex":
+        cands = source_spec.ball_candidates()
+        images = cands @ mats.transpose(0, 2, 1)
+        values = norm_rows(target_spec, images.reshape(-1, target_spec.dim))
+        return values.reshape(count, -1).max(axis=1)
+    if path == "bracket":
+        return np.array([_bracket_norm(m, source_spec, target_spec)[0] for m in mats])
+    r_inv = np.linalg.inv(source_spec.euclidean_transform())
+    if path == "facet":
+        rows = target_spec.dual_ball_candidates() @ mats @ r_inv
+        return np.linalg.norm(rows, axis=-1).max(axis=1)
+    core = target_spec.euclidean_transform() @ mats @ r_inv
+    return np.linalg.svd(core, compute_uv=False)[:, 0]

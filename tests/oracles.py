@@ -8,7 +8,9 @@ Dual-ball candidate sets for the base norm kinds are recomputed locally.
 System validation and poset closure are checked against the plain
 versions they replaced: a fresh breadth-first search for every composite,
 every law evaluated on every pair and triple, and a fixed-point closure
-of the order pairs.
+of the order pairs.  Likewise the batched norm kernels are checked
+against per-vector evaluation, and the batched isometry certificate
+against its probe-by-probe loop.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from scipy.optimize import linprog
 from l0limits.config import tolerance
 from l0limits.indexsets import greatest_element
 from l0limits.modules import (
+    Element,
+    IsoCertificate,
     ModuleMorphism,
+    apply,
+    basis_elements,
     compose,
     identity_morphism,
     morphism_deviation,
@@ -30,7 +36,15 @@ from l0limits.modules import (
     pointwise_norm,
 )
 from l0limits.systems import SystemReport, Violation
-from l0limits.norms import INF, DualOf, FramedP, WeightedP, norm_eval
+from l0limits.norms import (
+    INF,
+    DualOf,
+    FramedP,
+    OperatorNorm,
+    WeightedP,
+    norm_eval,
+    operator_norm_witness,
+)
 
 # ---------------------------------------------------------------------------
 # Local dual-ball candidates (max-of-functionals form of each norm).
@@ -414,3 +428,64 @@ def reference_poset_relation(elements, pairs) -> frozenset:
                     f"relation is not directed: {a!r}, {b!r} have no upper bound"
                 )
     return frozenset(rel)
+
+
+# ---------------------------------------------------------------------------
+# Per-vector norm evaluation and the probe-by-probe isometry certificate,
+# as they were before the batched kernels.
+# ---------------------------------------------------------------------------
+
+
+def _p_norm(y, p):
+    if y.size == 0:
+        return 0.0
+    if p == 1:
+        return float(np.abs(y).sum())
+    if p == INF:
+        return float(np.abs(y).max())
+    return float(np.sqrt(np.dot(y, y)))
+
+
+def reference_norm_eval(spec, x) -> float:
+    """One vector's norm by the closed form of its spec kind."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if spec.dim == 0:
+        return 0.0
+    if isinstance(spec, WeightedP):
+        return _p_norm(spec.weights * x, spec.p)
+    if isinstance(spec, FramedP):
+        return _p_norm(spec.matrix @ x, spec.p)
+    if isinstance(spec, DualOf):
+        return float(np.max(spec.inner.ball_candidates() @ x))
+    if isinstance(spec, OperatorNorm):
+        mat = x.reshape(spec.target_dim, spec.source_dim)
+        return operator_norm_witness(mat, spec.source_spec, spec.target_spec)[0]
+    raise ValueError(f"no closed form for {spec!r}")
+
+
+def reference_certify_isometric_iso(phi, rng=None, samples=8, tol=None) -> IsoCertificate:
+    tol = tolerance() if tol is None else tol
+    rng = np.random.default_rng(0) if rng is None else rng
+    bijective = True
+    for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers):
+        if s.dim != t.dim:
+            bijective = False
+            break
+        if s.dim and np.linalg.matrix_rank(m, tol=1e-10) != s.dim:
+            bijective = False
+            break
+    probes = basis_elements(phi.source)
+    for _ in range(samples):
+        coords = [rng.standard_normal(f.dim) for f in phi.source.fibers]
+        probes.append(Element(phi.source, coords))
+    max_dev = 0.0
+    for v in probes:
+        before = pointwise_norm(v).values
+        after = pointwise_norm(apply(phi, v)).values
+        if before.size:
+            max_dev = max(max_dev, float(np.max(np.abs(before - after))))
+    ok = bijective and max_dev <= tol
+    detail = "" if ok else (
+        "not bijective per atom" if not bijective else f"norm deviation {max_dev:g}"
+    )
+    return IsoCertificate(ok, bijective, max_dev, detail)

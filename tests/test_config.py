@@ -1,0 +1,69 @@
+import threading
+
+import pytest
+
+from l0limits.config import DEFAULT_TOLERANCE, set_tolerance, tolerance, tolerance_override
+
+
+def test_override_nests_and_restores():
+    with tolerance_override(1e-3):
+        with tolerance_override(1e-6):
+            assert tolerance() == 1e-6
+        assert tolerance() == 1e-3
+    assert tolerance() == DEFAULT_TOLERANCE
+    with pytest.raises(ValueError):
+        with tolerance_override(0.0):
+            pass
+    assert tolerance() == DEFAULT_TOLERANCE
+
+
+def test_override_in_one_thread_is_not_seen_by_another():
+    """Two overlapping overrides: each thread sees its own value, and the
+    default is back after both exit in the order that used to leave the
+    first thread's value behind."""
+    both_inside = threading.Barrier(2, timeout=10)
+    first_entered = threading.Event()
+    first_left = threading.Event()
+    seen = {}
+    errors = []
+
+    def worker(name, value):
+        try:
+            if name == "second":
+                assert first_entered.wait(10)
+            with tolerance_override(value):
+                first_entered.set()
+                both_inside.wait()
+                seen[name] = tolerance()
+                both_inside.wait()
+                if name == "second":
+                    assert first_left.wait(10)
+            if name == "first":
+                first_left.set()
+            seen[name + " after"] = tolerance()
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+            both_inside.abort()
+
+    threads = [threading.Thread(target=worker, args=("first", 1e-3)),
+               threading.Thread(target=worker, args=("second", 1e-6))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+        assert not t.is_alive()
+    assert not errors, errors
+    assert seen == {"first": 1e-3, "second": 1e-6,
+                    "first after": DEFAULT_TOLERANCE, "second after": DEFAULT_TOLERANCE}
+    assert tolerance() == DEFAULT_TOLERANCE
+
+
+def test_set_tolerance_stays_in_its_thread():
+    def worker():
+        set_tolerance(1e-2)
+
+    t = threading.Thread(target=worker)
+    t.start()
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert tolerance() == DEFAULT_TOLERANCE

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import l0limits.modules as modules
+import l0limits.norms as norms
+from l0limits.direct import DirectSystem
 from l0limits.errors import ShapeMismatchError, SpaceMismatchError
+from l0limits.indexsets import FinitePoset
+from l0limits.inverse import dual_limit_iso, hom_inverse_system
 from l0limits.measure import AtomicMeasureSpace, L0Function
 from l0limits.modules import (
     Element,
@@ -12,6 +17,7 @@ from l0limits.modules import (
     ModuleMorphism,
     apply,
     basis_elements,
+    certify_isometric_iso,
     compose,
     euclidean_module,
     identity_morphism,
@@ -22,11 +28,21 @@ from l0limits.modules import (
     operator_pointwise_norm,
     pointwise_norm,
     scalar_module,
+    scale_morphism,
     submodule_generated,
     zero_element,
+    zero_morphism,
 )
-from l0limits.norms import INF, WeightedP, norm_eval
-from l0limits.randgen import random_admissible_morphism, random_module, random_space
+from l0limits.norms import INF, FramedP, WeightedP, norm_eval
+from l0limits.randgen import (
+    random_admissible_morphism,
+    random_chain_direct_system,
+    random_direct_system,
+    random_module,
+    random_space,
+)
+
+from oracles import reference_certify_isometric_iso
 
 
 TWO = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
@@ -220,3 +236,81 @@ def test_scalar_module_norm_is_absolute_value():
     ring = scalar_module(TWO)
     v = Element(ring, [[-3.0], [2.0]])
     assert pointwise_norm(v).values.tolist() == [3.0, 2.0]
+
+
+def test_public_construction_copies_and_products_are_read_only():
+    raw = np.array([[1.0, 2.0], [0.0, 1.0]])
+    phi = ModuleMorphism(PLANE, PLANE, [raw, raw])
+    raw[0, 0] = 5.0
+    assert phi.matrices[0][0, 0] == 1.0
+    for derived in (compose(phi, phi), scale_morphism(phi, 0.5),
+                    scale_morphism(phi, L0Function(TWO, [2.0, 3.0]))):
+        for m in derived.matrices:
+            assert not m.flags.writeable
+            assert not np.shares_memory(m, phi.matrices[0])
+            assert not np.shares_memory(m, phi.matrices[1])
+    assert np.array_equal(compose(phi, phi).matrices[1], phi.matrices[1] @ phi.matrices[1])
+
+
+def _hom_comparisons(seeds):
+    """The comparison maps of seeded Hom-limit and dual-limit checks, over
+    chains and posets, plus a scaled and a zero variant of each so that
+    failing certificates are compared too."""
+    for seed in seeds:
+        for make in (random_chain_direct_system, random_direct_system):
+            rng = np.random.default_rng(seed)
+            system = make(rng, max_dim=2)
+            fixed = random_module(rng, system.space, max_dim=2)
+            results = (
+                hom_inverse_system(system, fixed, rng=np.random.default_rng(seed)),
+                dual_limit_iso(system, rng=np.random.default_rng(seed)),
+            )
+            for result in results:
+                phi = result.comparison
+                yield phi
+                yield scale_morphism(phi, 1.0 + 1e-3)
+                yield zero_morphism(phi.source, phi.target)
+
+
+def test_certify_isometric_iso_matches_probe_loop():
+    compared = 0
+    for k, phi in enumerate(_hom_comparisons(range(12))):
+        rng_new, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+        got = certify_isometric_iso(phi, rng=rng_new)
+        want = reference_certify_isometric_iso(phi, rng=rng_ref)
+        assert (got.ok, got.bijective) == (want.ok, want.bijective)
+        assert abs(got.max_norm_deviation - want.max_norm_deviation) <= 1e-12
+        # Same draws from the caller's generator, in the same order.
+        assert rng_new.standard_normal() == rng_ref.standard_normal()
+        compared += 1
+    assert compared == 12 * 2 * 2 * 3
+
+
+def test_certify_isometric_iso_makes_no_per_vector_norm_calls(monkeypatch):
+    """Hom fibers over three atoms take the vertex, facet and spectral
+    kernels; the certificate evaluates them without a per-vector call."""
+    space = AtomicMeasureSpace(["a", "b", "c"], [1.0, 1.0, 1.0])
+    frame = np.array([[1.0, 0.3], [0.0, 1.0]])
+    source = FiberModule(space, (
+        Fiber(2, WeightedP(1, (1.0, 2.0))),
+        Fiber(2, WeightedP(2, (1.0, 2.0))),
+        Fiber(2, FramedP(2, frame)),
+    ))
+    fixed = FiberModule(space, (
+        Fiber(2, FramedP(2, frame)),
+        Fiber(2, WeightedP(INF, (1.0, 0.5))),
+        Fiber(2, WeightedP(2, (2.0, 1.0))),
+    ))
+    system = DirectSystem(FinitePoset(["0"], []), {"0": source}, {})
+    phi = hom_inverse_system(system, fixed).comparison
+    paths = {norms.kernel_path(f.norm.source_spec, f.norm.target_spec) for f in phi.source.fibers}
+    assert paths == {"vertex", "facet", "spectral"}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-vector norm call")
+
+    monkeypatch.setattr(modules, "pointwise_norm", forbidden)
+    monkeypatch.setattr(modules, "operator_norm_witness", forbidden)
+    monkeypatch.setattr(norms, "operator_norm_witness", forbidden)
+    assert certify_isometric_iso(phi).ok
+    assert not certify_isometric_iso(scale_morphism(phi, 2.0)).ok

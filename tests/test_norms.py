@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l0limits.errors import DimensionCapError, UnsupportedNormError
+from l0limits.errors import (
+    BracketTooWideError,
+    DimensionCapError,
+    ShapeMismatchError,
+    UnsupportedNormError,
+)
 from l0limits.measure import AtomicMeasureSpace
 from l0limits.modules import ModuleMorphism, euclidean_module, is_morphism, operator_pointwise_norm
 from l0limits.norms import (
@@ -12,14 +17,19 @@ from l0limits.norms import (
     FramedP,
     OperatorNorm,
     WeightedP,
+    _euclidean_lower,
     dual_spec,
+    kernel_path,
     norm_eval,
+    norm_rows,
+    operator_norm_values,
     operator_norm_witness,
     operator_spec,
     spectral_norm,
+    zero_norm,
 )
 
-from oracles import sampled_operator_norm
+from oracles import reference_norm_eval, sampled_operator_norm
 
 
 def test_weighted_one_eval():
@@ -275,3 +285,98 @@ def test_restrict_weighted_and_dual():
 def test_operator_norm_rejects_unsupported_dual():
     with pytest.raises(UnsupportedNormError):
         dual_spec(OperatorNorm(2, WeightedP(2, (1, 1)), 2, WeightedP(2, (1, 1))))
+
+
+TALL = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+#: Every spec kind, p in {1, 2, inf}, and operator norms on three kernel paths.
+row_specs = [
+    WeightedP(1, (1.0, 2.0, 0.5)),
+    WeightedP(2, (1.0, 0.5)),
+    WeightedP(INF, (2.0, 1.0, 3.0)),
+    FramedP(1, TALL),
+    FramedP(2, [[1.0, 0.2], [0.0, 1.0]]),
+    FramedP(INF, [[2.0, 1.0], [0.5, -1.0]]),
+    dual_spec(FramedP(INF, TALL)),
+    dual_spec(FramedP(1, TALL)),
+    OperatorNorm(2, WeightedP(INF, (1.0, 2.0)), 3, FramedP(1, np.diag([1.0, 1.0, 2.0]) + 0.5 * np.eye(3, k=2))),
+    OperatorNorm(2, WeightedP(2, (1.0, 2.0)), 2, dual_spec(FramedP(1, TALL))),
+    OperatorNorm(3, FramedP(2, np.eye(3) + 0.3 * np.eye(3, k=1)), 2, WeightedP(2, (1.0, 0.5))),
+    zero_norm(),
+]
+
+
+def test_row_specs_cover_every_operator_path():
+    operators = [s for s in row_specs if isinstance(s, OperatorNorm)]
+    paths = {kernel_path(s.source_spec, s.target_spec) for s in operators}
+    assert paths == {"vertex", "facet", "spectral"}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(row_specs), st.integers(0, 10_000), st.integers(0, 6), st.floats(-100, 100))
+def test_norm_rows_match_per_vector_evaluation(spec, seed, count, exponent):
+    xs = np.random.default_rng(seed).standard_normal((count, spec.dim)) * 10.0**exponent
+    rows = norm_rows(spec, xs)
+    assert rows.shape == (count,)
+    for x, value in zip(xs, rows):
+        assert value == pytest.approx(norm_eval(spec, x), rel=1e-12, abs=0.0)
+        assert value == pytest.approx(reference_norm_eval(spec, x), rel=1e-12, abs=0.0)
+
+
+def test_norm_rows_rejects_wrong_shapes():
+    with pytest.raises(ShapeMismatchError):
+        norm_rows(WeightedP(1, (1.0, 2.0)), np.ones((3, 3)))
+    with pytest.raises(ShapeMismatchError):
+        norm_rows(WeightedP(1, (1.0, 2.0)), np.ones(2))
+
+
+# An operator norm between Euclidean-like covector spaces: the bracket
+# kernel, tight enough to certify multiples of orthogonal maps.
+COVECTORS = OperatorNorm(2, WeightedP(2, (1.0, 1.0)), 1, WeightedP(2, (1.0,)))
+
+VALUE_CASES = {
+    "vertex": [(WeightedP(1, (1.0, 2.0)), FramedP(2, TALL[:2])),
+               (WeightedP(INF, (1.0, 0.5)), dual_spec(FramedP(1, TALL))),
+               (FramedP(1, TALL), WeightedP(INF, (1.0, 2.0, 0.5)))],
+    "facet": [(WeightedP(2, (1.0, 2.0)), WeightedP(1, (1.0, 0.5, 2.0))),
+              (FramedP(2, [[1.0, 0.2], [0.0, 1.0]]), dual_spec(FramedP(INF, TALL)))],
+    "spectral": [(FramedP(2, [[1.0, 0.2], [0.0, 1.0]]), WeightedP(2, (1.0, 3.0, 0.5)))],
+    "trivial": [(zero_norm(), WeightedP(2, (1.0, 1.0))), (WeightedP(1, (1.0,)), zero_norm())],
+}
+
+
+@pytest.mark.parametrize("path,source,target", [
+    (path, source, target) for path, pairs in VALUE_CASES.items() for source, target in pairs
+])
+def test_operator_norm_values_match_witness(path, source, target):
+    assert kernel_path(source, target) == path
+    rng = np.random.default_rng(17)
+    mats = rng.standard_normal((6, target.dim, source.dim))
+    mats[2] = 0.0
+    values = operator_norm_values(mats, source, target)
+    assert values.shape == (6,)
+    for mat, value in zip(mats, values):
+        expected = operator_norm_witness(mat, source, target)[0]
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_operator_norm_values_on_the_bracket_path():
+    assert kernel_path(COVECTORS, COVECTORS) == "bracket"
+    q = np.array([[0.6, -0.8], [0.8, 0.6]])
+    mats = np.stack([np.zeros((2, 2)), 2.5 * np.eye(2), -q, 1e-3 * q])
+    values = operator_norm_values(mats, COVECTORS, COVECTORS)
+    for mat, value in zip(mats, values):
+        expected = operator_norm_witness(mat, COVECTORS, COVECTORS)[0]
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    wide = OperatorNorm(2, WeightedP(2, (1.0, 1.0)), 3, WeightedP(2, (1.0, 1.0, 1.0)))
+    with pytest.raises(BracketTooWideError):
+        operator_norm_values(np.eye(wide.dim)[None], wide, wide)
+    with pytest.raises(ShapeMismatchError):
+        operator_norm_values(np.zeros((2, 2)), COVECTORS, COVECTORS)
+
+
+def test_euclidean_lower_is_smallest_singular_value():
+    m = np.array([[2.0, 1.0], [0.0, 0.5]])
+    expected = 1.0 / spectral_norm(np.linalg.inv(m))
+    assert _euclidean_lower(FramedP(2, m)) == pytest.approx(expected, rel=1e-12)
+    assert _euclidean_lower(WeightedP(2, (3.0, 0.25))) == pytest.approx(0.25, rel=1e-12)
