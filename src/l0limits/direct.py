@@ -30,9 +30,9 @@ from .modules import (
     FiberModule,
     ModuleMorphism,
     apply,
+    composite_deviation,
     compose,
     mask_module,
-    morphism_deviation,
     operator_pointwise_norm,
     pointwise_norm,
     submodule_generated,
@@ -115,18 +115,18 @@ def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None)
     direct = _is_direct(theta.source)
     for i, comp in theta.components.items():
         norm = operator_pointwise_norm(comp)
-        dev = float(np.max(norm.values, initial=0.0)) - 1.0
-        if dev > tol:
+        dev = float(norm.values.max(initial=0.0)) - 1.0
+        if not dev <= tol:
             violations.append(Violation("admissibility", (i,), dev, "component norm > 1"))
     for (i, j) in theta.source.index.related_pairs():
         if direct:
-            left = compose(theta.components[j], theta.source.map(i, j))
-            right = compose(theta.target.map(i, j), theta.components[i])
+            left = (theta.components[j], theta.source.map(i, j))
+            right = (theta.target.map(i, j), theta.components[i])
         else:
-            left = compose(theta.components[i], theta.source.map(i, j))
-            right = compose(theta.target.map(i, j), theta.components[j])
-        dev = morphism_deviation(left, right)
-        if dev > tol:
+            left = (theta.components[i], theta.source.map(i, j))
+            right = (theta.target.map(i, j), theta.components[j])
+        dev = composite_deviation(left, right)
+        if not dev <= tol:
             violations.append(Violation("square", (i, j), dev, "square does not commute"))
     index = theta.source.index
     if isinstance(index, Chain):
@@ -142,7 +142,7 @@ def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None)
         norm_last = operator_pointwise_norm(theta.components[last]).values
         for a, g in enumerate(growth):
             bound = tol if not np.isfinite(g) else (1.0 + tol) / g
-            if norm_last[a] > bound:
+            if not norm_last[a] <= bound:
                 violations.append(
                     Violation(
                         "tail-square",
@@ -268,13 +268,11 @@ def dl_universal_factorization(
         if psi.source != system.modules[i] or psi.target != target.module:
             raise ShapeMismatchError(f"target map at {i!r} has wrong endpoints")
         norm = operator_pointwise_norm(psi)
-        if float(np.max(norm.values, initial=0.0)) > 1.0 + tol:
+        if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
             raise ValidationError(f"target map at {i!r} is not admissible")
     worst = ("", 0.0)
     for (i, j) in index.related_pairs():
-        dev = morphism_deviation(
-            compose(target.maps[j], system.map(i, j)), target.maps[i]
-        )
+        dev = composite_deviation((target.maps[j], system.map(i, j)), (target.maps[i],))
         if dev > worst[1]:
             worst = (f"target law at ({i!r}, {j!r})", dev)
     if worst[1] > tol:
@@ -305,10 +303,8 @@ def dl_universal_factorization(
                 mats.append(np.zeros((m.shape[0], 0)))
         mediating = ModuleMorphism(presentation.module, target.module, mats)
     for i in explicit:
-        dev = morphism_deviation(
-            compose(mediating, presentation.canonical[i]), target.maps[i]
-        )
-        if dev > tol:
+        dev = composite_deviation((mediating, presentation.canonical[i]), (target.maps[i],))
+        if not dev <= tol:
             raise ValidationError(
                 f"no factorization within tolerance: square at {i!r} deviates by {dev:g}"
             )
@@ -357,11 +353,11 @@ def dl_functor(
             mats.append(trimmed[:, :s_dim] if s_dim <= block.shape[1] else trimmed)
     limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
     for i in index.explicit_indices():
-        dev = morphism_deviation(
-            compose(limit_map, src_pres.canonical[i]),
-            compose(tgt_pres.canonical[i], theta.components[i]),
+        dev = composite_deviation(
+            (limit_map, src_pres.canonical[i]),
+            (tgt_pres.canonical[i], theta.components[i]),
         )
-        if dev > max(tol, 10 * tolerance()):
+        if not dev <= max(tol, 10 * tolerance()):
             raise ValidationError(
                 f"limit square at {i!r} deviates by {dev:g}; morphism invalid"
             )

@@ -17,11 +17,31 @@ class UnsupportedNormError(L0LimitsError):
     """A norm construction falls outside the supported closed family."""
 
 
-class DimensionCapError(L0LimitsError):
+class NonFiniteError(L0LimitsError, ValueError):
+    """An input value is NaN or infinite."""
+
+
+class KernelLimitError(L0LimitsError):
+    """No exact kernel evaluates an operator norm.
+
+    ``atom`` names the atom the norm was evaluated at, when the error was
+    raised for a morphism rather than for a bare matrix.
+    """
+
+    atom = None
+
+    def at_atom(self, atom: str) -> "KernelLimitError":
+        """This error, located at ``atom`` and its message prefixed with it."""
+        self.atom = atom
+        self.args = (f"at atom {atom!r}: {self.args[0]}",)
+        return self
+
+
+class DimensionCapError(KernelLimitError):
     """Vertex enumeration requested beyond the supported dimension cap."""
 
 
-class BracketTooWideError(L0LimitsError):
+class BracketTooWideError(KernelLimitError):
     """An operator-norm bracket could not be certified to tolerance."""
 
     def __init__(self, lower: float, upper: float, message: str = ""):

@@ -9,6 +9,7 @@ so serialize . parse is a fixpoint on bundled fixtures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -30,13 +31,20 @@ def _number(raw, path: str) -> float:
     if isinstance(raw, bool):
         raise DocumentError(path, "expected a number, got a boolean")
     if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str):
         try:
-            return float(Fraction(raw))
-        except (ValueError, ZeroDivisionError) as exc:
+            value = float(raw)
+        except OverflowError:
+            raise DocumentError(path, "integer out of the float range") from None
+    elif isinstance(raw, str):
+        try:
+            value = float(Fraction(raw))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DocumentError(path, f"bad rational literal {raw!r}: {exc}") from None
-    raise DocumentError(path, f"expected a number, got {type(raw).__name__}")
+    else:
+        raise DocumentError(path, f"expected a number, got {type(raw).__name__}")
+    if not math.isfinite(value):
+        raise DocumentError(path, f"number {raw!r} is not finite")
+    return value
 
 
 def _numbers(raw, path: str) -> list:

@@ -32,6 +32,7 @@ from .modules import (
     ModuleMorphism,
     apply,
     certify_isometric_iso,
+    composite_deviation,
     compose,
     mask_inclusion,
     mask_module,
@@ -246,13 +247,11 @@ def il_universal_factorization(
             raise ShapeMismatchError(f"source map at {i!r} has wrong endpoints")
         if check_admissibility:
             norm = operator_pointwise_norm(q)
-            if float(np.max(norm.values, initial=0.0)) > 1.0 + tol:
+            if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
                 raise ValidationError(f"source map at {i!r} is not admissible")
     worst = ("", 0.0)
     for (i, j) in index.related_pairs():
-        dev = morphism_deviation(
-            compose(system.map(i, j), source.maps[j]), source.maps[i]
-        )
+        dev = composite_deviation((system.map(i, j), source.maps[j]), (source.maps[i],))
         if dev > worst[1]:
             worst = (f"compatibility at ({i!r}, {j!r})", dev)
     if worst[1] > tol:
@@ -280,10 +279,8 @@ def il_universal_factorization(
                 mats.append(np.zeros((0, m.shape[1])))
         mediating = ModuleMorphism(source.module, presentation.module, mats)
     for i in explicit:
-        dev = morphism_deviation(
-            compose(presentation.canonical[i], mediating), source.maps[i]
-        )
-        if dev > tol:
+        dev = composite_deviation((presentation.canonical[i], mediating), (source.maps[i],))
+        if not dev <= tol:
             raise ValidationError(
                 f"no factorization within tolerance: triangle at {i!r} deviates by {dev:g}"
             )
@@ -322,11 +319,11 @@ def il_functor(
         mats.append(block[:t_dim, :s_dim])
     limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
     for i in index.explicit_indices():
-        dev = morphism_deviation(
-            compose(tgt_pres.canonical[i], limit_map),
-            compose(theta.components[i], src_pres.canonical[i]),
+        dev = composite_deviation(
+            (tgt_pres.canonical[i], limit_map),
+            (theta.components[i], src_pres.canonical[i]),
         )
-        if dev > max(tol, 10 * tolerance()):
+        if not dev <= max(tol, 10 * tolerance()):
             raise ValidationError(
                 f"limit square at {i!r} deviates by {dev:g}; morphism invalid"
             )

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import tolerance
-from .errors import ShapeMismatchError, SpaceMismatchError
+from .errors import NonFiniteError, ShapeMismatchError, SpaceMismatchError
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,9 @@ class AtomicMeasureSpace:
             raise ShapeMismatchError(
                 f"expected {len(atom_ids)} weights, got shape {weights.shape}"
             )
+        if not np.isfinite(weights).all():
+            bad = atom_ids[int(np.argmin(np.isfinite(weights)))]
+            raise NonFiniteError(f"weight of atom {bad!r} is not finite")
         if not np.all(weights > 0.0):
             bad = atom_ids[int(np.argmin(weights))]
             raise ValueError(f"weight of atom {bad!r} is not strictly positive")
@@ -85,6 +88,9 @@ class L0Function:
             raise ShapeMismatchError(
                 f"expected {space.atom_count} values, got shape {values.shape}"
             )
+        if not np.isfinite(values).all():
+            bad = space.atom_ids[int(np.argmin(np.isfinite(values)))]
+            raise NonFiniteError(f"function value at atom {bad!r} is not finite")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "space", space)

@@ -14,12 +14,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import tolerance
-from .errors import ShapeMismatchError, SpaceMismatchError
+from .errors import (
+    KernelLimitError,
+    NonFiniteError,
+    ShapeMismatchError,
+    SpaceMismatchError,
+)
 from .measure import AtomicMeasureSpace, L0Function, l0_distance
 from .norms import (
     WeightedP,
     norm_eval,
     norm_rows,
+    operator_norm_value,
     operator_norm_witness,
     zero_norm,
 )
@@ -69,9 +75,10 @@ class FiberModule:
                 f"{len(self.fibers)} fibers over a space with "
                 f"{self.space.atom_count} atoms"
             )
+        object.__setattr__(self, "_dims", tuple(f.dim for f in self.fibers))
 
     def dims(self) -> Tuple[int, ...]:
-        return tuple(f.dim for f in self.fibers)
+        return self._dims
 
     @property
     def is_zero(self) -> bool:
@@ -117,14 +124,24 @@ class Element:
     module: FiberModule
     coords: Tuple[np.ndarray, ...]
 
-    def __init__(self, module: FiberModule, coords: Sequence):
-        coords = tuple(np.asarray(c, dtype=float).reshape(-1) for c in coords)
+    def __init__(self, module: FiberModule, coords: Sequence, *, _fresh: bool = False):
+        # ``_fresh`` is for callers in this module that pass vectors they
+        # have just computed and hold no other reference to; those vectors
+        # are adopted as they are, neither copied nor checked for finiteness.
+        if _fresh:
+            coords = tuple(coords)
+        else:
+            coords = tuple(np.array(c, dtype=float).reshape(-1) for c in coords)
         if len(coords) != module.space.atom_count:
             raise ShapeMismatchError("one coordinate vector per atom required")
-        for c, f in zip(coords, module.fibers):
+        for a, (c, f) in enumerate(zip(coords, module.fibers)):
             if c.size != f.dim:
                 raise ShapeMismatchError(
                     f"coordinate vector of length {c.size} in fiber of dim {f.dim}"
+                )
+            if not _fresh and not np.isfinite(c).all():
+                raise NonFiniteError(
+                    f"coordinates at atom {module.space.atom_ids[a]!r} are not finite"
                 )
             c.setflags(write=False)
         object.__setattr__(self, "module", module)
@@ -132,22 +149,25 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         _require_same_module(self, other)
-        return Element(self.module, [a + b for a, b in zip(self.coords, other.coords)])
+        coords = [a + b for a, b in zip(self.coords, other.coords)]
+        return Element(self.module, coords, _fresh=True)
 
     def __sub__(self, other: "Element") -> "Element":
         _require_same_module(self, other)
-        return Element(self.module, [a - b for a, b in zip(self.coords, other.coords)])
+        coords = [a - b for a, b in zip(self.coords, other.coords)]
+        return Element(self.module, coords, _fresh=True)
 
     def __neg__(self) -> "Element":
-        return Element(self.module, [-c for c in self.coords])
+        return Element(self.module, [-c for c in self.coords], _fresh=True)
 
     def scale(self, factor: float) -> "Element":
-        return Element(self.module, [factor * c for c in self.coords])
+        return Element(self.module, [factor * c for c in self.coords], _fresh=True)
 
     def scale_fn(self, f: L0Function) -> "Element":
         if f.space != self.module.space:
             raise SpaceMismatchError("scaling function lives over a different space")
-        return Element(self.module, [v * c for v, c in zip(f.values, self.coords)])
+        coords = [v * c for v, c in zip(f.values, self.coords)]
+        return Element(self.module, coords, _fresh=True)
 
     def __repr__(self):
         return f"Element({[np.array2string(c, precision=4) for c in self.coords]})"
@@ -201,28 +221,35 @@ class ModuleMorphism:
         *,
         _fresh: bool = False,
     ):
-        # ``_fresh`` is for callers in this module that pass arrays they
-        # have just computed and hold no other reference to; those arrays
-        # are adopted instead of copied.
+        # ``_fresh`` is for callers in this module that pass float matrices
+        # they have just computed and hold no other reference to; those are
+        # adopted as they are, neither copied nor checked for finiteness.
         if source.space != target.space:
             raise SpaceMismatchError("morphism endpoints live over different spaces")
+        if len(matrices) != source.space.atom_count:
+            raise ShapeMismatchError("one matrix per atom required")
         mats = []
-        for a, raw in enumerate(matrices):
-            m = np.asarray(raw, dtype=float)
-            expected = (target.fibers[a].dim, source.fibers[a].dim)
-            if m.size == 0:
-                m = np.zeros(expected)
-            if m.ndim != 2 or m.shape != expected:
+        for a, (s, t, raw) in enumerate(zip(source.dims(), target.dims(), matrices)):
+            expected = (t, s)
+            if _fresh:
+                m = raw
+            else:
+                m = np.asarray(raw, dtype=float)
+                if m.size == 0:
+                    m = np.zeros(expected)
+            if m.shape != expected:
                 raise ShapeMismatchError(
                     f"matrix at atom {source.space.atom_ids[a]!r} has shape "
                     f"{m.shape}, expected {expected}"
                 )
             if not _fresh:
+                if not np.isfinite(m).all():
+                    raise NonFiniteError(
+                        f"matrix at atom {source.space.atom_ids[a]!r} is not finite"
+                    )
                 m = m.copy()
             m.setflags(write=False)
             mats.append(m)
-        if len(mats) != source.space.atom_count:
-            raise ShapeMismatchError("one matrix per atom required")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrices", tuple(mats))
@@ -246,7 +273,7 @@ def zero_morphism(source: FiberModule, target: FiberModule) -> ModuleMorphism:
 def apply(phi: ModuleMorphism, v: Element) -> Element:
     if v.module != phi.source:
         raise ShapeMismatchError("element does not belong to the morphism source")
-    return Element(phi.target, [m @ c for m, c in zip(phi.matrices, v.coords)])
+    return Element(phi.target, [m @ c for m, c in zip(phi.matrices, v.coords)], _fresh=True)
 
 
 def compose(psi: ModuleMorphism, phi: ModuleMorphism) -> ModuleMorphism:
@@ -275,12 +302,49 @@ def morphisms_close(a: ModuleMorphism, b: ModuleMorphism, tol: Optional[float] =
 
 
 def morphism_deviation(a: ModuleMorphism, b: ModuleMorphism) -> float:
-    if a.source.dims() != b.source.dims() or a.target.dims() != b.target.dims():
+    """Largest absolute entry of ``a - b`` over all atoms (NaN if any is NaN)."""
+    return composite_deviation((a,), (b,))
+
+
+def _chain_product(factors: Sequence[ModuleMorphism], a: int) -> np.ndarray:
+    """Atom ``a``'s matrix of the composite ``factors[0] . factors[1] . ...``,
+    multiplied from the left as repeated :func:`compose` builds it."""
+    m = factors[0].matrices[a]
+    for phi in factors[1:]:
+        m = m @ phi.matrices[a]
+    return m
+
+
+def _chain_ends(factors: Sequence[ModuleMorphism]):
+    """Source and target dims of a chain's composite; raises as
+    :func:`compose` does when two neighbouring factors do not meet."""
+    for psi, phi in zip(factors, factors[1:]):
+        if psi.source != phi.target:
+            raise ShapeMismatchError("composition endpoints do not match")
+    return factors[-1].source.dims(), factors[0].target.dims()
+
+
+def composite_deviation(
+    left: Sequence[ModuleMorphism], right: Sequence[ModuleMorphism]
+) -> float:
+    """``morphism_deviation`` of the composites of two chains of factors.
+
+    Each chain lists its factors outermost first, so ``(psi, phi)`` stands
+    for ``compose(psi, phi)`` and ``(chi, psi, phi)`` for
+    ``compose(compose(chi, psi), phi)``.  The value equals the deviation of
+    the composed morphisms bit for bit, from the same matrix products, but
+    no composite morphism is built.
+    """
+    if _chain_ends(left) != _chain_ends(right):
         raise ShapeMismatchError("morphisms have incompatible shapes")
     dev = 0.0
-    for m, n in zip(a.matrices, b.matrices):
+    for a in range(len(left[0].matrices)):
+        m = _chain_product(left, a)
         if m.size:
-            dev = max(dev, float(np.max(np.abs(m - n))))
+            d = float(np.abs(m - _chain_product(right, a)).max())
+            if d != d:
+                return d
+            dev = max(dev, d)
     return dev
 
 
@@ -306,10 +370,13 @@ def operator_pointwise_norm(phi: ModuleMorphism) -> L0Function:
     This is the minimal function bounding ``|phi(v)|`` by a multiple of
     ``|v|`` at every atom.
     """
-    values = [
-        operator_norm_witness(m, s.norm, t.norm)[0]
-        for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers)
-    ]
+    values = []
+    fibers = zip(phi.matrices, phi.source.fibers, phi.target.fibers)
+    for a, (m, s, t) in enumerate(fibers):
+        try:
+            values.append(operator_norm_value(m, s.norm, t.norm))
+        except KernelLimitError as exc:
+            raise exc.at_atom(phi.source.space.atom_ids[a]) from None
     return L0Function(phi.source.space, values)
 
 

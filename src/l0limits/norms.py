@@ -30,6 +30,7 @@ from .config import tolerance
 from .errors import (
     BracketTooWideError,
     DimensionCapError,
+    NonFiniteError,
     ShapeMismatchError,
     UnsupportedNormError,
 )
@@ -113,6 +114,8 @@ class WeightedP:
         if p not in (1.0, 2.0, INF):
             raise UnsupportedNormError(f"p must be 1, 2 or inf, got {p}")
         weights = np.asarray(weights, dtype=float).reshape(-1)
+        if not np.isfinite(weights).all():
+            raise NonFiniteError("norm weights must be finite")
         if weights.size and not np.all(weights > 0.0):
             raise ValueError("norm weights must be strictly positive")
         weights = weights.copy()
@@ -139,6 +142,10 @@ class WeightedP:
         if self.p == 2.0:
             return self._diagonal
         return None
+
+    @cached_property
+    def _inverse_transform(self) -> np.ndarray:
+        return np.linalg.inv(self._diagonal)
 
     @cached_property
     def _ball_candidates(self) -> np.ndarray:
@@ -205,6 +212,8 @@ class FramedP:
         if p not in (1.0, 2.0, INF):
             raise UnsupportedNormError(f"p must be 1, 2 or inf, got {p}")
         matrix = _as_matrix(matrix)
+        if not np.isfinite(matrix).all():
+            raise NonFiniteError("frame matrix must be finite")
         rows, cols = matrix.shape
         if cols > 0:
             if rows < cols:
@@ -246,6 +255,10 @@ class FramedP:
         if self.p == 2.0:
             return self._square_transform
         return None
+
+    @cached_property
+    def _inverse_transform(self) -> np.ndarray:
+        return np.linalg.inv(self._square_transform)
 
     @cached_property
     def _ball_candidates(self) -> np.ndarray:
@@ -318,8 +331,7 @@ class FramedP:
         if self.dim == 0:
             return zero_norm()
         if self.p == 2.0:
-            r = self._square_transform
-            return FramedP(2, np.linalg.inv(r).T)
+            return FramedP(2, self._inverse_transform.T)
         if self.is_square:
             return FramedP(_conjugate(self.p), np.linalg.inv(self.matrix).T)
         return DualOf(self)
@@ -622,6 +634,18 @@ def operator_norm_witness(mat, source_spec, target_spec):
     The witness has source norm one and achieves the returned value
     (``None`` for degenerate shapes).
     """
+    return _operator_norm(mat, source_spec, target_spec, True)
+
+
+def operator_norm_value(mat, source_spec, target_spec) -> float:
+    """Exact pointwise operator norm, ``operator_norm_witness(...)[0]``,
+    computed on the same route without building the maximizer."""
+    return _operator_norm(mat, source_spec, target_spec, False)[0]
+
+
+def _operator_norm(mat, source_spec, target_spec, witness: bool):
+    """The route both operator-norm functions share; the maximizer is
+    ``None`` unless ``witness`` asks for it."""
     mat = _as_matrix(mat)
     t, s = mat.shape
     if s != source_spec.dim or t != target_spec.dim:
@@ -636,20 +660,24 @@ def operator_norm_witness(mat, source_spec, target_spec):
         return float(values[best]), cands[best]
     if path == "bracket":
         return _bracket_norm(mat, source_spec, target_spec)
-    r = source_spec.euclidean_transform()
-    r_inv = np.linalg.inv(r)
+    r_inv = source_spec._inverse_transform
     if path == "facet":
         rows = target_spec.dual_ball_candidates() @ mat @ r_inv
         scores = np.linalg.norm(rows, axis=1)
         best = int(np.argmax(scores))
         value = float(scores[best])
+        if not witness:
+            return value, None
         if value <= 0.0:
+            r = source_spec.euclidean_transform()
             unit = r_inv[:, 0] / np.linalg.norm(r @ r_inv[:, 0])
             return 0.0, unit
         return value, r_inv @ (rows[best] / value)
     core = target_spec.euclidean_transform() @ mat @ r_inv
+    # The full SVD, also for the value alone: its largest singular value
+    # can differ in the last bits from the one ``compute_uv=False`` gives.
     sigma, u = spectral_norm_witness(core)
-    return float(sigma), r_inv @ u
+    return float(sigma), (r_inv @ u if witness else None)
 
 
 def operator_norm_values(mats, source_spec, target_spec) -> np.ndarray:
@@ -672,7 +700,7 @@ def operator_norm_values(mats, source_spec, target_spec) -> np.ndarray:
         return values.reshape(count, -1).max(axis=1)
     if path == "bracket":
         return np.array([_bracket_norm(m, source_spec, target_spec)[0] for m in mats])
-    r_inv = np.linalg.inv(source_spec.euclidean_transform())
+    r_inv = source_spec._inverse_transform
     if path == "facet":
         rows = target_spec.dual_ball_candidates() @ mats @ r_inv
         return np.linalg.norm(rows, axis=-1).max(axis=1)

@@ -20,6 +20,7 @@ from .config import tolerance
 from .errors import ShapeMismatchError
 from .modules import (
     ModuleMorphism,
+    composite_deviation,
     compose,
     identity_morphism,
     morphism_deviation,
@@ -169,7 +170,7 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
     for (i, j), phi in system.maps.items():
         if i == j:
             dev = morphism_deviation(phi, identity_morphism(system.modules[i]))
-            if dev > tol:
+            if not dev <= tol:
                 violations.append(Violation("identity", (i,), dev, system.identity_detail))
 
     bounds: Dict[tuple, Optional[np.ndarray]] = {}
@@ -212,11 +213,11 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
             norm = edge_norm((i, j))
         else:
             bound = path_bound(i, j, tree)
-            if bound is not None and float(np.max(bound)) * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
+            if bound is not None and float(bound.max()) * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
                 continue
             norm = operator_pointwise_norm(system._connect(i, j)).values
-        dev = float(np.max(norm, initial=0.0)) - 1.0
-        if dev > tol:
+        dev = float(norm.max(initial=0.0)) - 1.0
+        if not dev <= tol:
             violations.append(
                 Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
             )
@@ -228,10 +229,12 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
                 continue
             try:
                 direct_map = system._connect(i, k)
-                composite = system._extend(system._connect(i, j), system._connect(j, k))
+                lower, upper = system._connect(i, j), system._connect(j, k)
             except KeyError:
                 continue
-            dev = morphism_deviation(direct_map, composite)
-            if dev > tol:
+            # The composite along j, outermost factor first, as _extend builds it.
+            composite = (upper, lower) if system.forward else (lower, upper)
+            dev = composite_deviation((direct_map,), composite)
+            if not dev <= tol:
                 violations.append(Violation("cocycle", (i, j, k), dev, system.cocycle_detail))
     return SystemReport(not violations, tuple(violations))

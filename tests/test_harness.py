@@ -289,3 +289,20 @@ def test_cli_structured_deterministic_bytes():
     a = run_cli("report", path, "--format", "structured", "--seed", "3")
     b = run_cli("report", path, "--format", "structured", "--seed", "3")
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("keys,where", [
+    (("morphisms", "M_phi_0_1", "matrices", 0, 0, 0), "$.morphisms.M_phi_0_1.matrices[0][0][0]"),
+    (("norms", "n0", "weights", 1), "$.norms.n0.weights[1]"),
+    (("spaces", "dirac", "weights", 0), "$.spaces.dirac.weights[0]"),
+], ids=["matrix", "norm", "space"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge"])
+def test_loader_rejects_non_finite_numbers(keys, where, bad):
+    data = json.loads((FIXTURES / "remark-faithful.json").read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = bad
+    with pytest.raises(DocumentError) as raised:
+        parse_document(data)
+    assert raised.value.path == where

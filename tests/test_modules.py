@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,13 @@ from hypothesis import strategies as st
 import l0limits.modules as modules
 import l0limits.norms as norms
 from l0limits.direct import DirectSystem
-from l0limits.errors import ShapeMismatchError, SpaceMismatchError
+from l0limits.errors import (
+    BracketTooWideError,
+    DimensionCapError,
+    NonFiniteError,
+    ShapeMismatchError,
+    SpaceMismatchError,
+)
 from l0limits.indexsets import FinitePoset
 from l0limits.inverse import dual_limit_iso, hom_inverse_system
 from l0limits.measure import AtomicMeasureSpace, L0Function
@@ -19,11 +27,13 @@ from l0limits.modules import (
     basis_elements,
     certify_isometric_iso,
     compose,
+    composite_deviation,
     euclidean_module,
     identity_morphism,
     is_morphism,
     kernel_image,
     module_distance,
+    morphism_deviation,
     operator_norm_witnesses,
     operator_pointwise_norm,
     pointwise_norm,
@@ -33,6 +43,7 @@ from l0limits.modules import (
     zero_element,
     zero_morphism,
 )
+from l0limits.homdual import hom_module
 from l0limits.norms import INF, FramedP, WeightedP, norm_eval
 from l0limits.randgen import (
     random_admissible_morphism,
@@ -314,3 +325,96 @@ def test_certify_isometric_iso_makes_no_per_vector_norm_calls(monkeypatch):
     monkeypatch.setattr(norms, "operator_norm_witness", forbidden)
     assert certify_isometric_iso(phi).ok
     assert not certify_isometric_iso(scale_morphism(phi, 2.0)).ok
+
+
+def test_element_copies_its_coordinates():
+    c = np.array([1.0, 2.0])
+    v = Element(PLANE, [c, c])
+    c[0] = 9.0
+    assert v.coords[0].tolist() == [1.0, 2.0]
+    assert v.coords[1].tolist() == [1.0, 2.0]
+    assert not np.shares_memory(v.coords[0], v.coords[1])
+    w = Element(PLANE, [[0.5, 0.0], [1.0, -1.0]])
+    phi = ModuleMorphism(PLANE, PLANE, [np.eye(2), 2.0 * np.eye(2)])
+    derived = (v + w, v - w, -v, v.scale(2.0), v.scale_fn(L0Function(TWO, [2.0, 3.0])),
+               apply(phi, v))
+    for u in derived:
+        for a, coords in enumerate(u.coords):
+            assert not coords.flags.writeable
+            assert not np.shares_memory(coords, v.coords[a])
+            assert not np.shares_memory(coords, w.coords[a])
+    assert apply(phi, v).coords[1].tolist() == [2.0, 4.0]
+
+
+def _chains(seed):
+    """Two chains of one to three random factors with common ends."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    count = 1 + seed % 3
+    modules_ = [random_module(rng, space) for _ in range(count + 1)]
+
+    def chain():
+        # Outermost factor first: modules_[k+1] <- modules_[k].
+        return [random_admissible_morphism(rng, modules_[k], modules_[k + 1])
+                for k in reversed(range(count))]
+
+    left = chain()
+    right = chain() if seed % 2 else [scale_morphism(f, 1.0 + 1e-9 * (seed % 5)) for f in left]
+    return left, right
+
+
+def test_composite_deviation_equals_deviation_of_composites():
+    for seed in range(60):
+        left, right = _chains(seed)
+        want = morphism_deviation(functools.reduce(compose, left), functools.reduce(compose, right))
+        assert composite_deviation(left, right) == want
+        assert composite_deviation(left[:1], left[:1]) == 0.0
+        # Both factor counts may differ, as long as the ends agree.
+        whole = functools.reduce(compose, right)
+        assert composite_deviation(left, [whole]) == want
+
+
+def test_composite_deviation_raises_like_compose():
+    left, right = _chains(2)
+    assert len(left) == 3
+    with pytest.raises(ShapeMismatchError, match="composition endpoints"):
+        composite_deviation(left[::-1], right)
+    with pytest.raises(ShapeMismatchError, match="incompatible shapes"):
+        composite_deviation(left, right[:1])
+
+
+def test_nan_deviation_is_not_lost():
+    nan_map = ModuleMorphism(PLANE, PLANE, [np.full((2, 2), np.nan), np.eye(2)], _fresh=True)
+    ident = identity_morphism(PLANE)
+    assert np.isnan(morphism_deviation(nan_map, ident))
+    assert np.isnan(composite_deviation((ident, nan_map), (ident,)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: L0Function(TWO, [np.nan, 1.0]),
+    lambda: Element(PLANE, [[1.0, np.inf], [0.0, 0.0]]),
+    lambda: ModuleMorphism(PLANE, PLANE, [np.eye(2), [[np.nan, 0.0], [0.0, 0.5]]]),
+    lambda: AtomicMeasureSpace(["a", "b"], [1.0, np.inf]),
+], ids=["function", "element", "morphism", "space"])
+def test_non_finite_input_is_rejected(make):
+    with pytest.raises(NonFiniteError, match="'b'|not finite"):
+        make()
+
+
+def test_kernel_errors_name_the_atom():
+    space = AtomicMeasureSpace(["a", "wide"], [1.0, 1.0])
+    plane = euclidean_module(space, 2)
+    hom = hom_module(plane, euclidean_module(space, 3))
+    phi = ModuleMorphism(hom, hom, [np.zeros((6, 6)), np.eye(6)])
+    with pytest.raises(BracketTooWideError) as raised:
+        operator_pointwise_norm(phi)
+    assert raised.value.atom == "wide"
+    assert "'wide'" in str(raised.value)
+    assert raised.value.lower <= raised.value.upper
+
+    box = Fiber(13, WeightedP(INF, np.ones(13)))
+    big = FiberModule(space, (Fiber(0, WeightedP(1, ())), box))
+    with pytest.raises(DimensionCapError) as raised:
+        operator_pointwise_norm(identity_morphism(big))
+    assert raised.value.atom == "wide"
+    assert "'wide'" in str(raised.value)

@@ -6,11 +6,19 @@ from hypothesis import strategies as st
 from l0limits.errors import (
     BracketTooWideError,
     DimensionCapError,
+    NonFiniteError,
     ShapeMismatchError,
     UnsupportedNormError,
 )
 from l0limits.measure import AtomicMeasureSpace
-from l0limits.modules import ModuleMorphism, euclidean_module, is_morphism, operator_pointwise_norm
+from l0limits.modules import (
+    Fiber,
+    FiberModule,
+    ModuleMorphism,
+    euclidean_module,
+    is_morphism,
+    operator_pointwise_norm,
+)
 from l0limits.norms import (
     INF,
     DualOf,
@@ -22,6 +30,7 @@ from l0limits.norms import (
     kernel_path,
     norm_eval,
     norm_rows,
+    operator_norm_value,
     operator_norm_values,
     operator_norm_witness,
     operator_spec,
@@ -380,3 +389,98 @@ def test_euclidean_lower_is_smallest_singular_value():
     expected = 1.0 / spectral_norm(np.linalg.inv(m))
     assert _euclidean_lower(FramedP(2, m)) == pytest.approx(expected, rel=1e-12)
     assert _euclidean_lower(WeightedP(2, (3.0, 0.25))) == pytest.approx(0.25, rel=1e-12)
+
+
+#: (source, target) fiber norms on every route of the operator norm,
+#: zero-dimensional sides included.
+OPNORM_PAIRS = [
+    (source, target) for pairs in VALUE_CASES.values() for source, target in pairs
+] + [(COVECTORS, COVECTORS), (zero_norm(), zero_norm())]
+
+
+def test_opnorm_pairs_cover_every_route():
+    paths = {kernel_path(source, target) for source, target in OPNORM_PAIRS}
+    assert paths == {"vertex", "facet", "spectral", "trivial", "bracket"}
+
+
+def _rotation(rng) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    return q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(OPNORM_PAIRS), st.integers(0, 10_000), st.floats(-100, 100))
+def test_pointwise_operator_norm_equals_the_witness_value_exactly(pair, seed, exponent):
+    """The values-only route gives the witness route's value bit for bit,
+    on every kernel path and at every scale."""
+    source, target = pair
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    if kernel_path(source, target) == "bracket":
+        # Multiples of orthogonal maps are the ones the bracket certifies.
+        mat = scale * _rotation(rng)
+    else:
+        mat = scale * rng.standard_normal((target.dim, source.dim))
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 2.0])
+    zero = Fiber(0, zero_norm())
+    phi = ModuleMorphism(
+        FiberModule(space, (Fiber(source.dim, source), zero)),
+        FiberModule(space, (Fiber(target.dim, target), Fiber(2, WeightedP(2, (1.0, 1.0))))),
+        [mat, np.zeros((2, 0))],
+    )
+    values = operator_pointwise_norm(phi).values
+    assert values[0] == operator_norm_witness(mat, source, target)[0]
+    assert values[0] == operator_norm_value(mat, source, target)
+    assert values[1] == 0.0
+
+
+def test_inverse_transform_is_computed_once_per_spec(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m) or inv(m))
+    source = FramedP(2, [[1.0, 0.2], [0.0, 1.0]])
+    weighted = WeightedP(2, (1.0, 2.0))
+    target = WeightedP(1, (1.0, 0.5, 2.0))
+    mats = np.random.default_rng(3).standard_normal((4, 3, 2))
+    for spec in (source, weighted):
+        for mat in mats:
+            operator_norm_value(mat, spec, target)
+            operator_norm_witness(mat, spec, target)
+            operator_norm_value(mat[:2], spec, spec)
+        operator_norm_values(mats, spec, target)
+    assert len(calls) == 2
+
+
+def test_pointwise_operator_norm_takes_the_values_route(monkeypatch):
+    import l0limits.modules as modules
+    import l0limits.norms as norms
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("maximizer requested")
+
+    space = AtomicMeasureSpace([f"a{k}" for k in range(len(OPNORM_PAIRS))], np.ones(len(OPNORM_PAIRS)))
+    rng = np.random.default_rng(11)
+    mats = [
+        _rotation(rng) if kernel_path(s, t) == "bracket" else rng.standard_normal((t.dim, s.dim))
+        for s, t in OPNORM_PAIRS
+    ]
+    phi = ModuleMorphism(
+        FiberModule(space, tuple(Fiber(s.dim, s) for s, _ in OPNORM_PAIRS)),
+        FiberModule(space, tuple(Fiber(t.dim, t) for _, t in OPNORM_PAIRS)),
+        mats,
+    )
+    want = [operator_norm_witness(m, s, t)[0] for m, (s, t) in zip(mats, OPNORM_PAIRS)]
+    monkeypatch.setattr(modules, "operator_norm_witness", forbidden)
+    monkeypatch.setattr(norms, "operator_norm_witness", forbidden)
+    assert operator_pointwise_norm(phi).values.tolist() == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WeightedP(2, [np.inf, 1.0]),
+    lambda: WeightedP(1, [np.nan]),
+    lambda: FramedP(2, [[np.nan, 0.0], [0.0, 1.0]]),
+    lambda: FramedP(INF, [[1.0, 0.0], [0.0, -np.inf], [1.0, 1.0]]),
+], ids=["weighted-inf", "weighted-nan", "framed-nan", "framed-inf"])
+def test_norm_specs_reject_non_finite_input(make):
+    with pytest.raises(NonFiniteError):
+        make()

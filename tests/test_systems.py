@@ -10,19 +10,39 @@ import numpy as np
 import pytest
 
 from l0limits import randgen, systems
-from l0limits.direct import DirectSystem, validate_direct_system
-from l0limits.errors import L0LimitsError
+from l0limits.direct import (
+    DirectSystem,
+    SystemMorphism,
+    Target,
+    direct_limit,
+    dl_universal_factorization,
+    validate_direct_system,
+    validate_system_morphism,
+)
+from l0limits.errors import BracketTooWideError, L0LimitsError, NonFiniteError
 from l0limits.indexsets import Chain, FinitePoset, IdentityTail
 from l0limits.homdual import hom_module
-from l0limits.inverse import InverseSystem, validate_inverse_system
+from l0limits.inverse import (
+    InverseSystem,
+    Source,
+    hom_inverse_system,
+    il_universal_factorization,
+    inverse_limit,
+    validate_inverse_system,
+)
 from l0limits.measure import AtomicMeasureSpace
 from l0limits.modules import (
+    Fiber,
+    FiberModule,
+    ModuleMorphism,
+    compose,
     euclidean_module,
     identity_morphism,
     operator_pointwise_norm,
     scale_morphism,
     zero_morphism,
 )
+from l0limits.norms import WeightedP
 
 from oracles import (
     ReferenceDirectSystem,
@@ -38,9 +58,9 @@ from oracles import (
 SCALES = (1 + 5e-10, 1.5, 3.0, -1.0)
 
 
-def _inverse_chain(rng):
+def _inverse_chain(rng, stages=None):
     space = randgen.random_space(rng)
-    stages = int(rng.integers(2, 7))
+    stages = int(rng.integers(2, 7)) if stages is None else stages
     modules = {k: randgen.random_module(rng, space) for k in range(stages)}
     maps = {
         (k, k + 1): randgen.random_admissible_morphism(rng, modules[k + 1], modules[k])
@@ -192,3 +212,106 @@ def test_poset_closure_matches_fixed_point_reference():
         assert FinitePoset(labels, pairs).relation == want
         outcomes.add("ok")
     assert outcomes == {"ok", "undirected", "cyclic"}
+
+
+def _count_law_check_objects(monkeypatch):
+    """Count ``compose`` calls, wherever the library calls it, and
+    ``ModuleMorphism`` constructions."""
+    calls = {"compose": 0, "morphism": 0}
+    init = ModuleMorphism.__init__
+
+    def counted_compose(psi, phi):
+        calls["compose"] += 1
+        return compose(psi, phi)
+
+    def counted_init(self, *args, **kwargs):
+        calls["morphism"] += 1
+        init(self, *args, **kwargs)
+
+    for layer in ("modules", "systems", "direct", "inverse"):
+        monkeypatch.setattr(f"l0limits.{layer}.compose", counted_compose)
+    monkeypatch.setattr(ModuleMorphism, "__init__", counted_init)
+    return calls
+
+
+def _warm(system):
+    """Build and cache every connecting map of the system."""
+    for i, j in system.related_pairs():
+        system.map(i, j)
+
+
+def test_law_checks_build_no_morphisms(monkeypatch):
+    """Squares, target laws, compatibilities and triangles over 10-stage
+    chains are compared atom by atom from the factors: once the connecting
+    maps exist, no composite is built (only the mediating morphism)."""
+    rng = np.random.default_rng(10)
+    theta = randgen.random_chain_morphism_pair(rng, stages=10)
+    chain = randgen.random_chain_direct_system(rng, stages=10)
+    d_pres = direct_limit(chain)
+    backward = _inverse_chain(rng, stages=10)
+    i_pres = inverse_limit(backward)
+    for system in (theta.source, theta.target, chain, backward):
+        _warm(system)
+    calls = _count_law_check_objects(monkeypatch)
+    assert validate_system_morphism(theta).passed
+    assert calls == {"compose": 0, "morphism": 0}
+    dl_universal_factorization(chain, Target(d_pres.module, dict(d_pres.canonical)), d_pres)
+    assert calls == {"compose": 0, "morphism": 1}
+    il_universal_factorization(backward, Source(i_pres.module, dict(i_pres.canonical)), i_pres)
+    assert calls == {"compose": 0, "morphism": 2}
+
+
+def _nan_map(source, target):
+    """A map with a NaN entry that skips the input checks, as an
+    overflowing product of finite maps would."""
+    mats = [np.full((t, s), np.nan) for s, t in zip(source.dims(), target.dims())]
+    return ModuleMorphism(source, target, mats, _fresh=True)
+
+
+def _never_passes(check):
+    try:
+        report = check()
+    except L0LimitsError:
+        return
+    assert not report.passed
+
+
+def test_nan_maps_never_pass_validation():
+    space = AtomicMeasureSpace(["a"], [1.0])
+    module = FiberModule(space, (Fiber(2, WeightedP(1, (1.0, 1.0))),))
+    with pytest.raises(NonFiniteError):
+        ModuleMorphism(module, module, [[[np.nan, 0.0], [0.0, 0.5]]])
+    chain = Chain(2, IdentityTail())
+    for cls, validate in ((DirectSystem, validate_direct_system),
+                          (InverseSystem, validate_inverse_system)):
+        system = cls(chain, {0: module, 1: module}, {(0, 1): _nan_map(module, module)})
+        _never_passes(lambda: validate(system))
+
+
+def test_nan_square_is_reported():
+    theta = randgen.random_chain_morphism_pair(np.random.default_rng(4), stages=3)
+    source = theta.source
+    maps = dict(source.maps)
+    key = next(iter(maps))
+    maps[key] = _nan_map(maps[key].source, maps[key].target)
+    broken = SystemMorphism(type(source)(source.index, source.modules, maps), theta.target,
+                            theta.components)
+    report = validate_system_morphism(broken)
+    assert not report.passed
+    squares = [v for v in report.violations if v.kind == "square"]
+    assert key in [v.indices for v in squares]
+    assert all(np.isnan(v.deviation) for v in squares)
+
+
+def test_hom_systems_raise_a_located_bracket_error():
+    """The Hom systems of seeded 3-stage chains take the bracket kernel,
+    which cannot certify them: validation names the atom and never passes."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        system = randgen.random_chain_direct_system(rng, stages=3, max_dim=2)
+        fixed = randgen.random_module(rng, system.space, max_dim=2)
+        hom_system = hom_inverse_system(system, fixed).hom_system
+        with pytest.raises(BracketTooWideError) as raised:
+            validate_inverse_system(hom_system)
+        assert raised.value.atom in system.space.atom_ids
+        assert f"at atom {raised.value.atom!r}" in str(raised.value)
