@@ -17,27 +17,26 @@ import numpy as np
 
 from .config import tolerance
 from .errors import ShapeMismatchError, ValidationError
-from .indexsets import (
-    Chain,
-    FinitePoset,
-    greatest_element,
-    tail_growth_sup,
-    tail_limit_factor,
-)
+from .indexsets import Chain, FinitePoset, IdentityTail, greatest_element, tail_limit_factor
 from .measure import L0Function
 from .modules import (
     Element,
     FiberModule,
     ModuleMorphism,
     apply,
-    composite_deviation,
     compose,
-    mask_module,
-    operator_pointwise_norm,
     pointwise_norm,
     submodule_generated,
 )
-from .systems import System, SystemReport, Violation, validate_system
+from . import systems
+from .systems import (
+    LimitPresentation,
+    PreservationReport,
+    System,
+    SystemMorphism,
+    SystemReport,
+    validate_system,
+)
 
 
 class DirectSystem(System):
@@ -81,77 +80,13 @@ def validate_direct_system(system: DirectSystem, tol: Optional[float] = None) ->
     return validate_system(system, tol)
 
 
-class SystemMorphism:
-    """A stage-wise family of morphisms with commuting squares.
-
-    Source and target systems must share the explicit index structure;
-    chain tails may differ (the induced components beyond the last stage
-    are determined by the tail factors and checked by validation).
-    """
-
-    def __init__(self, source: DirectSystem, target, components: Dict):
-        if not source.index.same_shape(target.index):
-            raise ShapeMismatchError("systems are indexed by different shapes")
-        self.source = source
-        self.target = target
-        self.components = {}
-        for i in source.index.explicit_indices():
-            if i not in components:
-                raise KeyError(f"missing component at index {i!r}")
-            theta = components[i]
-            if theta.source != source.modules[i] or theta.target != target.modules[i]:
-                raise ShapeMismatchError(f"component at {i!r} has wrong endpoints")
-            self.components[i] = theta
-
-
-def _is_direct(system) -> bool:
-    return isinstance(system, DirectSystem)
-
-
 def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None) -> SystemReport:
-    """Check admissibility, commuting squares and chain tail solvability."""
-    tol = tolerance() if tol is None else tol
-    violations: List[Violation] = []
-    direct = _is_direct(theta.source)
-    for i, comp in theta.components.items():
-        norm = operator_pointwise_norm(comp)
-        dev = float(norm.values.max(initial=0.0)) - 1.0
-        if not dev <= tol:
-            violations.append(Violation("admissibility", (i,), dev, "component norm > 1"))
-    for (i, j) in theta.source.index.related_pairs():
-        if direct:
-            left = (theta.components[j], theta.source.map(i, j))
-            right = (theta.target.map(i, j), theta.components[i])
-        else:
-            left = (theta.components[i], theta.source.map(i, j))
-            right = (theta.target.map(i, j), theta.components[j])
-        dev = composite_deviation(left, right)
-        if not dev <= tol:
-            violations.append(Violation("square", (i, j), dev, "square does not commute"))
-    index = theta.source.index
-    if isinstance(index, Chain):
-        last = index.last
-        if direct:
-            growth = tail_growth_sup(
-                theta.target.index.tail, theta.source.index.tail, last, theta.source.space
-            )
-        else:
-            growth = tail_growth_sup(
-                theta.source.index.tail, theta.target.index.tail, last, theta.source.space
-            )
-        norm_last = operator_pointwise_norm(theta.components[last]).values
-        for a, g in enumerate(growth):
-            bound = tol if not np.isfinite(g) else (1.0 + tol) / g
-            if not norm_last[a] <= bound:
-                violations.append(
-                    Violation(
-                        "tail-square",
-                        (last, theta.source.space.atom_ids[a]),
-                        float(norm_last[a] - bound),
-                        "no admissible components beyond the last stage",
-                    )
-                )
-    return SystemReport(not violations, tuple(violations))
+    """Check admissibility, commuting squares and chain tail solvability,
+    of a morphism between direct or between inverse systems; see
+    :func:`l0limits.systems.validate_system_morphism`."""
+    # A binding rather than a re-export: perfbench/layertrace.py times the
+    # functions each layer module defines itself.
+    return systems.validate_system_morphism(theta, tol)
 
 
 @dataclass(frozen=True)
@@ -160,24 +95,6 @@ class ColimitClass:
 
     stage: object
     element: Element
-
-
-@dataclass(frozen=True)
-class LimitPresentation:
-    """A limit object with its canonical morphisms and provenance.
-
-    For direct limits the canonical maps go from the stages into the
-    limit; for inverse limits they are the projections out of it.
-    """
-
-    kind: str
-    module: FiberModule
-    canonical: Dict[object, ModuleMorphism] = field(compare=False)
-    provenance: str = "greatest-element"
-
-
-def _chain_keep_mask(system, chain: Chain) -> np.ndarray:
-    return tail_limit_factor(chain.tail, system.space) > 0.0
 
 
 def dl_seminorm(system: DirectSystem, cls: ColimitClass) -> L0Function:
@@ -210,19 +127,7 @@ def direct_limit(system: DirectSystem) -> LimitPresentation:
     finite-dimensional fibers, hence the metric completion step is exact:
     completeness is asserted, never approximated.
     """
-    index = system.index
-    if isinstance(index, FinitePoset):
-        top = greatest_element(index)
-        limit = system.modules[top]
-        canonical = {i: system.map(i, top) for i in index.explicit_indices()}
-        return LimitPresentation("direct", limit, canonical, "greatest-element")
-    last = index.last
-    keep = _chain_keep_mask(system, index)
-    limit, projection = mask_module(system.modules[last], keep)
-    canonical = {
-        i: compose(projection, system.map(i, last)) for i in index.explicit_indices()
-    }
-    return LimitPresentation("direct", limit, canonical, "chain-tail")
+    return systems._limit(system)
 
 
 @dataclass(frozen=True)
@@ -231,19 +136,6 @@ class Target:
 
     module: FiberModule
     maps: Dict[object, ModuleMorphism] = field(compare=False)
-
-
-def _spanning_ranks_ok(presentation: LimitPresentation) -> bool:
-    """Canonical images must span every limit fiber (uniqueness witness)."""
-    module = presentation.module
-    for a, fiber in enumerate(module.fibers):
-        if fiber.dim == 0:
-            continue
-        blocks = [phi.matrices[a] for phi in presentation.canonical.values()]
-        stacked = np.hstack([b for b in blocks if b.size]) if blocks else np.zeros((fiber.dim, 0))
-        if stacked.size == 0 or np.linalg.matrix_rank(stacked, tol=1e-10) < fiber.dim:
-            return False
-    return True
 
 
 def dl_universal_factorization(
@@ -258,59 +150,7 @@ def dl_universal_factorization(
     factorization exists within tolerance.  Uniqueness is certified by
     checking that the canonical images span every limit fiber.
     """
-    tol = tolerance() if tol is None else tol
-    index = system.index
-    explicit = index.explicit_indices()
-    for i in explicit:
-        if i not in target.maps:
-            raise KeyError(f"target is missing the map at index {i!r}")
-        psi = target.maps[i]
-        if psi.source != system.modules[i] or psi.target != target.module:
-            raise ShapeMismatchError(f"target map at {i!r} has wrong endpoints")
-        norm = operator_pointwise_norm(psi)
-        if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
-            raise ValidationError(f"target map at {i!r} is not admissible")
-    worst = ("", 0.0)
-    for (i, j) in index.related_pairs():
-        dev = composite_deviation((target.maps[j], system.map(i, j)), (target.maps[i],))
-        if dev > worst[1]:
-            worst = (f"target law at ({i!r}, {j!r})", dev)
-    if worst[1] > tol:
-        raise ValidationError(f"target-law violation: {worst[0]} deviates by {worst[1]:g}")
-    presentation = direct_limit(system) if presentation is None else presentation
-    if isinstance(index, FinitePoset):
-        top = greatest_element(index)
-        mediating = ModuleMorphism(
-            presentation.module, target.module, target.maps[top].matrices
-        )
-    else:
-        last = index.last
-        psi_last = target.maps[last]
-        mats = []
-        for a, fiber in enumerate(presentation.module.fibers):
-            m = psi_last.matrices[a]
-            if fiber.dim == m.shape[1]:
-                mats.append(m)
-            else:
-                # Masked atom: a valid target must already vanish here,
-                # otherwise no admissible family beyond the last stage exists.
-                if m.size and float(np.max(np.abs(m))) > tol:
-                    raise ValidationError(
-                        "no factorization: target map does not vanish on the "
-                        f"collapsed atom {system.space.atom_ids[a]!r} "
-                        f"(max entry {float(np.max(np.abs(m))):g})"
-                    )
-                mats.append(np.zeros((m.shape[0], 0)))
-        mediating = ModuleMorphism(presentation.module, target.module, mats)
-    for i in explicit:
-        dev = composite_deviation((mediating, presentation.canonical[i]), (target.maps[i],))
-        if not dev <= tol:
-            raise ValidationError(
-                f"no factorization within tolerance: square at {i!r} deviates by {dev:g}"
-            )
-    if not _spanning_ranks_ok(presentation):
-        raise ValidationError("canonical images do not span the limit fibers")
-    return mediating
+    return systems._universal_factorization(system, target.module, target.maps, presentation, tol)
 
 
 def dl_functor(
@@ -324,44 +164,7 @@ def dl_functor(
     composites; the result is the unique morphism commuting with every
     canonical square.
     """
-    tol = tolerance() if tol is None else tol
-    if validate:
-        for name, system in (("source", theta.source), ("target", theta.target)):
-            report = validate_direct_system(system, tol)
-            if not report.passed:
-                raise ValidationError(f"{name} system fails validation", report)
-        report = validate_system_morphism(theta, tol)
-        if not report.passed:
-            raise ValidationError("system morphism fails validation", report)
-    index = theta.source.index
-    src_pres = direct_limit(theta.source)
-    tgt_pres = direct_limit(theta.target)
-    if isinstance(index, FinitePoset):
-        top = greatest_element(index)
-        core = theta.components[top].matrices
-    else:
-        core = theta.components[index.last].matrices
-    mats = []
-    for a in range(theta.source.space.atom_count):
-        s_dim = src_pres.module.fibers[a].dim
-        t_dim = tgt_pres.module.fibers[a].dim
-        block = core[a]
-        if s_dim == block.shape[1] and t_dim == block.shape[0]:
-            mats.append(block)
-        else:
-            trimmed = block[:t_dim, :] if t_dim <= block.shape[0] else block
-            mats.append(trimmed[:, :s_dim] if s_dim <= block.shape[1] else trimmed)
-    limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
-    for i in index.explicit_indices():
-        dev = composite_deviation(
-            (limit_map, src_pres.canonical[i]),
-            (tgt_pres.canonical[i], theta.components[i]),
-        )
-        if not dev <= max(tol, 10 * tolerance()):
-            raise ValidationError(
-                f"limit square at {i!r} deviates by {dev:g}; morphism invalid"
-            )
-    return limit_map
+    return systems._limit_functor(theta, validate, tol)
 
 
 @dataclass(frozen=True)
@@ -454,8 +257,6 @@ def present_as_fg_limit(module: FiberModule, gens: List[Element]) -> FgPresentat
     the last stage, and the mediating morphism onto the module is the
     identity because full-rank stages reuse the ambient coordinates.
     """
-    from .indexsets import Chain, IdentityTail
-
     stages = []
     inclusions = []
     for k in range(len(gens) + 1):
@@ -492,43 +293,7 @@ def present_as_fg_limit(module: FiberModule, gens: List[Element]) -> FgPresentat
     )
 
 
-@dataclass(frozen=True)
-class PreservationReport:
-    """Whether a stage-wise property survives passage to the limit."""
-
-    stages_have_property: bool
-    limit_has_property: bool
-    preserved: bool
-    witness: str = ""
-
-
-def _full_row_rank(mat: np.ndarray) -> bool:
-    rows = mat.shape[0]
-    return rows == 0 or np.linalg.matrix_rank(mat, tol=1e-10) == rows
-
-
 def check_surjectivity_preservation(theta: SystemMorphism) -> PreservationReport:
-    """If every stage map has full per-atom image, so must the limit map."""
-    stages_ok = True
-    witness = ""
-    for i, comp in theta.components.items():
-        for a, m in enumerate(comp.matrices):
-            if not _full_row_rank(m):
-                stages_ok = False
-                witness = f"stage {i!r} not surjective at atom " \
-                          f"{theta.source.space.atom_ids[a]!r}"
-    limit_map = dl_functor(theta) if _is_direct(theta.source) else None
-    if limit_map is None:
-        from .inverse import il_functor
-
-        limit_map = il_functor(theta)
-    limit_ok = all(_full_row_rank(m) for m in limit_map.matrices)
-    preserved = (not stages_ok) or limit_ok
-    if stages_ok and not limit_ok:
-        bad = next(
-            theta.source.space.atom_ids[a]
-            for a, m in enumerate(limit_map.matrices)
-            if not _full_row_rank(m)
-        )
-        witness = f"limit map loses surjectivity at atom {bad!r}"
-    return PreservationReport(stages_ok, limit_ok, preserved, witness)
+    """If every stage map has full per-atom image, so must the limit map
+    (of direct or of inverse systems)."""
+    return systems._rank_preservation(theta, onto=True)

@@ -45,10 +45,11 @@ class BracketTooWideError(KernelLimitError):
     """An operator-norm bracket could not be certified to tolerance."""
 
     def __init__(self, lower: float, upper: float, message: str = ""):
-        self.lower = lower
-        self.upper = upper
+        # Plain floats, so that numpy scalars print as numbers in the message.
+        self.lower = float(lower)
+        self.upper = float(upper)
         detail = message or "operator norm bracket too wide"
-        super().__init__(f"{detail}: [{lower!r}, {upper!r}]")
+        super().__init__(f"{detail}: [{self.lower!r}, {self.upper!r}]")
 
 
 class ValidationError(L0LimitsError):

@@ -22,33 +22,20 @@ import numpy as np
 
 from .. import pullback as pb
 from ..config import tolerance, tolerance_override
-from ..direct import (
-    DirectSystem,
-    SystemMorphism,
-    Target,
-    check_surjectivity_preservation,
-    dl_functor,
-    dl_universal_factorization,
-    direct_limit,
-    solve_square_component,
-    validate_direct_system,
-    validate_system_morphism,
-)
+from ..direct import solve_square_component
 from ..errors import L0LimitsError
 from ..indexsets import FinitePoset, greatest_element
-from ..inverse import (
-    InverseSystem,
-    Source,
-    check_injectivity_preservation,
-    dual_limit_iso,
-    hom_inverse_system,
-    il_universal_factorization,
-    inverse_limit,
-    validate_inverse_system,
+from ..inverse import dual_limit_iso, hom_inverse_system
+from ..modules import composite_deviation, morphism_deviation
+from ..systems import (
+    _limit,
+    _limit_functor,
+    _rank_preservation,
+    _universal_factorization,
+    validate_system,
+    validate_system_morphism,
 )
-from ..measure import AtomicMeasureSpace
-from ..modules import morphism_deviation
-from .document import CheckSpec, Document
+from .document import CheckSpec, Document, _stage_key
 
 #: Documented boundary of the representable corpus, carried in reports.
 SCOPE_NOTES = (
@@ -107,12 +94,15 @@ def _limit_payload(presentation) -> Dict:
     }
 
 
+def _check_path(doc: Document, spec: CheckSpec) -> str:
+    """The JSON path of a check: its position in the document, else its name."""
+    k = next((k for k, c in enumerate(doc.checks) if c is spec), None)
+    return f"$.checks[{spec.name!r}]" if k is None else f"$.checks[{k}]"
+
+
 def _check_validate(doc, spec, rng):
     system = _system(doc, spec.params.get("system"), spec.name)
-    if isinstance(system, DirectSystem):
-        report = validate_direct_system(system)
-    else:
-        report = validate_inverse_system(system)
+    report = validate_system(system)
     witness = {
         "violations": [
             {
@@ -127,9 +117,9 @@ def _check_validate(doc, spec, rng):
     return ("pass" if report.passed else "fail"), witness, ("system-laws",)
 
 
-def _check_direct_limit(doc, spec, rng):
+def _check_limit(doc, spec, rng):
     system = _system(doc, spec.params.get("system"), spec.name)
-    presentation = direct_limit(system)
+    presentation = _limit(system)
     witness = _limit_payload(presentation)
     outcome = "pass"
     if spec.params.get("expect_zero") and any(
@@ -146,19 +136,6 @@ def _check_direct_limit(doc, spec, rng):
     return outcome, witness, (presentation.provenance,)
 
 
-def _check_inverse_limit(doc, spec, rng):
-    system = _system(doc, spec.params.get("system"), spec.name)
-    presentation = inverse_limit(system)
-    witness = _limit_payload(presentation)
-    outcome = "pass"
-    if spec.params.get("expect_zero") and any(
-        f.dim != 0 for f in presentation.module.fibers
-    ):
-        outcome = "fail"
-        witness["reason"] = "expected a zero limit module"
-    return outcome, witness, (presentation.provenance,)
-
-
 def _check_greatest(doc, spec, rng):
     ref = spec.params.get("index_set")
     if ref not in doc.index_sets:
@@ -171,54 +148,24 @@ def _check_greatest(doc, spec, rng):
     return ("pass" if ok else "fail"), {"top": top}, ("greatest-element",)
 
 
-def _check_universal_direct(doc, spec, rng):
+def _check_universal(doc, spec, rng):
+    """The cone of a direct system is a target, of an inverse one a source."""
     system = _system(doc, spec.params.get("system"), spec.name)
-    module = doc.modules[spec.params["target_module"]]
+    side = system.cone_side
+    module = doc.modules[spec.params[f"{side}_module"]]
+    path = f"{_check_path(doc, spec)}.{side}_maps"
     maps = {}
-    for key, ref in spec.params.get("target_maps", {}).items():
-        idx = int(key) if not isinstance(system.index, FinitePoset) else key
-        maps[idx] = doc.morphisms[ref]
-    mediating = dl_universal_factorization(system, Target(module, maps))
-    presentation = direct_limit(system)
+    for key, ref in spec.params.get(f"{side}_maps", {}).items():
+        maps[_stage_key(system.index, key, f"{path}.{key}")] = doc.morphisms[ref]
+    mediating = _universal_factorization(system, module, maps)
+    presentation = _limit(system)
     worst = max(
-        morphism_deviation(
-            _compose_mediating(mediating, presentation.canonical[i]), maps[i]
+        composite_deviation(
+            system._outer_first(presentation.canonical[i], mediating), (maps[i],)
         )
         for i in system.index.explicit_indices()
     )
-    return "pass", {"max_square_deviation": worst}, ("universal-property",)
-
-
-def _compose_mediating(mediating, canonical):
-    from ..modules import compose
-
-    return compose(mediating, canonical)
-
-
-def _check_universal_inverse(doc, spec, rng):
-    system = _system(doc, spec.params.get("system"), spec.name)
-    module = doc.modules[spec.params["source_module"]]
-    maps = {}
-    for key, ref in spec.params.get("source_maps", {}).items():
-        idx = int(key) if not isinstance(system.index, FinitePoset) else key
-        maps[idx] = doc.morphisms[ref]
-    mediating = il_universal_factorization(system, Source(module, maps))
-    presentation = inverse_limit(system)
-    from ..modules import compose
-
-    worst = max(
-        morphism_deviation(compose(presentation.canonical[i], mediating), maps[i])
-        for i in system.index.explicit_indices()
-    )
-    return "pass", {"max_triangle_deviation": worst}, ("universal-property",)
-
-
-def _functor_of(theta: SystemMorphism):
-    if isinstance(theta.source, DirectSystem):
-        return dl_functor(theta)
-    from ..inverse import il_functor
-
-    return il_functor(theta)
+    return "pass", {f"max_{system.cone_shape}_deviation": worst}, ("universal-property",)
 
 
 def _check_functor_square(doc, spec, rng):
@@ -227,13 +174,12 @@ def _check_functor_square(doc, spec, rng):
         solve = params["solve"]
         source = _system(doc, solve.get("source_system"), spec.name)
         target = _system(doc, solve.get("target_system"), spec.name)
+        path = f"{_check_path(doc, spec)}.solve"
         fixed = {}
         for key, ref in solve.get("given", {}).items():
-            idx = int(key) if not isinstance(source.index, FinitePoset) else key
-            fixed[idx] = doc.morphisms[ref]
-        stage = solve.get("solve_for")
-        idx = int(stage) if not isinstance(source.index, FinitePoset) else stage
-        solution = solve_square_component(source, target, fixed, idx)
+            fixed[_stage_key(source.index, key, f"{path}.given.{key}")] = doc.morphisms[ref]
+        stage = _stage_key(source.index, solve.get("solve_for"), f"{path}.solve_for")
+        solution = solve_square_component(source, target, fixed, stage)
         witness = {"residual": solution.residual, "detail": solution.witness}
         return ("pass" if solution.exists else "fail"), witness, ("square-solvability",)
     first = doc.system_morphisms[params["first"]]
@@ -244,11 +190,11 @@ def _check_functor_square(doc, spec, rng):
         if not report.passed:
             outcome = "fail"
             witness[f"{name}_violations"] = len(report.violations)
-    image_first = _functor_of(first)
+    image_first = _limit_functor(first)
     witness["limit_map_dims"] = [list(m.shape) for m in image_first.matrices]
     if "second" in params:
         second = doc.system_morphisms[params["second"]]
-        image_second = _functor_of(second)
+        image_second = _limit_functor(second)
         components_differ = any(
             morphism_deviation(first.components[i], second.components[i]) > tolerance()
             for i in first.components
@@ -264,28 +210,25 @@ def _check_functor_square(doc, spec, rng):
     return outcome, witness, ("limit-functor",)
 
 
-def _check_surjectivity(doc, spec, rng):
+#: Rank-preservation check kind -> (whether it tests surjectivity, the
+#: property's adjective, provenance).
+_RANK_CHECKS = {
+    "surjectivity-preserved": (True, "surjective", "image-preservation"),
+    "injectivity-preserved": (False, "injective", "kernel-preservation"),
+}
+
+
+def _check_rank_preservation(doc, spec, rng):
+    onto, adjective, provenance = _RANK_CHECKS[spec.kind]
     theta = doc.system_morphisms[spec.params["morphism"]]
-    report = check_surjectivity_preservation(theta)
+    report = _rank_preservation(theta, onto)
     witness = {
-        "stages_surjective": report.stages_have_property,
-        "limit_surjective": report.limit_has_property,
+        f"stages_{adjective}": report.stages_have_property,
+        f"limit_{adjective}": report.limit_has_property,
         "detail": report.witness,
     }
     ok = report.stages_have_property and report.limit_has_property
-    return ("pass" if ok else "fail"), witness, ("image-preservation",)
-
-
-def _check_injectivity(doc, spec, rng):
-    theta = doc.system_morphisms[spec.params["morphism"]]
-    report = check_injectivity_preservation(theta)
-    witness = {
-        "stages_injective": report.stages_have_property,
-        "limit_injective": report.limit_has_property,
-        "detail": report.witness,
-    }
-    ok = report.stages_have_property and report.limit_has_property
-    return ("pass" if ok else "fail"), witness, ("kernel-preservation",)
+    return ("pass" if ok else "fail"), witness, (provenance,)
 
 
 def _check_pullback_commute(doc, spec, rng):
@@ -355,18 +298,18 @@ def _check_il_pullback(doc, spec, rng):
 
 _DISPATCH = {
     "validate-system": _check_validate,
-    "direct-limit": _check_direct_limit,
-    "inverse-limit": _check_inverse_limit,
-    "universal-direct": _check_universal_direct,
-    "universal-inverse": _check_universal_inverse,
+    "direct-limit": _check_limit,
+    "inverse-limit": _check_limit,
+    "universal-direct": _check_universal,
+    "universal-inverse": _check_universal,
     "functor-square": _check_functor_square,
     "pullback-commute": _check_pullback_commute,
     "sections-iso": _check_sections_iso,
     "dual-iso": _check_dual_iso,
     "hom-iso": _check_hom_iso,
     "greatest-element": _check_greatest,
-    "surjectivity-preserved": _check_surjectivity,
-    "injectivity-preserved": _check_injectivity,
+    "surjectivity-preserved": _check_rank_preservation,
+    "injectivity-preserved": _check_rank_preservation,
     "il-pullback-compare": _check_il_pullback,
 }
 

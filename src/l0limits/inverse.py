@@ -15,14 +15,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .config import tolerance
-from .errors import ShapeMismatchError, ValidationError
-from .direct import (
-    DirectSystem,
-    LimitPresentation,
-    SystemMorphism,
-    direct_limit,
-    validate_system_morphism,
-)
+from .errors import ValidationError
+from .direct import DirectSystem, direct_limit
 from .homdual import HomModule, adjoint, dual_module, hom_module
 from .indexsets import Chain, FinitePoset, greatest_element, tail_limit_factor
 from .measure import L0Function, ess_extremum
@@ -32,16 +26,20 @@ from .modules import (
     ModuleMorphism,
     apply,
     certify_isometric_iso,
-    composite_deviation,
-    compose,
-    mask_inclusion,
-    mask_module,
+    compose,  # noqa: F401  (still importable from here, as before)
     morphism_deviation,
-    operator_pointwise_norm,
     pointwise_norm,
     scalar_module,
 )
-from .systems import System, SystemReport, validate_system
+from . import systems
+from .systems import (
+    LimitPresentation,
+    PreservationReport,
+    System,
+    SystemMorphism,
+    SystemReport,
+    validate_system,
+)
 
 
 class InverseSystem(System):
@@ -53,9 +51,16 @@ class InverseSystem(System):
     """
 
     forward = False
+    stage_axis = 0
+    limit_kind = "inverse"
+    cone_side = "source"
+    cone_shape = "triangle"
     missing_text = "no provided maps connect {j!r} down to {i!r}"
     identity_detail = "P_ii != id"
     cocycle_detail = "P_ik != P_ij . P_jk"
+    cone_law_text = "source violates compatibility: compatibility at ({i!r}, {j!r}) by {dev:g}"
+    collapse_text = "no factorization: source map does not vanish on the collapsed atom {atom!r}"
+    unique_text = "projections do not jointly separate the limit"
 
     def map(self, i, j) -> ModuleMorphism:
         """Backward connecting map from stage j down to stage i."""
@@ -92,7 +97,7 @@ def _thread_growth_mask(system: InverseSystem, last_element: Element):
     # Backward components scale by the reciprocal composite factor, so the
     # norm stays finite exactly where the factor limit is 1, or where the
     # component already vanishes.
-    return (factor >= 1.0) | (last_norm <= tolerance())
+    return system._keeps(factor) | (last_norm <= tolerance())
 
 
 def il_norm(system: InverseSystem, thread: Thread):
@@ -121,20 +126,7 @@ def inverse_limit(system: InverseSystem) -> LimitPresentation:
     Limit fibers are finite dimensional, hence complete; the completeness
     requirement is asserted rather than rebuilt from Cauchy sequences.
     """
-    index = system.index
-    if isinstance(index, FinitePoset):
-        top = greatest_element(index)
-        limit = system.modules[top]
-        projections = {i: system.map(i, top) for i in index.explicit_indices()}
-        return LimitPresentation("inverse", limit, projections, "greatest-element")
-    last = index.last
-    keep = tail_limit_factor(index.tail, system.space) >= 1.0
-    limit, _ = mask_module(system.modules[last], keep)
-    include = mask_inclusion(system.modules[last], limit)
-    projections = {
-        i: compose(system.map(i, last), include) for i in index.explicit_indices()
-    }
-    return LimitPresentation("inverse", limit, projections, "chain-tail")
+    return systems._limit(system)
 
 
 def thread_from_components(
@@ -209,19 +201,6 @@ class Source:
     maps: Dict[object, ModuleMorphism] = field(compare=False)
 
 
-def _projections_separate(presentation: LimitPresentation) -> bool:
-    """Stacked projections must be injective per atom (uniqueness witness)."""
-    module = presentation.module
-    for a, fiber in enumerate(module.fibers):
-        if fiber.dim == 0:
-            continue
-        blocks = [p.matrices[a] for p in presentation.canonical.values() if p.matrices[a].size]
-        stacked = np.vstack(blocks) if blocks else np.zeros((0, fiber.dim))
-        if stacked.size == 0 or np.linalg.matrix_rank(stacked, tol=1e-10) < fiber.dim:
-            return False
-    return True
-
-
 def il_universal_factorization(
     system: InverseSystem,
     source: Source,
@@ -236,57 +215,9 @@ def il_universal_factorization(
     source maps is known analytically (e.g. precomposition maps between
     Hom modules, whose matrix-space norms have no exact kernel).
     """
-    tol = tolerance() if tol is None else tol
-    index = system.index
-    explicit = index.explicit_indices()
-    for i in explicit:
-        if i not in source.maps:
-            raise KeyError(f"source is missing the map at index {i!r}")
-        q = source.maps[i]
-        if q.source != source.module or q.target != system.modules[i]:
-            raise ShapeMismatchError(f"source map at {i!r} has wrong endpoints")
-        if check_admissibility:
-            norm = operator_pointwise_norm(q)
-            if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
-                raise ValidationError(f"source map at {i!r} is not admissible")
-    worst = ("", 0.0)
-    for (i, j) in index.related_pairs():
-        dev = composite_deviation((system.map(i, j), source.maps[j]), (source.maps[i],))
-        if dev > worst[1]:
-            worst = (f"compatibility at ({i!r}, {j!r})", dev)
-    if worst[1] > tol:
-        raise ValidationError(f"source violates compatibility: {worst[0]} by {worst[1]:g}")
-    presentation = inverse_limit(system) if presentation is None else presentation
-    if isinstance(index, FinitePoset):
-        top = greatest_element(index)
-        mediating = ModuleMorphism(
-            source.module, presentation.module, source.maps[top].matrices
-        )
-    else:
-        last = index.last
-        q_last = source.maps[last]
-        mats = []
-        for a, fiber in enumerate(presentation.module.fibers):
-            m = q_last.matrices[a]
-            if fiber.dim == m.shape[0]:
-                mats.append(m)
-            else:
-                if m.size and float(np.max(np.abs(m))) > tol:
-                    raise ValidationError(
-                        "no factorization: source map does not vanish on the "
-                        f"collapsed atom {system.space.atom_ids[a]!r}"
-                    )
-                mats.append(np.zeros((0, m.shape[1])))
-        mediating = ModuleMorphism(source.module, presentation.module, mats)
-    for i in explicit:
-        dev = composite_deviation((presentation.canonical[i], mediating), (source.maps[i],))
-        if not dev <= tol:
-            raise ValidationError(
-                f"no factorization within tolerance: triangle at {i!r} deviates by {dev:g}"
-            )
-    if not _projections_separate(presentation):
-        raise ValidationError("projections do not jointly separate the limit")
-    return mediating
+    return systems._universal_factorization(
+        system, source.module, source.maps, presentation, tol, check_admissibility
+    )
 
 
 def il_functor(
@@ -295,73 +226,13 @@ def il_functor(
     tol: Optional[float] = None,
 ) -> ModuleMorphism:
     """The induced morphism between inverse limits."""
-    tol = tolerance() if tol is None else tol
-    if validate:
-        for name, system in (("source", theta.source), ("target", theta.target)):
-            report = validate_inverse_system(system, tol)
-            if not report.passed:
-                raise ValidationError(f"{name} system fails validation", report)
-        report = validate_system_morphism(theta, tol)
-        if not report.passed:
-            raise ValidationError("system morphism fails validation", report)
-    index = theta.source.index
-    src_pres = inverse_limit(theta.source)
-    tgt_pres = inverse_limit(theta.target)
-    if isinstance(index, FinitePoset):
-        core = theta.components[greatest_element(index)].matrices
-    else:
-        core = theta.components[index.last].matrices
-    mats = []
-    for a in range(theta.source.space.atom_count):
-        s_dim = src_pres.module.fibers[a].dim
-        t_dim = tgt_pres.module.fibers[a].dim
-        block = core[a]
-        mats.append(block[:t_dim, :s_dim])
-    limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
-    for i in index.explicit_indices():
-        dev = composite_deviation(
-            (tgt_pres.canonical[i], limit_map),
-            (theta.components[i], src_pres.canonical[i]),
-        )
-        if not dev <= max(tol, 10 * tolerance()):
-            raise ValidationError(
-                f"limit square at {i!r} deviates by {dev:g}; morphism invalid"
-            )
-    return limit_map
+    return systems._limit_functor(theta, validate, tol)
 
 
-def check_injectivity_preservation(theta: SystemMorphism):
-    """If every stage map has trivial per-atom kernel, so must the limit map."""
-    from .direct import PreservationReport, dl_functor
-
-    def full_col_rank(mat: np.ndarray) -> bool:
-        cols = mat.shape[1]
-        return cols == 0 or np.linalg.matrix_rank(mat, tol=1e-10) == cols
-
-    stages_ok = True
-    witness = ""
-    for i, comp in theta.components.items():
-        for a, m in enumerate(comp.matrices):
-            if not full_col_rank(m):
-                stages_ok = False
-                witness = (
-                    f"stage {i!r} not injective at atom "
-                    f"{theta.source.space.atom_ids[a]!r}"
-                )
-    if isinstance(theta.source, InverseSystem):
-        limit_map = il_functor(theta)
-    else:
-        limit_map = dl_functor(theta)
-    limit_ok = all(full_col_rank(m) for m in limit_map.matrices)
-    preserved = (not stages_ok) or limit_ok
-    if stages_ok and not limit_ok:
-        bad = next(
-            theta.source.space.atom_ids[a]
-            for a, m in enumerate(limit_map.matrices)
-            if not full_col_rank(m)
-        )
-        witness = f"limit map loses injectivity at atom {bad!r}"
-    return PreservationReport(stages_ok, limit_ok, preserved, witness)
+def check_injectivity_preservation(theta: SystemMorphism) -> PreservationReport:
+    """If every stage map has trivial per-atom kernel, so must the limit map
+    (of inverse or of direct systems)."""
+    return systems._rank_preservation(theta, onto=False)
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .config import tolerance
 from .errors import ValidationError
-from .direct import (
-    DirectSystem,
-    LimitPresentation,
-    Target,
-    direct_limit,
-    dl_universal_factorization,
-)
-from .indexsets import Chain, FinitePoset, IdentityTail, ScalarTail
-from .inverse import InverseSystem, Source, il_universal_factorization, inverse_limit
+from .direct import DirectSystem
+from .indexsets import Chain, FinitePoset, ScalarTail
+from .inverse import InverseSystem
 from .measure import AtomMap, AtomicMeasureSpace, L0Function, pushforward_check
 from .modules import (
     Element,
@@ -37,6 +31,7 @@ from .modules import (
     certify_isometric_iso,
     pointwise_norm,
 )
+from .systems import LimitPresentation, System, _limit, _universal_factorization
 
 
 @dataclass(frozen=True)
@@ -262,34 +257,31 @@ def _pull_index(atom_map: AtomMap, index):
     return Chain(index.stages, tail)
 
 
-def pullback_direct_system(atom_map: AtomMap, system: DirectSystem) -> DirectSystem:
+def _pullback_system(atom_map: AtomMap, system: System):
+    """The system of pulled-back stages and maps, with the presentation of
+    each pulled-back stage."""
     presentations = {
         i: pullback_module(atom_map, system.modules[i])
         for i in system.index.explicit_indices()
     }
     maps = {}
     for (i, j), phi in system.maps.items():
-        maps[(i, j)] = presentations[i].pull_morphism(phi, presentations[j])
-    return DirectSystem(
+        source, target = system._arrow(presentations[i], presentations[j])
+        maps[(i, j)] = source.pull_morphism(phi, target)
+    pulled = type(system)(
         _pull_index(atom_map, system.index),
         {i: p.module for i, p in presentations.items()},
         maps,
     )
+    return pulled, presentations
+
+
+def pullback_direct_system(atom_map: AtomMap, system: DirectSystem) -> DirectSystem:
+    return _pullback_system(atom_map, system)[0]
 
 
 def pullback_inverse_system(atom_map: AtomMap, system: InverseSystem) -> InverseSystem:
-    presentations = {
-        i: pullback_module(atom_map, system.modules[i])
-        for i in system.index.explicit_indices()
-    }
-    maps = {}
-    for (i, j), phi in system.maps.items():
-        maps[(i, j)] = presentations[j].pull_morphism(phi, presentations[i])
-    return InverseSystem(
-        _pull_index(atom_map, system.index),
-        {i: p.module for i, p in presentations.items()},
-        maps,
-    )
+    return _pullback_system(atom_map, system)[0]
 
 
 @dataclass(frozen=True)
@@ -307,6 +299,29 @@ class PullbackCommuteReport:
         return self.certificate.ok
 
 
+def _pullback_comparison(
+    atom_map: AtomMap, system: System, rng, tol, note: str = ""
+) -> PullbackCommuteReport:
+    """The limit of the pulled-back system, the pullback of the limit with
+    the pulled canonical maps as a cone, and the certified mediating
+    morphism between them.  Each stage is pulled back once."""
+    tol = tolerance() if tol is None else tol
+    rng = np.random.default_rng(0) if rng is None else rng
+    pulled_system, stage_pulled = _pullback_system(atom_map, system)
+    side_a = _limit(pulled_system)
+    limit = _limit(system)
+    limit_pulled = pullback_module(atom_map, limit.module)
+    maps = {}
+    for i in system.index.explicit_indices():
+        source, target = system._arrow(stage_pulled[i], limit_pulled)
+        maps[i] = source.pull_morphism(limit.canonical[i], target)
+    comparison = _universal_factorization(
+        pulled_system, limit_pulled.module, maps, side_a, tol=tol
+    )
+    certificate = certify_isometric_iso(comparison, rng=rng, tol=tol)
+    return PullbackCommuteReport(side_a, limit_pulled.module, comparison, certificate, note)
+
+
 def dl_pullback_iso(
     atom_map: AtomMap,
     system: DirectSystem,
@@ -320,26 +335,7 @@ def dl_pullback_iso(
     morphisms.  The mediating morphism between them is then certified to
     be an isometric isomorphism.
     """
-    tol = tolerance() if tol is None else tol
-    rng = np.random.default_rng(0) if rng is None else rng
-    pulled_system = pullback_direct_system(atom_map, system)
-    side_a = direct_limit(pulled_system)
-    dl = direct_limit(system)
-    limit_pulled = pullback_module(atom_map, dl.module)
-    stage_pulled = {
-        i: pullback_module(atom_map, system.modules[i])
-        for i in system.index.explicit_indices()
-    }
-    target = Target(
-        limit_pulled.module,
-        {
-            i: stage_pulled[i].pull_morphism(dl.canonical[i], limit_pulled)
-            for i in system.index.explicit_indices()
-        },
-    )
-    comparison = dl_universal_factorization(pulled_system, target, side_a, tol=tol)
-    certificate = certify_isometric_iso(comparison, rng=rng, tol=tol)
-    return PullbackCommuteReport(side_a, limit_pulled.module, comparison, certificate)
+    return _pullback_comparison(atom_map, system, rng, tol)
 
 
 IL_PULLBACK_NOTE = (
@@ -360,25 +356,4 @@ def il_pullback_compare(
     Reports whether the canonical comparison is an isometric isomorphism
     here; no general claim is made either way.
     """
-    tol = tolerance() if tol is None else tol
-    rng = np.random.default_rng(0) if rng is None else rng
-    pulled_system = pullback_inverse_system(atom_map, system)
-    side_a = inverse_limit(pulled_system)
-    il = inverse_limit(system)
-    limit_pulled = pullback_module(atom_map, il.module)
-    stage_pulled = {
-        i: pullback_module(atom_map, system.modules[i])
-        for i in system.index.explicit_indices()
-    }
-    source = Source(
-        limit_pulled.module,
-        {
-            i: limit_pulled.pull_morphism(il.canonical[i], stage_pulled[i])
-            for i in system.index.explicit_indices()
-        },
-    )
-    comparison = il_universal_factorization(pulled_system, source, side_a, tol=tol)
-    certificate = certify_isometric_iso(comparison, rng=rng, tol=tol)
-    return PullbackCommuteReport(
-        side_a, limit_pulled.module, comparison, certificate, IL_PULLBACK_NOTE
-    )
+    return _pullback_comparison(atom_map, system, rng, tol, IL_PULLBACK_NOTE)

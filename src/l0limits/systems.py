@@ -1,15 +1,20 @@
-"""The shared core of direct and inverse systems.
+"""The shared core of direct and inverse systems and their limits.
 
 A system supplies connecting maps on some related pairs (i, j), i <= j, of
 a directed index.  A direct system's map at (i, j) goes forward from stage
 i to stage j, an inverse system's goes back from stage j to stage i.
-Apart from that arrow direction both kinds build their composites and
-check their laws the same way, so both are implemented here once.
+Apart from that arrow direction both kinds build their composites, check
+their laws, take their limits, factor cones through them and induce limit
+maps the same way, so all of it is implemented here once.  Three things
+depend on the direction, each supplied by :class:`System` in one place:
+which atoms a chain tail keeps (``_keeps``), which side of a square or a
+cone an arrow sits on (``_arrow``), and which axis of a matrix between a
+stage and the limit or a cone apex belongs to the stage (``stage_axis``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from graphlib import TopologicalSorter
 from typing import Dict, List, Optional, Tuple
@@ -17,12 +22,22 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import tolerance
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, ValidationError
+from .indexsets import (
+    Chain,
+    FinitePoset,
+    greatest_element,
+    tail_growth_sup,
+    tail_limit_factor,
+)
 from .modules import (
+    FiberModule,
     ModuleMorphism,
     composite_deviation,
     compose,
     identity_morphism,
+    mask_inclusion,
+    mask_module,
     morphism_deviation,
     operator_pointwise_norm,
 )
@@ -63,14 +78,24 @@ class System:
     other connecting map out of stage i is composed along the breadth-first
     tree of supplied edges rooted at i (edges taken in ``(str(a), str(b))``
     order), one composition from the map at its tree parent, and cached.
-    Subclasses fix the arrow direction through ``forward`` and name their
-    maps in the texts below.
+    Subclasses fix the arrow direction through ``forward`` and
+    ``stage_axis`` and name their maps and cones in the texts below.
     """
 
     forward = True
+    stage_axis = 1
+    limit_kind = "direct"
+    cone_side = "target"
+    cone_shape = "square"
     missing_text = "no provided maps connect {i!r} to {j!r}"
     identity_detail = "phi_ii != id"
     cocycle_detail = "phi_ik != phi_jk . phi_ij"
+    cone_law_text = "target-law violation: target law at ({i!r}, {j!r}) deviates by {dev:g}"
+    collapse_text = (
+        "no factorization: target map does not vanish on the collapsed atom "
+        "{atom!r} (max entry {entry:g})"
+    )
+    unique_text = "canonical images do not span the limit fibers"
 
     def __init__(self, index, modules: Dict, maps: Dict):
         self.index = index
@@ -87,7 +112,7 @@ class System:
         for (i, j), phi in maps.items():
             if not index.leq(i, j):
                 raise KeyError(f"map supplied for unrelated pair ({i!r}, {j!r})")
-            source, target = (i, j) if self.forward else (j, i)
+            source, target = self._arrow(i, j)
             if phi.source != self.modules[source] or phi.target != self.modules[target]:
                 raise ShapeMismatchError(f"map at ({i!r}, {j!r}) has wrong endpoints")
             self.maps[(i, j)] = phi
@@ -100,9 +125,27 @@ class System:
     def related_pairs(self):
         return self.index.related_pairs()
 
+    def _arrow(self, near, far) -> tuple:
+        """``(near, far)`` in arrow order, source first.  A direct system's
+        arrows run from a lower stage up, from a stage into the limit and
+        from the limit to a cone's apex; an inverse system's the other way."""
+        return (near, far) if self.forward else (far, near)
+
+    def _outer_first(self, near, far) -> tuple:
+        """``(near, far)`` with the later arrow first, as :func:`compose`
+        takes its factors and a matrix lists its (target, source) dims."""
+        return self._arrow(near, far)[::-1]
+
+    def _keeps(self, factor: np.ndarray) -> np.ndarray:
+        """The atoms whose fiber survives into a chain's limit, from the
+        per-atom limit of its tail factors: a positive limit for forward
+        maps; for backward maps at least 1, since below 1 the components
+        beyond the last stage grow without bound."""
+        return factor > 0.0 if self.forward else factor >= 1.0
+
     def _extend(self, acc: ModuleMorphism, edge: ModuleMorphism) -> ModuleMorphism:
         """The map along a path, lengthened at its upper end by one edge."""
-        return compose(edge, acc) if self.forward else compose(acc, edge)
+        return compose(*self._outer_first(acc, edge))
 
     def _reach(self, i, j) -> dict:
         """Breadth-first parents of the stages reachable from i; raises
@@ -233,8 +276,266 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
             except KeyError:
                 continue
             # The composite along j, outermost factor first, as _extend builds it.
-            composite = (upper, lower) if system.forward else (lower, upper)
-            dev = composite_deviation((direct_map,), composite)
+            dev = composite_deviation((direct_map,), system._outer_first(lower, upper))
             if not dev <= tol:
                 violations.append(Violation("cocycle", (i, j, k), dev, system.cocycle_detail))
     return SystemReport(not violations, tuple(violations))
+
+
+class SystemMorphism:
+    """A stage-wise family of morphisms with commuting squares.
+
+    Source and target systems must share the explicit index structure;
+    chain tails may differ (the induced components beyond the last stage
+    are determined by the tail factors and checked by validation).
+    """
+
+    def __init__(self, source: System, target: System, components: Dict):
+        if not source.index.same_shape(target.index):
+            raise ShapeMismatchError("systems are indexed by different shapes")
+        self.source = source
+        self.target = target
+        self.components = {}
+        for i in source.index.explicit_indices():
+            if i not in components:
+                raise KeyError(f"missing component at index {i!r}")
+            theta = components[i]
+            if theta.source != source.modules[i] or theta.target != target.modules[i]:
+                raise ShapeMismatchError(f"component at {i!r} has wrong endpoints")
+            self.components[i] = theta
+
+
+def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None) -> SystemReport:
+    """Check admissibility, commuting squares and chain tail solvability."""
+    tol = tolerance() if tol is None else tol
+    violations: List[Violation] = []
+    system = theta.source
+    for i, comp in theta.components.items():
+        norm = operator_pointwise_norm(comp)
+        dev = float(norm.values.max(initial=0.0)) - 1.0
+        if not dev <= tol:
+            violations.append(Violation("admissibility", (i,), dev, "component norm > 1"))
+    for (i, j) in system.index.related_pairs():
+        # The components where the connecting arrow starts and ends.
+        start, end = system._arrow(theta.components[i], theta.components[j])
+        dev = composite_deviation((end, system.map(i, j)), (theta.target.map(i, j), start))
+        if not dev <= tol:
+            violations.append(Violation("square", (i, j), dev, "square does not commute"))
+    if isinstance(system.index, Chain):
+        last = system.index.last
+        growth = tail_growth_sup(
+            *system._arrow(theta.target.index.tail, system.index.tail), last, system.space
+        )
+        norm_last = operator_pointwise_norm(theta.components[last]).values
+        for a, g in enumerate(growth):
+            bound = tol if not np.isfinite(g) else (1.0 + tol) / g
+            if not norm_last[a] <= bound:
+                violations.append(
+                    Violation(
+                        "tail-square",
+                        (last, system.space.atom_ids[a]),
+                        float(norm_last[a] - bound),
+                        "no admissible components beyond the last stage",
+                    )
+                )
+    return SystemReport(not violations, tuple(violations))
+
+
+@dataclass(frozen=True)
+class LimitPresentation:
+    """A limit object with its canonical morphisms and provenance.
+
+    For direct limits the canonical maps go from the stages into the
+    limit; for inverse limits they are the projections out of it.
+    """
+
+    kind: str
+    module: FiberModule
+    canonical: Dict[object, ModuleMorphism] = field(compare=False)
+    provenance: str = "greatest-element"
+
+
+@dataclass(frozen=True)
+class PreservationReport:
+    """Whether a stage-wise property survives passage to the limit."""
+
+    stages_have_property: bool
+    limit_has_property: bool
+    preserved: bool
+    witness: str = ""
+
+
+def _top(index):
+    """The stage a limit is read off: a poset's greatest element, a chain's last stage."""
+    return greatest_element(index) if isinstance(index, FinitePoset) else index.last
+
+
+def _limit(system: System) -> LimitPresentation:
+    """The limit of a system with its canonical maps; see
+    :func:`l0limits.direct.direct_limit` and :func:`l0limits.inverse.inverse_limit`."""
+    index = system.index
+    top = _top(index)
+    if isinstance(index, FinitePoset):
+        canonical = {i: system.map(i, top) for i in index.explicit_indices()}
+        return LimitPresentation(
+            system.limit_kind, system.modules[top], canonical, "greatest-element"
+        )
+    keep = system._keeps(tail_limit_factor(index.tail, system.space))
+    limit, projection = mask_module(system.modules[top], keep)
+    cut = projection if system.forward else mask_inclusion(system.modules[top], limit)
+    canonical = {
+        i: compose(*system._outer_first(system.map(i, top), cut))
+        for i in index.explicit_indices()
+    }
+    return LimitPresentation(system.limit_kind, limit, canonical, "chain-tail")
+
+
+def _canonical_maps_unique(system: System, presentation: LimitPresentation) -> bool:
+    """Uniqueness witness: at every atom the canonical maps, stacked along
+    their stage sides, have full rank on the limit fiber (the canonical
+    images span it, or the projections jointly separate it)."""
+    for a, fiber in enumerate(presentation.module.fibers):
+        if fiber.dim == 0:
+            continue
+        blocks = [phi.matrices[a] for phi in presentation.canonical.values()]
+        blocks = [m for m in blocks if m.size]
+        if not blocks:
+            return False
+        stacked = np.concatenate(blocks, axis=system.stage_axis)
+        if np.linalg.matrix_rank(stacked, tol=1e-10) < fiber.dim:
+            return False
+    return True
+
+
+def _universal_factorization(
+    system: System,
+    apex: FiberModule,
+    maps: Dict,
+    presentation: Optional[LimitPresentation] = None,
+    tol: Optional[float] = None,
+    check_admissibility: bool = True,
+) -> ModuleMorphism:
+    """The unique morphism between the limit and the apex of a cone that
+    the cone factors through; see
+    :func:`l0limits.direct.dl_universal_factorization`."""
+    tol = tolerance() if tol is None else tol
+    index = system.index
+    explicit = index.explicit_indices()
+    side = system.cone_side
+    for i in explicit:
+        if i not in maps:
+            raise KeyError(f"{side} is missing the map at index {i!r}")
+        psi = maps[i]
+        if (psi.source, psi.target) != system._arrow(system.modules[i], apex):
+            raise ShapeMismatchError(f"{side} map at {i!r} has wrong endpoints")
+        if check_admissibility:
+            norm = operator_pointwise_norm(psi)
+            if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
+                raise ValidationError(f"{side} map at {i!r} is not admissible")
+    worst, worst_pair = 0.0, (None, None)
+    for (i, j) in index.related_pairs():
+        dev = composite_deviation(system._outer_first(system.map(i, j), maps[j]), (maps[i],))
+        if dev > worst:
+            worst, worst_pair = dev, (i, j)
+    if worst > tol:
+        i, j = worst_pair
+        raise ValidationError(system.cone_law_text.format(i=i, j=j, dev=worst))
+    presentation = _limit(system) if presentation is None else presentation
+    mats = []
+    for a, (fiber, m) in enumerate(zip(presentation.module.fibers, maps[_top(index)].matrices)):
+        if m.shape[system.stage_axis] == fiber.dim:
+            mats.append(m)
+            continue
+        # Collapsed atom: a valid cone must already vanish here, otherwise
+        # no admissible family beyond the last stage exists.
+        entry = float(np.max(np.abs(m), initial=0.0))
+        if m.size and entry > tol:
+            raise ValidationError(
+                system.collapse_text.format(atom=system.space.atom_ids[a], entry=entry)
+            )
+        shape = list(m.shape)
+        shape[system.stage_axis] = 0
+        mats.append(np.zeros(shape))
+    mediating = ModuleMorphism(*system._arrow(presentation.module, apex), mats)
+    for i in explicit:
+        dev = composite_deviation(
+            system._outer_first(presentation.canonical[i], mediating), (maps[i],)
+        )
+        if not dev <= tol:
+            raise ValidationError(
+                f"no factorization within tolerance: {system.cone_shape} at {i!r} "
+                f"deviates by {dev:g}"
+            )
+    if not _canonical_maps_unique(system, presentation):
+        raise ValidationError(system.unique_text)
+    return mediating
+
+
+def _limit_functor(
+    theta: SystemMorphism,
+    validate: bool = True,
+    tol: Optional[float] = None,
+) -> ModuleMorphism:
+    """The morphism a system morphism induces between the limits; see
+    :func:`l0limits.direct.dl_functor`."""
+    tol = tolerance() if tol is None else tol
+    if validate:
+        for name, system in (("source", theta.source), ("target", theta.target)):
+            report = validate_system(system, tol)
+            if not report.passed:
+                raise ValidationError(f"{name} system fails validation", report)
+        report = validate_system_morphism(theta, tol)
+        if not report.passed:
+            raise ValidationError("system morphism fails validation", report)
+    index = theta.source.index
+    src_pres = _limit(theta.source)
+    tgt_pres = _limit(theta.target)
+    # The limits are the top stages with some fibers zeroed: trim to them.
+    mats = [
+        block[: t.dim, : s.dim]
+        for block, s, t in zip(
+            theta.components[_top(index)].matrices,
+            src_pres.module.fibers,
+            tgt_pres.module.fibers,
+        )
+    ]
+    limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
+    for i in index.explicit_indices():
+        # The maps where the canonical arrow starts and ends.
+        start, end = theta.source._arrow(theta.components[i], limit_map)
+        dev = composite_deviation(
+            (end, src_pres.canonical[i]), (tgt_pres.canonical[i], start)
+        )
+        if not dev <= max(tol, 10 * tolerance()):
+            raise ValidationError(
+                f"limit square at {i!r} deviates by {dev:g}; morphism invalid"
+            )
+    return limit_map
+
+
+def _full_rank(mat: np.ndarray, axis: int) -> bool:
+    """Whether ``mat`` has full rank along ``axis``: 0 for onto, 1 for one-to-one."""
+    n = mat.shape[axis]
+    return n == 0 or np.linalg.matrix_rank(mat, tol=1e-10) == n
+
+
+def _rank_preservation(theta: SystemMorphism, onto: bool) -> PreservationReport:
+    """If every stage map is surjective (``onto``) or injective at every
+    atom, so must the induced limit map be."""
+    if onto:
+        axis, adjective, noun = 0, "surjective", "surjectivity"
+    else:
+        axis, adjective, noun = 1, "injective", "injectivity"
+    atoms = theta.source.space.atom_ids
+    stages_ok = True
+    witness = ""
+    for i, comp in theta.components.items():
+        for a, m in enumerate(comp.matrices):
+            if not _full_rank(m, axis):
+                stages_ok = False
+                witness = f"stage {i!r} not {adjective} at atom {atoms[a]!r}"
+    limit_map = _limit_functor(theta)
+    lost = [atoms[a] for a, m in enumerate(limit_map.matrices) if not _full_rank(m, axis)]
+    if stages_ok and lost:
+        witness = f"limit map loses {noun} at atom {lost[0]!r}"
+    return PreservationReport(stages_ok, not lost, (not stages_ok) or not lost, witness)

@@ -10,7 +10,9 @@ versions they replaced: a fresh breadth-first search for every composite,
 every law evaluated on every pair and triple, and a fixed-point closure
 of the order pairs.  Likewise the batched norm kernels are checked
 against per-vector evaluation, and the batched isometry certificate
-against its probe-by-probe loop.
+against its probe-by-probe loop.  The shared limit core (limits,
+universal factorizations, limit functors, rank preservation, pullback
+comparisons) is checked against the per-direction functions it replaced.
 """
 
 from __future__ import annotations
@@ -22,20 +24,46 @@ import numpy as np
 from scipy.optimize import linprog
 
 from l0limits.config import tolerance
-from l0limits.indexsets import greatest_element
+from l0limits.direct import DirectSystem, Target, validate_direct_system
+from l0limits.errors import ShapeMismatchError, ValidationError
+from l0limits.indexsets import (
+    Chain,
+    FinitePoset,
+    greatest_element,
+    tail_growth_sup,
+    tail_limit_factor,
+)
+from l0limits.inverse import InverseSystem, Source, validate_inverse_system
 from l0limits.modules import (
     Element,
     IsoCertificate,
     ModuleMorphism,
     apply,
     basis_elements,
+    certify_isometric_iso,
+    composite_deviation,
     compose,
     identity_morphism,
+    mask_inclusion,
+    mask_module,
     morphism_deviation,
     operator_pointwise_norm,
     pointwise_norm,
 )
-from l0limits.systems import SystemReport, Violation
+from l0limits.pullback import (
+    IL_PULLBACK_NOTE,
+    PullbackCommuteReport,
+    _pull_index,
+    pullback_module,
+)
+from l0limits.measure import AtomMap
+from l0limits.systems import (
+    LimitPresentation,
+    PreservationReport,
+    SystemMorphism,
+    SystemReport,
+    Violation,
+)
 from l0limits.norms import (
     INF,
     DualOf,
@@ -489,3 +517,522 @@ def reference_certify_isometric_iso(phi, rng=None, samples=8, tol=None) -> IsoCe
         "not bijective per atom" if not bijective else f"norm deviation {max_dev:g}"
     )
     return IsoCertificate(ok, bijective, max_dev, detail)
+
+
+# ---------------------------------------------------------------------------
+# Reference limits, universal factorizations, limit functors, rank
+# preservation and pullback comparisons: one function per arrow direction,
+# as they were before the shared limit core.
+# ---------------------------------------------------------------------------
+
+
+def _reference_is_direct(system) -> bool:
+    return isinstance(system, DirectSystem)
+
+
+def reference_validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None) -> SystemReport:
+    """Check admissibility, commuting squares and chain tail solvability."""
+    tol = tolerance() if tol is None else tol
+    violations: List[Violation] = []
+    direct = _reference_is_direct(theta.source)
+    for i, comp in theta.components.items():
+        norm = operator_pointwise_norm(comp)
+        dev = float(norm.values.max(initial=0.0)) - 1.0
+        if not dev <= tol:
+            violations.append(Violation("admissibility", (i,), dev, "component norm > 1"))
+    for (i, j) in theta.source.index.related_pairs():
+        if direct:
+            left = (theta.components[j], theta.source.map(i, j))
+            right = (theta.target.map(i, j), theta.components[i])
+        else:
+            left = (theta.components[i], theta.source.map(i, j))
+            right = (theta.target.map(i, j), theta.components[j])
+        dev = composite_deviation(left, right)
+        if not dev <= tol:
+            violations.append(Violation("square", (i, j), dev, "square does not commute"))
+    index = theta.source.index
+    if isinstance(index, Chain):
+        last = index.last
+        if direct:
+            growth = tail_growth_sup(
+                theta.target.index.tail, theta.source.index.tail, last, theta.source.space
+            )
+        else:
+            growth = tail_growth_sup(
+                theta.source.index.tail, theta.target.index.tail, last, theta.source.space
+            )
+        norm_last = operator_pointwise_norm(theta.components[last]).values
+        for a, g in enumerate(growth):
+            bound = tol if not np.isfinite(g) else (1.0 + tol) / g
+            if not norm_last[a] <= bound:
+                violations.append(
+                    Violation(
+                        "tail-square",
+                        (last, theta.source.space.atom_ids[a]),
+                        float(norm_last[a] - bound),
+                        "no admissible components beyond the last stage",
+                    )
+                )
+    return SystemReport(not violations, tuple(violations))
+
+
+def _reference_chain_keep_mask(system, chain: Chain) -> np.ndarray:
+    return tail_limit_factor(chain.tail, system.space) > 0.0
+
+
+def reference_direct_limit(system: DirectSystem) -> LimitPresentation:
+    """Construct the direct limit with its canonical morphisms.
+
+    In every supported regime the quotient by seminorm-null classes has
+    finite-dimensional fibers, hence the metric completion step is exact:
+    completeness is asserted, never approximated.
+    """
+    index = system.index
+    if isinstance(index, FinitePoset):
+        top = greatest_element(index)
+        limit = system.modules[top]
+        canonical = {i: system.map(i, top) for i in index.explicit_indices()}
+        return LimitPresentation("direct", limit, canonical, "greatest-element")
+    last = index.last
+    keep = _reference_chain_keep_mask(system, index)
+    limit, projection = mask_module(system.modules[last], keep)
+    canonical = {
+        i: compose(projection, system.map(i, last)) for i in index.explicit_indices()
+    }
+    return LimitPresentation("direct", limit, canonical, "chain-tail")
+
+
+def _reference_spanning_ranks_ok(presentation: LimitPresentation) -> bool:
+    """Canonical images must span every limit fiber (uniqueness witness)."""
+    module = presentation.module
+    for a, fiber in enumerate(module.fibers):
+        if fiber.dim == 0:
+            continue
+        blocks = [phi.matrices[a] for phi in presentation.canonical.values()]
+        stacked = np.hstack([b for b in blocks if b.size]) if blocks else np.zeros((fiber.dim, 0))
+        if stacked.size == 0 or np.linalg.matrix_rank(stacked, tol=1e-10) < fiber.dim:
+            return False
+    return True
+
+
+def reference_dl_universal_factorization(
+    system: DirectSystem,
+    target: Target,
+    presentation: Optional[LimitPresentation] = None,
+    tol: Optional[float] = None,
+) -> ModuleMorphism:
+    """The unique mediating morphism from the limit to a target.
+
+    Raises :class:`ValidationError` when the target laws fail or no
+    factorization exists within tolerance.  Uniqueness is certified by
+    checking that the canonical images span every limit fiber.
+    """
+    tol = tolerance() if tol is None else tol
+    index = system.index
+    explicit = index.explicit_indices()
+    for i in explicit:
+        if i not in target.maps:
+            raise KeyError(f"target is missing the map at index {i!r}")
+        psi = target.maps[i]
+        if psi.source != system.modules[i] or psi.target != target.module:
+            raise ShapeMismatchError(f"target map at {i!r} has wrong endpoints")
+        norm = operator_pointwise_norm(psi)
+        if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
+            raise ValidationError(f"target map at {i!r} is not admissible")
+    worst = ("", 0.0)
+    for (i, j) in index.related_pairs():
+        dev = composite_deviation((target.maps[j], system.map(i, j)), (target.maps[i],))
+        if dev > worst[1]:
+            worst = (f"target law at ({i!r}, {j!r})", dev)
+    if worst[1] > tol:
+        raise ValidationError(f"target-law violation: {worst[0]} deviates by {worst[1]:g}")
+    presentation = reference_direct_limit(system) if presentation is None else presentation
+    if isinstance(index, FinitePoset):
+        top = greatest_element(index)
+        mediating = ModuleMorphism(
+            presentation.module, target.module, target.maps[top].matrices
+        )
+    else:
+        last = index.last
+        psi_last = target.maps[last]
+        mats = []
+        for a, fiber in enumerate(presentation.module.fibers):
+            m = psi_last.matrices[a]
+            if fiber.dim == m.shape[1]:
+                mats.append(m)
+            else:
+                # Masked atom: a valid target must already vanish here,
+                # otherwise no admissible family beyond the last stage exists.
+                if m.size and float(np.max(np.abs(m))) > tol:
+                    raise ValidationError(
+                        "no factorization: target map does not vanish on the "
+                        f"collapsed atom {system.space.atom_ids[a]!r} "
+                        f"(max entry {float(np.max(np.abs(m))):g})"
+                    )
+                mats.append(np.zeros((m.shape[0], 0)))
+        mediating = ModuleMorphism(presentation.module, target.module, mats)
+    for i in explicit:
+        dev = composite_deviation((mediating, presentation.canonical[i]), (target.maps[i],))
+        if not dev <= tol:
+            raise ValidationError(
+                f"no factorization within tolerance: square at {i!r} deviates by {dev:g}"
+            )
+    if not _reference_spanning_ranks_ok(presentation):
+        raise ValidationError("canonical images do not span the limit fibers")
+    return mediating
+
+
+def reference_dl_functor(
+    theta: SystemMorphism,
+    validate: bool = True,
+    tol: Optional[float] = None,
+) -> ModuleMorphism:
+    """The induced morphism between direct limits.
+
+    Functorial: identities map to the identity and composites to
+    composites; the result is the unique morphism commuting with every
+    canonical square.
+    """
+    tol = tolerance() if tol is None else tol
+    if validate:
+        for name, system in (("source", theta.source), ("target", theta.target)):
+            report = validate_direct_system(system, tol)
+            if not report.passed:
+                raise ValidationError(f"{name} system fails validation", report)
+        report = reference_validate_system_morphism(theta, tol)
+        if not report.passed:
+            raise ValidationError("system morphism fails validation", report)
+    index = theta.source.index
+    src_pres = reference_direct_limit(theta.source)
+    tgt_pres = reference_direct_limit(theta.target)
+    if isinstance(index, FinitePoset):
+        top = greatest_element(index)
+        core = theta.components[top].matrices
+    else:
+        core = theta.components[index.last].matrices
+    mats = []
+    for a in range(theta.source.space.atom_count):
+        s_dim = src_pres.module.fibers[a].dim
+        t_dim = tgt_pres.module.fibers[a].dim
+        block = core[a]
+        if s_dim == block.shape[1] and t_dim == block.shape[0]:
+            mats.append(block)
+        else:
+            trimmed = block[:t_dim, :] if t_dim <= block.shape[0] else block
+            mats.append(trimmed[:, :s_dim] if s_dim <= block.shape[1] else trimmed)
+    limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
+    for i in index.explicit_indices():
+        dev = composite_deviation(
+            (limit_map, src_pres.canonical[i]),
+            (tgt_pres.canonical[i], theta.components[i]),
+        )
+        if not dev <= max(tol, 10 * tolerance()):
+            raise ValidationError(
+                f"limit square at {i!r} deviates by {dev:g}; morphism invalid"
+            )
+    return limit_map
+
+
+def _reference_full_row_rank(mat: np.ndarray) -> bool:
+    rows = mat.shape[0]
+    return rows == 0 or np.linalg.matrix_rank(mat, tol=1e-10) == rows
+
+
+def reference_check_surjectivity_preservation(theta: SystemMorphism) -> PreservationReport:
+    """If every stage map has full per-atom image, so must the limit map."""
+    stages_ok = True
+    witness = ""
+    for i, comp in theta.components.items():
+        for a, m in enumerate(comp.matrices):
+            if not _reference_full_row_rank(m):
+                stages_ok = False
+                witness = f"stage {i!r} not surjective at atom " \
+                          f"{theta.source.space.atom_ids[a]!r}"
+    limit_map = reference_dl_functor(theta) if _reference_is_direct(theta.source) else None
+    if limit_map is None:
+        limit_map = reference_il_functor(theta)
+    limit_ok = all(_reference_full_row_rank(m) for m in limit_map.matrices)
+    preserved = (not stages_ok) or limit_ok
+    if stages_ok and not limit_ok:
+        bad = next(
+            theta.source.space.atom_ids[a]
+            for a, m in enumerate(limit_map.matrices)
+            if not _reference_full_row_rank(m)
+        )
+        witness = f"limit map loses surjectivity at atom {bad!r}"
+    return PreservationReport(stages_ok, limit_ok, preserved, witness)
+
+
+def reference_inverse_limit(system: InverseSystem) -> LimitPresentation:
+    """Construct the inverse limit with its natural projections.
+
+    Limit fibers are finite dimensional, hence complete; the completeness
+    requirement is asserted rather than rebuilt from Cauchy sequences.
+    """
+    index = system.index
+    if isinstance(index, FinitePoset):
+        top = greatest_element(index)
+        limit = system.modules[top]
+        projections = {i: system.map(i, top) for i in index.explicit_indices()}
+        return LimitPresentation("inverse", limit, projections, "greatest-element")
+    last = index.last
+    keep = tail_limit_factor(index.tail, system.space) >= 1.0
+    limit, _ = mask_module(system.modules[last], keep)
+    include = mask_inclusion(system.modules[last], limit)
+    projections = {
+        i: compose(system.map(i, last), include) for i in index.explicit_indices()
+    }
+    return LimitPresentation("inverse", limit, projections, "chain-tail")
+
+
+def _reference_projections_separate(presentation: LimitPresentation) -> bool:
+    """Stacked projections must be injective per atom (uniqueness witness)."""
+    module = presentation.module
+    for a, fiber in enumerate(module.fibers):
+        if fiber.dim == 0:
+            continue
+        blocks = [p.matrices[a] for p in presentation.canonical.values() if p.matrices[a].size]
+        stacked = np.vstack(blocks) if blocks else np.zeros((0, fiber.dim))
+        if stacked.size == 0 or np.linalg.matrix_rank(stacked, tol=1e-10) < fiber.dim:
+            return False
+    return True
+
+
+def reference_il_universal_factorization(
+    system: InverseSystem,
+    source: Source,
+    presentation: Optional[LimitPresentation] = None,
+    tol: Optional[float] = None,
+    check_admissibility: bool = True,
+) -> ModuleMorphism:
+    """The unique mediating morphism from a compatible source to the limit.
+
+    Uniqueness is certified by joint injectivity of the projections.
+    ``check_admissibility`` may be disabled when contractivity of the
+    source maps is known analytically (e.g. precomposition maps between
+    Hom modules, whose matrix-space norms have no exact kernel).
+    """
+    tol = tolerance() if tol is None else tol
+    index = system.index
+    explicit = index.explicit_indices()
+    for i in explicit:
+        if i not in source.maps:
+            raise KeyError(f"source is missing the map at index {i!r}")
+        q = source.maps[i]
+        if q.source != source.module or q.target != system.modules[i]:
+            raise ShapeMismatchError(f"source map at {i!r} has wrong endpoints")
+        if check_admissibility:
+            norm = operator_pointwise_norm(q)
+            if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
+                raise ValidationError(f"source map at {i!r} is not admissible")
+    worst = ("", 0.0)
+    for (i, j) in index.related_pairs():
+        dev = composite_deviation((system.map(i, j), source.maps[j]), (source.maps[i],))
+        if dev > worst[1]:
+            worst = (f"compatibility at ({i!r}, {j!r})", dev)
+    if worst[1] > tol:
+        raise ValidationError(f"source violates compatibility: {worst[0]} by {worst[1]:g}")
+    presentation = reference_inverse_limit(system) if presentation is None else presentation
+    if isinstance(index, FinitePoset):
+        top = greatest_element(index)
+        mediating = ModuleMorphism(
+            source.module, presentation.module, source.maps[top].matrices
+        )
+    else:
+        last = index.last
+        q_last = source.maps[last]
+        mats = []
+        for a, fiber in enumerate(presentation.module.fibers):
+            m = q_last.matrices[a]
+            if fiber.dim == m.shape[0]:
+                mats.append(m)
+            else:
+                if m.size and float(np.max(np.abs(m))) > tol:
+                    raise ValidationError(
+                        "no factorization: source map does not vanish on the "
+                        f"collapsed atom {system.space.atom_ids[a]!r}"
+                    )
+                mats.append(np.zeros((0, m.shape[1])))
+        mediating = ModuleMorphism(source.module, presentation.module, mats)
+    for i in explicit:
+        dev = composite_deviation((presentation.canonical[i], mediating), (source.maps[i],))
+        if not dev <= tol:
+            raise ValidationError(
+                f"no factorization within tolerance: triangle at {i!r} deviates by {dev:g}"
+            )
+    if not _reference_projections_separate(presentation):
+        raise ValidationError("projections do not jointly separate the limit")
+    return mediating
+
+
+def reference_il_functor(
+    theta: SystemMorphism,
+    validate: bool = True,
+    tol: Optional[float] = None,
+) -> ModuleMorphism:
+    """The induced morphism between inverse limits."""
+    tol = tolerance() if tol is None else tol
+    if validate:
+        for name, system in (("source", theta.source), ("target", theta.target)):
+            report = validate_inverse_system(system, tol)
+            if not report.passed:
+                raise ValidationError(f"{name} system fails validation", report)
+        report = reference_validate_system_morphism(theta, tol)
+        if not report.passed:
+            raise ValidationError("system morphism fails validation", report)
+    index = theta.source.index
+    src_pres = reference_inverse_limit(theta.source)
+    tgt_pres = reference_inverse_limit(theta.target)
+    if isinstance(index, FinitePoset):
+        core = theta.components[greatest_element(index)].matrices
+    else:
+        core = theta.components[index.last].matrices
+    mats = []
+    for a in range(theta.source.space.atom_count):
+        s_dim = src_pres.module.fibers[a].dim
+        t_dim = tgt_pres.module.fibers[a].dim
+        block = core[a]
+        mats.append(block[:t_dim, :s_dim])
+    limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
+    for i in index.explicit_indices():
+        dev = composite_deviation(
+            (tgt_pres.canonical[i], limit_map),
+            (theta.components[i], src_pres.canonical[i]),
+        )
+        if not dev <= max(tol, 10 * tolerance()):
+            raise ValidationError(
+                f"limit square at {i!r} deviates by {dev:g}; morphism invalid"
+            )
+    return limit_map
+
+
+def reference_check_injectivity_preservation(theta: SystemMorphism):
+    """If every stage map has trivial per-atom kernel, so must the limit map."""
+    def full_col_rank(mat: np.ndarray) -> bool:
+        cols = mat.shape[1]
+        return cols == 0 or np.linalg.matrix_rank(mat, tol=1e-10) == cols
+
+    stages_ok = True
+    witness = ""
+    for i, comp in theta.components.items():
+        for a, m in enumerate(comp.matrices):
+            if not full_col_rank(m):
+                stages_ok = False
+                witness = (
+                    f"stage {i!r} not injective at atom "
+                    f"{theta.source.space.atom_ids[a]!r}"
+                )
+    if isinstance(theta.source, InverseSystem):
+        limit_map = reference_il_functor(theta)
+    else:
+        limit_map = reference_dl_functor(theta)
+    limit_ok = all(full_col_rank(m) for m in limit_map.matrices)
+    preserved = (not stages_ok) or limit_ok
+    if stages_ok and not limit_ok:
+        bad = next(
+            theta.source.space.atom_ids[a]
+            for a, m in enumerate(limit_map.matrices)
+            if not full_col_rank(m)
+        )
+        witness = f"limit map loses injectivity at atom {bad!r}"
+    return PreservationReport(stages_ok, limit_ok, preserved, witness)
+
+
+def reference_pullback_direct_system(atom_map: AtomMap, system: DirectSystem) -> DirectSystem:
+    presentations = {
+        i: pullback_module(atom_map, system.modules[i])
+        for i in system.index.explicit_indices()
+    }
+    maps = {}
+    for (i, j), phi in system.maps.items():
+        maps[(i, j)] = presentations[i].pull_morphism(phi, presentations[j])
+    return DirectSystem(
+        _pull_index(atom_map, system.index),
+        {i: p.module for i, p in presentations.items()},
+        maps,
+    )
+
+
+def reference_pullback_inverse_system(atom_map: AtomMap, system: InverseSystem) -> InverseSystem:
+    presentations = {
+        i: pullback_module(atom_map, system.modules[i])
+        for i in system.index.explicit_indices()
+    }
+    maps = {}
+    for (i, j), phi in system.maps.items():
+        maps[(i, j)] = presentations[j].pull_morphism(phi, presentations[i])
+    return InverseSystem(
+        _pull_index(atom_map, system.index),
+        {i: p.module for i, p in presentations.items()},
+        maps,
+    )
+
+
+def reference_dl_pullback_iso(
+    atom_map: AtomMap,
+    system: DirectSystem,
+    rng: Optional[np.random.Generator] = None,
+    tol: Optional[float] = None,
+) -> PullbackCommuteReport:
+    """Certify that pulling back commutes with the direct limit.
+
+    Both sides are computed independently: the limit of the pulled-back
+    system, and the pullback of the limit receiving the pulled canonical
+    morphisms.  The mediating morphism between them is then certified to
+    be an isometric isomorphism.
+    """
+    tol = tolerance() if tol is None else tol
+    rng = np.random.default_rng(0) if rng is None else rng
+    pulled_system = reference_pullback_direct_system(atom_map, system)
+    side_a = reference_direct_limit(pulled_system)
+    dl = reference_direct_limit(system)
+    limit_pulled = pullback_module(atom_map, dl.module)
+    stage_pulled = {
+        i: pullback_module(atom_map, system.modules[i])
+        for i in system.index.explicit_indices()
+    }
+    target = Target(
+        limit_pulled.module,
+        {
+            i: stage_pulled[i].pull_morphism(dl.canonical[i], limit_pulled)
+            for i in system.index.explicit_indices()
+        },
+    )
+    comparison = reference_dl_universal_factorization(pulled_system, target, side_a, tol=tol)
+    certificate = certify_isometric_iso(comparison, rng=rng, tol=tol)
+    return PullbackCommuteReport(side_a, limit_pulled.module, comparison, certificate)
+
+
+def reference_il_pullback_compare(
+    atom_map: AtomMap,
+    system: InverseSystem,
+    rng: Optional[np.random.Generator] = None,
+    tol: Optional[float] = None,
+) -> PullbackCommuteReport:
+    """Compare both orders of inverse limit and pullback on one instance.
+
+    Reports whether the canonical comparison is an isometric isomorphism
+    here; no general claim is made either way.
+    """
+    tol = tolerance() if tol is None else tol
+    rng = np.random.default_rng(0) if rng is None else rng
+    pulled_system = reference_pullback_inverse_system(atom_map, system)
+    side_a = reference_inverse_limit(pulled_system)
+    il = reference_inverse_limit(system)
+    limit_pulled = pullback_module(atom_map, il.module)
+    stage_pulled = {
+        i: pullback_module(atom_map, system.modules[i])
+        for i in system.index.explicit_indices()
+    }
+    source = Source(
+        limit_pulled.module,
+        {
+            i: limit_pulled.pull_morphism(il.canonical[i], stage_pulled[i])
+            for i in system.index.explicit_indices()
+        },
+    )
+    comparison = reference_il_universal_factorization(pulled_system, source, side_a, tol=tol)
+    certificate = certify_isometric_iso(comparison, rng=rng, tol=tol)
+    return PullbackCommuteReport(
+        side_a, limit_pulled.module, comparison, certificate, IL_PULLBACK_NOTE
+    )

@@ -33,6 +33,18 @@ def test_bracket_reports_interval_when_too_wide():
     assert err.value.lower > 0.0
 
 
+def test_bracket_error_carries_plain_floats():
+    """Both bounds are Python floats, so the message prints numbers rather
+    than numpy scalar reprs such as ``np.float64(5.66...)``."""
+    spec = matrix_space_norm()
+    mat = np.random.default_rng(0).standard_normal((spec.dim, spec.dim))
+    with pytest.raises(BracketTooWideError) as err:
+        operator_norm_witness(mat, spec, spec)
+    assert type(err.value.lower) is float and type(err.value.upper) is float
+    assert "np." not in str(err.value)
+    assert str(err.value).endswith(f"[{err.value.lower!r}, {err.value.upper!r}]")
+
+
 def test_restriction_of_matrix_norm_unsupported():
     spec = matrix_space_norm()
     with pytest.raises(UnsupportedNormError):

@@ -306,3 +306,43 @@ def test_loader_rejects_non_finite_numbers(keys, where, bad):
     with pytest.raises(DocumentError) as raised:
         parse_document(data)
     assert raised.value.path == where
+
+
+_BAD_CHAIN_KEYS = {
+    "universal-direct": ("fg-presentation.json", {
+        "kind": "universal-direct", "system": "generated-chain",
+        "target_module": "ambient", "target_maps": {"0": "include_0", "x": "include_1"},
+    }, ".target_maps.x"),
+    "universal-inverse": ("harmonic-inverse.json", {
+        "kind": "universal-inverse", "system": "shrinking",
+        "source_module": "plane2", "source_maps": {"x": "shrinking_phi_0_1"},
+    }, ".source_maps.x"),
+    "functor-square-given": ("fg-presentation.json", {
+        "kind": "functor-square", "solve": {
+            "source_system": "generated-chain", "target_system": "generated-chain",
+            "given": {"x": "generated-chain_phi_0_1"}, "solve_for": "0",
+        },
+    }, ".solve.given.x"),
+    "functor-square-solve-for": ("fg-presentation.json", {
+        "kind": "functor-square", "solve": {
+            "source_system": "generated-chain", "target_system": "generated-chain",
+            "given": {"1": "generated-chain_phi_0_1"}, "solve_for": "x",
+        },
+    }, ".solve.solve_for"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHAIN_KEYS))
+def test_non_integer_chain_key_in_a_check_names_its_path(case):
+    """A chain stage key in a check's parameters is parsed like the keys of
+    systems: a non-integer key is an error verdict at its document path."""
+    fixture, check, where = _BAD_CHAIN_KEYS[case]
+    data = json.loads((FIXTURES / fixture).read_text())
+    k = len(data["checks"])
+    data["checks"].append({"name": "zz-bad-key", **check})
+    report = run_checks(parse_document(data))
+    result = next(r for r in report.results if r.name == "zz-bad-key")
+    assert result.verdict == "error"
+    assert result.witness["reason"] == (
+        f"$.checks[{k}]{where}: chain stage 'x' is not an integer"
+    )

@@ -279,3 +279,27 @@ def test_il_pullback_compare_two_stage_poset():
     )
     report = il_pullback_compare(COVER, sys_)
     assert report.ok
+
+
+@pytest.mark.parametrize("compare,build", [
+    (dl_pullback_iso, random_chain_direct_system),
+    (dl_pullback_iso, random_direct_system),
+    (il_pullback_compare, random_inverse_system),
+], ids=["direct-chain", "direct-poset", "inverse-poset"])
+def test_pullback_comparison_pulls_each_stage_back_once(monkeypatch, compare, build):
+    """One ``pullback_module`` per explicit stage, shared by the pulled-back
+    system and the cone over the pulled-back limit, plus one for the limit."""
+    import l0limits.pullback as pullback
+
+    rng = np.random.default_rng(11)
+    system = build(rng)
+    atom_map = random_atom_map(rng, system.space)
+    pulled = []
+
+    def counted(atom_map, module):
+        pulled.append(module)
+        return pullback_module(atom_map, module)
+
+    monkeypatch.setattr(pullback, "pullback_module", counted)
+    assert compare(atom_map, system).ok
+    assert len(pulled) == len(system.index.explicit_indices()) + 1
