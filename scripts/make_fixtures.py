@@ -8,6 +8,7 @@ of that round trip (the loader byte-identity test depends on this).
 
 from __future__ import annotations
 
+import json
 import pathlib
 import sys
 
@@ -39,11 +40,11 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 def _write(name: str, builder: DocumentBuilder) -> None:
     text = dump_document(builder.data)
-    doc = parse_document(__import__("json").loads(text))
+    doc = parse_document(json.loads(text))
     text = dump_document(serialize_document(doc))
     # fixpoint sanity: one more round trip must be byte-identical
-    again = dump_document(serialize_document(parse_document(__import__("json").loads(text))))
-    assert again == text, f"serialializer is not a fixpoint for {name}"
+    again = dump_document(serialize_document(parse_document(json.loads(text))))
+    assert again == text, f"serializer is not a fixpoint for {name}"
     (FIXTURES / name).write_text(text, encoding="utf-8")
     print(f"wrote fixtures/{name}")
 

@@ -117,8 +117,22 @@ def _check_validate(doc, spec, rng):
     return ("pass" if report.passed else "fail"), witness, ("system-laws",)
 
 
+def _directed_system(doc: Document, spec: CheckSpec):
+    """The system of a limit or universal check, whose kind names the
+    direction (direct or inverse) the system must have."""
+    ref = spec.params.get("system")
+    system = _system(doc, ref, spec.name)
+    wanted = "direct" if "direct" in spec.kind else "inverse"
+    if system.limit_kind != wanted:
+        raise L0LimitsError(
+            f"{_check_path(doc, spec)}.system: {spec.kind} needs a system of kind "
+            f"{wanted!r}, {ref!r} is {system.limit_kind!r}"
+        )
+    return system
+
+
 def _check_limit(doc, spec, rng):
-    system = _system(doc, spec.params.get("system"), spec.name)
+    system = _directed_system(doc, spec)
     presentation = _limit(system)
     witness = _limit_payload(presentation)
     outcome = "pass"
@@ -150,7 +164,7 @@ def _check_greatest(doc, spec, rng):
 
 def _check_universal(doc, spec, rng):
     """The cone of a direct system is a target, of an inverse one a source."""
-    system = _system(doc, spec.params.get("system"), spec.name)
+    system = _directed_system(doc, spec)
     side = system.cone_side
     module = doc.modules[spec.params[f"{side}_module"]]
     path = f"{_check_path(doc, spec)}.{side}_maps"

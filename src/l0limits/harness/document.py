@@ -22,7 +22,7 @@ from ..indexsets import Chain, FinitePoset, HarmonicTail, IdentityTail, ScalarTa
 from ..inverse import InverseSystem
 from ..measure import AtomMap, AtomicMeasureSpace, L0Function
 from ..modules import Element, Fiber, FiberModule, ModuleMorphism
-from ..norms import INF, DualOf, FramedP, OperatorNorm, WeightedP
+from ..norms import INF, DualOf, FramedP, OperatorNorm, WeightedP, dual_spec, operator_spec
 
 FORMAT_VERSION = 1
 
@@ -255,16 +255,12 @@ def _parse_norm(doc: Document, nid: str, raw, all_raw) -> object:
                 if inner_id not in all_raw:
                     raise DocumentError(f"{path}.inner", f"unresolved norm {inner_id!r}")
                 doc.norms[inner_id] = _parse_norm(doc, inner_id, all_raw[inner_id], all_raw)
-            from ..norms import dual_spec
-
             return dual_spec(doc.norms[inner_id])
         if kind == "operator":
             for key in ("source_norm", "target_norm"):
                 ref = raw.get(key)
                 if ref not in doc.norms and ref in all_raw:
                     doc.norms[ref] = _parse_norm(doc, ref, all_raw[ref], all_raw)
-            from ..norms import operator_spec
-
             return operator_spec(
                 int(raw.get("source_dim", -1)),
                 _ref(doc.norms, raw.get("source_norm"), f"{path}.source_norm"),
@@ -358,182 +354,216 @@ def load_document(path: str) -> Document:
 
 # ---------------------------------------------------------------------------
 # Canonical serialization.
+#
+# One payload function per object kind.  Each takes the object, a resolver
+# ``id_of(table, obj, name=None)`` giving the id of an object it refers to,
+# and the object's own id, from which the ids of the parts it owns are
+# formed.  The builder's resolver adds those parts under the ids given;
+# the serializer's looks up the ids of a parsed document.
 # ---------------------------------------------------------------------------
+
+
+def _floats(values) -> list:
+    """An array of any shape as nested lists of Python floats."""
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _space_payload(space: AtomicMeasureSpace, id_of, sid: str) -> Dict:
+    return {"atoms": list(space.atom_ids), "weights": _floats(space.weights)}
+
+
+def _function_payload(f: L0Function, id_of, fid: str) -> Dict:
+    return {"space": id_of("spaces", f.space), "values": _floats(f.values)}
+
+
+def _norm_payload(norm, id_of, nid: str) -> Dict:
+    if isinstance(norm, WeightedP):
+        return {"kind": "weighted_p", "p": _p_repr(norm.p), "weights": _floats(norm.weights)}
+    if isinstance(norm, FramedP):
+        return {
+            "kind": "framed_p",
+            "p": _p_repr(norm.p),
+            "matrix": _floats(norm.matrix),
+        }
+    if isinstance(norm, DualOf):
+        return {"kind": "dual_of", "inner": id_of("norms", norm.inner)}
+    if isinstance(norm, OperatorNorm):
+        return {
+            "kind": "operator",
+            "source_dim": norm.source_dim,
+            "source_norm": id_of("norms", norm.source_spec),
+            "target_dim": norm.target_dim,
+            "target_norm": id_of("norms", norm.target_spec),
+        }
+    raise DocumentError("$", f"cannot serialize norm {norm!r}")
+
+
+def _module_payload(module: FiberModule, id_of, mid: str) -> Dict:
+    return {
+        "space": id_of("spaces", module.space),
+        "fibers": [
+            {"dim": 0} if f.dim == 0 else {"dim": f.dim, "norm": id_of("norms", f.norm)}
+            for f in module.fibers
+        ],
+    }
+
+
+def _element_payload(element: Element, id_of, eid: str) -> Dict:
+    return {
+        "module": id_of("modules", element.module),
+        "coords": [_floats(c) for c in element.coords],
+    }
+
+
+def _morphism_payload(phi: ModuleMorphism, id_of, pid: str) -> Dict:
+    return {
+        "source": id_of("modules", phi.source),
+        "target": id_of("modules", phi.target),
+        "matrices": [_floats(m) for m in phi.matrices],
+    }
+
+
+def _index_set_payload(index, id_of, iid: str) -> Dict:
+    if isinstance(index, FinitePoset):
+        return {
+            "kind": "finite_poset",
+            "elements": list(index.elements),
+            "relation": [list(p) for p in index.related_pairs()],
+        }
+    tail = index.tail
+    if isinstance(tail, IdentityTail):
+        tail_payload = {"kind": "identity"}
+    elif isinstance(tail, HarmonicTail):
+        tail_payload = {"kind": "harmonic"}
+    else:
+        fid = id_of("functions", tail.function, f"tail_{iid}")
+        tail_payload = {"kind": "scalar", "function": fid}
+    return {"kind": "chain", "stages": index.stages, "tail": tail_payload}
+
+
+def _system_payload(system, id_of, sid: str) -> Dict:
+    return {
+        "kind": "direct" if isinstance(system, DirectSystem) else "inverse",
+        "index_set": id_of("index_sets", system.index, f"idx_{sid}"),
+        "modules": {
+            str(i): id_of("modules", m, f"{sid}_M{i}") for i, m in system.modules.items()
+        },
+        "maps": {
+            f"{i}|{j}": id_of("morphisms", phi, f"{sid}_phi_{i}_{j}")
+            for (i, j), phi in system.maps.items()
+        },
+    }
+
+
+def _system_morphism_payload(theta: SystemMorphism, source_id: str, target_id: str,
+                             id_of, tid: str) -> Dict:
+    return {
+        "source": source_id,
+        "target": target_id,
+        "components": {
+            str(i): id_of("morphisms", c, f"{tid}_theta_{i}")
+            for i, c in theta.components.items()
+        },
+    }
+
+
+def _atom_map_payload(atom_map: AtomMap, id_of, aid: str) -> Dict:
+    return {
+        "source": id_of("spaces", atom_map.source),
+        "target": id_of("spaces", atom_map.target),
+        "table": dict(sorted(atom_map.table.items())),
+    }
+
+
+def _check_payload(check: CheckSpec) -> Dict:
+    payload = {"name": check.name, "kind": check.kind, **check.params}
+    if check.tol is not None:
+        payload["tol"] = check.tol
+    if check.seed is not None:
+        payload["seed"] = check.seed
+    if check.expect != "pass":
+        payload["expect"] = check.expect
+    return payload
+
+
+#: The payload function of each table of objects filed under their ids.
+_PAYLOADS = {
+    "spaces": _space_payload,
+    "functions": _function_payload,
+    "norms": _norm_payload,
+    "modules": _module_payload,
+    "elements": _element_payload,
+    "morphisms": _morphism_payload,
+    "index_sets": _index_set_payload,
+    "systems": _system_payload,
+    "atom_maps": _atom_map_payload,
+}
 
 
 class DocumentBuilder:
     """Accumulates objects and emits the canonical document dict.
 
-    Norm specs are deduplicated structurally and assigned stable ids in
-    first-use order, so rebuilding the same objects reproduces the same
-    bytes.
+    Spaces, functions, norm specs and modules are deduplicated
+    structurally: adding one equal to an earlier one returns the earlier
+    id.  Norm specs get ids ``n0, n1, ...`` in first-use order, so
+    rebuilding the same objects reproduces the same bytes.
     """
 
     def __init__(self):
-        self.data = {
-            "format_version": FORMAT_VERSION,
-            "spaces": {},
-            "functions": {},
-            "norms": {},
-            "modules": {},
-            "elements": {},
-            "morphisms": {},
-            "index_sets": {},
-            "systems": {},
-            "system_morphisms": {},
-            "atom_maps": {},
-            "checks": [],
-        }
-        self._space_ids = {}
-        self._norm_ids = {}
-        self._module_ids = {}
-        self._function_ids = {}
+        self.data = {"format_version": FORMAT_VERSION, "system_morphisms": {}, "checks": []}
+        self.data.update({table: {} for table in _PAYLOADS})
+        self._ids = {table: {} for table in ("spaces", "functions", "norms", "modules")}
+
+    def _put(self, table: str, name: str, obj) -> str:
+        ids = self._ids.get(table)
+        if ids is not None:
+            if obj in ids:
+                return ids[obj]
+            ids[obj] = name  # before the payload, so inner norms number after
+        self.data[table][name] = _PAYLOADS[table](obj, self._id_of, name)
+        return name
+
+    def _id_of(self, table: str, obj, name: Optional[str] = None) -> str:
+        """The id of a part: norms are added under the next ``n{k}``, other
+        named parts under ``name``; an unnamed space or module must have
+        been added already."""
+        if table == "norms":
+            return self._put(table, f"n{len(self._ids['norms'])}", obj)
+        if name is None:
+            return self._ids[table][obj]
+        return self._put(table, name, obj)
 
     def add_space(self, sid: str, space: AtomicMeasureSpace) -> str:
-        if space in self._space_ids:
-            return self._space_ids[space]
-        self._space_ids[space] = sid
-        self.data["spaces"][sid] = {
-            "atoms": list(space.atom_ids),
-            "weights": [float(w) for w in space.weights],
-        }
-        return sid
+        return self._put("spaces", sid, space)
 
     def add_function(self, fid: str, f: L0Function) -> str:
-        if f in self._function_ids:
-            return self._function_ids[f]
-        self._function_ids[f] = fid
-        self.data["functions"][fid] = {
-            "space": self._space_ids[f.space],
-            "values": [float(v) for v in f.values],
-        }
-        return fid
-
-    def _norm_id(self, norm) -> str:
-        if norm in self._norm_ids:
-            return self._norm_ids[norm]
-        nid = f"n{len(self._norm_ids)}"
-        self._norm_ids[norm] = nid
-        if isinstance(norm, WeightedP):
-            payload = {
-                "kind": "weighted_p",
-                "p": _p_repr(norm.p),
-                "weights": [float(w) for w in norm.weights],
-            }
-        elif isinstance(norm, FramedP):
-            payload = {
-                "kind": "framed_p",
-                "p": _p_repr(norm.p),
-                "matrix": [[float(x) for x in row] for row in norm.matrix],
-            }
-        elif isinstance(norm, DualOf):
-            payload = {"kind": "dual_of", "inner": self._norm_id(norm.inner)}
-        elif isinstance(norm, OperatorNorm):
-            payload = {
-                "kind": "operator",
-                "source_dim": norm.source_dim,
-                "source_norm": self._norm_id(norm.source_spec),
-                "target_dim": norm.target_dim,
-                "target_norm": self._norm_id(norm.target_spec),
-            }
-        else:
-            raise DocumentError("$", f"cannot serialize norm {norm!r}")
-        self.data["norms"][nid] = payload
-        return nid
+        return self._put("functions", fid, f)
 
     def add_module(self, mid: str, module: FiberModule) -> str:
-        if module in self._module_ids:
-            return self._module_ids[module]
-        self._module_ids[module] = mid
-        fibers = []
-        for f in module.fibers:
-            if f.dim == 0:
-                fibers.append({"dim": 0})
-            else:
-                fibers.append({"dim": f.dim, "norm": self._norm_id(f.norm)})
-        self.data["modules"][mid] = {
-            "space": self._space_ids[module.space],
-            "fibers": fibers,
-        }
-        return mid
-
-    def add_element(self, eid: str, element: Element) -> str:
-        self.data["elements"][eid] = {
-            "module": self._module_ids[element.module],
-            "coords": [[float(x) for x in c] for c in element.coords],
-        }
-        return eid
+        return self._put("modules", mid, module)
 
     def add_morphism(self, pid: str, phi: ModuleMorphism) -> str:
-        self.data["morphisms"][pid] = {
-            "source": self._module_ids[phi.source],
-            "target": self._module_ids[phi.target],
-            "matrices": [[[float(x) for x in row] for row in m] for m in phi.matrices],
-        }
-        return pid
+        return self._put("morphisms", pid, phi)
 
     def add_index_set(self, iid: str, index) -> str:
-        if isinstance(index, FinitePoset):
-            payload = {
-                "kind": "finite_poset",
-                "elements": list(index.elements),
-                "relation": [list(p) for p in index.related_pairs()],
-            }
-        else:
-            tail = index.tail
-            if isinstance(tail, IdentityTail):
-                tail_payload = {"kind": "identity"}
-            elif isinstance(tail, HarmonicTail):
-                tail_payload = {"kind": "harmonic"}
-            else:
-                fid = self.add_function(f"tail_{iid}", tail.function)
-                tail_payload = {"kind": "scalar", "function": fid}
-            payload = {"kind": "chain", "stages": index.stages, "tail": tail_payload}
-        self.data["index_sets"][iid] = payload
-        return iid
+        return self._put("index_sets", iid, index)
 
     def add_system(self, sid: str, system) -> str:
-        kind = "direct" if isinstance(system, DirectSystem) else "inverse"
-        iid = self.add_index_set(f"idx_{sid}", system.index)
-        modules = {}
-        for i, module in system.modules.items():
-            modules[str(i)] = self.add_module(f"{sid}_M{i}", module)
-        maps = {}
-        for (i, j), phi in sorted(system.maps.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-            maps[f"{i}|{j}"] = self.add_morphism(f"{sid}_phi_{i}_{j}", phi)
-        self.data["systems"][sid] = {
-            "kind": kind,
-            "index_set": iid,
-            "modules": modules,
-            "maps": maps,
-        }
-        return sid
+        return self._put("systems", sid, system)
 
-    def add_system_morphism(self, tid: str, theta: SystemMorphism, source_id: str, target_id: str) -> str:
-        components = {}
-        for i, comp in theta.components.items():
-            components[str(i)] = self.add_morphism(f"{tid}_theta_{i}", comp)
-        self.data["system_morphisms"][tid] = {
-            "source": source_id,
-            "target": target_id,
-            "components": components,
-        }
+    def add_system_morphism(
+        self, tid: str, theta: SystemMorphism, source_id: str, target_id: str
+    ) -> str:
+        self.data["system_morphisms"][tid] = _system_morphism_payload(
+            theta, source_id, target_id, self._id_of, tid
+        )
         return tid
 
     def add_atom_map(self, aid: str, atom_map: AtomMap) -> str:
-        self.data["atom_maps"][aid] = {
-            "source": self._space_ids[atom_map.source],
-            "target": self._space_ids[atom_map.target],
-            "table": dict(sorted(atom_map.table.items())),
-        }
-        return aid
+        return self._put("atom_maps", aid, atom_map)
 
     def add_check(self, name: str, kind: str, expect: str = "pass", **params) -> None:
-        payload = {"name": name, "kind": kind}
-        payload.update(sorted(params.items()))
-        if expect != "pass":
-            payload["expect"] = expect
-        self.data["checks"].append(payload)
+        self.data["checks"].append(_check_payload(CheckSpec(name, kind, params, expect=expect)))
 
 
 def serialize_document(doc: Document) -> Dict:
@@ -542,147 +572,30 @@ def serialize_document(doc: Document) -> Dict:
     Together with :func:`parse_document` this is a fixpoint on canonical
     files: parsing and re-serializing a bundled fixture reproduces its
     bytes (norm specs in such files are already in simplified form).
+    Ids are looked up by object identity, so equal objects filed under two
+    ids keep both.
     """
-    norm_ids = {id(norm): nid for nid, norm in doc.norms.items()}
-    module_ids = {id(module): mid for mid, module in doc.modules.items()}
-    space_ids = {id(space): sid for sid, space in doc.spaces.items()}
-    function_ids = {id(f): fid for fid, f in doc.functions.items()}
-    morphism_ids = {id(phi): pid for pid, phi in doc.morphisms.items()}
-    index_ids = {id(ix): iid for iid, ix in doc.index_sets.items()}
-    system_ids = {id(s): sid for sid, s in doc.systems.items()}
+    ids = {
+        table: {id(obj): key for key, obj in getattr(doc, table).items()}
+        for table in _PAYLOADS
+    }
 
-    def norm_payload(norm):
-        if isinstance(norm, WeightedP):
-            return {
-                "kind": "weighted_p",
-                "p": _p_repr(norm.p),
-                "weights": [float(w) for w in norm.weights],
-            }
-        if isinstance(norm, FramedP):
-            return {
-                "kind": "framed_p",
-                "p": _p_repr(norm.p),
-                "matrix": [[float(x) for x in row] for row in norm.matrix],
-            }
-        if isinstance(norm, DualOf):
-            return {"kind": "dual_of", "inner": norm_ids[id(norm.inner)]}
-        if isinstance(norm, OperatorNorm):
-            return {
-                "kind": "operator",
-                "source_dim": norm.source_dim,
-                "source_norm": norm_ids[id(norm.source_spec)],
-                "target_dim": norm.target_dim,
-                "target_norm": norm_ids[id(norm.target_spec)],
-            }
-        raise DocumentError("$", f"cannot serialize norm {norm!r}")
+    def id_of(table: str, obj, name: Optional[str] = None) -> str:
+        return ids[table][id(obj)]
 
     data = {
-        "format_version": FORMAT_VERSION,
-        "spaces": {
-            sid: {
-                "atoms": list(s.atom_ids),
-                "weights": [float(w) for w in s.weights],
-            }
-            for sid, s in doc.spaces.items()
-        },
-        "functions": {
-            fid: {
-                "space": space_ids[id(f.space)],
-                "values": [float(v) for v in f.values],
-            }
-            for fid, f in doc.functions.items()
-        },
-        "norms": {nid: norm_payload(n) for nid, n in doc.norms.items()},
-        "modules": {
-            mid: {
-                "space": space_ids[id(m.space)],
-                "fibers": [
-                    {"dim": 0} if f.dim == 0 else {"dim": f.dim, "norm": norm_ids[id(f.norm)]}
-                    for f in m.fibers
-                ],
-            }
-            for mid, m in doc.modules.items()
-        },
-        "elements": {
-            eid: {
-                "module": module_ids[id(e.module)],
-                "coords": [[float(x) for x in c] for c in e.coords],
-            }
-            for eid, e in doc.elements.items()
-        },
-        "morphisms": {
-            pid: {
-                "source": module_ids[id(p.source)],
-                "target": module_ids[id(p.target)],
-                "matrices": [
-                    [[float(x) for x in row] for row in m] for m in p.matrices
-                ],
-            }
-            for pid, p in doc.morphisms.items()
-        },
-        "index_sets": {},
-        "systems": {},
-        "system_morphisms": {},
-        "atom_maps": {
-            aid: {
-                "source": space_ids[id(a.source)],
-                "target": space_ids[id(a.target)],
-                "table": dict(sorted(a.table.items())),
-            }
-            for aid, a in doc.atom_maps.items()
-        },
-        "checks": [],
+        table: {key: payload(obj, id_of, key) for key, obj in getattr(doc, table).items()}
+        for table, payload in _PAYLOADS.items()
     }
-    for iid, ix in doc.index_sets.items():
-        if isinstance(ix, FinitePoset):
-            payload = {
-                "kind": "finite_poset",
-                "elements": list(ix.elements),
-                "relation": [list(p) for p in ix.related_pairs()],
-            }
-        else:
-            tail = ix.tail
-            if isinstance(tail, IdentityTail):
-                tail_payload = {"kind": "identity"}
-            elif isinstance(tail, HarmonicTail):
-                tail_payload = {"kind": "harmonic"}
-            else:
-                tail_payload = {
-                    "kind": "scalar",
-                    "function": function_ids[id(tail.function)],
-                }
-            payload = {"kind": "chain", "stages": ix.stages, "tail": tail_payload}
-        data["index_sets"][iid] = payload
-    for sid, system in doc.systems.items():
-        data["systems"][sid] = {
-            "kind": "direct" if isinstance(system, DirectSystem) else "inverse",
-            "index_set": index_ids[id(system.index)],
-            "modules": {
-                str(i): module_ids[id(m)] for i, m in system.modules.items()
-            },
-            "maps": {
-                f"{i}|{j}": morphism_ids[id(phi)]
-                for (i, j), phi in system.maps.items()
-            },
-        }
-    for tid, theta in doc.system_morphisms.items():
-        data["system_morphisms"][tid] = {
-            "source": system_ids[id(theta.source)],
-            "target": system_ids[id(theta.target)],
-            "components": {
-                str(i): morphism_ids[id(c)] for i, c in theta.components.items()
-            },
-        }
-    for check in doc.checks:
-        payload = {"name": check.name, "kind": check.kind}
-        payload.update(check.params)
-        if check.tol is not None:
-            payload["tol"] = check.tol
-        if check.seed is not None:
-            payload["seed"] = check.seed
-        if check.expect != "pass":
-            payload["expect"] = check.expect
-        data["checks"].append(payload)
+    systems = ids["systems"]
+    data["system_morphisms"] = {
+        tid: _system_morphism_payload(
+            theta, systems[id(theta.source)], systems[id(theta.target)], id_of, tid
+        )
+        for tid, theta in doc.system_morphisms.items()
+    }
+    data["format_version"] = FORMAT_VERSION
+    data["checks"] = [_check_payload(check) for check in doc.checks]
     return data
 
 

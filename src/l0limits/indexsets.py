@@ -80,17 +80,6 @@ class FinitePoset:
         pairs.sort(key=lambda p: (order[p[0]], order[p[1]]))
         return tuple(pairs)
 
-    def covers(self) -> Tuple[Tuple[str, str], ...]:
-        """Covering pairs: a < b with nothing strictly between."""
-        out = []
-        for a, b in self.related_pairs():
-            if not any(
-                c != a and c != b and self.leq(a, c) and self.leq(c, b)
-                for c in self.elements
-            ):
-                out.append((a, b))
-        return tuple(out)
-
     def same_shape(self, other) -> bool:
         return (
             isinstance(other, FinitePoset)

@@ -97,7 +97,7 @@ def _thread_growth_mask(system: InverseSystem, last_element: Element):
     # Backward components scale by the reciprocal composite factor, so the
     # norm stays finite exactly where the factor limit is 1, or where the
     # component already vanishes.
-    return system._keeps(factor) | (last_norm <= tolerance())
+    return (factor > 0.0) | (last_norm <= tolerance())
 
 
 def il_norm(system: InverseSystem, thread: Thread):

@@ -12,7 +12,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import tolerance
 from .errors import NonFiniteError, ShapeMismatchError, SpaceMismatchError
 
 
@@ -226,9 +225,3 @@ def pushforward_check(f: AtomMap, m_x=None, m_y=None):
         pushed[target.index_of(f(a))] += source.weights[i]
     abs_continuous = bool(np.all((pushed <= 0.0) | (target.weights > 0.0)))
     return pushed, abs_continuous
-
-
-def functions_close(f: L0Function, g: L0Function, tol: Optional[float] = None) -> bool:
-    _require_same_space(f, g)
-    tol = tolerance() if tol is None else tol
-    return bool(np.max(np.abs(f.values - g.values), initial=0.0) <= tol)

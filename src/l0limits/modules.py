@@ -80,10 +80,6 @@ class FiberModule:
     def dims(self) -> Tuple[int, ...]:
         return self._dims
 
-    @property
-    def is_zero(self) -> bool:
-        return all(f.dim == 0 for f in self.fibers)
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -188,14 +184,6 @@ def basis_elements(module: FiberModule) -> List[Element]:
     return out
 
 
-def elements_close(v: Element, w: Element, tol: Optional[float] = None) -> bool:
-    _require_same_module(v, w)
-    tol = tolerance() if tol is None else tol
-    return all(
-        np.max(np.abs(a - b), initial=0.0) <= tol for a, b in zip(v.coords, w.coords)
-    )
-
-
 def _require_same_module(v: Element, w: Element) -> None:
     if v.module != w.module:
         raise SpaceMismatchError("elements belong to different modules")
@@ -294,11 +282,6 @@ def scale_morphism(phi: ModuleMorphism, factor) -> ModuleMorphism:
         factors = np.full(phi.source.space.atom_count, float(factor))
     mats = [f * m for f, m in zip(factors, phi.matrices)]
     return ModuleMorphism(phi.source, phi.target, mats, _fresh=True)
-
-
-def morphisms_close(a: ModuleMorphism, b: ModuleMorphism, tol: Optional[float] = None) -> bool:
-    tol = tolerance() if tol is None else tol
-    return morphism_deviation(a, b) <= tol
 
 
 def morphism_deviation(a: ModuleMorphism, b: ModuleMorphism) -> float:

@@ -5,11 +5,15 @@ a directed index.  A direct system's map at (i, j) goes forward from stage
 i to stage j, an inverse system's goes back from stage j to stage i.
 Apart from that arrow direction both kinds build their composites, check
 their laws, take their limits, factor cones through them and induce limit
-maps the same way, so all of it is implemented here once.  Three things
-depend on the direction, each supplied by :class:`System` in one place:
-which atoms a chain tail keeps (``_keeps``), which side of a square or a
-cone an arrow sits on (``_arrow``), and which axis of a matrix between a
-stage and the limit or a cone apex belongs to the stage (``stage_axis``).
+maps the same way, so all of it is implemented here once.  The direction
+enters through two attributes of :class:`System`: ``forward``, which
+through ``_arrow`` puts an arrow's ends in source-target order and so
+decides which side of a square or a cone it sits on, and ``stage_axis``,
+the axis of a matrix between a stage and the limit or a cone apex that
+belongs to the stage.
+A chain's limit keeps the same atoms in both directions, those where
+:func:`~l0limits.indexsets.tail_limit_factor` is positive; that factor is
+a 0/1 indicator for every tail kind.
 """
 
 from __future__ import annotations
@@ -135,13 +139,6 @@ class System:
         """``(near, far)`` with the later arrow first, as :func:`compose`
         takes its factors and a matrix lists its (target, source) dims."""
         return self._arrow(near, far)[::-1]
-
-    def _keeps(self, factor: np.ndarray) -> np.ndarray:
-        """The atoms whose fiber survives into a chain's limit, from the
-        per-atom limit of its tail factors: a positive limit for forward
-        maps; for backward maps at least 1, since below 1 the components
-        beyond the last stage grow without bound."""
-        return factor > 0.0 if self.forward else factor >= 1.0
 
     def _extend(self, acc: ModuleMorphism, edge: ModuleMorphism) -> ModuleMorphism:
         """The map along a path, lengthened at its upper end by one edge."""
@@ -380,7 +377,7 @@ def _limit(system: System) -> LimitPresentation:
         return LimitPresentation(
             system.limit_kind, system.modules[top], canonical, "greatest-element"
         )
-    keep = system._keeps(tail_limit_factor(index.tail, system.space))
+    keep = tail_limit_factor(index.tail, system.space) > 0.0
     limit, projection = mask_module(system.modules[top], keep)
     cut = projection if system.forward else mask_inclusion(system.modules[top], limit)
     canonical = {

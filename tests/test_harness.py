@@ -346,3 +346,35 @@ def test_non_integer_chain_key_in_a_check_names_its_path(case):
     assert result.witness["reason"] == (
         f"$.checks[{k}]{where}: chain stage 'x' is not an integer"
     )
+
+
+_MISMATCHED_KINDS = {
+    "direct-limit": ("harmonic-inverse.json", {"system": "shrinking"}, "inverse"),
+    "universal-direct": ("harmonic-inverse.json", {
+        "system": "shrinking", "target_module": "plane2",
+        "target_maps": {"0": "shrinking_phi_0_1"},
+    }, "inverse"),
+    "inverse-limit": ("fg-presentation.json", {"system": "generated-chain"}, "direct"),
+    "universal-inverse": ("fg-presentation.json", {
+        "system": "generated-chain", "source_module": "ambient",
+        "source_maps": {"0": "include_0"},
+    }, "direct"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MISMATCHED_KINDS))
+def test_limit_and_universal_checks_need_a_system_of_their_direction(kind):
+    """A direct-* check on an inverse system, or an inverse-* check on a
+    direct one, is an error verdict at the check's system parameter."""
+    fixture, params, actual = _MISMATCHED_KINDS[kind]
+    data = json.loads((FIXTURES / fixture).read_text())
+    k = len(data["checks"])
+    data["checks"].append({"name": "zz-mismatch", "kind": kind, **params})
+    report = run_checks(parse_document(data))
+    result = next(r for r in report.results if r.name == "zz-mismatch")
+    assert result.verdict == "error"
+    wanted = "inverse" if actual == "direct" else "direct"
+    assert result.witness["reason"] == (
+        f"$.checks[{k}].system: {kind} needs a system of kind {wanted!r}, "
+        f"{params['system']!r} is {actual!r}"
+    )

@@ -8,6 +8,8 @@ which evaluates every law on every pair and triple.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0limits import randgen, systems
 from l0limits.direct import (
@@ -20,7 +22,14 @@ from l0limits.direct import (
     validate_system_morphism,
 )
 from l0limits.errors import BracketTooWideError, L0LimitsError, NonFiniteError
-from l0limits.indexsets import Chain, FinitePoset, IdentityTail
+from l0limits.indexsets import (
+    Chain,
+    FinitePoset,
+    HarmonicTail,
+    IdentityTail,
+    ScalarTail,
+    tail_limit_factor,
+)
 from l0limits.homdual import hom_module
 from l0limits.inverse import (
     InverseSystem,
@@ -30,7 +39,7 @@ from l0limits.inverse import (
     inverse_limit,
     validate_inverse_system,
 )
-from l0limits.measure import AtomicMeasureSpace
+from l0limits.measure import AtomicMeasureSpace, L0Function
 from l0limits.modules import (
     Fiber,
     FiberModule,
@@ -315,3 +324,18 @@ def test_hom_systems_raise_a_located_bracket_error():
             validate_inverse_system(hom_system)
         assert raised.value.atom in system.space.atom_ids
         assert f"at atom {raised.value.atom!r}" in str(raised.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6))
+def test_tail_limit_factor_is_a_zero_one_indicator(values):
+    """Direct and inverse chain limits keep the atoms where the tail
+    factor is positive; one rule serves both only because the factor is
+    0 or 1 for every tail kind."""
+    space = AtomicMeasureSpace([f"a{k}" for k in range(len(values))], np.ones(len(values)))
+    scalar = ScalarTail(L0Function(space, values))
+    for tail in (IdentityTail(), HarmonicTail(), scalar):
+        factor = tail_limit_factor(tail, space)
+        assert factor.shape == (space.atom_count,)
+        assert set(factor.tolist()) <= {0.0, 1.0}
+    assert tail_limit_factor(scalar, space).tolist() == [float(v == 1.0) for v in values]
