@@ -35,7 +35,7 @@ from ..systems import (
     validate_system,
     validate_system_morphism,
 )
-from .document import CheckSpec, Document, _stage_key
+from .document import CheckSpec, Document, _canonical_json, _stage_key
 
 #: Documented boundary of the representable corpus, carried in reports.
 SCOPE_NOTES = (
@@ -75,12 +75,6 @@ class RunReport:
         return 0
 
 
-def _system(doc: Document, ref, path: str):
-    if ref not in doc.systems:
-        raise L0LimitsError(f"{path}: unknown system {ref!r}")
-    return doc.systems[ref]
-
-
 def _limit_payload(presentation) -> Dict:
     return {
         "dims": {
@@ -100,8 +94,25 @@ def _check_path(doc: Document, spec: CheckSpec) -> str:
     return f"$.checks[{spec.name!r}]" if k is None else f"$.checks[{k}]"
 
 
+def _resolve(doc: Document, spec: CheckSpec, table: str, *keys):
+    """The object of ``doc.<table>`` whose id the check parameter at
+    ``keys`` (a path into ``spec.params``) holds.  A missing or unknown id
+    is an error naming the parameter's path, ``$.checks[k].<param>``."""
+    ref = spec.params
+    for key in keys:
+        ref = ref.get(key) if isinstance(ref, dict) else None
+    objects = getattr(doc, table)
+    if isinstance(ref, str) and ref in objects:
+        return objects[ref]
+    what = table[:-1].replace("_", " ")
+    path = ".".join([_check_path(doc, spec), *map(str, keys)])
+    if ref is None:
+        raise L0LimitsError(f"{path}: missing {what} id")
+    raise L0LimitsError(f"{path}: unknown {what} {ref!r}")
+
+
 def _check_validate(doc, spec, rng):
-    system = _system(doc, spec.params.get("system"), spec.name)
+    system = _resolve(doc, spec, "systems", "system")
     report = validate_system(system)
     witness = {
         "violations": [
@@ -120,13 +131,12 @@ def _check_validate(doc, spec, rng):
 def _directed_system(doc: Document, spec: CheckSpec):
     """The system of a limit or universal check, whose kind names the
     direction (direct or inverse) the system must have."""
-    ref = spec.params.get("system")
-    system = _system(doc, ref, spec.name)
+    system = _resolve(doc, spec, "systems", "system")
     wanted = "direct" if "direct" in spec.kind else "inverse"
     if system.limit_kind != wanted:
         raise L0LimitsError(
             f"{_check_path(doc, spec)}.system: {spec.kind} needs a system of kind "
-            f"{wanted!r}, {ref!r} is {system.limit_kind!r}"
+            f"{wanted!r}, {spec.params['system']!r} is {system.limit_kind!r}"
         )
     return system
 
@@ -151,10 +161,7 @@ def _check_limit(doc, spec, rng):
 
 
 def _check_greatest(doc, spec, rng):
-    ref = spec.params.get("index_set")
-    if ref not in doc.index_sets:
-        raise L0LimitsError(f"unknown index set {ref!r}")
-    index = doc.index_sets[ref]
+    index = _resolve(doc, spec, "index_sets", "index_set")
     if not isinstance(index, FinitePoset):
         raise L0LimitsError("greatest-element applies to finite posets")
     top = greatest_element(index)
@@ -166,11 +173,13 @@ def _check_universal(doc, spec, rng):
     """The cone of a direct system is a target, of an inverse one a source."""
     system = _directed_system(doc, spec)
     side = system.cone_side
-    module = doc.modules[spec.params[f"{side}_module"]]
+    module = _resolve(doc, spec, "modules", f"{side}_module")
     path = f"{_check_path(doc, spec)}.{side}_maps"
     maps = {}
-    for key, ref in spec.params.get(f"{side}_maps", {}).items():
-        maps[_stage_key(system.index, key, f"{path}.{key}")] = doc.morphisms[ref]
+    for key in spec.params.get(f"{side}_maps", {}):
+        maps[_stage_key(system.index, key, f"{path}.{key}")] = _resolve(
+            doc, spec, "morphisms", f"{side}_maps", key
+        )
     mediating = _universal_factorization(system, module, maps)
     presentation = _limit(system)
     worst = max(
@@ -186,17 +195,19 @@ def _check_functor_square(doc, spec, rng):
     params = spec.params
     if "solve" in params:
         solve = params["solve"]
-        source = _system(doc, solve.get("source_system"), spec.name)
-        target = _system(doc, solve.get("target_system"), spec.name)
+        source = _resolve(doc, spec, "systems", "solve", "source_system")
+        target = _resolve(doc, spec, "systems", "solve", "target_system")
         path = f"{_check_path(doc, spec)}.solve"
         fixed = {}
-        for key, ref in solve.get("given", {}).items():
-            fixed[_stage_key(source.index, key, f"{path}.given.{key}")] = doc.morphisms[ref]
+        for key in solve.get("given", {}):
+            fixed[_stage_key(source.index, key, f"{path}.given.{key}")] = _resolve(
+                doc, spec, "morphisms", "solve", "given", key
+            )
         stage = _stage_key(source.index, solve.get("solve_for"), f"{path}.solve_for")
         solution = solve_square_component(source, target, fixed, stage)
         witness = {"residual": solution.residual, "detail": solution.witness}
         return ("pass" if solution.exists else "fail"), witness, ("square-solvability",)
-    first = doc.system_morphisms[params["first"]]
+    first = _resolve(doc, spec, "system_morphisms", "first")
     outcome = "pass"
     witness: Dict = {}
     for name, theta in (("first", first),):
@@ -207,7 +218,7 @@ def _check_functor_square(doc, spec, rng):
     image_first = _limit_functor(first)
     witness["limit_map_dims"] = [list(m.shape) for m in image_first.matrices]
     if "second" in params:
-        second = doc.system_morphisms[params["second"]]
+        second = _resolve(doc, spec, "system_morphisms", "second")
         image_second = _limit_functor(second)
         components_differ = any(
             morphism_deviation(first.components[i], second.components[i]) > tolerance()
@@ -234,7 +245,7 @@ _RANK_CHECKS = {
 
 def _check_rank_preservation(doc, spec, rng):
     onto, adjective, provenance = _RANK_CHECKS[spec.kind]
-    theta = doc.system_morphisms[spec.params["morphism"]]
+    theta = _resolve(doc, spec, "system_morphisms", "morphism")
     report = _rank_preservation(theta, onto)
     witness = {
         f"stages_{adjective}": report.stages_have_property,
@@ -246,8 +257,8 @@ def _check_rank_preservation(doc, spec, rng):
 
 
 def _check_pullback_commute(doc, spec, rng):
-    system = _system(doc, spec.params.get("system"), spec.name)
-    atom_map = doc.atom_maps[spec.params["atom_map"]]
+    system = _resolve(doc, spec, "systems", "system")
+    atom_map = _resolve(doc, spec, "atom_maps", "atom_map")
     report = pb.dl_pullback_iso(atom_map, system, rng=rng)
     witness = {
         "bijective": report.certificate.bijective,
@@ -264,8 +275,8 @@ def _check_pullback_commute(doc, spec, rng):
 
 
 def _check_sections_iso(doc, spec, rng):
-    z = doc.spaces[spec.params["factor_space"]]
-    module = doc.modules[spec.params["module"]]
+    z = _resolve(doc, spec, "spaces", "factor_space")
+    module = _resolve(doc, spec, "modules", "module")
     report = pb.sections_iso(z, module, rng=rng)
     witness = {
         "norm_identity_exact": report.norm_identity_exact,
@@ -276,7 +287,7 @@ def _check_sections_iso(doc, spec, rng):
 
 
 def _check_dual_iso(doc, spec, rng):
-    system = _system(doc, spec.params.get("system"), spec.name)
+    system = _resolve(doc, spec, "systems", "system")
     result = dual_limit_iso(system, rng=rng)
     cert = result.certificate
     witness = {
@@ -287,8 +298,8 @@ def _check_dual_iso(doc, spec, rng):
 
 
 def _check_hom_iso(doc, spec, rng):
-    system = _system(doc, spec.params.get("system"), spec.name)
-    fixed = doc.modules[spec.params["module"]]
+    system = _resolve(doc, spec, "systems", "system")
+    fixed = _resolve(doc, spec, "modules", "module")
     result = hom_inverse_system(system, fixed, rng=rng)
     cert = result.certificate
     witness = {
@@ -299,8 +310,8 @@ def _check_hom_iso(doc, spec, rng):
 
 
 def _check_il_pullback(doc, spec, rng):
-    system = _system(doc, spec.params.get("system"), spec.name)
-    atom_map = doc.atom_maps[spec.params["atom_map"]]
+    system = _resolve(doc, spec, "systems", "system")
+    atom_map = _resolve(doc, spec, "atom_maps", "atom_map")
     report = pb.il_pullback_compare(atom_map, system, rng=rng)
     witness = {
         "isomorphic_on_instance": report.ok,
@@ -438,4 +449,4 @@ def render_structured(report: RunReport) -> str:
         "summary": _summary(report),
         "notes": list(SCOPE_NOTES),
     }
-    return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+    return _canonical_json(payload, default=str)

@@ -599,9 +599,121 @@ def serialize_document(doc: Document) -> Dict:
     return data
 
 
+# ---------------------------------------------------------------------------
+# Canonical JSON text.
+#
+# The bytes of ``json.dumps(value, indent=2, sort_keys=True)``, which with
+# ``indent`` set runs CPython's pure-Python encoder.  This emitter writes
+# the same text with one recursive function that appends to one list of
+# pieces, and a single ``join`` for each list of plain floats (the rows of
+# every matrix and weight vector) or of plain strings (atom ids, poset
+# elements).
+# ---------------------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == INF:
+        return "Infinity"
+    if x == -INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _emit(value, indent: str, out: list, default) -> None:
+    """Append ``value`` as canonical JSON to ``out``; ``indent`` is the
+    newline and the indentation of the line the value starts on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        lead = "{" + inner
+        for key in sorted(value):  # distinct keys: the order of json's sorted items
+            item = value[key]
+            out.append(lead + (_encode_str(key) if type(key) is str else _key_text(key)) + ": ")
+            if type(item) is str:
+                out.append(_encode_str(item))
+            else:
+                _emit(item, inner, out, default)
+            lead = sep
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        text = None
+        try:  # one join for a list of floats or of strings
+            if type(value[0]) is float:
+                text = sep.join(map(float.__repr__, value))
+                if "n" in text:  # "nan" or "inf": finite reprs hold no "n"
+                    text = None
+            elif type(value[0]) is str:
+                text = sep.join(map(_encode_str, value))
+        except TypeError:  # a later item of another type
+            text = None
+        if text is not None:
+            out.append("[" + inner + text + indent + "]")
+            return
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _emit(item, inner, out, default)
+            lead = sep
+        out.append(indent + "]")
+    # Scalars, tested in the order json tests them.
+    elif isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif default is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    else:
+        _emit(default(value), indent, out, default)
+
+
+def _canonical_json(value, default=None) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=default)``
+    plus a final newline, byte for byte."""
+    out = []
+    _emit(value, "\n", out, default)
+    out.append("\n")
+    return "".join(out)
+
+
 def dump_document(data: Dict) -> str:
     """Canonical text form: sorted keys, two-space indent, newline at end."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return _canonical_json(data)
 
 
 def save_document(path: str, data: Dict) -> None:

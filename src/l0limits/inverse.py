@@ -251,12 +251,17 @@ def _precompose_map(hom_from: HomModule, hom_to: HomModule, phi: ModuleMorphism)
     """The map T -> T . phi between Hom modules, as per-atom matrices.
 
     With row-major flattening, postmultiplication by phi acts on vec(T)
-    as kron(identity, phi^T).
+    as the block-diagonal matrix kron(identity, phi^T): one copy of phi^T
+    per row of T.  It is formed as the broadcast product of the identity
+    and phi^T reshaped to the block layout, the same products ``np.kron``
+    takes, so the entries (signed zeros included) are the same.
     """
     mats = []
     for a in range(phi.source.space.atom_count):
         t = hom_from.hom_target.fibers[a].dim
-        mats.append(np.kron(np.eye(t), phi.matrices[a].T))
+        block = phi.matrices[a].T
+        rows, cols = block.shape
+        mats.append((np.eye(t)[:, None, :, None] * block[:, None, :]).reshape(t * rows, t * cols))
     return ModuleMorphism(hom_from, hom_to, mats)
 
 

@@ -42,6 +42,7 @@ class AtomicMeasureSpace:
         weights.setflags(write=False)
         object.__setattr__(self, "atom_ids", atom_ids)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_positions", {a: k for k, a in enumerate(atom_ids)})
 
     @property
     def atom_count(self) -> int:
@@ -53,8 +54,8 @@ class AtomicMeasureSpace:
 
     def index_of(self, atom_id: str) -> int:
         try:
-            return self.atom_ids.index(atom_id)
-        except ValueError:
+            return self._positions[atom_id]
+        except KeyError:
             raise KeyError(f"unknown atom id {atom_id!r}") from None
 
     def __eq__(self, other):
@@ -182,9 +183,9 @@ class AtomMap:
             if a not in table:
                 raise ValueError(f"atom map is not total: missing atom {a!r}")
         for a, b in table.items():
-            if a not in source.atom_ids:
+            if a not in source._positions:
                 raise KeyError(f"atom map defined on unknown atom {a!r}")
-            if b not in target.atom_ids:
+            if b not in target._positions:
                 raise KeyError(f"atom map hits unknown atom id {b!r}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

@@ -11,6 +11,8 @@ closed under subspace restriction, duality and operator-norm formation:
 Duals are simplified eagerly: only ``DualOf`` of a strictly tall framed
 1- or inf-norm survives as a symbolic node, everything else collapses to
 a closed form, and double duals flatten back to the original norm.
+Specs are immutable, so each computes its dual once and keeps it, as it
+keeps its vertex candidates and inverse transform.
 
 Unit balls of the 1/inf variants are polytopes; convex maximization over
 them is exact once a finite candidate superset of the vertices is known.
@@ -171,6 +173,10 @@ class WeightedP:
         return self._dual_candidates
 
     def dual(self):
+        return self._dual
+
+    @cached_property
+    def _dual(self):
         if self.dim == 0:
             return self
         return WeightedP(_conjugate(self.p), 1.0 / self.weights)
@@ -328,6 +334,10 @@ class FramedP:
         return self._dual_candidates
 
     def dual(self):
+        return self._dual
+
+    @cached_property
+    def _dual(self):
         if self.dim == 0:
             return zero_norm()
         if self.p == 2.0:

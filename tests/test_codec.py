@@ -1,21 +1,35 @@
-"""The document codec: the builder's bytes and the parse/serialize fixpoint.
+"""The document codec: the builder's bytes, the parse/serialize fixpoint
+and the canonical JSON emitter.
 
 The builder and ``serialize_document`` share one payload function per
 object kind.  These tests pin the builder's own output (the bundled
 fixtures are regenerated byte for byte) and check that a builder dump
-survives parse -> serialize unchanged, extreme floats included.
+survives parse -> serialize unchanged, extreme floats included.  The
+emitter behind ``dump_document`` and ``render_structured`` must write the
+bytes ``json.dumps(..., indent=2, sort_keys=True)`` writes.
 """
 
 import importlib.util
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l0limits import randgen
-from l0limits.harness import DocumentBuilder, dump_document, parse_document, serialize_document
+from l0limits.harness import (
+    CheckResult,
+    DocumentBuilder,
+    RunReport,
+    dump_document,
+    parse_document,
+    render_structured,
+    serialize_document,
+)
+from l0limits.harness import checks
 from l0limits.measure import AtomicMeasureSpace, L0Function
 from l0limits.modules import Fiber, FiberModule, ModuleMorphism
 from l0limits.norms import INF, WeightedP
@@ -119,3 +133,78 @@ def test_builder_dump_is_a_parse_serialize_fixpoint(seed, extremes):
     first = dump_document(_builder(seed, extremes).data)
     again = dump_document(serialize_document(parse_document(json.loads(first))))
     assert again == first
+
+
+def _json_dumps(value, default=None) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, default=default) + "\n"
+
+
+#: Floats json writes in its own way: the range ends, a signed zero and the
+#: non-finite values it spells NaN, Infinity and -Infinity.
+SPECIAL_FLOATS = (5e-324, 1.7976931348623157e308, -0.0, float("nan"), INF, -INF)
+_floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+_texts = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(('say "hi"', "back\\slash", "tab\tline\nfeed\x00\x1f\x7f", "ümlaut ∞ 😀 \u2028")),
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200).map(lambda n: -n),
+    _floats, _texts,
+)
+
+
+def _containers(inner):
+    return st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_texts, inner, max_size=4),
+        st.lists(_floats, max_size=5),
+        st.lists(_texts, max_size=3),
+    )
+
+
+_json_values = st.recursive(_scalars, _containers, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_dump_document_writes_the_bytes_of_json_dumps(value):
+    assert dump_document(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [[]], {"a": {}}, [{}, [], ""], {2: "b", 10: "a"}, {1.5: 0, -0.0: 1},
+    {True: 1}, {False: 0}, {None: 2}, [1.0, 2], [1.0, True], ["a", 1], [float("nan"), 1.0], (1.0, "x"),
+])
+def test_dump_document_on_edge_containers(value):
+    assert dump_document(value) == _json_dumps(value)
+
+
+_witness_leaves = st.one_of(
+    _scalars,
+    _floats.map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+_witnesses = st.dictionaries(_texts, st.recursive(
+    _witness_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_texts, inner, max_size=3),
+    ),
+    max_leaves=12,
+), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_witnesses, min_size=1, max_size=3), _floats)
+def test_render_structured_writes_the_bytes_of_json_dumps(witnesses, tol):
+    """Witnesses hold tuples and numpy scalars: ``np.float64`` is a float,
+    ``np.int64`` goes through ``default=str`` as in ``json.dumps``."""
+    results = [
+        CheckResult(f"c{k}", "validate-system", "pass", "pass", "pass", w, ("p",))
+        for k, w in enumerate(witnesses)
+    ]
+    report = RunReport(tol, 0, "doc.json", results)
+    text = render_structured(report)
+    with mock.patch.object(checks, "_canonical_json", _json_dumps):
+        assert text == render_structured(report)

@@ -378,3 +378,39 @@ def test_limit_and_universal_checks_need_a_system_of_their_direction(kind):
         f"$.checks[{k}].system: {kind} needs a system of kind {wanted!r}, "
         f"{params['system']!r} is {actual!r}"
     )
+
+
+_UNKNOWN_IDS = {
+    "system": ("harmonic-inverse.json", {
+        "kind": "inverse-limit", "system": "nope",
+    }, "system: unknown system 'nope'"),
+    "source_module": ("harmonic-inverse.json", {
+        "kind": "universal-inverse", "system": "shrinking", "source_module": "nope",
+        "source_maps": {},
+    }, "source_module: unknown module 'nope'"),
+    "atom_map": ("pullback-commute.json", {
+        "kind": "pullback-commute", "system": "two-stage", "atom_map": "nope",
+    }, "atom_map: unknown atom map 'nope'"),
+    "given": ("remark-faithful.json", {
+        "kind": "functor-square",
+        "solve": {"source_system": "M", "target_system": "N", "given": {"1": "nope"},
+                  "solve_for": "0"},
+    }, "solve.given.1: unknown morphism 'nope'"),
+    "morphism": ("scaling-surjectivity.json", {
+        "kind": "surjectivity-preserved",
+    }, "morphism: missing system morphism id"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNKNOWN_IDS))
+def test_unknown_ids_in_check_parameters_name_their_path(case):
+    """An id in a check's parameters that names nothing in the document is
+    an error verdict at the parameter's path, never a bare KeyError."""
+    fixture, check, where = _UNKNOWN_IDS[case]
+    data = json.loads((FIXTURES / fixture).read_text())
+    k = len(data["checks"])
+    data["checks"].append({"name": "zz-unknown", **check})
+    report = run_checks(parse_document(data))
+    result = next(r for r in report.results if r.name == "zz-unknown")
+    assert result.verdict == "error"
+    assert result.witness["reason"] == f"$.checks[{k}].{where}"

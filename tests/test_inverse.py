@@ -396,3 +396,62 @@ def test_dual_limit_iso_fg_chain():
     fg = present_as_fg_limit(module, gens)
     result = dual_limit_iso(fg.system, rng=rng)
     assert result.certificate.ok
+
+
+def test_precompose_map_is_kron_of_identity_and_transpose_byte_for_byte():
+    """The block-diagonal precomposition matrices equal
+    ``np.kron(np.eye(t), M.T)`` in every byte, signed zeros included, for
+    all fiber dims 0-3 of the map's ends and of the fixed target."""
+    from l0limits.homdual import hom_module
+    from l0limits.inverse import _precompose_map
+    from l0limits.modules import Fiber, FiberModule
+    from l0limits.norms import WeightedP
+
+    dims = [(s, r, t) for s in range(4) for r in range(4) for t in range(4)]
+    space = AtomicMeasureSpace([f"x{k}" for k in range(len(dims))], np.ones(len(dims)))
+
+    def module(which):
+        return FiberModule(space, tuple(
+            Fiber(d[which], WeightedP(2, np.ones(d[which]))) for d in dims
+        ))
+
+    source, target, fixed = module(0), module(1), module(2)
+    rng = np.random.default_rng(5)
+    mats = []
+    for s, r, _ in dims:
+        m = rng.standard_normal((r, s))
+        m[np.abs(m) < 0.5] = 0.0
+        m[m > 1.0] = -0.0
+        mats.append(m)
+    phi = ModuleMorphism(source, target, mats)
+    p = _precompose_map(hom_module(target, fixed), hom_module(source, fixed), phi)
+    for (_, _, t), m, got in zip(dims, phi.matrices, p.matrices):
+        want = np.kron(np.eye(t), m.T)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_each_norm_spec_computes_its_dual_at_most_once(monkeypatch):
+    """One ``dual_limit_iso`` on seeded chains asks for the dual of the
+    same stage norms once per stage, map end and Hom module; each spec
+    computes it once and keeps it."""
+    from functools import cached_property
+
+    from l0limits.norms import FramedP, WeightedP
+
+    runs = {}
+    for cls in (WeightedP, FramedP):
+        prop = cls.__dict__["_dual"]
+        assert isinstance(prop, cached_property)
+
+        def counted(spec, _body=prop.func):
+            runs[id(spec)] = runs.get(id(spec), 0) + 1
+            return _body(spec)
+
+        monkeypatch.setattr(prop, "func", counted)
+    rng = np.random.default_rng(71)
+    systems = [random_chain_direct_system(rng, stages=4, max_dim=3) for _ in range(3)]
+    for system in systems:
+        runs.clear()
+        assert dual_limit_iso(system, rng=rng).certificate.ok
+        assert runs and max(runs.values()) == 1

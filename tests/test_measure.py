@@ -143,3 +143,18 @@ def test_atom_map_unknown_target_rejected():
         AtomMap(x, y, {"a": "zzz"})
     with pytest.raises(ValueError):
         AtomMap(AtomicMeasureSpace(["a", "b"], [1, 1]), y, {"a": "c"})
+
+
+def test_index_of_is_the_position_and_names_unknown_ids():
+    atoms = [f"a{k}" for k in range(500)][::-1]
+    space = AtomicMeasureSpace(atoms, np.ones(len(atoms)))
+    assert [space.index_of(a) for a in atoms] == list(range(len(atoms)))
+    for bad in ("zzz", 3, "A0"):
+        with pytest.raises(KeyError) as raised:
+            space.index_of(bad)
+        assert raised.value.args[0] == f"unknown atom id {bad!r}"
+    shuffled = list(np.random.default_rng(0).permutation(atoms))
+    atom_map = AtomMap(space, space, dict(zip(atoms, shuffled)))
+    assert [atom_map.target_index(k) for k in range(len(atoms))] == [
+        atoms.index(b) for b in shuffled
+    ]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l0limits import randgen, systems
+from l0limits.config import tolerance
 from l0limits.direct import (
     DirectSystem,
     SystemMorphism,
@@ -331,11 +332,14 @@ def test_hom_systems_raise_a_located_bracket_error():
 def test_tail_limit_factor_is_a_zero_one_indicator(values):
     """Direct and inverse chain limits keep the atoms where the tail
     factor is positive; one rule serves both only because the factor is
-    0 or 1 for every tail kind."""
+    0 or 1 for every tail kind.  A scalar tail snaps values within the
+    tolerance of 1 to 1, so such a value counts as 1."""
     space = AtomicMeasureSpace([f"a{k}" for k in range(len(values))], np.ones(len(values)))
     scalar = ScalarTail(L0Function(space, values))
     for tail in (IdentityTail(), HarmonicTail(), scalar):
         factor = tail_limit_factor(tail, space)
         assert factor.shape == (space.atom_count,)
         assert set(factor.tolist()) <= {0.0, 1.0}
-    assert tail_limit_factor(scalar, space).tolist() == [float(v == 1.0) for v in values]
+    assert tail_limit_factor(scalar, space).tolist() == [
+        float(abs(v - 1.0) <= tolerance()) for v in values
+    ]
