@@ -109,6 +109,40 @@ def _ref(table: Dict, key, path: str):
     return table[key]
 
 
+class _at:
+    """``with _at(path) as path:`` reports any failure inside the block as
+    a document error at ``path``; a :class:`DocumentError` raised inside
+    keeps its own, deeper path.  (A class, not ``contextmanager``: it
+    wraps every entry and fiber of a document, and costs a quarter as
+    much.)"""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self) -> str:
+        return self.path
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if isinstance(exc, Exception) and not isinstance(exc, DocumentError):
+            raise DocumentError(self.path, str(exc)) from None
+        return False
+
+
+def _entries(data: Dict, table: str) -> list:
+    """The ``(id, raw entry)`` pairs of one table, in id order; each entry
+    must be an object."""
+    raw = data.get(table, {})
+    if not isinstance(raw, dict):
+        raise DocumentError(f"$.{table}", "expected an object of entries")
+    items = sorted(raw.items())
+    for key, entry in items:
+        if not isinstance(entry, dict):
+            raise DocumentError(f"$.{table}.{key}", "expected an object")
+    return items
+
+
 def parse_document(data: Dict) -> Document:
     if not isinstance(data, dict):
         raise DocumentError("$", "document root must be an object")
@@ -116,102 +150,85 @@ def parse_document(data: Dict) -> Document:
     if version != FORMAT_VERSION:
         raise DocumentError("$.format_version", f"unsupported version {version!r}")
     doc = Document()
-    for sid, raw in sorted(data.get("spaces", {}).items()):
-        path = f"$.spaces.{sid}"
-        try:
+    for sid, raw in _entries(data, "spaces"):
+        with _at(f"$.spaces.{sid}") as path:
             doc.spaces[sid] = AtomicMeasureSpace(
                 raw.get("atoms", []), _numbers(raw.get("weights", []), f"{path}.weights")
             )
-        except (ValueError, KeyError) as exc:
-            raise DocumentError(path, str(exc)) from None
-    for fid, raw in sorted(data.get("functions", {}).items()):
-        path = f"$.functions.{fid}"
-        space = _ref(doc.spaces, raw.get("space"), f"{path}.space")
-        try:
+    for fid, raw in _entries(data, "functions"):
+        with _at(f"$.functions.{fid}") as path:
+            space = _ref(doc.spaces, raw.get("space"), f"{path}.space")
             doc.functions[fid] = L0Function(
                 space, _numbers(raw.get("values", []), f"{path}.values")
             )
-        except Exception as exc:
-            raise DocumentError(path, str(exc)) from None
-    for nid, raw in sorted(data.get("norms", {}).items()):
-        doc.norms[nid] = _parse_norm(doc, nid, raw, data.get("norms", {}))
-    for mid, raw in sorted(data.get("modules", {}).items()):
-        path = f"$.modules.{mid}"
-        space = _ref(doc.spaces, raw.get("space"), f"{path}.space")
-        fibers = []
-        raw_fibers = raw.get("fibers", [])
-        if len(raw_fibers) != space.atom_count:
-            raise DocumentError(f"{path}.fibers", "one fiber per atom required")
-        for k, rf in enumerate(raw_fibers):
-            fibers.append(_parse_fiber(doc, rf, f"{path}.fibers[{k}]"))
-        try:
+    norms = dict(_entries(data, "norms"))
+    for nid, raw in norms.items():
+        doc.norms[nid] = _parse_norm(doc, nid, raw, norms)
+    for mid, raw in _entries(data, "modules"):
+        with _at(f"$.modules.{mid}") as path:
+            space = _ref(doc.spaces, raw.get("space"), f"{path}.space")
+            raw_fibers = raw.get("fibers", [])
+            if not isinstance(raw_fibers, list) or len(raw_fibers) != space.atom_count:
+                raise DocumentError(f"{path}.fibers", "one fiber per atom required")
+            fibers = [
+                _parse_fiber(doc, rf, f"{path}.fibers[{k}]") for k, rf in enumerate(raw_fibers)
+            ]
             doc.modules[mid] = FiberModule(space, tuple(fibers))
-        except Exception as exc:
-            raise DocumentError(path, str(exc)) from None
-    for eid, raw in sorted(data.get("elements", {}).items()):
-        path = f"$.elements.{eid}"
-        module = _ref(doc.modules, raw.get("module"), f"{path}.module")
-        coords = raw.get("coords", [])
-        try:
+    for eid, raw in _entries(data, "elements"):
+        with _at(f"$.elements.{eid}") as path:
+            module = _ref(doc.modules, raw.get("module"), f"{path}.module")
+            coords = raw.get("coords", [])
             doc.elements[eid] = Element(
                 module, [_numbers(c, f"{path}.coords[{k}]") for k, c in enumerate(coords)]
             )
-        except Exception as exc:
-            raise DocumentError(path, str(exc)) from None
-    for pid, raw in sorted(data.get("morphisms", {}).items()):
-        path = f"$.morphisms.{pid}"
-        source = _ref(doc.modules, raw.get("source"), f"{path}.source")
-        target = _ref(doc.modules, raw.get("target"), f"{path}.target")
-        mats = [
-            _matrix(m, f"{path}.matrices[{k}]")
-            for k, m in enumerate(raw.get("matrices", []))
-        ]
-        try:
+    for pid, raw in _entries(data, "morphisms"):
+        with _at(f"$.morphisms.{pid}") as path:
+            source = _ref(doc.modules, raw.get("source"), f"{path}.source")
+            target = _ref(doc.modules, raw.get("target"), f"{path}.target")
+            mats = [
+                _matrix(m, f"{path}.matrices[{k}]")
+                for k, m in enumerate(raw.get("matrices", []))
+            ]
             doc.morphisms[pid] = ModuleMorphism(source, target, mats)
-        except Exception as exc:
-            raise DocumentError(path, str(exc)) from None
-    for iid, raw in sorted(data.get("index_sets", {}).items()):
+    for iid, raw in _entries(data, "index_sets"):
         doc.index_sets[iid] = _parse_index_set(doc, iid, raw)
-    for sid, raw in sorted(data.get("systems", {}).items()):
+    for sid, raw in _entries(data, "systems"):
         doc.systems[sid] = _parse_system(doc, sid, raw)
-    for tid, raw in sorted(data.get("system_morphisms", {}).items()):
-        path = f"$.system_morphisms.{tid}"
-        source = _ref(doc.systems, raw.get("source"), f"{path}.source")
-        target = _ref(doc.systems, raw.get("target"), f"{path}.target")
-        components = {}
-        for key, ref in raw.get("components", {}).items():
-            idx = _stage_key(source.index, key, f"{path}.components.{key}")
-            components[idx] = _ref(doc.morphisms, ref, f"{path}.components.{key}")
-        try:
+    for tid, raw in _entries(data, "system_morphisms"):
+        with _at(f"$.system_morphisms.{tid}") as path:
+            source = _ref(doc.systems, raw.get("source"), f"{path}.source")
+            target = _ref(doc.systems, raw.get("target"), f"{path}.target")
+            components = {}
+            for key, ref in raw.get("components", {}).items():
+                idx = _stage_key(source.index, key, f"{path}.components.{key}")
+                components[idx] = _ref(doc.morphisms, ref, f"{path}.components.{key}")
             doc.system_morphisms[tid] = SystemMorphism(source, target, components)
-        except Exception as exc:
-            raise DocumentError(path, str(exc)) from None
-    for aid, raw in sorted(data.get("atom_maps", {}).items()):
-        path = f"$.atom_maps.{aid}"
-        source = _ref(doc.spaces, raw.get("source"), f"{path}.source")
-        target = _ref(doc.spaces, raw.get("target"), f"{path}.target")
-        try:
+    for aid, raw in _entries(data, "atom_maps"):
+        with _at(f"$.atom_maps.{aid}") as path:
+            source = _ref(doc.spaces, raw.get("source"), f"{path}.source")
+            target = _ref(doc.spaces, raw.get("target"), f"{path}.target")
             doc.atom_maps[aid] = AtomMap(source, target, raw.get("table", {}))
-        except Exception as exc:
-            raise DocumentError(path, str(exc)) from None
-    for k, raw in enumerate(data.get("checks", [])):
-        path = f"$.checks[{k}]"
-        if not isinstance(raw, dict) or "kind" not in raw:
-            raise DocumentError(path, "check needs at least a kind")
-        doc.checks.append(
-            CheckSpec(
-                name=str(raw.get("name", f"check-{k}")),
-                kind=str(raw["kind"]),
-                params={
-                    key: val
-                    for key, val in raw.items()
-                    if key not in ("name", "kind", "tol", "seed", "expect")
-                },
-                tol=None if "tol" not in raw else _number(raw["tol"], f"{path}.tol"),
-                seed=None if "seed" not in raw else int(raw["seed"]),
-                expect=str(raw.get("expect", "pass")),
+    checks = data.get("checks", [])
+    if not isinstance(checks, list):
+        raise DocumentError("$.checks", "expected an array of checks")
+    for k, raw in enumerate(checks):
+        with _at(f"$.checks[{k}]") as path:
+            if not isinstance(raw, dict) or "kind" not in raw:
+                raise DocumentError(path, "check needs at least a kind")
+            doc.checks.append(
+                CheckSpec(
+                    name=str(raw.get("name", f"check-{k}")),
+                    kind=str(raw["kind"]),
+                    params={
+                        key: val
+                        for key, val in raw.items()
+                        if key not in ("name", "kind", "tol", "seed", "expect")
+                    },
+                    tol=None if "tol" not in raw else _number(raw["tol"], f"{path}.tol"),
+                    seed=None if "seed" not in raw else int(raw["seed"]),
+                    expect=str(raw.get("expect", "pass")),
+                )
             )
-        )
     names = [c.name for c in doc.checks]
     if len(set(names)) != len(names):
         raise DocumentError("$.checks", "check names must be unique")
@@ -221,24 +238,21 @@ def parse_document(data: Dict) -> Document:
 def _parse_fiber(doc: Document, raw, path: str) -> Fiber:
     if not isinstance(raw, dict) or "dim" not in raw:
         raise DocumentError(path, "fiber needs a dim")
-    dim = int(raw["dim"])
-    if dim == 0:
-        return Fiber(0, WeightedP(1, ()))
-    norm = _ref(doc.norms, raw.get("norm"), f"{path}.norm")
-    try:
-        return Fiber(dim, norm)
-    except Exception as exc:
-        raise DocumentError(path, str(exc)) from None
+    with _at(path):
+        dim = int(raw["dim"])
+        if dim == 0:
+            return Fiber(0, WeightedP(1, ()))
+        return Fiber(dim, _ref(doc.norms, raw.get("norm"), f"{path}.norm"))
 
 
 def _parse_norm(doc: Document, nid: str, raw, all_raw) -> object:
     path = f"$.norms.{nid}"
     if nid in doc.norms:
         return doc.norms[nid]
-    if not isinstance(raw, dict) or "kind" not in raw:
+    if "kind" not in raw:
         raise DocumentError(path, "norm needs a kind")
     kind = raw["kind"]
-    try:
+    with _at(path):
         if kind == "weighted_p":
             return WeightedP(
                 _p_value(raw.get("p"), f"{path}.p"),
@@ -267,19 +281,15 @@ def _parse_norm(doc: Document, nid: str, raw, all_raw) -> object:
                 int(raw.get("target_dim", -1)),
                 _ref(doc.norms, raw.get("target_norm"), f"{path}.target_norm"),
             )
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(path, str(exc)) from None
-    raise DocumentError(path, f"unknown norm kind {kind!r}")
+        raise DocumentError(path, f"unknown norm kind {kind!r}")
 
 
 def _parse_index_set(doc: Document, iid: str, raw) -> object:
     path = f"$.index_sets.{iid}"
-    if not isinstance(raw, dict) or "kind" not in raw:
+    if "kind" not in raw:
         raise DocumentError(path, "index set needs a kind")
     kind = raw["kind"]
-    try:
+    with _at(path):
         if kind == "finite_poset":
             return FinitePoset(
                 raw.get("elements", []),
@@ -299,11 +309,7 @@ def _parse_index_set(doc: Document, iid: str, raw) -> object:
             else:
                 raise DocumentError(f"{path}.tail", f"unknown tail kind {tail_kind!r}")
             return Chain(int(raw.get("stages", 0)), tail)
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(path, str(exc)) from None
-    raise DocumentError(path, f"unknown index set kind {kind!r}")
+        raise DocumentError(path, f"unknown index set kind {kind!r}")
 
 
 def _stage_key(index, key: str, path: str):
@@ -319,35 +325,33 @@ def _stage_key(index, key: str, path: str):
 
 def _parse_system(doc: Document, sid: str, raw) -> object:
     path = f"$.systems.{sid}"
-    if not isinstance(raw, dict) or raw.get("kind") not in ("direct", "inverse"):
+    if raw.get("kind") not in ("direct", "inverse"):
         raise DocumentError(path, "system kind must be 'direct' or 'inverse'")
-    index = _ref(doc.index_sets, raw.get("index_set"), f"{path}.index_set")
-    modules = {}
-    for key, ref in raw.get("modules", {}).items():
-        idx = _stage_key(index, key, f"{path}.modules.{key}")
-        modules[idx] = _ref(doc.modules, ref, f"{path}.modules.{key}")
-    maps = {}
-    for key, ref in raw.get("maps", {}).items():
-        if "|" not in key:
-            raise DocumentError(f"{path}.maps.{key}", "map keys look like 'i|j'")
-        ki, kj = key.split("|", 1)
-        pair = (
-            _stage_key(index, ki, f"{path}.maps.{key}"),
-            _stage_key(index, kj, f"{path}.maps.{key}"),
-        )
-        maps[pair] = _ref(doc.morphisms, ref, f"{path}.maps.{key}")
-    cls = DirectSystem if raw["kind"] == "direct" else InverseSystem
-    try:
+    with _at(path):
+        index = _ref(doc.index_sets, raw.get("index_set"), f"{path}.index_set")
+        modules = {}
+        for key, ref in raw.get("modules", {}).items():
+            idx = _stage_key(index, key, f"{path}.modules.{key}")
+            modules[idx] = _ref(doc.modules, ref, f"{path}.modules.{key}")
+        maps = {}
+        for key, ref in raw.get("maps", {}).items():
+            if "|" not in key:
+                raise DocumentError(f"{path}.maps.{key}", "map keys look like 'i|j'")
+            ki, kj = key.split("|", 1)
+            pair = (
+                _stage_key(index, ki, f"{path}.maps.{key}"),
+                _stage_key(index, kj, f"{path}.maps.{key}"),
+            )
+            maps[pair] = _ref(doc.morphisms, ref, f"{path}.maps.{key}")
+        cls = DirectSystem if raw["kind"] == "direct" else InverseSystem
         return cls(index, modules, maps)
-    except Exception as exc:
-        raise DocumentError(path, str(exc)) from None
 
 
 def load_document(path: str) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes, or not JSON
             raise DocumentError("$", f"invalid JSON: {exc}") from None
     return parse_document(data)
 

@@ -22,7 +22,7 @@ from .modules import (
     ModuleMorphism,
     scalar_module,
 )
-from .norms import operator_spec, zero_norm
+from .norms import operator_spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,14 +41,13 @@ def hom_module(source: FiberModule, target: FiberModule) -> HomModule:
     """
     if source.space != target.space:
         raise SpaceMismatchError("hom endpoints live over different spaces")
-    fibers = []
-    for s, t in zip(source.fibers, target.fibers):
-        dim = s.dim * t.dim
-        if dim == 0:
-            fibers.append(Fiber(0, zero_norm()))
-        else:
-            fibers.append(Fiber(dim, operator_spec(s.dim, s.norm, t.dim, t.norm)))
-    return HomModule(source.space, tuple(fibers), source, target)
+    pairs = {}  # one Hom fiber per distinct (source fiber, target fiber)
+    for pair in zip(source.fibers, target.fibers):
+        if pair not in pairs:
+            s, t = pair
+            pairs[pair] = Fiber(s.dim * t.dim, operator_spec(s.dim, s.norm, t.dim, t.norm))
+    fibers = tuple(pairs[pair] for pair in zip(source.fibers, target.fibers))
+    return HomModule(source.space, fibers, source, target)
 
 
 def dual_module(module: FiberModule) -> HomModule:

@@ -17,8 +17,8 @@ import numpy as np
 from .config import tolerance
 from .errors import ValidationError
 from .direct import DirectSystem, direct_limit
-from .homdual import HomModule, adjoint, dual_module, hom_module
-from .indexsets import Chain, FinitePoset, greatest_element, tail_limit_factor
+from .homdual import HomModule, hom_module
+from .indexsets import FinitePoset, greatest_element, tail_limit_factor
 from .measure import L0Function, ess_extremum
 from .modules import (
     Element,
@@ -27,7 +27,6 @@ from .modules import (
     apply,
     certify_isometric_iso,
     compose,  # noqa: F401  (still importable from here, as before)
-    morphism_deviation,
     pointwise_norm,
     scalar_module,
 )
@@ -206,17 +205,13 @@ def il_universal_factorization(
     source: Source,
     presentation: Optional[LimitPresentation] = None,
     tol: Optional[float] = None,
-    check_admissibility: bool = True,
 ) -> ModuleMorphism:
     """The unique mediating morphism from a compatible source to the limit.
 
     Uniqueness is certified by joint injectivity of the projections.
-    ``check_admissibility`` may be disabled when contractivity of the
-    source maps is known analytically (e.g. precomposition maps between
-    Hom modules, whose matrix-space norms have no exact kernel).
     """
     return systems._universal_factorization(
-        system, source.module, source.maps, presentation, tol, check_admissibility
+        system, source.module, source.maps, presentation, tol
     )
 
 
@@ -265,6 +260,19 @@ def _precompose_map(hom_from: HomModule, hom_to: HomModule, phi: ModuleMorphism)
     return ModuleMorphism(hom_from, hom_to, mats)
 
 
+def _hom_system(system: DirectSystem, fixed: FiberModule) -> InverseSystem:
+    """The inverse system of stage Hom modules into ``fixed``, connected by
+    precomposition with the maps of ``system``."""
+    index = system.index
+    homs = {i: hom_module(system.modules[i], fixed) for i in index.explicit_indices()}
+    if isinstance(index, FinitePoset):
+        pairs = index.related_pairs()
+    else:
+        pairs = [(k, k + 1) for k in range(index.last)]
+    maps = {(i, j): _precompose_map(homs[j], homs[i], system.map(i, j)) for (i, j) in pairs}
+    return InverseSystem(index, homs, maps)
+
+
 def hom_inverse_system(
     system: DirectSystem,
     fixed: FiberModule,
@@ -278,23 +286,10 @@ def hom_inverse_system(
     out of the direct limit.  The connecting maps are admissible because
     precomposition with a contraction contracts operator norms; this is
     inherited from the validated underlying system rather than re-checked
-    through matrix-space norms.
+    through matrix-space norms, which have no exact kernel.
     """
     tol = tolerance() if tol is None else tol
-    index = system.index
-    hom_modules = {i: hom_module(system.modules[i], fixed) for i in index.explicit_indices()}
-    maps = {}
-    if isinstance(index, FinitePoset):
-        pair_iter = index.related_pairs()
-    else:
-        pair_iter = [(k, k + 1) for k in range(index.last)]
-    for (i, j) in pair_iter:
-        maps[(i, j)] = _precompose_map(hom_modules[j], hom_modules[i], system.map(i, j))
-    if isinstance(index, Chain):
-        hom_index = Chain(index.stages, index.tail)
-    else:
-        hom_index = index
-    hom_sys = InverseSystem(hom_index, hom_modules, maps)
+    hom_sys = _hom_system(system, fixed)
     limit_of_homs = inverse_limit(hom_sys)
     dl = direct_limit(system)
     hom_of_limit = hom_module(dl.module, fixed)
@@ -302,15 +297,11 @@ def hom_inverse_system(
     # property of the inverse limit with source maps Q_i = precomposition
     # with the canonical morphisms.
     q_maps = {
-        i: _precompose_map(hom_of_limit, hom_modules[i], dl.canonical[i])
-        for i in index.explicit_indices()
+        i: _precompose_map(hom_of_limit, hom_sys.modules[i], dl.canonical[i])
+        for i in system.index.explicit_indices()
     }
-    comparison = il_universal_factorization(
-        hom_sys,
-        Source(hom_of_limit, q_maps),
-        limit_of_homs,
-        tol=tol,
-        check_admissibility=False,
+    comparison = systems._universal_factorization(
+        hom_sys, hom_of_limit, q_maps, limit_of_homs, tol, check_admissibility=False
     )
     certificate = certify_isometric_iso(comparison, rng=rng, tol=10 * tol)
     return HomLimitComparison(hom_sys, limit_of_homs, hom_of_limit, comparison, certificate)
@@ -325,28 +316,13 @@ def dual_limit_iso(
 
     Specializes :func:`hom_inverse_system` to the scalar module; the
     connecting maps of the dual-side inverse system are the adjoints of
-    the original connecting maps.
+    the original connecting maps (precomposition with a map, on covectors,
+    is its transpose).
     """
-    result = hom_inverse_system(system, scalar_module(system.space), rng=rng, tol=tol)
-    # The precomposition maps into scalars are exactly the adjoints.
-    for (i, j), p in result.hom_system.maps.items():
-        expected = adjoint(system.map(i, j))
-        if morphism_deviation(p, expected) > (tolerance() if tol is None else tol):
-            raise ValidationError("dual system maps disagree with the adjoints")
-    return result
+    return hom_inverse_system(system, scalar_module(system.space), rng=rng, tol=tol)
 
 
 def dual_system(system: DirectSystem) -> InverseSystem:
-    """The inverse system of dual modules with adjoint connecting maps."""
-    index = system.index
-    duals = {i: dual_module(system.modules[i]) for i in index.explicit_indices()}
-    maps = {}
-    if isinstance(index, FinitePoset):
-        pair_iter = index.related_pairs()
-    else:
-        pair_iter = [(k, k + 1) for k in range(index.last)]
-    for (i, j) in pair_iter:
-        adj = adjoint(system.map(i, j))
-        maps[(i, j)] = ModuleMorphism(duals[j], duals[i], adj.matrices)
-    hom_index = Chain(index.stages, index.tail) if isinstance(index, Chain) else index
-    return InverseSystem(hom_index, duals, maps)
+    """The inverse system of dual modules with adjoint connecting maps:
+    the Hom system into the scalar module."""
+    return _hom_system(system, scalar_module(system.space))

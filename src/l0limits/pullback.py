@@ -45,26 +45,17 @@ class PullbackPresentation:
     def pull_element(self, v: Element) -> Element:
         if v.module != self.base_module:
             raise ValidationError("element does not belong to the pulled-back base")
-        coords = [
-            v.coords[self.atom_map.target_index(x)]
-            for x in range(self.atom_map.source.atom_count)
-        ]
+        coords = [v.coords[y] for y in self.atom_map.targets]
         return Element(self.module, coords)
 
     def pull_function(self, f: L0Function) -> L0Function:
-        values = [
-            f.values[self.atom_map.target_index(x)]
-            for x in range(self.atom_map.source.atom_count)
-        ]
+        values = f.values[list(self.atom_map.targets)]
         return L0Function(self.atom_map.source, values)
 
     def pull_morphism(self, phi: ModuleMorphism, other: "PullbackPresentation") -> ModuleMorphism:
         if phi.source != self.base_module or other.base_module != phi.target:
             raise ValidationError("morphism endpoints do not match the presentations")
-        mats = [
-            phi.matrices[self.atom_map.target_index(x)]
-            for x in range(self.atom_map.source.atom_count)
-        ]
+        mats = [phi.matrices[y] for y in self.atom_map.targets]
         return ModuleMorphism(self.module, other.module, mats)
 
 
@@ -75,10 +66,7 @@ def pullback_module(atom_map: AtomMap, module: FiberModule) -> PullbackPresentat
     _, abs_continuous = pushforward_check(atom_map)
     if not abs_continuous:
         raise ValidationError("pushforward is not absolutely continuous")
-    fibers = tuple(
-        module.fibers[atom_map.target_index(x)]
-        for x in range(atom_map.source.atom_count)
-    )
+    fibers = tuple(module.fibers[y] for y in atom_map.targets)
     pulled = FiberModule(atom_map.source, fibers)
     return PullbackPresentation(atom_map, module, pulled)
 
@@ -124,8 +112,7 @@ def certify_alternative_couple(
     atom_map = presentation.atom_map
     base = presentation.base_module
     mats = []
-    for x in range(atom_map.source.atom_count):
-        y = atom_map.target_index(x)
+    for x, y in enumerate(atom_map.targets):
         fiber_dim = base.fibers[y].dim
         columns = []
         for k in range(fiber_dim):
@@ -249,10 +236,7 @@ def _pull_index(atom_map: AtomMap, index):
         return index
     tail = index.tail
     if isinstance(tail, ScalarTail):
-        values = [
-            tail.function.values[atom_map.target_index(x)]
-            for x in range(atom_map.source.atom_count)
-        ]
+        values = tail.function.values[list(atom_map.targets)]
         tail = ScalarTail(L0Function(atom_map.source, values))
     return Chain(index.stages, tail)
 

@@ -21,8 +21,9 @@ from .modules import (
     Fiber,
     FiberModule,
     ModuleMorphism,
-    compose,
+    euclidean_fiber,
     operator_pointwise_norm,
+    scale_morphism,
     submodule_from_bases,
 )
 from .norms import FramedP, WeightedP, dual_spec
@@ -187,9 +188,7 @@ def random_inverse_system(
     space = random_space(rng) if space is None else space
     poset = random_poset(rng)
     dims = [int(rng.integers(1, max_dim + 1)) for _ in space.atom_ids]
-    ambient = FiberModule(
-        space, tuple(Fiber(d, WeightedP(2, np.ones(d))) for d in dims)
-    )
+    ambient = FiberModule(space, tuple(euclidean_fiber(d) for d in dims))
     bases, _ = _nested_bases(rng, poset, ambient.dims(), decreasing=True)
     stages = {}
     for e in poset.elements:
@@ -239,6 +238,58 @@ def random_chain_direct_system(
     return DirectSystem(Chain(stages, tail), modules, maps)
 
 
+def _rank_pair(rng, space, max_dim: int, kind) -> SystemMorphism:
+    """A morphism of systems of class ``kind`` whose components keep the
+    per-atom rank: onto for direct systems, injective for inverse ones.
+
+    A fixed ambient map is restricted to nested spans; the target spans
+    are the images of the source spans, so every component is a bijection
+    of spans and all squares commute exactly.  The map at (i, j) runs
+    from the smaller index to the larger for direct systems and back for
+    inverse ones, with matrix ``b_hi.T @ b_lo`` in nested coordinates.
+    """
+    space = random_space(rng) if space is None else space
+    poset = random_poset(rng)
+    dims = [int(rng.integers(1, max_dim + 1)) for _ in space.atom_ids]
+    ambient = FiberModule(space, tuple(euclidean_fiber(d) for d in dims))
+    bases, _ = _nested_bases(rng, poset, ambient.dims(), decreasing=not kind.forward)
+    ambient_map = [_well_conditioned(rng, d, d) for d in dims]
+    target_bases = {}
+    for e in poset.elements:
+        per_atom = []
+        for b, r in zip(bases[e], ambient_map):
+            q, _ = np.linalg.qr(r @ b)
+            per_atom.append(q[:, : b.shape[1]])
+        target_bases[e] = per_atom
+
+    def system(per_index):
+        stages = {e: submodule_from_bases(ambient, per_index[e])[0] for e in poset.elements}
+        maps = {}
+        for (i, j) in poset.related_pairs():
+            lo, hi = (i, j) if kind.forward else (j, i)
+            maps[(i, j)] = ModuleMorphism(
+                stages[lo],
+                stages[hi],
+                [b_hi.T @ b_lo for b_lo, b_hi in zip(per_index[lo], per_index[hi])],
+            )
+        return kind(poset, stages, maps)
+
+    source_system, target_system = system(bases), system(target_bases)
+    components = {}
+    worst = 0.0
+    for e in poset.elements:
+        mats = [
+            tb.T @ r @ sb
+            for sb, tb, r in zip(bases[e], target_bases[e], ambient_map)
+        ]
+        comp = ModuleMorphism(source_system.modules[e], target_system.modules[e], mats)
+        worst = max(worst, float(np.max(operator_pointwise_norm(comp).values)))
+        components[e] = comp
+    scale = 0.95 / worst if worst > 0.95 else 1.0
+    components = {e: scale_morphism(c, scale) for e, c in components.items()}
+    return SystemMorphism(source_system, target_system, components)
+
+
 def random_surjective_system_pair(
     rng,
     space: Optional[AtomicMeasureSpace] = None,
@@ -250,62 +301,7 @@ def random_surjective_system_pair(
     are the images of the source spans, so every component is onto and
     all squares commute exactly.
     """
-    space = random_space(rng) if space is None else space
-    poset = random_poset(rng)
-    dims = [int(rng.integers(1, max_dim + 1)) for _ in space.atom_ids]
-    source_amb = FiberModule(
-        space, tuple(Fiber(d, WeightedP(2, np.ones(d))) for d in dims)
-    )
-    target_amb = FiberModule(
-        space, tuple(Fiber(d, WeightedP(2, np.ones(d))) for d in dims)
-    )
-    bases, _ = _nested_bases(rng, poset, source_amb.dims(), decreasing=False)
-    ambient_map = [_well_conditioned(rng, d, d) for d in dims]
-    target_bases = {}
-    for e in poset.elements:
-        per_atom = []
-        for b, r in zip(bases[e], ambient_map):
-            image = r @ b
-            q, _ = np.linalg.qr(image)
-            per_atom.append(q[:, : b.shape[1]])
-        target_bases[e] = per_atom
-    source_stages, target_stages = {}, {}
-    for e in poset.elements:
-        source_stages[e], _ = submodule_from_bases(source_amb, bases[e])
-        target_stages[e], _ = submodule_from_bases(target_amb, target_bases[e])
-    source_maps, target_maps = {}, {}
-    for (i, j) in poset.related_pairs():
-        source_maps[(i, j)] = ModuleMorphism(
-            source_stages[i],
-            source_stages[j],
-            [bj.T @ bi for bi, bj in zip(bases[i], bases[j])],
-        )
-        target_maps[(i, j)] = ModuleMorphism(
-            target_stages[i],
-            target_stages[j],
-            [
-                bj.T @ bi
-                for bi, bj in zip(target_bases[i], target_bases[j])
-            ],
-        )
-    source_system = DirectSystem(poset, source_stages, source_maps)
-    target_system = DirectSystem(poset, target_stages, target_maps)
-    components = {}
-    worst = 0.0
-    for e in poset.elements:
-        mats = [
-            tb.T @ r @ sb
-            for sb, tb, r in zip(bases[e], target_bases[e], ambient_map)
-        ]
-        comp = ModuleMorphism(source_stages[e], target_stages[e], mats)
-        worst = max(worst, float(np.max(operator_pointwise_norm(comp).values)))
-        components[e] = comp
-    scale = 0.95 / worst if worst > 0.95 else 1.0
-    components = {
-        e: ModuleMorphism(c.source, c.target, [scale * m for m in c.matrices])
-        for e, c in components.items()
-    }
-    return SystemMorphism(source_system, target_system, components)
+    return _rank_pair(rng, space, max_dim, DirectSystem)
 
 
 def random_injective_inverse_pair(
@@ -314,61 +310,7 @@ def random_injective_inverse_pair(
     max_dim: int = 4,
 ) -> SystemMorphism:
     """An inverse-system morphism with per-atom injective components."""
-    space = random_space(rng) if space is None else space
-    poset = random_poset(rng)
-    dims = [int(rng.integers(1, max_dim + 1)) for _ in space.atom_ids]
-    source_amb = FiberModule(
-        space, tuple(Fiber(d, WeightedP(2, np.ones(d))) for d in dims)
-    )
-    target_amb = FiberModule(
-        space, tuple(Fiber(d, WeightedP(2, np.ones(d))) for d in dims)
-    )
-    bases, _ = _nested_bases(rng, poset, source_amb.dims(), decreasing=True)
-    ambient_map = [_well_conditioned(rng, d, d) for d in dims]
-    target_bases = {}
-    for e in poset.elements:
-        per_atom = []
-        for b, r in zip(bases[e], ambient_map):
-            q, _ = np.linalg.qr(r @ b)
-            per_atom.append(q[:, : b.shape[1]])
-        target_bases[e] = per_atom
-    source_stages, target_stages = {}, {}
-    for e in poset.elements:
-        source_stages[e], _ = submodule_from_bases(source_amb, bases[e])
-        target_stages[e], _ = submodule_from_bases(target_amb, target_bases[e])
-    source_maps, target_maps = {}, {}
-    for (i, j) in poset.related_pairs():
-        source_maps[(i, j)] = ModuleMorphism(
-            source_stages[j],
-            source_stages[i],
-            [bi.T @ bj for bi, bj in zip(bases[i], bases[j])],
-        )
-        target_maps[(i, j)] = ModuleMorphism(
-            target_stages[j],
-            target_stages[i],
-            [
-                bi.T @ bj
-                for bi, bj in zip(target_bases[i], target_bases[j])
-            ],
-        )
-    source_system = InverseSystem(poset, source_stages, source_maps)
-    target_system = InverseSystem(poset, target_stages, target_maps)
-    components = {}
-    worst = 0.0
-    for e in poset.elements:
-        mats = [
-            tb.T @ r @ sb
-            for sb, tb, r in zip(bases[e], target_bases[e], ambient_map)
-        ]
-        comp = ModuleMorphism(source_stages[e], target_stages[e], mats)
-        worst = max(worst, float(np.max(operator_pointwise_norm(comp).values)))
-        components[e] = comp
-    scale = 0.95 / worst if worst > 0.95 else 1.0
-    components = {
-        e: ModuleMorphism(c.source, c.target, [scale * m for m in c.matrices])
-        for e, c in components.items()
-    }
-    return SystemMorphism(source_system, target_system, components)
+    return _rank_pair(rng, space, max_dim, InverseSystem)
 
 
 def random_chain_morphism_pair(rng, space=None, stages=3) -> SystemMorphism:
@@ -379,22 +321,16 @@ def random_chain_morphism_pair(rng, space=None, stages=3) -> SystemMorphism:
     """
     space = random_space(rng) if space is None else space
     dims = [int(rng.integers(1, 4)) for _ in space.atom_ids]
-    modules = {}
-    for k in range(stages):
-        modules[k] = FiberModule(
-            space, tuple(Fiber(d, WeightedP(2, np.ones(d))) for d in dims)
-        )
+    module = FiberModule(space, tuple(euclidean_fiber(d) for d in dims))
+    modules = {k: module for k in range(stages)}
     thetas = {}
     for k in range(stages):
-        mats = [_well_conditioned(rng, d, d) for d in dims]
-        raw = ModuleMorphism(modules[k], modules[k], mats)
+        raw = ModuleMorphism(module, module, [_well_conditioned(rng, d, d) for d in dims])
         top = float(np.max(operator_pointwise_norm(raw).values))
-        thetas[k] = ModuleMorphism(
-            modules[k], modules[k], [0.9 / max(top, 0.9) * m for m in mats]
-        )
+        thetas[k] = scale_morphism(raw, 0.9 / max(top, 0.9))
     phi = {}
     for k in range(stages - 1):
-        phi[k] = random_admissible_morphism(rng, modules[k], modules[k + 1], 0.5)
+        phi[k] = random_admissible_morphism(rng, module, module, 0.5)
     psi = {}
     worst = 1.0
     for k in range(stages - 1):
@@ -404,19 +340,13 @@ def random_chain_morphism_pair(rng, space=None, stages=3) -> SystemMorphism:
                 thetas[k].matrices, thetas[k + 1].matrices, phi[k].matrices
             )
         ]
-        raw = ModuleMorphism(modules[k], modules[k + 1], mats)
+        raw = ModuleMorphism(module, module, mats)
         worst = max(worst, float(np.max(operator_pointwise_norm(raw).values)))
         psi[k] = raw
     if worst > 1.0:
         scale = 0.95 / worst
-        phi = {
-            k: ModuleMorphism(m.source, m.target, [scale * x for x in m.matrices])
-            for k, m in phi.items()
-        }
-        psi = {
-            k: ModuleMorphism(m.source, m.target, [scale * x for x in m.matrices])
-            for k, m in psi.items()
-        }
+        phi = {k: scale_morphism(m, scale) for k, m in phi.items()}
+        psi = {k: scale_morphism(m, scale) for k, m in psi.items()}
     tail = IdentityTail()
     source = DirectSystem(
         Chain(stages, tail), modules, {(k, k + 1): phi[k] for k in phi}

@@ -258,6 +258,52 @@ def test_cli_exit_codes():
     assert "error" in missing.stderr
 
 
+def _set(*keys, value):
+    """An edit of a parsed document: set the value at ``keys``."""
+    def edit(data):
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,where", [
+    (_set("spaces", "dirac", value={"atoms": ["pt", "q"], "weights": [1]}), "$.spaces.dirac"),
+    (_set("spaces", value=5), "$.spaces"),
+    (_set("spaces", value=[]), "$.spaces"),
+    (_set("functions", value={"f": [1]}), "$.functions.f"),
+    (_set("modules", "plane", "fibers", value=3), "$.modules.plane.fibers"),
+    (_set("modules", "plane", "fibers", 0, value={"dim": "two"}), "$.modules.plane.fibers[0]"),
+    (_set("system_morphisms", value={"T": 1}), "$.system_morphisms.T"),
+    (_set("systems", "M", "maps", value=3), "$.systems.M"),
+    (_set("checks", value=5), "$.checks"),
+    (_set("checks", 0, "seed", value="x"), "$.checks[0]"),
+], ids=["short-weights", "spaces-number", "spaces-array", "function-array", "fibers-number",
+        "dim-text", "system-morphism-number", "maps-number", "checks-number", "seed-text"])
+def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, where):
+    """A malformed entry is an error (exit 2) naming its path, never a
+    traceback."""
+    from l0limits.harness.cli import main
+
+    data = json.loads((FIXTURES / "remark-faithful.json").read_text())
+    edit(data)
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(data))
+    assert main(["report", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: "), err
+
+
+def test_cli_reports_undecodable_bytes_at_the_root(tmp_path, capsys):
+    from l0limits.harness.cli import main
+
+    target = tmp_path / "latin1.json"
+    target.write_bytes('{"format_version": 1, "spaces": {"\u00e9": 1}}'.encode("latin-1"))
+    assert main(["report", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: invalid JSON: ")
+
+
 def test_cli_mixed_pass_fail_exit_one(tmp_path):
     # a passing check plus a failing expectation yields exit code 1
     doc_text = (FIXTURES / "remark-faithful.json").read_text()

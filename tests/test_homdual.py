@@ -42,6 +42,42 @@ def test_hom_scalar_case():
     assert pointwise_norm(elem).values.tolist() == [2.0, 3.0]
 
 
+def test_hom_module_builds_one_fiber_per_distinct_fiber_pair(monkeypatch):
+    """Atoms that share a (source fiber, target fiber) pair share one Hom
+    fiber: ``operator_spec`` runs once per distinct pair, fibers equal but
+    built apart count as one, and each atom's fiber is the one its own
+    pair gives."""
+    import l0limits.homdual as homdual
+    from l0limits.norms import FramedP, operator_spec
+
+    def framed():  # a fresh but equal spec on every call
+        return FramedP(INF, np.array([[1.0, 0.5], [0.0, 1.0], [1.0, 1.0]]))
+
+    plane = Fiber(2, WeightedP(1, np.ones(2)))
+    kinds = {
+        "plane": lambda: plane,
+        "framed": lambda: Fiber(2, framed()),
+        "line": lambda: Fiber(1, WeightedP(2, np.ones(1))),
+        "zero": lambda: Fiber(0, WeightedP(1, ())),
+    }
+    sources = ["plane", "framed", "plane", "line", "framed", "zero", "plane", "framed"]
+    targets = ["line", "plane", "line", "line", "plane", "plane", "framed", "plane"]
+    space = AtomicMeasureSpace([f"x{k}" for k in range(len(sources))], np.ones(len(sources)))
+    source = FiberModule(space, tuple(kinds[k]() for k in sources))
+    target = FiberModule(space, tuple(kinds[k]() for k in targets))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return operator_spec(*args)
+
+    monkeypatch.setattr(homdual, "operator_spec", counted)
+    hom = hom_module(source, target)
+    assert len(calls) == len(set(zip(sources, targets))) == 5
+    for s, t, fiber in zip(source.fibers, target.fibers, hom.fibers):
+        assert fiber == Fiber(s.dim * t.dim, operator_spec(s.dim, s.norm, t.dim, t.norm))
+
+
 def test_hom_into_scalars_is_dual_norm():
     box = FiberModule(PT, (Fiber(2, WeightedP(1, (1.0, 2.0))),))
     dual = dual_module(box)

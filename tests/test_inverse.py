@@ -374,14 +374,27 @@ def test_dual_limit_iso_on_random_systems():
 
 
 def test_dual_system_uses_adjoint_maps():
-    rng = np.random.default_rng(33)
-    sys_ = random_chain_direct_system(rng, max_dim=3, tail=IdentityTail())
-    duals = dual_system(sys_)
-    assert validate_inverse_system(duals).passed
+    """The maps of the dual system, and of the Hom system that
+    ``dual_limit_iso`` compares, are exactly the adjoints of the original
+    maps, on a chain and on a poset system."""
     from l0limits.homdual import adjoint
+    from l0limits.randgen import random_direct_system
 
-    for (i, j), p in duals.maps.items():
-        assert morphism_deviation(p, adjoint(sys_.map(i, j))) == 0.0
+    rng = np.random.default_rng(33)
+    chain = random_chain_direct_system(rng, max_dim=3, tail=IdentityTail())
+    poset = random_direct_system(np.random.default_rng(4), max_dim=3)
+    assert any(i != j for i, j in poset.maps)
+    for sys_ in (chain, poset):
+        duals = dual_system(sys_)
+        assert validate_inverse_system(duals).passed
+        compared = dual_limit_iso(sys_, rng=rng)
+        assert compared.certificate.ok
+        for system in (duals, compared.hom_system):
+            assert system.maps.keys() == duals.maps.keys()
+            for (i, j), p in system.maps.items():
+                expected = adjoint(sys_.map(i, j))
+                assert (p.source, p.target) == (expected.source, expected.target)
+                assert morphism_deviation(p, expected) == 0.0
 
 
 def test_dual_limit_iso_fg_chain():

@@ -155,6 +155,10 @@ def test_index_of_is_the_position_and_names_unknown_ids():
         assert raised.value.args[0] == f"unknown atom id {bad!r}"
     shuffled = list(np.random.default_rng(0).permutation(atoms))
     atom_map = AtomMap(space, space, dict(zip(atoms, shuffled)))
-    assert [atom_map.target_index(k) for k in range(len(atoms))] == [
-        atoms.index(b) for b in shuffled
-    ]
+    positions = [atoms.index(b) for b in shuffled]
+    assert [atom_map.target_index(k) for k in range(len(atoms))] == positions
+    assert atom_map.targets == tuple(positions)
+    # A map onto fewer atoms, its table given out of source order.
+    small = AtomicMeasureSpace(["y1", "y0"], [1.0, 2.0])
+    folded = AtomMap(space, small, {a: f"y{int(a[1:]) % 2}" for a in sorted(atoms)})
+    assert folded.targets == tuple(1 - int(a[1:]) % 2 for a in atoms)
