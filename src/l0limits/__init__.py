@@ -44,6 +44,7 @@ from .modules import (
     kernel_image,
     module_distance,
     operator_pointwise_norm,
+    operator_pointwise_norms,
     pointwise_norm,
     scalar_module,
     submodule_generated,

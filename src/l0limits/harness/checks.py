@@ -35,7 +35,7 @@ from ..systems import (
     validate_system,
     validate_system_morphism,
 )
-from .document import CheckSpec, Document, _canonical_json, _stage_key
+from .document import CheckSpec, Document, _canonical_json, _integer, _stage_key
 
 #: Documented boundary of the representable corpus, carried in reports.
 SCOPE_NOTES = (
@@ -154,7 +154,8 @@ def _check_limit(doc, spec, rng):
     expected_dims = spec.params.get("expect_dims")
     if expected_dims is not None:
         actual = witness["dims"]
-        if {k: int(v) for k, v in expected_dims.items()} != actual:
+        path = f"{_check_path(doc, spec)}.expect_dims"
+        if {k: _integer(v, f"{path}.{k}") for k, v in expected_dims.items()} != actual:
             outcome = "fail"
             witness["reason"] = f"expected dims {expected_dims}, got {actual}"
     return outcome, witness, (presentation.provenance,)

@@ -47,6 +47,23 @@ def _number(raw, path: str) -> float:
     return value
 
 
+def _integer(raw, path: str) -> int:
+    """An integer field: a JSON integer, a number with an integral value or
+    an integer literal.  A boolean or a fractional number is an error."""
+    if isinstance(raw, bool):
+        raise DocumentError(path, "expected an integer, got a boolean")
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            raise DocumentError(path, f"bad integer literal {raw!r}") from None
+    if not isinstance(raw, (int, float)):
+        raise DocumentError(path, f"expected an integer, got {type(raw).__name__}")
+    if isinstance(raw, float) and not raw.is_integer():
+        raise DocumentError(path, f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def _numbers(raw, path: str) -> list:
     if not isinstance(raw, list):
         raise DocumentError(path, "expected an array of numbers")
@@ -225,7 +242,7 @@ def parse_document(data: Dict) -> Document:
                         if key not in ("name", "kind", "tol", "seed", "expect")
                     },
                     tol=None if "tol" not in raw else _number(raw["tol"], f"{path}.tol"),
-                    seed=None if "seed" not in raw else int(raw["seed"]),
+                    seed=None if "seed" not in raw else _integer(raw["seed"], f"{path}.seed"),
                     expect=str(raw.get("expect", "pass")),
                 )
             )
@@ -239,7 +256,7 @@ def _parse_fiber(doc: Document, raw, path: str) -> Fiber:
     if not isinstance(raw, dict) or "dim" not in raw:
         raise DocumentError(path, "fiber needs a dim")
     with _at(path):
-        dim = int(raw["dim"])
+        dim = _integer(raw["dim"], f"{path}.dim")
         if dim == 0:
             return Fiber(0, WeightedP(1, ()))
         return Fiber(dim, _ref(doc.norms, raw.get("norm"), f"{path}.norm"))
@@ -276,9 +293,9 @@ def _parse_norm(doc: Document, nid: str, raw, all_raw) -> object:
                 if ref not in doc.norms and ref in all_raw:
                     doc.norms[ref] = _parse_norm(doc, ref, all_raw[ref], all_raw)
             return operator_spec(
-                int(raw.get("source_dim", -1)),
+                _integer(raw.get("source_dim", -1), f"{path}.source_dim"),
                 _ref(doc.norms, raw.get("source_norm"), f"{path}.source_norm"),
-                int(raw.get("target_dim", -1)),
+                _integer(raw.get("target_dim", -1), f"{path}.target_dim"),
                 _ref(doc.norms, raw.get("target_norm"), f"{path}.target_norm"),
             )
         raise DocumentError(path, f"unknown norm kind {kind!r}")
@@ -308,7 +325,7 @@ def _parse_index_set(doc: Document, iid: str, raw) -> object:
                 )
             else:
                 raise DocumentError(f"{path}.tail", f"unknown tail kind {tail_kind!r}")
-            return Chain(int(raw.get("stages", 0)), tail)
+            return Chain(_integer(raw.get("stages", 0), f"{path}.stages"), tail)
         raise DocumentError(path, f"unknown index set kind {kind!r}")
 
 

@@ -23,9 +23,10 @@ from .errors import (
 from .measure import AtomicMeasureSpace, L0Function, l0_distance
 from .norms import (
     WeightedP,
+    _raise_first,
     norm_eval,
     norm_rows,
-    operator_norm_value,
+    operator_norm_batch,
     operator_norm_witness,
     zero_norm,
 )
@@ -353,14 +354,43 @@ def operator_pointwise_norm(phi: ModuleMorphism) -> L0Function:
     This is the minimal function bounding ``|phi(v)|`` by a multiple of
     ``|v|`` at every atom.
     """
-    values = []
-    fibers = zip(phi.matrices, phi.source.fibers, phi.target.fibers)
-    for a, (m, s, t) in enumerate(fibers):
+    return operator_pointwise_norms([phi])[0]
+
+
+def operator_pointwise_norms(phis: Sequence[ModuleMorphism]) -> List[L0Function]:
+    """:func:`operator_pointwise_norm` of each morphism, from one stacked
+    pass over the atoms of all of them.  The first error in morphism order
+    is raised, the one a loop over the morphisms would meet first."""
+    return _raise_first(_operator_norm_results(phis))
+
+
+def _operator_norm_results(phis: Sequence[ModuleMorphism]) -> list:
+    """:func:`operator_pointwise_norm` of each morphism, evaluated in one
+    :func:`~l0limits.norms.operator_norm_batch`, or in its place the error
+    it raises: its first kernel error in atom order, located at the atom,
+    or the :class:`NonFiniteError` of a norm that overflows.  Callers
+    raise an error in its turn, where a loop would have raised it."""
+    items = [
+        (m, s.norm, t.norm)
+        for phi in phis
+        for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers)
+    ]
+    values = operator_norm_batch(items)
+    results = []
+    start = 0
+    for phi in phis:
+        space = phi.source.space
+        chunk = values[start:start + space.atom_count]
+        start += space.atom_count
+        bad = next((a for a, v in enumerate(chunk) if isinstance(v, KernelLimitError)), None)
+        if bad is not None:
+            results.append(chunk[bad].at_atom(space.atom_ids[bad]))
+            continue
         try:
-            values.append(operator_norm_value(m, s.norm, t.norm))
-        except KernelLimitError as exc:
-            raise exc.at_atom(phi.source.space.atom_ids[a]) from None
-    return L0Function(phi.source.space, values)
+            results.append(L0Function(space, chunk))
+        except NonFiniteError as exc:
+            results.append(exc)
+    return results
 
 
 def operator_norm_witnesses(phi: ModuleMorphism):

@@ -32,6 +32,7 @@ from .config import tolerance
 from .errors import (
     BracketTooWideError,
     DimensionCapError,
+    KernelLimitError,
     NonFiniteError,
     ShapeMismatchError,
     UnsupportedNormError,
@@ -642,77 +643,177 @@ def operator_norm_witness(mat, source_spec, target_spec):
     """Exact pointwise operator norm with a maximizing unit vector.
 
     The witness has source norm one and achieves the returned value
-    (``None`` for degenerate shapes).
+    (``None`` for degenerate shapes).  The value is the one
+    :func:`operator_norm_batch` gives, bit for bit.
     """
-    return _operator_norm(mat, source_spec, target_spec, True)
-
-
-def operator_norm_value(mat, source_spec, target_spec) -> float:
-    """Exact pointwise operator norm, ``operator_norm_witness(...)[0]``,
-    computed on the same route without building the maximizer."""
-    return _operator_norm(mat, source_spec, target_spec, False)[0]
-
-
-def _operator_norm(mat, source_spec, target_spec, witness: bool):
-    """The route both operator-norm functions share; the maximizer is
-    ``None`` unless ``witness`` asks for it."""
     mat = _as_matrix(mat)
-    t, s = mat.shape
-    if s != source_spec.dim or t != target_spec.dim:
-        raise ShapeMismatchError("matrix shape does not match fiber dimensions")
+    _check_shape(mat, source_spec, target_spec)
     path = kernel_path(source_spec, target_spec)
     if path == "trivial":
         return 0.0, None
     if path == "vertex":
-        cands = source_spec.ball_candidates()
-        values = norm_rows(target_spec, cands @ mat.T)
+        cands, values = _vertex_norms(mat, source_spec, target_spec)
         best = int(np.argmax(values))
         return float(values[best]), cands[best]
     if path == "bracket":
         return _bracket_norm(mat, source_spec, target_spec)
     r_inv = source_spec._inverse_transform
     if path == "facet":
-        rows = target_spec.dual_ball_candidates() @ mat @ r_inv
-        scores = np.linalg.norm(rows, axis=1)
+        rows, scores = _facet_scores(mat, source_spec, target_spec)
         best = int(np.argmax(scores))
         value = float(scores[best])
-        if not witness:
-            return value, None
         if value <= 0.0:
             r = source_spec.euclidean_transform()
-            unit = r_inv[:, 0] / np.linalg.norm(r @ r_inv[:, 0])
-            return 0.0, unit
+            return 0.0, r_inv[:, 0] / np.linalg.norm(r @ r_inv[:, 0])
         return value, r_inv @ (rows[best] / value)
-    core = target_spec.euclidean_transform() @ mat @ r_inv
-    # The full SVD, also for the value alone: its largest singular value
-    # can differ in the last bits from the one ``compute_uv=False`` gives.
-    sigma, u = spectral_norm_witness(core)
-    return float(sigma), (r_inv @ u if witness else None)
+    sigma, u = spectral_norm_witness(_spectral_core(mat, source_spec, target_spec))
+    return sigma, r_inv @ u
+
+
+def operator_norm_value(mat, source_spec, target_spec) -> float:
+    """Exact pointwise operator norm, ``operator_norm_witness(...)[0]``:
+    the one-item case of :func:`operator_norm_batch`."""
+    mat = _as_matrix(mat)
+    return _raise_first(operator_norm_batch([(mat, source_spec, target_spec)]))[0]
 
 
 def operator_norm_values(mats, source_spec, target_spec) -> np.ndarray:
-    """Exact operator norm of each matrix in a (k, t, s) stack.
-
-    Takes the route of :func:`operator_norm_witness` once for the whole
-    stack, without the maximizers.
-    """
+    """Exact operator norm of each matrix in a (k, t, s) stack: the
+    one-spec-pair case of :func:`operator_norm_batch`, the whole stack
+    one group."""
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (target_spec.dim, source_spec.dim):
         raise ShapeMismatchError("matrix stack shape does not match fiber dimensions")
-    count = mats.shape[0]
     path = kernel_path(source_spec, target_spec)
-    if path == "trivial" or count == 0:
-        return np.zeros(count)
-    if path == "vertex":
-        cands = source_spec.ball_candidates()
-        images = cands @ mats.transpose(0, 2, 1)
-        values = norm_rows(target_spec, images.reshape(-1, target_spec.dim))
-        return values.reshape(count, -1).max(axis=1)
-    if path == "bracket":
-        return np.array([_bracket_norm(m, source_spec, target_spec)[0] for m in mats])
-    r_inv = source_spec._inverse_transform
-    if path == "facet":
-        rows = target_spec.dual_ball_candidates() @ mats @ r_inv
-        return np.linalg.norm(rows, axis=-1).max(axis=1)
-    core = target_spec.euclidean_transform() @ mats @ r_inv
-    return np.linalg.svd(core, compute_uv=False)[:, 0]
+    if path == "trivial" or not len(mats):
+        return np.zeros(len(mats))
+    if path == "spectral":
+        mats = _spectral_core(mats, source_spec, target_spec)
+    values = _group_values(path, mats, source_spec, target_spec)
+    return np.array(_raise_first(values), dtype=float)
+
+
+def operator_norm_batch(items) -> list:
+    """Exact operator norm of each ``(matrix, source spec, target spec)`` item.
+
+    The matrices are float arrays of shape (target dim, source dim).  Each
+    value equals ``operator_norm_witness(...)[0]`` bit for bit.  Spectral
+    items are stacked by the shape of their core, with one LAPACK SVD per
+    shape; vertex and facet items are stacked by their pair of specs (the
+    same objects), bracket items evaluated one by one, in order.  An item
+    no exact kernel evaluates gets its :class:`KernelLimitError` in place
+    of its value, so that a caller can raise it where a loop over the
+    items would.
+    """
+    values = [0.0] * len(items)
+    groups = {}
+    for n, (mat, source_spec, target_spec) in enumerate(items):
+        _check_shape(mat, source_spec, target_spec)
+        path = kernel_path(source_spec, target_spec)
+        if path == "trivial":
+            continue
+        if path == "spectral":
+            mat = _spectral_core(mat, source_spec, target_spec)
+            key = (path, mat.shape)
+        else:
+            key = (path, id(source_spec), id(target_spec))
+        groups.setdefault(key, (source_spec, target_spec, []))[2].append((n, mat))
+    for (path, *_), (source_spec, target_spec, group) in groups.items():
+        # A vertex or facet group of one is evaluated on its own matrix:
+        # that is cheaper than on its stack of one, and gives the same bits.
+        if len(group) == 1 and path != "spectral":
+            stack = group[0][1]
+        else:
+            stack = np.array([m for _, m in group])
+        for (n, _), value in zip(group, _group_values(path, stack, source_spec, target_spec)):
+            values[n] = value
+    return values
+
+
+def _group_values(path, stack, source_spec, target_spec) -> list:
+    """The values of a (k, t, s) stack on one path of the route: spectral
+    cores, or matrices that share one pair of specs; a vertex, facet or
+    bracket stack may be one (t, s) matrix.  A stack that raises a kernel
+    error is taken apart, so that each matrix gets its value or an error
+    of its own."""
+    try:
+        return _STACKED[path](stack, source_spec, target_spec)
+    except KernelLimitError as exc:
+        if stack.ndim == 2:
+            return [exc]
+    return [_group_values(path, m, source_spec, target_spec)[0] for m in stack]
+
+
+def _vertex_stack(mats, source_spec, target_spec) -> list:
+    """Per matrix, the largest target norm of an image of a vertex candidate."""
+    return _row_maxima(_vertex_norms(mats, source_spec, target_spec)[1])
+
+
+def _facet_stack(mats, source_spec, target_spec) -> list:
+    """Per matrix, the longest target facet functional pulled back through it."""
+    return _row_maxima(_facet_scores(mats, source_spec, target_spec)[1])
+
+
+def _spectral_stack(cores, source_spec, target_spec) -> list:
+    """Per core, its largest singular value as :func:`spectral_norm` gives it:
+    from the full SVD, since the largest singular value ``compute_uv=False``
+    gives can differ in the last bits, and zero for a zero core."""
+    sigmas = np.linalg.svd(cores, full_matrices=False)[1][:, 0]
+    sigmas[~cores.any(axis=(1, 2))] = 0.0
+    return sigmas.tolist()
+
+
+def _bracket_stack(mats, source_spec, target_spec) -> list:
+    """Per matrix, in order, the certified bracket's value."""
+    mats = mats[None] if mats.ndim == 2 else mats
+    return [_bracket_norm(m, source_spec, target_spec)[0] for m in mats]
+
+
+_STACKED = {
+    "vertex": _vertex_stack,
+    "facet": _facet_stack,
+    "spectral": _spectral_stack,
+    "bracket": _bracket_stack,
+}
+
+
+def _row_maxima(values: np.ndarray) -> list:
+    """The largest entry of each row, or of a vector."""
+    return np.atleast_1d(values.max(axis=-1)).tolist()
+
+
+def _raise_first(values: list) -> list:
+    """A list of results, raising the first error among them."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values
+
+
+def _check_shape(mat, source_spec, target_spec) -> None:
+    if mat.shape != (target_spec.dim, source_spec.dim):
+        raise ShapeMismatchError("matrix shape does not match fiber dimensions")
+
+
+def _vertex_norms(mats, source_spec, target_spec):
+    """The source ball's vertex candidates and the target norm of each
+    one's image under a (t, s) matrix, or under each matrix of a (k, t, s)
+    stack: shape (candidates,) or (k, candidates)."""
+    cands = source_spec.ball_candidates()
+    images = cands @ np.swapaxes(mats, -1, -2)
+    values = target_spec.eval_rows(images.reshape(-1, target_spec.dim))
+    return cands, values.reshape(images.shape[:-1])
+
+
+def _facet_scores(mats, source_spec, target_spec):
+    """Each target facet functional pulled back through a (t, s) matrix, or
+    each matrix of a (k, t, s) stack, and the source's inverse transform;
+    and the length of each."""
+    rows = target_spec.dual_ball_candidates() @ mats @ source_spec._inverse_transform
+    return rows, np.linalg.norm(rows, axis=-1)
+
+
+def _spectral_core(mat, source_spec, target_spec) -> np.ndarray:
+    """``T M R^-1``: its largest singular value is the operator norm."""
+    return target_spec.euclidean_transform() @ mat @ source_spec._inverse_transform
+

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import tolerance
-from .errors import ShapeMismatchError, ValidationError
+from .errors import KernelLimitError, NonFiniteError, ShapeMismatchError, ValidationError
 from .indexsets import (
     Chain,
     FinitePoset,
@@ -37,13 +37,14 @@ from .indexsets import (
 from .modules import (
     FiberModule,
     ModuleMorphism,
+    _operator_norm_results,
     composite_deviation,
     compose,
     identity_morphism,
     mask_inclusion,
     mask_module,
     morphism_deviation,
-    operator_pointwise_norm,
+    operator_pointwise_norms,
 )
 from .norms import kernel_path
 
@@ -182,6 +183,14 @@ class System:
         return phi
 
 
+def _unwrap(result):
+    """A result of :func:`~l0limits.modules._operator_norm_results`: the
+    norm, or its error raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _redundant_targets(system: System) -> Dict[object, List]:
     """For each stage i, the stages k (in index order) that at least two
     paths of supplied edges join i to.  Path counts are capped at two and
@@ -213,11 +222,13 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
             if not dev <= tol:
                 violations.append(Violation("identity", (i,), dev, system.identity_detail))
 
+    pairs = system.related_pairs()
+    # The supplied edges are normed in one batch, the composites their
+    # norms do not bound in a second one.  Each error is raised in its
+    # pair's turn, where a loop norming one pair at a time would raise it.
+    edges = [p for p in pairs if p in system.maps]
+    edge_norms = dict(zip(edges, _operator_norm_results([system.maps[e] for e in edges])))
     bounds: Dict[tuple, Optional[np.ndarray]] = {}
-
-    @cache
-    def edge_norm(edge) -> np.ndarray:
-        return operator_pointwise_norm(system.maps[edge]).values
 
     @cache
     def exact_norm(edge) -> Optional[np.ndarray]:
@@ -225,7 +236,7 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
         phi = system.maps[edge]
         fibers = zip(phi.source.fibers, phi.target.fibers)
         if all(kernel_path(s.norm, t.norm) != "bracket" for s, t in fibers):
-            return edge_norm(edge)
+            return _unwrap(edge_norms[edge]).values
         return None
 
     def path_bound(i, j, tree) -> Optional[np.ndarray]:
@@ -242,21 +253,37 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
             bounds[(i, node)] = bound
         return bound
 
-    pairs = system.related_pairs()
+    checked = []  # (pair, a Violation, a norm or an error), in pair order
+    composites = []  # positions in ``checked`` of composites still to norm
     for (i, j) in pairs:
         try:
             tree = system._reach(i, j)
         except KeyError as exc:
-            violations.append(Violation("missing-map", (i, j), float("inf"), str(exc)))
+            checked.append(((i, j), Violation("missing-map", (i, j), float("inf"), str(exc))))
             continue
         if (i, j) in system.maps:
-            norm = edge_norm((i, j))
+            result = edge_norms[(i, j)]
         else:
-            bound = path_bound(i, j, tree)
-            if bound is not None and float(bound.max()) * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
-                continue
-            norm = operator_pointwise_norm(system._connect(i, j)).values
-        dev = float(norm.max(initial=0.0)) - 1.0
+            try:
+                bound = path_bound(i, j, tree)
+            except (KernelLimitError, NonFiniteError) as exc:
+                result = exc  # an edge's, as _operator_norm_results keeps it
+            else:
+                if bound is not None and float(bound.max()) * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
+                    continue
+                composites.append(len(checked))
+                result = system._connect(i, j)
+        checked.append(((i, j), result))
+        if isinstance(result, Exception):
+            break  # raised in its turn: no later pair is reached
+    norms = _operator_norm_results([checked[k][1] for k in composites])
+    for k, result in zip(composites, norms):
+        checked[k] = (checked[k][0], result)
+    for (i, j), result in checked:
+        if isinstance(result, Violation):
+            violations.append(result)
+            continue
+        dev = float(_unwrap(result).values.max(initial=0.0)) - 1.0
         if not dev <= tol:
             violations.append(
                 Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
@@ -307,8 +334,8 @@ def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None)
     tol = tolerance() if tol is None else tol
     violations: List[Violation] = []
     system = theta.source
-    for i, comp in theta.components.items():
-        norm = operator_pointwise_norm(comp)
+    norms = dict(zip(theta.components, operator_pointwise_norms(list(theta.components.values()))))
+    for i, norm in norms.items():
         dev = float(norm.values.max(initial=0.0)) - 1.0
         if not dev <= tol:
             violations.append(Violation("admissibility", (i,), dev, "component norm > 1"))
@@ -323,7 +350,7 @@ def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None)
         growth = tail_growth_sup(
             *system._arrow(theta.target.index.tail, system.index.tail), last, system.space
         )
-        norm_last = operator_pointwise_norm(theta.components[last]).values
+        norm_last = norms[last].values
         for a, g in enumerate(growth):
             bound = tol if not np.isfinite(g) else (1.0 + tol) / g
             if not norm_last[a] <= bound:
@@ -419,16 +446,23 @@ def _universal_factorization(
     index = system.index
     explicit = index.explicit_indices()
     side = system.cone_side
+    # The cone maps up to the first one that is missing or misplaced are
+    # normed in one batch; that map's error is raised after their verdicts.
+    cone, fault = [], None
     for i in explicit:
         if i not in maps:
-            raise KeyError(f"{side} is missing the map at index {i!r}")
-        psi = maps[i]
-        if (psi.source, psi.target) != system._arrow(system.modules[i], apex):
-            raise ShapeMismatchError(f"{side} map at {i!r} has wrong endpoints")
-        if check_admissibility:
-            norm = operator_pointwise_norm(psi)
-            if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
+            fault = KeyError(f"{side} is missing the map at index {i!r}")
+        elif (maps[i].source, maps[i].target) != system._arrow(system.modules[i], apex):
+            fault = ShapeMismatchError(f"{side} map at {i!r} has wrong endpoints")
+        if fault is not None:
+            break
+        cone.append(i)
+    if check_admissibility:
+        for i, result in zip(cone, _operator_norm_results([maps[i] for i in cone])):
+            if not float(_unwrap(result).values.max(initial=0.0)) <= 1.0 + tol:
                 raise ValidationError(f"{side} map at {i!r} is not admissible")
+    if fault is not None:
+        raise fault
     worst, worst_pair = 0.0, (None, None)
     for (i, j) in index.related_pairs():
         dev = composite_deviation(system._outer_first(system.map(i, j), maps[j]), (maps[i],))

@@ -274,13 +274,23 @@ def _set(*keys, value):
     (_set("spaces", value=[]), "$.spaces"),
     (_set("functions", value={"f": [1]}), "$.functions.f"),
     (_set("modules", "plane", "fibers", value=3), "$.modules.plane.fibers"),
-    (_set("modules", "plane", "fibers", 0, value={"dim": "two"}), "$.modules.plane.fibers[0]"),
+    (_set("modules", "plane", "fibers", 0, value={"dim": "two"}), "$.modules.plane.fibers[0].dim"),
     (_set("system_morphisms", value={"T": 1}), "$.system_morphisms.T"),
     (_set("systems", "M", "maps", value=3), "$.systems.M"),
     (_set("checks", value=5), "$.checks"),
-    (_set("checks", 0, "seed", value="x"), "$.checks[0]"),
+    (_set("checks", 0, "seed", value="x"), "$.checks[0].seed"),
+    (_set("checks", 0, "seed", value=1.5), "$.checks[0].seed"),
+    (_set("checks", 0, "seed", value=True), "$.checks[0].seed"),
+    (_set("modules", "plane", "fibers", 0, "dim", value=2.9), "$.modules.plane.fibers[0].dim"),
+    (_set("index_sets", "idx_M", value={"kind": "chain", "stages": 2.5}), "$.index_sets.idx_M.stages"),
+    (_set("norms", "op", value={"kind": "operator", "source_dim": True, "source_norm": "n0",
+                                "target_dim": 2, "target_norm": "n0"}), "$.norms.op.source_dim"),
+    (_set("norms", "op", value={"kind": "operator", "source_dim": 2, "source_norm": "n0",
+                                "target_dim": 2.5, "target_norm": "n0"}), "$.norms.op.target_dim"),
 ], ids=["short-weights", "spaces-number", "spaces-array", "function-array", "fibers-number",
-        "dim-text", "system-morphism-number", "maps-number", "checks-number", "seed-text"])
+        "dim-text", "system-morphism-number", "maps-number", "checks-number", "seed-text",
+        "seed-fraction", "seed-boolean", "dim-fraction", "stages-fraction",
+        "source-dim-boolean", "target-dim-fraction"])
 def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, where):
     """A malformed entry is an error (exit 2) naming its path, never a
     traceback."""
@@ -293,6 +303,25 @@ def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, w
     assert main(["report", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: "), err
+
+
+@pytest.mark.parametrize("value", [1.5, True, "x"], ids=["fraction", "boolean", "text"])
+def test_expected_dims_must_be_integers(value):
+    """``expect_dims`` values follow the rule of the document's integer
+    fields: the check is an error naming the value's path, never a
+    truncated or coerced comparison."""
+    data = json.loads((FIXTURES / "remark-faithful.json").read_text())
+    data["checks"].append(
+        {"kind": "direct-limit", "name": "zz-dims", "system": "M", "expect_dims": {"pt": value}}
+    )
+    doc = parse_document(data)
+    result = next(r for r in run_checks(doc).results if r.name == "zz-dims")
+    assert result.verdict == "error"
+    k = len(data["checks"]) - 1
+    assert result.witness["reason"].startswith(f"$.checks[{k}].expect_dims.pt: ")
+    data["checks"][-1]["expect_dims"] = {"pt": 2.0}
+    result = next(r for r in run_checks(parse_document(data)).results if r.name == "zz-dims")
+    assert result.verdict == "pass"
 
 
 def test_cli_reports_undecodable_bytes_at_the_root(tmp_path, capsys):

@@ -18,6 +18,7 @@ from l0limits.modules import (
     euclidean_module,
     is_morphism,
     operator_pointwise_norm,
+    operator_pointwise_norms,
 )
 from l0limits.norms import (
     INF,
@@ -365,8 +366,7 @@ def test_operator_norm_values_match_witness(path, source, target):
     values = operator_norm_values(mats, source, target)
     assert values.shape == (6,)
     for mat, value in zip(mats, values):
-        expected = operator_norm_witness(mat, source, target)[0]
-        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert value == operator_norm_witness(mat, source, target)[0]
 
 
 def test_operator_norm_values_on_the_bracket_path():
@@ -432,6 +432,100 @@ def test_pointwise_operator_norm_equals_the_witness_value_exactly(pair, seed, ex
     assert values[0] == operator_norm_witness(mat, source, target)[0]
     assert values[0] == operator_norm_value(mat, source, target)
     assert values[1] == 0.0
+
+
+def _atom_matrix(rng, source, target, kind, scale) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros((target.dim, source.dim))
+    if kernel_path(source, target) == "bracket" and kind == "fit":
+        # Multiples of orthogonal maps are the ones the bracket certifies;
+        # a generic matrix mostly is not.
+        return scale * _rotation(rng)
+    return scale * rng.standard_normal((target.dim, source.dim))
+
+
+def _witness_loop(phi):
+    """The per-atom witness values of a morphism, or the atom id of the
+    first atom whose evaluation raises."""
+    values = []
+    fibers = zip(phi.matrices, phi.source.fibers, phi.target.fibers)
+    for a, (mat, s, t) in enumerate(fibers):
+        try:
+            values.append(operator_norm_witness(mat, s.norm, t.norm)[0])
+        except BracketTooWideError:
+            return phi.source.space.atom_ids[a]
+    return np.array(values, dtype=float)
+
+
+ATOM_DRAWS = st.tuples(
+    st.integers(0, len(OPNORM_PAIRS) - 1),
+    st.sampled_from(["fit", "generic", "zero"]),
+    st.floats(-100, 100),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(ATOM_DRAWS, min_size=1, max_size=4), min_size=1, max_size=6),
+       st.integers(0, 10_000))
+def test_stacked_pointwise_norms_equal_the_witness_values(morphisms, seed):
+    """One stacked pass over 1-6 morphisms gives each atom's witness value
+    bit for bit; an uncertifiable atom raises at the atom a per-atom loop
+    meets first, as ``operator_pointwise_norm`` of its morphism does."""
+    rng = np.random.default_rng(seed)
+    phis = []
+    for n, atoms in enumerate(morphisms):
+        pairs = [OPNORM_PAIRS[k] for k, _, _ in atoms]
+        space = AtomicMeasureSpace([f"m{n}a{a}" for a in range(len(atoms))], np.ones(len(atoms)))
+        phis.append(ModuleMorphism(
+            FiberModule(space, tuple(Fiber(s.dim, s) for s, _ in pairs)),
+            FiberModule(space, tuple(Fiber(t.dim, t) for _, t in pairs)),
+            [_atom_matrix(rng, s, t, kind, 10.0**e) for (s, t), (_, kind, e) in zip(pairs, atoms)],
+        ))
+    expected = [_witness_loop(phi) for phi in phis]
+    failing = [(phi, atom) for phi, atom in zip(phis, expected) if isinstance(atom, str)]
+    if failing:
+        with pytest.raises(BracketTooWideError) as raised:
+            operator_pointwise_norms(phis)
+        with pytest.raises(BracketTooWideError) as single:
+            operator_pointwise_norm(failing[0][0])
+        assert raised.value.atom == single.value.atom == failing[0][1]
+        assert str(raised.value) == str(single.value)
+        return
+    norms = operator_pointwise_norms(phis)
+    assert len(norms) == len(phis)
+    for phi, norm, want in zip(phis, norms, expected):
+        assert norm.space == phi.source.space
+        assert norm.values.tobytes() == want.tobytes()
+
+
+def test_stacked_pointwise_norms_raise_at_the_first_failing_morphism():
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
+    module = FiberModule(space, (Fiber(2, COVECTORS), Fiber(2, COVECTORS)))
+    wide = np.array([[1.0, 2.0], [0.0, 1.0]])
+    fine = ModuleMorphism(module, module, [np.eye(2), np.eye(2)])
+    late = ModuleMorphism(module, module, [np.eye(2), wide])
+    early = ModuleMorphism(module, module, [wide, wide])
+    for phis, atom in (([fine, late, early], "b"), ([fine, early, late], "a")):
+        with pytest.raises(BracketTooWideError) as raised:
+            operator_pointwise_norms(phis)
+        assert raised.value.atom == atom
+    assert operator_pointwise_norms([fine, fine])[1] == operator_pointwise_norm(fine)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowing_norm_is_an_error_of_its_own_morphism():
+    import l0limits.modules as modules
+
+    space = AtomicMeasureSpace(["a"], [1.0])
+    tiny = FiberModule(space, (Fiber(1, WeightedP(1, (1e-300,))),))
+    huge = FiberModule(space, (Fiber(1, WeightedP(1, (1e300,))),))
+    overflow = ModuleMorphism(tiny, huge, [np.array([[1e300]])])
+    fine = ModuleMorphism(huge, huge, [np.array([[0.5]])])
+    with pytest.raises(NonFiniteError, match="'a'"):
+        operator_pointwise_norms([fine, overflow])
+    first, second = modules._operator_norm_results([overflow, fine])
+    assert isinstance(first, NonFiniteError)
+    assert second.values.tolist() == [0.5]
 
 
 def test_inverse_transform_is_computed_once_per_spec(monkeypatch):

@@ -22,7 +22,12 @@ from l0limits.direct import (
     validate_direct_system,
     validate_system_morphism,
 )
-from l0limits.errors import BracketTooWideError, L0LimitsError, NonFiniteError
+from l0limits.errors import (
+    BracketTooWideError,
+    L0LimitsError,
+    NonFiniteError,
+    ValidationError,
+)
 from l0limits.indexsets import (
     Chain,
     FinitePoset,
@@ -162,8 +167,9 @@ def test_only_exact_kernels_certify_composites(monkeypatch, bracket):
     fibers the edges take the bracket kernel, so each composite is
     evaluated too."""
     calls = []
-    monkeypatch.setattr(systems, "operator_pointwise_norm",
-                        lambda phi: calls.append(phi) or operator_pointwise_norm(phi))
+    batch = systems._operator_norm_results
+    monkeypatch.setattr(systems, "_operator_norm_results",
+                        lambda phis: calls.extend(phis) or batch(phis))
     plane = euclidean_module(AtomicMeasureSpace(["a"], [1.0]), 2)
     module = hom_module(plane, plane) if bracket else plane
     zero = zero_morphism(module, module)
@@ -179,14 +185,14 @@ def test_identity_chain_evaluates_only_supplied_maps(monkeypatch, cls):
     """A 200-stage chain: one norm per supplied map, no composition at all."""
     calls = {"norm": 0, "compose": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, morphisms=lambda *args: 1):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += morphisms(*args)
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(systems, "operator_pointwise_norm",
-                        counted("norm", systems.operator_pointwise_norm))
+    monkeypatch.setattr(systems, "_operator_norm_results",
+                        counted("norm", systems._operator_norm_results, len))
     monkeypatch.setattr(systems, "compose", counted("compose", systems.compose))
     module = euclidean_module(AtomicMeasureSpace(["a0", "a1"], [1.0, 1.0]), 3)
     ident = identity_morphism(module)
@@ -325,6 +331,73 @@ def test_hom_systems_raise_a_located_bracket_error():
             validate_inverse_system(hom_system)
         assert raised.value.atom in system.space.atom_ids
         assert f"at atom {raised.value.atom!r}" in str(raised.value)
+
+
+#: Maps of the plane into its operator-norm Hom module on the bracket
+#: kernel: ``u -> e1 u^T`` it certifies (norm 1), ``u -> [[u1, u2], [-u2, u1]]``
+#: it cannot (bracket [1, sqrt 2]).
+EMBED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+TWIST = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
+
+
+def _plane_and_hom():
+    plane = euclidean_module(AtomicMeasureSpace(["a"], [1.0]), 2)
+    return plane, hom_module(plane, plane)
+
+
+def test_validation_raises_the_kernel_error_a_pairwise_loop_meets_first():
+    """The composite at (0, 2) is uncertifiable, and so is the later edge
+    (1, 2), with another bracket.  Edges are normed in a batch ahead of
+    composites, yet the composite's error is the one raised."""
+    plane, hom = _plane_and_hom()
+    twist = np.zeros((4, 4))
+    twist[:, :2] = TWIST
+    up = ModuleMorphism(plane, hom, [EMBED])
+    edge = ModuleMorphism(hom, hom, [twist])
+    with pytest.raises(BracketTooWideError) as composite:
+        operator_pointwise_norm(compose(edge, up))
+    with pytest.raises(BracketTooWideError) as later:
+        operator_pointwise_norm(edge)
+    assert str(later.value) != str(composite.value)
+    system = DirectSystem(
+        Chain(3, IdentityTail()), {0: plane, 1: hom, 2: hom}, {(0, 1): up, (1, 2): edge}
+    )
+    with pytest.raises(BracketTooWideError) as raised:
+        validate_direct_system(system)
+    assert str(raised.value) == str(composite.value)
+
+
+@pytest.mark.parametrize("cone,error,text", [
+    ({0: 2.0 * EMBED, 1: TWIST}, ValidationError, "map at 0 is not admissible"),
+    ({0: 2.0 * EMBED}, ValidationError, "map at 0 is not admissible"),
+    ({0: TWIST}, BracketTooWideError, "at atom 'a'"),
+    ({0: EMBED, 1: TWIST}, BracketTooWideError, "at atom 'a'"),
+    ({0: EMBED}, KeyError, "missing the map at index 1"),
+], ids=["verdict-before-error", "verdict-before-missing", "error-before-missing",
+        "error", "missing"])
+def test_cone_maps_fail_in_index_order(cone, error, text):
+    """Cone maps are normed in one batch, but a verdict, a kernel error and
+    a missing map surface in index order, as a loop over the maps meets them."""
+    plane, hom = _plane_and_hom()
+    system = DirectSystem(Chain(2, IdentityTail()), {0: plane, 1: plane},
+                          {(0, 1): identity_morphism(plane)})
+    maps = {i: ModuleMorphism(plane, hom, [m]) for i, m in cone.items()}
+    with pytest.raises(error, match=text):
+        dl_universal_factorization(system, Target(hom, maps))
+
+
+def test_chain_morphism_norms_each_component_once(monkeypatch):
+    """Admissibility and the tail square share one batch: n components, n norms."""
+    rng = np.random.default_rng(5)
+    theta = randgen.random_chain_morphism_pair(rng, stages=6)
+    normed = []
+    batch = systems.operator_pointwise_norms
+    monkeypatch.setattr(systems, "operator_pointwise_norms",
+                        lambda phis: normed.extend(phis) or batch(phis))
+    report = validate_system_morphism(theta)
+    assert report.passed
+    assert len(normed) == 6
+    assert {id(phi) for phi in normed} == {id(c) for c in theta.components.values()}
 
 
 @settings(max_examples=60, deadline=None)
