@@ -2,7 +2,19 @@
 
 
 class L0LimitsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``atom`` names the atom an error was located at, when it was raised
+    for a value at one atom of a morphism (see :meth:`at_atom`).
+    """
+
+    atom = None
+
+    def at_atom(self, atom: str) -> "L0LimitsError":
+        """This error, located at ``atom`` and its message prefixed with it."""
+        self.atom = atom
+        self.args = (f"at atom {atom!r}: {self.args[0]}",)
+        return self
 
 
 class SpaceMismatchError(L0LimitsError):
@@ -27,14 +39,6 @@ class KernelLimitError(L0LimitsError):
     ``atom`` names the atom the norm was evaluated at, when the error was
     raised for a morphism rather than for a bare matrix.
     """
-
-    atom = None
-
-    def at_atom(self, atom: str) -> "KernelLimitError":
-        """This error, located at ``atom`` and its message prefixed with it."""
-        self.atom = atom
-        self.args = (f"at atom {atom!r}: {self.args[0]}",)
-        return self
 
 
 class DimensionCapError(KernelLimitError):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import tolerance
 from .errors import (
-    KernelLimitError,
     NonFiniteError,
     ShapeMismatchError,
     SpaceMismatchError,
@@ -367,9 +366,10 @@ def operator_pointwise_norms(phis: Sequence[ModuleMorphism]) -> List[L0Function]
 def _operator_norm_results(phis: Sequence[ModuleMorphism]) -> list:
     """:func:`operator_pointwise_norm` of each morphism, evaluated in one
     :func:`~l0limits.norms.operator_norm_batch`, or in its place the error
-    it raises: its first kernel error in atom order, located at the atom,
-    or the :class:`NonFiniteError` of a norm that overflows.  Callers
-    raise an error in its turn, where a loop would have raised it."""
+    it raises: the first error of an atom in atom order (a kernel error,
+    or a spectral core that overflows), located at the atom, or the
+    :class:`NonFiniteError` of a norm value that overflows.  Callers raise
+    an error in its turn, where a loop would have raised it."""
     items = [
         (m, s.norm, t.norm)
         for phi in phis
@@ -382,7 +382,7 @@ def _operator_norm_results(phis: Sequence[ModuleMorphism]) -> list:
         space = phi.source.space
         chunk = values[start:start + space.atom_count]
         start += space.atom_count
-        bad = next((a for a, v in enumerate(chunk) if isinstance(v, KernelLimitError)), None)
+        bad = next((a for a, v in enumerate(chunk) if isinstance(v, Exception)), None)
         if bad is not None:
             results.append(chunk[bad].at_atom(space.atom_ids[bad]))
             continue

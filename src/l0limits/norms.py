@@ -95,8 +95,13 @@ def spectral_norm(mat: np.ndarray) -> float:
 
 
 def spectral_norm_witness(mat: np.ndarray):
-    """Largest singular value together with a maximizing unit vector."""
+    """Largest singular value together with a maximizing unit vector.
+
+    A matrix with a NaN or infinite entry is a :class:`NonFiniteError`:
+    LAPACK's SVD fails on it, or on an infinity may not return at all."""
     mat = _as_matrix(mat)
+    if not np.isfinite(mat).all():
+        raise NonFiniteError("matrix has a NaN or infinite entry")
     rows, cols = mat.shape
     if rows == 0 or cols == 0 or not np.any(mat):
         v = np.zeros(cols)
@@ -702,8 +707,9 @@ def operator_norm_batch(items) -> list:
     shape; vertex and facet items are stacked by their pair of specs (the
     same objects), bracket items evaluated one by one, in order.  An item
     no exact kernel evaluates gets its :class:`KernelLimitError` in place
-    of its value, so that a caller can raise it where a loop over the
-    items would.
+    of its value, and a spectral item whose core overflows its
+    :class:`NonFiniteError`, so that a caller can raise it where a loop
+    over the items would.
     """
     values = [0.0] * len(items)
     groups = {}
@@ -719,12 +725,7 @@ def operator_norm_batch(items) -> list:
             key = (path, id(source_spec), id(target_spec))
         groups.setdefault(key, (source_spec, target_spec, []))[2].append((n, mat))
     for (path, *_), (source_spec, target_spec, group) in groups.items():
-        # A vertex or facet group of one is evaluated on its own matrix:
-        # that is cheaper than on its stack of one, and gives the same bits.
-        if len(group) == 1 and path != "spectral":
-            stack = group[0][1]
-        else:
-            stack = np.array([m for _, m in group])
+        stack = np.array([m for _, m in group])
         for (n, _), value in zip(group, _group_values(path, stack, source_spec, target_spec)):
             values[n] = value
     return values
@@ -732,16 +733,15 @@ def operator_norm_batch(items) -> list:
 
 def _group_values(path, stack, source_spec, target_spec) -> list:
     """The values of a (k, t, s) stack on one path of the route: spectral
-    cores, or matrices that share one pair of specs; a vertex, facet or
-    bracket stack may be one (t, s) matrix.  A stack that raises a kernel
-    error is taken apart, so that each matrix gets its value or an error
-    of its own."""
+    cores, or matrices that share one pair of specs.  A stack that raises
+    a kernel error is taken apart, so that each matrix gets its value or an
+    error of its own."""
     try:
         return _STACKED[path](stack, source_spec, target_spec)
     except KernelLimitError as exc:
-        if stack.ndim == 2:
+        if len(stack) == 1:
             return [exc]
-    return [_group_values(path, m, source_spec, target_spec)[0] for m in stack]
+    return [_group_values(path, m[None], source_spec, target_spec)[0] for m in stack]
 
 
 def _vertex_stack(mats, source_spec, target_spec) -> list:
@@ -757,15 +757,22 @@ def _facet_stack(mats, source_spec, target_spec) -> list:
 def _spectral_stack(cores, source_spec, target_spec) -> list:
     """Per core, its largest singular value as :func:`spectral_norm` gives it:
     from the full SVD, since the largest singular value ``compute_uv=False``
-    gives can differ in the last bits, and zero for a zero core."""
-    sigmas = np.linalg.svd(cores, full_matrices=False)[1][:, 0]
+    gives can differ in the last bits, and zero for a zero core.  A core
+    that overflowed gets a :class:`NonFiniteError` in its place, so that
+    the SVD of the others still runs."""
+    finite = np.isfinite(cores).all(axis=(1, 2))
+    sigmas = np.zeros(len(cores))
+    if finite.any():
+        sigmas[finite] = np.linalg.svd(cores[finite], full_matrices=False)[1][:, 0]
     sigmas[~cores.any(axis=(1, 2))] = 0.0
-    return sigmas.tolist()
+    return [
+        float(s) if ok else NonFiniteError("operator norm overflows the float range")
+        for s, ok in zip(sigmas, finite)
+    ]
 
 
 def _bracket_stack(mats, source_spec, target_spec) -> list:
     """Per matrix, in order, the certified bracket's value."""
-    mats = mats[None] if mats.ndim == 2 else mats
     return [_bracket_norm(m, source_spec, target_spec)[0] for m in mats]
 
 
@@ -778,8 +785,8 @@ _STACKED = {
 
 
 def _row_maxima(values: np.ndarray) -> list:
-    """The largest entry of each row, or of a vector."""
-    return np.atleast_1d(values.max(axis=-1)).tolist()
+    """The largest entry of each row."""
+    return values.max(axis=-1).tolist()
 
 
 def _raise_first(values: list) -> list:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import tolerance
-from .errors import KernelLimitError, NonFiniteError, ShapeMismatchError, ValidationError
+from .errors import ShapeMismatchError, ValidationError
 from .indexsets import (
     Chain,
     FinitePoset,
@@ -46,7 +46,7 @@ from .modules import (
     morphism_deviation,
     operator_pointwise_norms,
 )
-from .norms import kernel_path
+from .norms import _raise_first, kernel_path
 
 #: Relative slack on a product of computed edge norms.  Every exactly
 #: evaluated norm carries a few ulps of rounding, and so does the
@@ -183,14 +183,6 @@ class System:
         return phi
 
 
-def _unwrap(result):
-    """A result of :func:`~l0limits.modules._operator_norm_results`: the
-    norm, or its error raised."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _redundant_targets(system: System) -> Dict[object, List]:
     """For each stage i, the stages k (in index order) that at least two
     paths of supplied edges join i to.  Path counts are capped at two and
@@ -223,9 +215,8 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
                 violations.append(Violation("identity", (i,), dev, system.identity_detail))
 
     pairs = system.related_pairs()
-    # The supplied edges are normed in one batch, the composites their
-    # norms do not bound in a second one.  Each error is raised in its
-    # pair's turn, where a loop norming one pair at a time would raise it.
+    # The supplied edges are normed in one batch; each edge's error is
+    # raised in its pair's turn, where a loop over the pairs would raise it.
     edges = [p for p in pairs if p in system.maps]
     edge_norms = dict(zip(edges, _operator_norm_results([system.maps[e] for e in edges])))
     bounds: Dict[tuple, Optional[np.ndarray]] = {}
@@ -236,7 +227,7 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
         phi = system.maps[edge]
         fibers = zip(phi.source.fibers, phi.target.fibers)
         if all(kernel_path(s.norm, t.norm) != "bracket" for s, t in fibers):
-            return _unwrap(edge_norms[edge]).values
+            return _raise_first([edge_norms[edge]])[0].values
         return None
 
     def path_bound(i, j, tree) -> Optional[np.ndarray]:
@@ -253,37 +244,20 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
             bounds[(i, node)] = bound
         return bound
 
-    checked = []  # (pair, a Violation, a norm or an error), in pair order
-    composites = []  # positions in ``checked`` of composites still to norm
     for (i, j) in pairs:
         try:
             tree = system._reach(i, j)
         except KeyError as exc:
-            checked.append(((i, j), Violation("missing-map", (i, j), float("inf"), str(exc))))
+            violations.append(Violation("missing-map", (i, j), float("inf"), str(exc)))
             continue
         if (i, j) in system.maps:
             result = edge_norms[(i, j)]
         else:
-            try:
-                bound = path_bound(i, j, tree)
-            except (KernelLimitError, NonFiniteError) as exc:
-                result = exc  # an edge's, as _operator_norm_results keeps it
-            else:
-                if bound is not None and float(bound.max()) * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
-                    continue
-                composites.append(len(checked))
-                result = system._connect(i, j)
-        checked.append(((i, j), result))
-        if isinstance(result, Exception):
-            break  # raised in its turn: no later pair is reached
-    norms = _operator_norm_results([checked[k][1] for k in composites])
-    for k, result in zip(composites, norms):
-        checked[k] = (checked[k][0], result)
-    for (i, j), result in checked:
-        if isinstance(result, Violation):
-            violations.append(result)
-            continue
-        dev = float(_unwrap(result).values.max(initial=0.0)) - 1.0
+            bound = path_bound(i, j, tree)
+            if bound is not None and float(bound.max()) * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
+                continue
+            result = _operator_norm_results([system._connect(i, j)])[0]
+        dev = float(_raise_first([result])[0].values.max(initial=0.0)) - 1.0
         if not dev <= tol:
             violations.append(
                 Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
@@ -459,7 +433,7 @@ def _universal_factorization(
         cone.append(i)
     if check_admissibility:
         for i, result in zip(cone, _operator_norm_results([maps[i] for i in cone])):
-            if not float(_unwrap(result).values.max(initial=0.0)) <= 1.0 + tol:
+            if not float(_raise_first([result])[0].values.max(initial=0.0)) <= 1.0 + tol:
                 raise ValidationError(f"{side} map at {i!r} is not admissible")
     if fault is not None:
         raise fault

@@ -36,6 +36,7 @@ from l0limits.norms import (
     operator_norm_witness,
     operator_spec,
     spectral_norm,
+    spectral_norm_witness,
     zero_norm,
 )
 
@@ -517,15 +518,37 @@ def test_an_overflowing_norm_is_an_error_of_its_own_morphism():
     import l0limits.modules as modules
 
     space = AtomicMeasureSpace(["a"], [1.0])
-    tiny = FiberModule(space, (Fiber(1, WeightedP(1, (1e-300,))),))
-    huge = FiberModule(space, (Fiber(1, WeightedP(1, (1e300,))),))
-    overflow = ModuleMorphism(tiny, huge, [np.array([[1e300]])])
-    fine = ModuleMorphism(huge, huge, [np.array([[0.5]])])
-    with pytest.raises(NonFiniteError, match="'a'"):
-        operator_pointwise_norms([fine, overflow])
-    first, second = modules._operator_norm_results([overflow, fine])
-    assert isinstance(first, NonFiniteError)
-    assert second.values.tolist() == [0.5]
+    covectors = FiberModule(space, (Fiber(2, COVECTORS),))
+    wide = ModuleMorphism(covectors, covectors, [np.array([[1.0, 2.0], [0.0, 1.0]])])
+    # p=1 overflows in a vertex value, p=2 in a spectral core T M R^-1
+    # (inf - inf: NaN, on which LAPACK's SVD fails for the whole stack).
+    for p in (1, 2):
+        tiny = FiberModule(space, (Fiber(2, WeightedP(p, (1e-300, 1e-300))),))
+        huge = FiberModule(space, (Fiber(1, WeightedP(p, (1e300,))),))
+        overflow = ModuleMorphism(tiny, huge, [np.array([[1e300, -1e300]])])
+        fine = ModuleMorphism(huge, huge, [np.array([[0.5]])])
+        with pytest.raises(NonFiniteError, match="'a'"):
+            operator_pointwise_norms([fine, overflow, wide])
+        with pytest.raises(BracketTooWideError, match="'a'"):
+            operator_pointwise_norms([fine, wide, overflow])
+        first, second = modules._operator_norm_results([overflow, fine])
+        assert isinstance(first, NonFiniteError)
+        assert second.values.tolist() == [0.5]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_non_finite_spectral_core_is_an_error_not_an_svd():
+    # LAPACK's full SVD of this 3x3 matrix does not return.
+    stuck = np.ones((3, 3))
+    stuck[0, 0] = np.inf
+    with pytest.raises(NonFiniteError):
+        spectral_norm_witness(stuck)
+    tiny, huge = WeightedP(2, (1e-300,) * 3), WeightedP(2, (1e300,) * 3)
+    mat = np.full((3, 3), 1e300)
+    with pytest.raises(NonFiniteError):
+        operator_norm_witness(mat, tiny, huge)
+    with pytest.raises(NonFiniteError):
+        operator_norm_values(np.stack([np.eye(3), mat]), tiny, huge)
 
 
 def test_inverse_transform_is_computed_once_per_spec(monkeypatch):

@@ -348,7 +348,7 @@ def _plane_and_hom():
 def test_validation_raises_the_kernel_error_a_pairwise_loop_meets_first():
     """The composite at (0, 2) is uncertifiable, and so is the later edge
     (1, 2), with another bracket.  Edges are normed in a batch ahead of
-    composites, yet the composite's error is the one raised."""
+    the composite, yet the composite's error is the one raised."""
     plane, hom = _plane_and_hom()
     twist = np.zeros((4, 4))
     twist[:, :2] = TWIST
