@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import tolerance
 from .errors import ShapeMismatchError, ValidationError
-from .indexsets import Chain, FinitePoset, IdentityTail, greatest_element, tail_limit_factor
+from .indexsets import Chain, IdentityTail
 from .measure import L0Function
 from .modules import (
     Element,
@@ -98,26 +98,19 @@ class ColimitClass:
 
 
 def dl_seminorm(system: DirectSystem, cls: ColimitClass) -> L0Function:
-    """Pointwise seminorm of a colimit class.
+    """Pointwise seminorm of a colimit class: the norm of its image under
+    the canonical map into the direct limit.
 
-    Over a finite poset the infimum over all representatives collapses to
-    the norm of the forward image at the greatest element (every
-    connecting map contracts).  Over a chain the representative is pushed
-    to the last stage and scaled by the per-atom limit of the tail
-    factors.
+    Every connecting map contracts, so the infimum over representatives is
+    the norm of the forward image at a poset's greatest element, or at a
+    chain's last stage on the atoms the 0/1 tail factor keeps (it is zero
+    on the others); the canonical map is that forward image.
     """
     if cls.stage not in system.modules:
         raise KeyError(f"stage {cls.stage!r} is not explicit in the system")
     if cls.element.module != system.modules[cls.stage]:
         raise ShapeMismatchError("class representative lives in the wrong module")
-    index = system.index
-    if isinstance(index, FinitePoset):
-        top = greatest_element(index)
-        pushed = apply(system.map(cls.stage, top), cls.element)
-        return pointwise_norm(pushed)
-    pushed = apply(system.map(cls.stage, index.last), cls.element)
-    factor = tail_limit_factor(index.tail, system.space)
-    return L0Function(system.space, factor * pointwise_norm(pushed).values)
+    return pointwise_norm(apply(direct_limit(system).canonical[cls.stage], cls.element))
 
 
 def direct_limit(system: DirectSystem) -> LimitPresentation:
@@ -204,24 +197,22 @@ def solve_square_component(
         raise ValidationError("no fixed component constrains the requested stage")
     src_mod = source_system.modules[solve_for]
     tgt_mod = target_system.modules[solve_for]
+    # Each partner's square, built once: its target map and its fixed composite.
+    squares = [
+        (target_system.map(solve_for, j), compose(fixed[j], source_system.map(solve_for, j)))
+        for j in partners
+    ]
     mats = []
     residual = 0.0
     witness = ""
     for a in range(source_system.space.atom_count):
         rows = tgt_mod.fibers[a].dim
         cols = src_mod.fibers[a].dim
-        blocks_lhs = []
-        blocks_rhs = []
-        for j in partners:
-            psi = target_system.map(solve_for, j).matrices[a]
-            rhs = compose(fixed[j], source_system.map(solve_for, j)).matrices[a]
-            blocks_lhs.append(psi)
-            blocks_rhs.append(rhs)
-        if rows == 0 or cols == 0 or not blocks_lhs:
+        if rows == 0 or cols == 0:
             mats.append(np.zeros((rows, cols)))
             continue
-        lhs = np.vstack(blocks_lhs)
-        rhs = np.vstack(blocks_rhs)
+        lhs = np.vstack([psi.matrices[a] for psi, _ in squares])
+        rhs = np.vstack([chi.matrices[a] for _, chi in squares])
         sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         mats.append(sol)
         res = float(np.max(np.abs(lhs @ sol - rhs), initial=0.0))

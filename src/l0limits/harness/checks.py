@@ -25,8 +25,8 @@ from ..config import tolerance, tolerance_override
 from ..direct import solve_square_component
 from ..errors import L0LimitsError
 from ..indexsets import FinitePoset, greatest_element
-from ..inverse import dual_limit_iso, hom_inverse_system
-from ..modules import composite_deviation, morphism_deviation
+from ..inverse import hom_inverse_system
+from ..modules import composite_deviation, morphism_deviation, scalar_module
 from ..systems import (
     _limit,
     _limit_functor,
@@ -181,8 +181,8 @@ def _check_universal(doc, spec, rng):
         maps[_stage_key(system.index, key, f"{path}.{key}")] = _resolve(
             doc, spec, "morphisms", f"{side}_maps", key
         )
-    mediating = _universal_factorization(system, module, maps)
     presentation = _limit(system)
+    mediating = _universal_factorization(system, module, maps, presentation)
     worst = max(
         composite_deviation(
             system._outer_first(presentation.canonical[i], mediating), (maps[i],)
@@ -209,14 +209,13 @@ def _check_functor_square(doc, spec, rng):
         witness = {"residual": solution.residual, "detail": solution.witness}
         return ("pass" if solution.exists else "fail"), witness, ("square-solvability",)
     first = _resolve(doc, spec, "system_morphisms", "first")
-    outcome = "pass"
-    witness: Dict = {}
     report = validate_system_morphism(first)
     if not report.passed:
-        outcome = "fail"
-        witness["first_violations"] = len(report.violations)
+        # An invalid morphism induces no limit map.
+        return "fail", {"first_violations": len(report.violations)}, ("limit-functor",)
+    outcome = "pass"
     image_first = _limit_functor(first)
-    witness["limit_map_dims"] = [list(m.shape) for m in image_first.matrices]
+    witness: Dict = {"limit_map_dims": [list(m.shape) for m in image_first.matrices]}
     if "second" in params:
         second = _resolve(doc, spec, "system_morphisms", "second")
         image_second = _limit_functor(second)
@@ -286,27 +285,19 @@ def _check_sections_iso(doc, spec, rng):
     return ("pass" if report.ok else "fail"), witness, ("sections-iso",)
 
 
-def _check_dual_iso(doc, spec, rng):
-    system = _resolve(doc, spec, "systems", "system")
-    result = dual_limit_iso(system, rng=rng)
-    cert = result.certificate
-    witness = {
-        "bijective": cert.bijective,
-        "max_norm_deviation": cert.max_norm_deviation,
-    }
-    return ("pass" if cert.ok else "fail"), witness, ("dual-of-limit",)
-
-
 def _check_hom_iso(doc, spec, rng):
+    """Homs into a module, or for a dual-iso check into the scalar module."""
     system = _resolve(doc, spec, "systems", "system")
-    fixed = _resolve(doc, spec, "modules", "module")
-    result = hom_inverse_system(system, fixed, rng=rng)
-    cert = result.certificate
+    if spec.kind == "dual-iso":
+        fixed, provenance = scalar_module(system.space), "dual-of-limit"
+    else:
+        fixed, provenance = _resolve(doc, spec, "modules", "module"), "hom-of-limit"
+    cert = hom_inverse_system(system, fixed, rng=rng).certificate
     witness = {
         "bijective": cert.bijective,
         "max_norm_deviation": cert.max_norm_deviation,
     }
-    return ("pass" if cert.ok else "fail"), witness, ("hom-of-limit",)
+    return ("pass" if cert.ok else "fail"), witness, (provenance,)
 
 
 def _check_il_pullback(doc, spec, rng):
@@ -330,7 +321,7 @@ _DISPATCH = {
     "functor-square": _check_functor_square,
     "pullback-commute": _check_pullback_commute,
     "sections-iso": _check_sections_iso,
-    "dual-iso": _check_dual_iso,
+    "dual-iso": _check_hom_iso,
     "hom-iso": _check_hom_iso,
     "greatest-element": _check_greatest,
     "surjectivity-preserved": _check_rank_preservation,

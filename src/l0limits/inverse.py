@@ -18,15 +18,13 @@ from .config import tolerance
 from .errors import ValidationError
 from .direct import DirectSystem, direct_limit
 from .homdual import HomModule, hom_module
-from .indexsets import FinitePoset, greatest_element, tail_limit_factor
+from .indexsets import FinitePoset, tail_limit_factor
 from .measure import L0Function, ess_extremum
 from .modules import (
     Element,
     FiberModule,
     ModuleMorphism,
-    apply,
     certify_isometric_iso,
-    compose,  # noqa: F401  (still importable from here, as before)
     pointwise_norm,
     scalar_module,
 )
@@ -135,61 +133,28 @@ def thread_from_components(
 ):
     """The unique limit element with the prescribed projections.
 
-    Components must be compatible with every backward map and have finite
-    norm under the tail rule; the element's pointwise norm equals the
-    supremum of the component norms.
+    The components must have finite norm under the tail rule; the
+    element's pointwise norm is the supremum of the component norms.  With
+    each atom's coordinates as a one-column matrix, the components are a
+    cone from the scalar module, and the element is the column of its
+    mediating morphism into the limit: the cone law is the compatibility
+    of the components with the backward maps.
     """
-    tol = tolerance() if tol is None else tol
-    thread = Thread(dict(components))
-    explicit = system.index.explicit_indices()
-    worst = 0.0
-    worst_pair = None
-    for (i, j) in system.related_pairs():
-        pushed = apply(system.map(i, j), thread.components[j])
-        dev = max(
-            float(np.max(np.abs(a - b), initial=0.0))
-            for a, b in zip(pushed.coords, thread.components[i].coords)
-        ) if pushed.coords else 0.0
-        if dev > worst:
-            worst, worst_pair = dev, (i, j)
-    if worst > tol:
-        raise ValidationError(
-            f"incompatible components: pair {worst_pair!r} deviates by {worst:g}"
-        )
-    norm, finite = il_norm(system, thread)
+    norm, finite = il_norm(system, Thread(dict(components)))
     if not np.all(finite):
         bad = [a for a, f in zip(system.space.atom_ids, finite) if not f]
         raise ValidationError(f"thread norm is infinite at atoms {bad!r}")
-    presentation = inverse_limit(system)
-    if isinstance(system.index, FinitePoset):
-        top = greatest_element(system.index)
-        element = Element(presentation.module, thread.components[top].coords)
-    else:
-        last = system.index.last
-        coords = []
-        for a, fiber in enumerate(presentation.module.fibers):
-            c = thread.components[last].coords[a]
-            if fiber.dim == c.size:
-                coords.append(c)
-            else:
-                if c.size and float(np.max(np.abs(c))) > tol:
-                    raise ValidationError(
-                        "component does not vanish on a collapsed atom"
-                    )
-                coords.append(np.zeros(0))
-        element = Element(presentation.module, coords)
-    for i in explicit:
-        projected = apply(presentation.canonical[i], element)
-        dev = max(
-            (
-                float(np.max(np.abs(a - b), initial=0.0))
-                for a, b in zip(projected.coords, thread.components[i].coords)
-            ),
-            default=0.0,
+    scalars = scalar_module(system.space)
+    cone = {
+        i: ModuleMorphism(
+            scalars, components[i].module, [c[:, None] for c in components[i].coords]
         )
-        if dev > 10 * tol:
-            raise ValidationError(f"projection at {i!r} deviates by {dev:g}")
-    return element, norm
+        for i in system.index.explicit_indices()
+    }
+    mediating = systems._universal_factorization(
+        system, scalars, cone, tol=tol, check_admissibility=False
+    )
+    return Element(mediating.target, [m[:, 0] for m in mediating.matrices]), norm
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,6 @@ def random_direct_system(
     space: Optional[AtomicMeasureSpace] = None,
     max_dim: int = 4,
     allow_dual: bool = False,
-    scalar_dressing: bool = True,
 ) -> DirectSystem:
     """A random validated direct system over a random finite poset."""
     space = random_space(rng) if space is None else space
@@ -160,7 +159,7 @@ def random_direct_system(
         sub, inc = submodule_from_bases(ambient, bases[e])
         stages[e] = sub
         inclusions[e] = inc
-    if scalar_dressing and rng.random() < 0.5:
+    if rng.random() < 0.5:
         base = float(rng.uniform(0.4, 1.0))
         scalars = {e: base ** depth[e] for e in poset.elements}
     else:

@@ -12,7 +12,9 @@ of the order pairs.  Likewise the batched norm kernels are checked
 against per-vector evaluation, and the batched isometry certificate
 against its probe-by-probe loop.  The shared limit core (limits,
 universal factorizations, limit functors, rank preservation, pullback
-comparisons) is checked against the per-direction functions it replaced.
+comparisons) is checked against the per-direction functions it replaced,
+and so are threads and colimit seminorms against their hand-written
+versions, from before they went through the universal property.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from l0limits.indexsets import (
     tail_growth_sup,
     tail_limit_factor,
 )
-from l0limits.inverse import InverseSystem, Source, validate_inverse_system
+from l0limits.inverse import InverseSystem, Source, Thread, il_norm, validate_inverse_system
 from l0limits.modules import (
     Element,
     IsoCertificate,
@@ -56,7 +58,7 @@ from l0limits.pullback import (
     _pull_index,
     pullback_module,
 )
-from l0limits.measure import AtomMap
+from l0limits.measure import AtomMap, L0Function
 from l0limits.systems import (
     LimitPresentation,
     PreservationReport,
@@ -1036,3 +1038,92 @@ def reference_il_pullback_compare(
     return PullbackCommuteReport(
         side_a, limit_pulled.module, comparison, certificate, IL_PULLBACK_NOTE
     )
+
+
+# ---------------------------------------------------------------------------
+# Limit elements by hand: threads and colimit seminorms, each with its own
+# poset/chain split, collapsed-atom check and tail factor.
+# ---------------------------------------------------------------------------
+
+
+def reference_thread_from_components(system: InverseSystem, components: Dict, tol=None):
+    """The unique limit element with the prescribed projections.
+
+    Components must be compatible with every backward map and have finite
+    norm under the tail rule; the element's pointwise norm equals the
+    supremum of the component norms.
+    """
+    tol = tolerance() if tol is None else tol
+    thread = Thread(dict(components))
+    explicit = system.index.explicit_indices()
+    worst = 0.0
+    worst_pair = None
+    for (i, j) in system.related_pairs():
+        pushed = apply(system.map(i, j), thread.components[j])
+        dev = max(
+            float(np.max(np.abs(a - b), initial=0.0))
+            for a, b in zip(pushed.coords, thread.components[i].coords)
+        ) if pushed.coords else 0.0
+        if dev > worst:
+            worst, worst_pair = dev, (i, j)
+    if worst > tol:
+        raise ValidationError(
+            f"incompatible components: pair {worst_pair!r} deviates by {worst:g}"
+        )
+    norm, finite = il_norm(system, thread)
+    if not np.all(finite):
+        bad = [a for a, f in zip(system.space.atom_ids, finite) if not f]
+        raise ValidationError(f"thread norm is infinite at atoms {bad!r}")
+    presentation = reference_inverse_limit(system)
+    if isinstance(system.index, FinitePoset):
+        top = greatest_element(system.index)
+        element = Element(presentation.module, thread.components[top].coords)
+    else:
+        last = system.index.last
+        coords = []
+        for a, fiber in enumerate(presentation.module.fibers):
+            c = thread.components[last].coords[a]
+            if fiber.dim == c.size:
+                coords.append(c)
+            else:
+                if c.size and float(np.max(np.abs(c))) > tol:
+                    raise ValidationError(
+                        "component does not vanish on a collapsed atom"
+                    )
+                coords.append(np.zeros(0))
+        element = Element(presentation.module, coords)
+    for i in explicit:
+        projected = apply(presentation.canonical[i], element)
+        dev = max(
+            (
+                float(np.max(np.abs(a - b), initial=0.0))
+                for a, b in zip(projected.coords, thread.components[i].coords)
+            ),
+            default=0.0,
+        )
+        if dev > 10 * tol:
+            raise ValidationError(f"projection at {i!r} deviates by {dev:g}")
+    return element, norm
+
+
+def reference_dl_seminorm(system: DirectSystem, stage, element: Element) -> L0Function:
+    """Pointwise seminorm of the colimit class of ``element`` at ``stage``.
+
+    Over a finite poset the infimum over all representatives collapses to
+    the norm of the forward image at the greatest element (every
+    connecting map contracts).  Over a chain the representative is pushed
+    to the last stage and scaled by the per-atom limit of the tail
+    factors.
+    """
+    if stage not in system.modules:
+        raise KeyError(f"stage {stage!r} is not explicit in the system")
+    if element.module != system.modules[stage]:
+        raise ShapeMismatchError("class representative lives in the wrong module")
+    index = system.index
+    if isinstance(index, FinitePoset):
+        top = greatest_element(index)
+        pushed = apply(system.map(stage, top), element)
+        return pointwise_norm(pushed)
+    pushed = apply(system.map(stage, index.last), element)
+    factor = tail_limit_factor(index.tail, system.space)
+    return L0Function(system.space, factor * pointwise_norm(pushed).values)

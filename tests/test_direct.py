@@ -40,6 +40,7 @@ from l0limits.modules import (
 )
 from l0limits.randgen import (
     random_chain_direct_system,
+    random_chain_morphism_pair,
     random_direct_system,
     random_element,
     random_module,
@@ -340,6 +341,25 @@ def test_no_preimage_square_witnessed():
     assert not sol.exists
     assert sol.residual == pytest.approx(1.0)
     assert "unsolvable" in sol.witness
+
+
+def test_square_solving_composes_once_per_partner(monkeypatch):
+    """Each fixed component is composed with its source map once, not once
+    per atom."""
+    rng = np.random.default_rng(3)
+    theta = random_chain_morphism_pair(rng, AtomicMeasureSpace(["a", "b"], [1.0, 1.0]))
+    calls = []
+
+    def counted_compose(psi, phi):
+        calls.append((psi, phi))
+        return compose(psi, phi)
+
+    monkeypatch.setattr("l0limits.direct.compose", counted_compose)
+    fixed = {k: theta.components[k] for k in (1, 2)}
+    sol = solve_square_component(theta.source, theta.target, fixed, 0)
+    assert len(calls) == 2
+    assert sol.exists
+    assert morphism_deviation(sol.component, theta.components[0]) < 1e-9
 
 
 def test_solvable_square_recovers_component():

@@ -164,6 +164,31 @@ def test_injected_cocycle_violation_fails_with_witness():
     assert violation["deviation"] == pytest.approx(1.0)
 
 
+def test_invalid_system_morphism_fails_functor_square():
+    """A morphism with a broken square induces no limit map: its functor
+    check fails with the violation count, so a counterexample passes."""
+    from l0limits import randgen
+    from l0limits.measure import AtomicMeasureSpace
+    from l0limits.modules import scale_morphism
+    from l0limits.systems import SystemMorphism
+
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
+    theta = randgen.random_chain_morphism_pair(np.random.default_rng(5), space)
+    broken = {**theta.components, 0: scale_morphism(theta.components[0], 0.5)}
+    builder = DocumentBuilder()
+    builder.add_space("X", space)
+    builder.add_system("S", theta.source)
+    builder.add_system("T", theta.target)
+    broken_theta = SystemMorphism(theta.source, theta.target, broken)
+    builder.add_system_morphism("Broken", broken_theta, "S", "T")
+    builder.add_check("broken-square", "functor-square", expect="fail", first="Broken")
+    doc = parse_document(json.loads(dump_document(builder.data)))
+    result = run_checks(doc).results[0]
+    assert (result.raw_outcome, result.verdict) == ("fail", "pass")
+    assert result.witness["first_violations"] >= 1
+    assert result.provenance == ("limit-functor",)
+
+
 def test_unknown_check_kind_is_error():
     doc = parse_document({"format_version": 1})
     result = run_check(doc, CheckSpec(name="x", kind="no-such-kind"))

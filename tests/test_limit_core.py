@@ -4,7 +4,10 @@ Limits, universal factorizations, limit functors, rank-preservation
 reports, system pullbacks and pullback comparisons of seeded direct and
 inverse chains (identity, harmonic and scalar tails) and posets must equal
 those of the reference copies in ``oracles`` bit for bit, and every
-failing input must raise the same error with the same message.
+failing input must raise the same error with the same message.  Threads
+and colimit seminorms must equal their hand-written reference copies bit
+for bit too; a rejected thread raises the same error type, whose message
+now names the law of the cone it is read as.
 """
 
 import numpy as np
@@ -12,12 +15,14 @@ import pytest
 
 from l0limits import randgen
 from l0limits.direct import (
+    ColimitClass,
     DirectSystem,
     SystemMorphism,
     Target,
     check_surjectivity_preservation,
     direct_limit,
     dl_functor,
+    dl_seminorm,
     dl_universal_factorization,
     validate_system_morphism,
 )
@@ -30,9 +35,10 @@ from l0limits.inverse import (
     il_functor,
     il_universal_factorization,
     inverse_limit,
+    thread_from_components,
 )
 from l0limits.measure import L0Function
-from l0limits.modules import compose, identity_morphism, scale_morphism
+from l0limits.modules import Element, apply, compose, identity_morphism, scale_morphism
 from l0limits.pullback import (
     dl_pullback_iso,
     il_pullback_compare,
@@ -47,6 +53,7 @@ from oracles import (
     reference_direct_limit,
     reference_dl_functor,
     reference_dl_pullback_iso,
+    reference_dl_seminorm,
     reference_dl_universal_factorization,
     reference_il_functor,
     reference_il_pullback_compare,
@@ -54,6 +61,7 @@ from oracles import (
     reference_inverse_limit,
     reference_pullback_direct_system,
     reference_pullback_inverse_system,
+    reference_thread_from_components,
     reference_validate_system_morphism,
 )
 
@@ -124,10 +132,10 @@ def _assert_same_presentation(got, want):
         _assert_same_morphism(got.canonical[i], want.canonical[i])
 
 
-def _assert_same(got, want, compare):
+def _assert_same(got, want, compare, same_message=True):
     assert got[0] == want[0], (got, want)
     if got[0] == "raised":
-        assert got[1] == want[1]
+        assert got[1] == want[1] if same_message else got[1][0] is want[1][0]
     else:
         compare(got[1], want[1])
     return got[0]
@@ -288,3 +296,61 @@ def test_pullbacks_match_reference(seed):
             _outcome(ref_compare, atom_map, system, rng=np.random.default_rng(seed)),
             _assert_same_commute_report,
         )
+
+
+def _threads(system, rng):
+    """Threads of the projections of a random top-stage element: as drawn
+    (of infinite norm where a collapsed atom carries mass), zeroed where
+    the limit collapses (finite), and each with one component scaled by
+    0.5 (incompatible unless that component is zero)."""
+    index = system.index
+    top = index.last if isinstance(index, Chain) else greatest_element(index)
+    explicit = index.explicit_indices()
+    drawn = randgen.random_element(rng, system.modules[top])
+    limit = reference_inverse_limit(system).module
+    kept = Element(drawn.module, [
+        c if f.dim == c.size else np.zeros_like(c) for c, f in zip(drawn.coords, limit.fibers)
+    ])
+    for name, v in (("drawn", drawn), ("kept", kept)):
+        components = {i: apply(system.map(i, top), v) for i in explicit}
+        yield name, components
+        k = explicit[int(rng.integers(len(explicit)))]
+        yield f"{name}-one-scaled", {**components, k: components[k].scale(0.5)}
+
+
+def _assert_same_thread(got, want):
+    (element, norm), (ref_element, ref_norm) = got, want
+    assert element.module == ref_element.module
+    for a, b in zip(element.coords, ref_element.coords):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert norm.space == ref_norm.space and np.array_equal(norm.values, ref_norm.values)
+
+
+def _assert_same_function(got, want):
+    assert got.space == want.space and np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_threads_and_seminorms_match_reference(seed):
+    outcomes = set()
+    for _, system in _systems(seed):
+        rng = np.random.default_rng(seed)
+        if not system.forward:
+            for _, components in _threads(system, rng):
+                outcomes.add(_assert_same(
+                    _outcome(thread_from_components, system, components),
+                    _outcome(reference_thread_from_components, system, components),
+                    _assert_same_thread,
+                    same_message=False,
+                ))
+            continue
+        classes = [(i, randgen.random_element(rng, m)) for i, m in system.modules.items()]
+        foreign = randgen.random_element(rng, randgen.random_module(rng, system.space, max_dim=3))
+        classes += [("no-such-stage", classes[0][1]), (classes[0][0], foreign)]
+        for stage, v in classes:
+            _assert_same(
+                _outcome(dl_seminorm, system, ColimitClass(stage, v)),
+                _outcome(reference_dl_seminorm, system, stage, v),
+                _assert_same_function,
+            )
+    assert outcomes == {"ok", "raised"}

@@ -244,7 +244,7 @@ def _count_law_check_objects(monkeypatch):
         calls["morphism"] += 1
         init(self, *args, **kwargs)
 
-    for layer in ("modules", "systems", "direct", "inverse"):
+    for layer in ("modules", "systems", "direct"):
         monkeypatch.setattr(f"l0limits.{layer}.compose", counted_compose)
     monkeypatch.setattr(ModuleMorphism, "__init__", counted_init)
     return calls
