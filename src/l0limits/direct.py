@@ -276,9 +276,8 @@ def present_as_fg_limit(module: FiberModule, gens: List[Element]) -> FgPresentat
         ]
         maps[(k, k + 1)] = ModuleMorphism(stages[k], stages[k + 1], mats)
     system = DirectSystem(chain, dict(enumerate(stages)), maps)
-    presentation = direct_limit(system)
     target = Target(module, dict(enumerate(inclusions)))
-    iso = dl_universal_factorization(system, target, presentation)
+    iso = dl_universal_factorization(system, target)
     return FgPresentation(
         system, iso, tuple(s.dims() for s in stages), tuple(inclusions)
     )

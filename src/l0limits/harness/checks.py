@@ -182,7 +182,7 @@ def _check_universal(doc, spec, rng):
             doc, spec, "morphisms", f"{side}_maps", key
         )
     presentation = _limit(system)
-    mediating = _universal_factorization(system, module, maps, presentation)
+    mediating = _universal_factorization(system, module, maps)
     worst = max(
         composite_deviation(
             system._outer_first(presentation.canonical[i], mediating), (maps[i],)

@@ -43,6 +43,13 @@ INF = float("inf")
 #: Sign-pattern and subset enumeration is limited to this many dimensions.
 VERTEX_DIM_CAP = 12
 
+#: A framed ball enumerates at most this many subset solves (p=inf) or
+#: subset SVDs (p=1).
+FRAME_BALL_BUDGET = 500_000
+
+#: Floats one array of a stacked frame-ball enumeration may hold.
+_CHUNK_FLOATS = 1 << 19
+
 
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -231,7 +238,7 @@ class FramedP:
             if rows < cols:
                 raise ValueError("frame matrix must have at least as many rows as columns")
             sv = np.linalg.svd(matrix, compute_uv=False)
-            if sv.size == 0 or sv[-1] <= 1e-12 * max(1.0, sv[0]):
+            if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
                 raise ValueError("frame matrix must have full column rank")
         matrix = matrix.copy()
         matrix.setflags(write=False)
@@ -274,51 +281,72 @@ class FramedP:
 
     @cached_property
     def _ball_candidates(self) -> np.ndarray:
+        """Vertex candidates of the unit ball, one per row, in the order of
+        the row subsets they come from (and of the sign patterns, for p=inf).
+
+        The subsets are enumerated in stacks of LAPACK calls.  A stack holds
+        as many subsets as keep each of its arrays within ``_CHUNK_FLOATS``
+        floats (4 MiB), so that any frame the budget admits is enumerated
+        with at most 32 MiB of working arrays, besides the candidates
+        themselves (held twice while the stacks' parts are joined).  The
+        budget is checked before anything is allocated.  The rank, determinant
+        and length thresholds are relative, so ``FramedP(p, c * A)`` has the
+        candidates of ``FramedP(p, A)`` divided by ``c``, up to rounding.
+        """
         rows, cols = self.matrix.shape
-        budget = 500_000
         if self.p == 1.0:
-            work = _comb(rows, max(cols - 1, 0))
+            size, solves = max(cols - 1, 0), 1
         else:
-            work = _comb(rows, cols) * (2 ** min(cols, 40))
-        if work > budget:
+            size, solves = cols, 2 ** min(cols, 40)
+        work = _comb(rows, size) * solves
+        if work > FRAME_BALL_BUDGET:
             raise DimensionCapError(
                 f"frame ball enumeration needs {work} candidate solves "
-                f"(budget {budget})"
+                f"(budget {FRAME_BALL_BUDGET})"
             )
         if self.p == 1.0:
-            # Vertices of {x : ||A x||_1 <= 1}.  The dual ball is the
-            # zonotope spanned by the rows of A, whose facet normals are
-            # orthogonal to (dim-1)-subsets of rows; each normal u gives
-            # the vertex u / ||A u||_1.
             if cols == 1:
                 u = np.ones(1)
                 return np.array([u, -u]) / np.abs(self.matrix @ u).sum()
-            verts = []
-            for subset in itertools.combinations(range(rows), cols - 1):
-                sub = self.matrix[list(subset), :]
-                _, sv, vt = np.linalg.svd(sub)
-                rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)))
-                if rank != cols - 1:
-                    continue
-                u = vt[-1]
-                val = np.abs(self.matrix @ u).sum()
-                if val > 1e-12:
-                    verts.append(u / val)
-                    verts.append(-u / val)
-            return np.array(verts)
-        # Vertices of {x : |a_i . x| <= 1}: intersections of dim active
-        # facets, filtered by feasibility.
-        verts = []
-        feas_tol = 1e-9
-        for subset in itertools.combinations(range(rows), cols):
-            sub = self.matrix[list(subset), :]
-            if abs(np.linalg.det(sub)) <= 1e-12:
-                continue
-            for signs in _sign_grid(cols):
-                x = np.linalg.solve(sub, signs)
-                if np.max(np.abs(self.matrix @ x)) <= 1.0 + feas_tol:
-                    verts.append(x)
-        return np.array(verts)
+            stack, widest = self._one_ball_vertices, max(cols * cols, rows)
+        else:
+            stack, widest = self._inf_ball_vertices, solves * rows
+        step = max(1, _CHUNK_FLOATS // widest)
+        subsets = itertools.combinations(range(rows), size)
+        parts = []
+        for _ in range(0, _comb(rows, size), step):
+            flat = itertools.chain.from_iterable(itertools.islice(subsets, step))
+            index = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+            parts.append(stack(self.matrix[index]))
+        return np.concatenate(parts)
+
+    def _one_ball_vertices(self, subs: np.ndarray) -> np.ndarray:
+        """Vertices of {x : ||A x||_1 <= 1} from a (k, dim-1, dim) stack of
+        row subsets.  The dual ball is the zonotope spanned by the rows of
+        A, whose facet normals are orthogonal to (dim-1)-subsets of rows;
+        each normal u gives the vertices +-u / ||A u||_1."""
+        _, sv, vt = np.linalg.svd(subs)
+        normals = vt[(sv > 1e-12 * sv[:, :1]).all(axis=1), -1]
+        lengths = np.abs(np.matmul(self.matrix, normals[:, :, None]))[:, :, 0].sum(axis=1)
+        keep = lengths > 1e-12 * np.abs(self.matrix).max()
+        verts = normals[keep] / lengths[keep, None]
+        return np.stack([verts, -verts], axis=1).reshape(-1, self.dim)
+
+    def _inf_ball_vertices(self, subs: np.ndarray) -> np.ndarray:
+        """Vertices of {x : |a_i . x| <= 1} from a (k, dim, dim) stack of row
+        subsets: the intersections of dim active facets, for every sign
+        pattern, filtered by feasibility.  Subsets are judged singular on
+        their rows scaled to unit largest entry, whose determinant neither
+        overflows nor underflows."""
+        scale = np.abs(subs).max(axis=2, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        subs = subs[np.abs(np.linalg.det(subs / scale)) > 1e-12]
+        # One right-hand side per solve, as a (dim, 1) matrix: numpy 1.x and
+        # 2.x read that shape alike.
+        signs = _sign_grid(self.dim)[None, :, :, None]
+        xs = np.linalg.solve(subs[:, None], signs).reshape(-1, self.dim)
+        images = np.matmul(self.matrix, xs[:, :, None])
+        return xs[np.abs(images).max(axis=(1, 2)) <= 1.0 + 1e-9]
 
     @cached_property
     def _dual_candidates(self) -> np.ndarray:

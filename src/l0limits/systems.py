@@ -82,9 +82,10 @@ class System:
     Maps may be supplied for any covering family of related pairs.  Every
     other connecting map out of stage i is composed along the breadth-first
     tree of supplied edges rooted at i (edges taken in ``(str(a), str(b))``
-    order), one composition from the map at its tree parent, and cached.
-    Subclasses fix the arrow direction through ``forward`` and
-    ``stage_axis`` and name their maps and cones in the texts below.
+    order), one composition from the map at its tree parent, and cached;
+    so is the limit, once built.  Subclasses fix the arrow direction
+    through ``forward`` and ``stage_axis`` and name their maps and cones in
+    the texts below.
     """
 
     forward = True
@@ -126,6 +127,7 @@ class System:
             self._edges.setdefault(a, []).append(b)
         self._trees: Dict[object, dict] = {}
         self._closure: Dict[tuple, ModuleMorphism] = {}
+        self._presentation: Optional[LimitPresentation] = None
 
     def related_pairs(self):
         return self.index.related_pairs()
@@ -370,7 +372,15 @@ def _top(index):
 
 def _limit(system: System) -> LimitPresentation:
     """The limit of a system with its canonical maps; see
-    :func:`l0limits.direct.direct_limit` and :func:`l0limits.inverse.inverse_limit`."""
+    :func:`l0limits.direct.direct_limit` and :func:`l0limits.inverse.inverse_limit`.
+    Built on first use and kept, as a system is never changed after
+    construction."""
+    if system._presentation is None:
+        system._presentation = _build_limit(system)
+    return system._presentation
+
+
+def _build_limit(system: System) -> LimitPresentation:
     index = system.index
     top = _top(index)
     if isinstance(index, FinitePoset):

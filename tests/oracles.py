@@ -9,8 +9,9 @@ System validation and poset closure are checked against the plain
 versions they replaced: a fresh breadth-first search for every composite,
 every law evaluated on every pair and triple, and a fixed-point closure
 of the order pairs.  Likewise the batched norm kernels are checked
-against per-vector evaluation, and the batched isometry certificate
-against its probe-by-probe loop.  The shared limit core (limits,
+against per-vector evaluation, the stacked frame-ball enumeration against
+its subset-by-subset loop, and the batched isometry certificate against
+its probe-by-probe loop.  The shared limit core (limits,
 universal factorizations, limit functors, rank preservation, pullback
 comparisons) is checked against the per-direction functions it replaced,
 and so are threads and colimit seminorms against their hand-written
@@ -461,8 +462,9 @@ def reference_poset_relation(elements, pairs) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Per-vector norm evaluation and the probe-by-probe isometry certificate,
-# as they were before the batched kernels.
+# Per-vector norm evaluation, frame-ball candidates subset by subset and
+# the probe-by-probe isometry certificate, as they were before the batched
+# and stacked kernels.
 # ---------------------------------------------------------------------------
 
 
@@ -519,6 +521,42 @@ def reference_certify_isometric_iso(phi, rng=None, samples=8, tol=None) -> IsoCe
         "not bijective per atom" if not bijective else f"norm deviation {max_dev:g}"
     )
     return IsoCertificate(ok, bijective, max_dev, detail)
+
+
+def reference_frame_ball_candidates(spec: FramedP) -> np.ndarray:
+    """Vertex candidates of a framed 1- or inf-ball by one LAPACK call per
+    row subset (and per sign pattern, for p=inf), with the relative rank,
+    determinant and length thresholds of the stacked enumeration."""
+    matrix = spec.matrix
+    rows, cols = matrix.shape
+    if spec.p == 1:
+        if cols == 1:
+            u = np.ones(1)
+            return np.array([u, -u]) / np.abs(matrix @ u).sum()
+        verts = []
+        for subset in itertools.combinations(range(rows), cols - 1):
+            sub = matrix[list(subset), :]
+            _, sv, vt = np.linalg.svd(sub)
+            if int(np.sum(sv > 1e-12 * sv[0])) != cols - 1:
+                continue
+            u = vt[-1]
+            val = np.abs(matrix @ u).sum()
+            if val > 1e-12 * np.abs(matrix).max():
+                verts.append(u / val)
+                verts.append(-u / val)
+        return np.array(verts)
+    verts = []
+    for subset in itertools.combinations(range(rows), cols):
+        sub = matrix[list(subset), :]
+        scale = np.abs(sub).max(axis=1, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        if abs(np.linalg.det(sub / scale)) <= 1e-12:
+            continue
+        for signs in _signs(cols):
+            x = np.linalg.solve(sub, signs)
+            if np.max(np.abs(matrix @ x)) <= 1.0 + 1e-9:
+                verts.append(x)
+    return np.array(verts)
 
 
 # ---------------------------------------------------------------------------

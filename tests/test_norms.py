@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from l0limits import norms
 from l0limits.errors import (
     BracketTooWideError,
     DimensionCapError,
@@ -40,7 +43,7 @@ from l0limits.norms import (
     zero_norm,
 )
 
-from oracles import reference_norm_eval, sampled_operator_norm
+from oracles import reference_frame_ball_candidates, reference_norm_eval, sampled_operator_norm
 
 
 def test_weighted_one_eval():
@@ -120,6 +123,90 @@ def test_framed_requires_full_column_rank():
 def test_vertex_cap_enforced():
     with pytest.raises(DimensionCapError):
         WeightedP(INF, np.ones(13)).ball_candidates()
+
+
+def _seeded_frames(seed):
+    """Square and tall frames, one-column frames, frames with a duplicate
+    and a sign-mirrored row (rank-deficient subsets), and each of them
+    scaled by 10^100 and 10^-100."""
+    rng = np.random.default_rng(seed)
+    for rows, cols in ((1, 1), (4, 1), (2, 2), (3, 3), (5, 3), (6, 4), (8, 2), (8, 5)):
+        frame = rng.standard_normal((rows, cols))
+        variants = [frame]
+        if rows >= cols + 2:
+            mirrored = frame.copy()
+            mirrored[1], mirrored[2] = frame[0], -frame[0]
+            variants.append(mirrored)
+        for a in variants:
+            yield a
+            yield 1e100 * a
+            yield 1e-100 * a
+
+
+@pytest.mark.parametrize("p", [1, INF], ids=["p1", "pinf"])
+def test_stacked_frame_ball_matches_the_subset_loop(monkeypatch, p):
+    """The stacked enumeration gives the loop's candidates byte for byte,
+    in the loop's order, in one stack, one subset per stack, or chunked."""
+    chunks = (norms._CHUNK_FLOATS, 1, 37)
+    for seed in range(3):
+        for frame in _seeded_frames(seed):
+            want = reference_frame_ball_candidates(FramedP(p, frame))
+            for chunk in chunks:
+                monkeypatch.setattr(norms, "_CHUNK_FLOATS", chunk)
+                got = FramedP(p, frame).ball_candidates()
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, INF]), st.sampled_from([(1, 1), (3, 1), (2, 2), (4, 2), (5, 3), (4, 4)]),
+       st.integers(0, 10_000), st.floats(-100, 100), st.booleans())
+@example(INF, (5, 3), 0, -5.0, False)
+@example(1, (5, 3), 0, -13.0, False)
+def test_framed_ball_is_scale_invariant(p, shape, seed, exponent, negative):
+    """Scaling a frame by c divides every operator norm out of it by |c|.
+    Absolute thresholds emptied the inf-ball of a frame scaled by 1e-5 and
+    rejected one scaled by 1e-13 as rank-deficient."""
+    rng = np.random.default_rng(seed)
+    frame = rng.standard_normal(shape)
+    mat = rng.standard_normal((2, shape[1]))
+    target = WeightedP(2, (1.0, 0.5))
+    c = (-1.0 if negative else 1.0) * 10.0**exponent
+    base = operator_norm_value(mat, FramedP(p, frame), target)
+    scaled = operator_norm_value(mat, FramedP(p, c * frame), target)
+    assert scaled == pytest.approx(base / abs(c), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p, shape, work", [(1, (6, 3), 15), (INF, (6, 3), 160)])
+def test_frame_ball_budget_admits_work_equal_to_it(monkeypatch, p, shape, work):
+    spec = FramedP(p, np.random.default_rng(0).standard_normal(shape))
+    monkeypatch.setattr(norms, "FRAME_BALL_BUDGET", work - 1)
+    with pytest.raises(DimensionCapError, match=f"needs {work} candidate solves"):
+        spec.ball_candidates()
+    monkeypatch.setattr(norms, "FRAME_BALL_BUDGET", work)
+    assert len(spec.ball_candidates())
+
+
+def test_frame_ball_memory_stays_bounded_at_the_budget_edge():
+    """C(73, 3) * 2^3 = 497,568 solves, the most a 3-column inf-frame may
+    take: all their images at once would take about 290 MB.  One row more
+    is over the budget, which raises before anything is allocated."""
+    rng = np.random.default_rng(0)
+    edge = FramedP(INF, rng.standard_normal((73, 3)))
+    over = FramedP(INF, rng.standard_normal((74, 3)))
+    tracemalloc.start()
+    try:
+        cands = edge.ball_candidates()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(DimensionCapError):
+            over.ball_candidates()
+        _, over_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cands)
+    assert peak <= 32 * 2**20 + 2 * cands.nbytes
+    assert over_peak <= 2**20
 
 
 def test_ball_candidates_lie_on_sphere():
