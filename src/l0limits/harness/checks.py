@@ -5,20 +5,18 @@ outcome (pass, fail or error) with a witness.  Counterexample checks
 declare ``expect: fail``; their verdict is pass exactly when the raw
 property fails as designed, and the witness records how.
 
-Reports are deterministic for a fixed (document, seed, tolerance) triple:
-checks are sorted by name and the structured rendering carries no wall
-clock (durations appear only in the text format).
+Reports are deterministic for a fixed (document, tolerance) pair: no
+check draws random numbers, checks are sorted by name and the structured
+rendering carries no wall clock (durations appear only in the text
+format).  The seed a report carries is recorded and steers nothing.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .. import pullback as pb
 from ..config import tolerance, tolerance_override
@@ -111,7 +109,7 @@ def _resolve(doc: Document, spec: CheckSpec, table: str, *keys):
     raise L0LimitsError(f"{path}: unknown {what} {ref!r}")
 
 
-def _check_validate(doc, spec, rng):
+def _check_validate(doc, spec):
     system = _resolve(doc, spec, "systems", "system")
     report = validate_system(system)
     witness = {
@@ -141,7 +139,7 @@ def _directed_system(doc: Document, spec: CheckSpec):
     return system
 
 
-def _check_limit(doc, spec, rng):
+def _check_limit(doc, spec):
     system = _directed_system(doc, spec)
     presentation = _limit(system)
     witness = _limit_payload(presentation)
@@ -161,7 +159,7 @@ def _check_limit(doc, spec, rng):
     return outcome, witness, (presentation.provenance,)
 
 
-def _check_greatest(doc, spec, rng):
+def _check_greatest(doc, spec):
     index = _resolve(doc, spec, "index_sets", "index_set")
     if not isinstance(index, FinitePoset):
         raise L0LimitsError("greatest-element applies to finite posets")
@@ -170,7 +168,7 @@ def _check_greatest(doc, spec, rng):
     return ("pass" if ok else "fail"), {"top": top}, ("greatest-element",)
 
 
-def _check_universal(doc, spec, rng):
+def _check_universal(doc, spec):
     """The cone of a direct system is a target, of an inverse one a source."""
     system = _directed_system(doc, spec)
     side = system.cone_side
@@ -192,7 +190,7 @@ def _check_universal(doc, spec, rng):
     return "pass", {f"max_{system.cone_shape}_deviation": worst}, ("universal-property",)
 
 
-def _check_functor_square(doc, spec, rng):
+def _check_functor_square(doc, spec):
     params = spec.params
     if "solve" in params:
         solve = params["solve"]
@@ -242,7 +240,7 @@ _RANK_CHECKS = {
 }
 
 
-def _check_rank_preservation(doc, spec, rng):
+def _check_rank_preservation(doc, spec):
     onto, adjective, provenance = _RANK_CHECKS[spec.kind]
     theta = _resolve(doc, spec, "system_morphisms", "morphism")
     report = _rank_preservation(theta, onto)
@@ -255,10 +253,10 @@ def _check_rank_preservation(doc, spec, rng):
     return ("pass" if ok else "fail"), witness, (provenance,)
 
 
-def _check_pullback_commute(doc, spec, rng):
+def _check_pullback_commute(doc, spec):
     system = _resolve(doc, spec, "systems", "system")
     atom_map = _resolve(doc, spec, "atom_maps", "atom_map")
-    report = pb.dl_pullback_iso(atom_map, system, rng=rng)
+    report = pb.dl_pullback_iso(atom_map, system)
     witness = {
         "bijective": report.certificate.bijective,
         "max_norm_deviation": report.certificate.max_norm_deviation,
@@ -273,10 +271,10 @@ def _check_pullback_commute(doc, spec, rng):
     return ("pass" if report.ok else "fail"), witness, ("pullback-commute",)
 
 
-def _check_sections_iso(doc, spec, rng):
+def _check_sections_iso(doc, spec):
     z = _resolve(doc, spec, "spaces", "factor_space")
     module = _resolve(doc, spec, "modules", "module")
-    report = pb.sections_iso(z, module, rng=rng)
+    report = pb.sections_iso(z, module)
     witness = {
         "norm_identity_exact": report.norm_identity_exact,
         "constant_section_matches": report.constant_section_matches,
@@ -285,14 +283,14 @@ def _check_sections_iso(doc, spec, rng):
     return ("pass" if report.ok else "fail"), witness, ("sections-iso",)
 
 
-def _check_hom_iso(doc, spec, rng):
+def _check_hom_iso(doc, spec):
     """Homs into a module, or for a dual-iso check into the scalar module."""
     system = _resolve(doc, spec, "systems", "system")
     if spec.kind == "dual-iso":
         fixed, provenance = scalar_module(system.space), "dual-of-limit"
     else:
         fixed, provenance = _resolve(doc, spec, "modules", "module"), "hom-of-limit"
-    cert = hom_inverse_system(system, fixed, rng=rng).certificate
+    cert = hom_inverse_system(system, fixed).certificate
     witness = {
         "bijective": cert.bijective,
         "max_norm_deviation": cert.max_norm_deviation,
@@ -300,10 +298,10 @@ def _check_hom_iso(doc, spec, rng):
     return ("pass" if cert.ok else "fail"), witness, (provenance,)
 
 
-def _check_il_pullback(doc, spec, rng):
+def _check_il_pullback(doc, spec):
     system = _resolve(doc, spec, "systems", "system")
     atom_map = _resolve(doc, spec, "atom_maps", "atom_map")
-    report = pb.il_pullback_compare(atom_map, system, rng=rng)
+    report = pb.il_pullback_compare(atom_map, system)
     witness = {
         "isomorphic_on_instance": report.ok,
         "max_norm_deviation": report.certificate.max_norm_deviation,
@@ -332,9 +330,9 @@ _DISPATCH = {
 CHECK_KINDS = tuple(sorted(_DISPATCH))
 
 
-def run_check(doc: Document, spec: CheckSpec, global_seed: int = 0) -> CheckResult:
-    """Run one check deterministically under its (possibly overridden)
-    tolerance and a seed derived from the global seed and the check."""
+def run_check(doc: Document, spec: CheckSpec) -> CheckResult:
+    """Run one check under its (possibly overridden) tolerance.  No check
+    draws random numbers, so a check's ``seed`` field steers nothing."""
     if spec.kind not in _DISPATCH:
         return CheckResult(
             spec.name,
@@ -344,15 +342,11 @@ def run_check(doc: Document, spec: CheckSpec, global_seed: int = 0) -> CheckResu
             spec.expect,
             {"reason": f"unknown check kind {spec.kind!r}"},
         )
-    seed = global_seed if spec.seed is None else spec.seed
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, zlib.crc32(spec.name.encode("utf-8"))])
-    )
     start = time.perf_counter()
     tol = spec.tol if spec.tol is not None else tolerance()
     try:
         with tolerance_override(tol):
-            raw, witness, provenance = _DISPATCH[spec.kind](doc, spec, rng)
+            raw, witness, provenance = _DISPATCH[spec.kind](doc, spec)
     except L0LimitsError as exc:
         raw, witness, provenance = "error", {"reason": str(exc)}, ("error",)
     except Exception as exc:  # malformed parameters, unresolved ids, ...
@@ -376,7 +370,7 @@ def run_checks(
     document_name: str = "<memory>",
 ) -> RunReport:
     checks = doc.checks if checks is None else checks
-    results = [run_check(doc, spec, seed) for spec in checks]
+    results = [run_check(doc, spec) for spec in checks]
     results.sort(key=lambda r: r.name)
     return RunReport(tolerance(), seed, document_name, results)
 

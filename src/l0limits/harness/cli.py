@@ -8,7 +8,7 @@ Subcommands:
 * ``report DOC``                run every check in the document.
 
 Global flags: ``--tol`` (absolute tolerance, default 1e-9), ``--seed``
-(default 0) and ``--format text|structured``.  Exit code 0 on all-pass,
+(default 0, recorded in the report) and ``--format text|structured``.  Exit code 0 on all-pass,
 1 on any fail, 2 on error.
 """
 
@@ -37,7 +37,7 @@ def _add_common(parser: argparse.ArgumentParser, top_level: bool) -> None:
     )
     parser.add_argument(
         "--seed", type=int, default=0 if top_level else suppress,
-        help="seed for randomized certifications",
+        help="seed recorded in the report; no check is randomized",
     )
     parser.add_argument(
         "--format", choices=("text", "structured"),

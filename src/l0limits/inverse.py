@@ -239,19 +239,18 @@ def _hom_system(system: DirectSystem, fixed: FiberModule) -> InverseSystem:
 
 
 def hom_inverse_system(
-    system: DirectSystem,
-    fixed: FiberModule,
-    rng: Optional[np.random.Generator] = None,
-    tol: Optional[float] = None,
+    system: DirectSystem, fixed: FiberModule, tol: Optional[float] = None
 ) -> HomLimitComparison:
     """Homomorphisms into a fixed module, stage by stage, versus all at once.
 
     Precomposition with the connecting maps turns the stage Hom modules
     into an inverse system; its limit is compared with the homomorphisms
-    out of the direct limit.  The connecting maps are admissible because
-    precomposition with a contraction contracts operator norms; this is
-    inherited from the validated underlying system rather than re-checked
-    through matrix-space norms, which have no exact kernel.
+    out of the direct limit, and the comparison map is certified exactly
+    by :func:`~l0limits.modules.certify_isometric_iso` within ``10 * tol``.
+    The connecting maps are admissible because precomposition with a
+    contraction contracts operator norms; this is inherited from the
+    validated underlying system rather than re-checked through
+    matrix-space norms, which have no exact kernel.
     """
     tol = tolerance() if tol is None else tol
     hom_sys = _hom_system(system, fixed)
@@ -268,15 +267,11 @@ def hom_inverse_system(
     comparison = systems._universal_factorization(
         hom_sys, hom_of_limit, q_maps, limit_of_homs, tol, check_admissibility=False
     )
-    certificate = certify_isometric_iso(comparison, rng=rng, tol=10 * tol)
+    certificate = certify_isometric_iso(comparison, tol=10 * tol)
     return HomLimitComparison(hom_sys, limit_of_homs, hom_of_limit, comparison, certificate)
 
 
-def dual_limit_iso(
-    system: DirectSystem,
-    rng: Optional[np.random.Generator] = None,
-    tol: Optional[float] = None,
-) -> HomLimitComparison:
+def dual_limit_iso(system: DirectSystem, tol: Optional[float] = None) -> HomLimitComparison:
     """Duals stage by stage versus the dual of the limit.
 
     Specializes :func:`hom_inverse_system` to the scalar module; the
@@ -284,7 +279,7 @@ def dual_limit_iso(
     the original connecting maps (precomposition with a map, on covectors,
     is its transpose).
     """
-    return hom_inverse_system(system, scalar_module(system.space), rng=rng, tol=tol)
+    return hom_inverse_system(system, scalar_module(system.space), tol=tol)
 
 
 def dual_system(system: DirectSystem) -> InverseSystem:

@@ -24,7 +24,6 @@ from .norms import (
     WeightedP,
     _raise_first,
     norm_eval,
-    norm_rows,
     operator_norm_batch,
     operator_norm_witness,
     zero_norm,
@@ -526,40 +525,36 @@ class IsoCertificate:
     detail: str = ""
 
 
-def certify_isometric_iso(
-    phi: ModuleMorphism,
-    rng: Optional[np.random.Generator] = None,
-    tol: Optional[float] = None,
-) -> IsoCertificate:
-    """Check that a morphism is bijective per atom and norm preserving.
+def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> IsoCertificate:
+    """Check, exactly, that a morphism is an isometric isomorphism.
 
-    Norm preservation is tested on every standard basis element and on
-    eight seeded random elements; bijectivity by per-atom rank.
+    The matrix ``m`` at an atom is an isometry within ``tol`` iff it is
+    bijective (by rank) and both ``|m|`` and ``|m^-1|`` are at most
+    ``1 + tol``.  The deviation is the largest ``max(|m|, |m^-1|) - 1``
+    over the atoms, clipped at zero, and infinite when an atom is not
+    bijective.  Between equal fiber norms ``m = c I`` has the norms ``|c|``
+    and ``1/|c|`` by homogeneity; every other atom's two norms come from
+    one :func:`~l0limits.norms.operator_norm_batch`, and a kernel error
+    there is raised, located at its atom.
     """
     tol = tolerance() if tol is None else tol
-    rng = np.random.default_rng(0) if rng is None else rng
-    bijective = True
-    for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers):
-        if s.dim != t.dim:
-            bijective = False
-            break
-        if s.dim and np.linalg.matrix_rank(m, tol=1e-10) != s.dim:
-            bijective = False
-            break
-    # Per atom, the probes are the identity rows (the standard basis
-    # elements there) and that atom's slice of each random element.
-    draws = rng.standard_normal((8, sum(phi.source.dims())))
-    max_dev = 0.0
-    offset = 0
-    for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers):
-        probes = np.vstack([np.eye(s.dim), draws[:, offset:offset + s.dim]])
-        offset += s.dim
-        before = norm_rows(s.norm, probes)
-        after = norm_rows(t.norm, probes @ m.T)
-        if before.size:
-            max_dev = max(max_dev, float(np.max(np.abs(before - after))))
-    ok = bijective and max_dev <= tol
-    detail = "" if ok else (
-        "not bijective per atom" if not bijective else f"norm deviation {max_dev:g}"
-    )
-    return IsoCertificate(ok, bijective, max_dev, detail)
+    scalar, items, located = [], [], []
+    for atom, m, s, t in zip(
+        phi.source.space.atom_ids, phi.matrices, phi.source.fibers, phi.target.fibers
+    ):
+        if s.dim != t.dim or (s.dim and np.linalg.matrix_rank(m, tol=1e-10) != s.dim):
+            return IsoCertificate(False, False, np.inf, "not bijective per atom")
+        if not s.dim:
+            continue
+        if s.norm == t.norm and np.array_equal(m, m[0, 0] * np.eye(s.dim)):
+            scalar += [abs(m[0, 0]), 1.0 / abs(m[0, 0])]
+        else:
+            items += [(m, s.norm, t.norm), (np.linalg.inv(m), t.norm, s.norm)]
+            located += [atom, atom]
+    values = operator_norm_batch(items)
+    for atom, value in zip(located, values):
+        if isinstance(value, Exception):
+            raise value.at_atom(atom)
+    max_dev = max(0.0, float(max(scalar + values, default=1.0)) - 1.0)
+    ok = max_dev <= tol
+    return IsoCertificate(ok, True, max_dev, "" if ok else f"norm deviation {max_dev:g}")

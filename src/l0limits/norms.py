@@ -472,12 +472,17 @@ class DualOf:
 
 
 def _halve_symmetric(rows: np.ndarray) -> np.ndarray:
-    """Drop near-duplicate and sign-mirrored rows, keeping the span intact."""
+    """Drop near-zero, near-duplicate and sign-mirrored rows, keeping the
+    span intact and the kept rows in order.  The thresholds are relative
+    to the largest entry, so rows scaled by any ``c != 0`` keep the same
+    rows."""
+    scale = np.max(np.abs(rows), initial=0.0)
+    atol = 1e-12 * scale
     kept = []
     for r in rows:
-        if np.max(np.abs(r), initial=0.0) <= 1e-14:
+        if np.max(np.abs(r), initial=0.0) <= 1e-14 * scale:
             continue
-        if any(np.allclose(r, k, atol=1e-12) or np.allclose(r, -k, atol=1e-12) for k in kept):
+        if any(np.allclose(r, k, atol=atol) or np.allclose(r, -k, atol=atol) for k in kept):
             continue
         kept.append(r)
     return np.array(kept) if kept else rows

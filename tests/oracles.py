@@ -10,8 +10,8 @@ versions they replaced: a fresh breadth-first search for every composite,
 every law evaluated on every pair and triple, and a fixed-point closure
 of the order pairs.  Likewise the batched norm kernels are checked
 against per-vector evaluation, the stacked frame-ball enumeration against
-its subset-by-subset loop, and the batched isometry certificate against
-its probe-by-probe loop.  The shared limit core (limits,
+its subset-by-subset loop, and the isometry certificate against its
+atom-by-atom loop over witness calls.  The shared limit core (limits,
 universal factorizations, limit functors, rank preservation, pullback
 comparisons) is checked against the per-direction functions it replaced,
 and so are threads and colimit seminorms against their hand-written
@@ -42,7 +42,6 @@ from l0limits.modules import (
     IsoCertificate,
     ModuleMorphism,
     apply,
-    basis_elements,
     certify_isometric_iso,
     composite_deviation,
     compose,
@@ -462,9 +461,9 @@ def reference_poset_relation(elements, pairs) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Per-vector norm evaluation, frame-ball candidates subset by subset and
-# the probe-by-probe isometry certificate, as they were before the batched
-# and stacked kernels.
+# Per-vector norm evaluation and frame-ball candidates subset by subset,
+# as they were before the batched and stacked kernels, and the isometry
+# certificate atom by atom.
 # ---------------------------------------------------------------------------
 
 
@@ -495,32 +494,21 @@ def reference_norm_eval(spec, x) -> float:
     raise ValueError(f"no closed form for {spec!r}")
 
 
-def reference_certify_isometric_iso(phi, rng=None, samples=8, tol=None) -> IsoCertificate:
+def reference_certify_isometric_iso(phi, tol=None) -> IsoCertificate:
+    """The exact isometry certificate atom by atom: both operator norms of
+    every bijective atom from its own witness call, with no shortcut for
+    scalar multiples of the identity."""
     tol = tolerance() if tol is None else tol
-    rng = np.random.default_rng(0) if rng is None else rng
-    bijective = True
-    for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers):
-        if s.dim != t.dim:
-            bijective = False
-            break
-        if s.dim and np.linalg.matrix_rank(m, tol=1e-10) != s.dim:
-            bijective = False
-            break
-    probes = basis_elements(phi.source)
-    for _ in range(samples):
-        coords = [rng.standard_normal(f.dim) for f in phi.source.fibers]
-        probes.append(Element(phi.source, coords))
     max_dev = 0.0
-    for v in probes:
-        before = pointwise_norm(v).values
-        after = pointwise_norm(apply(phi, v)).values
-        if before.size:
-            max_dev = max(max_dev, float(np.max(np.abs(before - after))))
-    ok = bijective and max_dev <= tol
-    detail = "" if ok else (
-        "not bijective per atom" if not bijective else f"norm deviation {max_dev:g}"
-    )
-    return IsoCertificate(ok, bijective, max_dev, detail)
+    for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers):
+        if s.dim != t.dim or (s.dim and np.linalg.matrix_rank(m, tol=1e-10) != s.dim):
+            return IsoCertificate(False, False, INF, "not bijective per atom")
+        if s.dim:
+            forward = operator_norm_witness(m, s.norm, t.norm)[0]
+            backward = operator_norm_witness(np.linalg.inv(m), t.norm, s.norm)[0]
+            max_dev = max(max_dev, forward - 1.0, backward - 1.0)
+    ok = max_dev <= tol
+    return IsoCertificate(ok, True, max_dev, "" if ok else f"norm deviation {max_dev:g}")
 
 
 def reference_frame_ball_candidates(spec: FramedP) -> np.ndarray:
@@ -1011,7 +999,6 @@ def reference_pullback_inverse_system(atom_map: AtomMap, system: InverseSystem) 
 def reference_dl_pullback_iso(
     atom_map: AtomMap,
     system: DirectSystem,
-    rng: Optional[np.random.Generator] = None,
     tol: Optional[float] = None,
 ) -> PullbackCommuteReport:
     """Certify that pulling back commutes with the direct limit.
@@ -1022,7 +1009,6 @@ def reference_dl_pullback_iso(
     be an isometric isomorphism.
     """
     tol = tolerance() if tol is None else tol
-    rng = np.random.default_rng(0) if rng is None else rng
     pulled_system = reference_pullback_direct_system(atom_map, system)
     side_a = reference_direct_limit(pulled_system)
     dl = reference_direct_limit(system)
@@ -1039,14 +1025,13 @@ def reference_dl_pullback_iso(
         },
     )
     comparison = reference_dl_universal_factorization(pulled_system, target, side_a, tol=tol)
-    certificate = certify_isometric_iso(comparison, rng=rng, tol=tol)
+    certificate = certify_isometric_iso(comparison, tol=tol)
     return PullbackCommuteReport(side_a, limit_pulled.module, comparison, certificate)
 
 
 def reference_il_pullback_compare(
     atom_map: AtomMap,
     system: InverseSystem,
-    rng: Optional[np.random.Generator] = None,
     tol: Optional[float] = None,
 ) -> PullbackCommuteReport:
     """Compare both orders of inverse limit and pullback on one instance.
@@ -1055,7 +1040,6 @@ def reference_il_pullback_compare(
     here; no general claim is made either way.
     """
     tol = tolerance() if tol is None else tol
-    rng = np.random.default_rng(0) if rng is None else rng
     pulled_system = reference_pullback_inverse_system(atom_map, system)
     side_a = reference_inverse_limit(pulled_system)
     il = reference_inverse_limit(system)
@@ -1072,7 +1056,7 @@ def reference_il_pullback_compare(
         },
     )
     comparison = reference_il_universal_factorization(pulled_system, source, side_a, tol=tol)
-    certificate = certify_isometric_iso(comparison, rng=rng, tol=tol)
+    certificate = certify_isometric_iso(comparison, tol=tol)
     return PullbackCommuteReport(
         side_a, limit_pulled.module, comparison, certificate, IL_PULLBACK_NOTE
     )

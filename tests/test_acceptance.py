@@ -197,7 +197,7 @@ def test_criterion_06_pullback_commutes_with_direct_limit():
         else:
             system = random_direct_system(rng, max_dim=3)
         atom_map = random_atom_map(rng, system.space)
-        report = dl_pullback_iso(atom_map, system, rng=rng, tol=TOL)
+        report = dl_pullback_iso(atom_map, system, tol=TOL)
         assert report.certificate.bijective, trial
         assert report.certificate.max_norm_deviation <= 1e-9, trial
     doc = load_document(str(FIXTURES / "pullback-commute.json"))
@@ -213,7 +213,7 @@ def test_criterion_07_dual_of_limit_is_limit_of_duals():
             system = random_direct_system(rng, max_dim=3)
         else:
             system = random_chain_direct_system(rng, max_dim=3)
-        result = dual_limit_iso(system, rng=rng, tol=TOL)
+        result = dual_limit_iso(system, tol=TOL)
         assert result.certificate.bijective, trial
         assert result.certificate.max_norm_deviation <= 1e-9, (
             trial, result.certificate.max_norm_deviation,

@@ -365,11 +365,11 @@ def test_dual_limit_iso_on_random_systems():
     rng = np.random.default_rng(32)
     for _ in range(8):
         sys_ = random_direct_system(rng, max_dim=3)
-        result = dual_limit_iso(sys_, rng=rng)
+        result = dual_limit_iso(sys_)
         assert result.certificate.ok, result.certificate
     for _ in range(8):
         sys_ = random_chain_direct_system(rng, max_dim=3)
-        result = dual_limit_iso(sys_, rng=rng)
+        result = dual_limit_iso(sys_)
         assert result.certificate.ok, result.certificate
 
 
@@ -387,7 +387,7 @@ def test_dual_system_uses_adjoint_maps():
     for sys_ in (chain, poset):
         duals = dual_system(sys_)
         assert validate_inverse_system(duals).passed
-        compared = dual_limit_iso(sys_, rng=rng)
+        compared = dual_limit_iso(sys_)
         assert compared.certificate.ok
         for system in (duals, compared.hom_system):
             assert system.maps.keys() == duals.maps.keys()
@@ -407,7 +407,7 @@ def test_dual_limit_iso_fg_chain():
     gens = basis_elements(module)
     rng.shuffle(gens)
     fg = present_as_fg_limit(module, gens)
-    result = dual_limit_iso(fg.system, rng=rng)
+    result = dual_limit_iso(fg.system)
     assert result.certificate.ok
 
 
@@ -466,5 +466,5 @@ def test_each_norm_spec_computes_its_dual_at_most_once(monkeypatch):
     systems = [random_chain_direct_system(rng, stages=4, max_dim=3) for _ in range(3)]
     for system in systems:
         runs.clear()
-        assert dual_limit_iso(system, rng=rng).certificate.ok
+        assert dual_limit_iso(system).certificate.ok
         assert runs and max(runs.values()) == 1

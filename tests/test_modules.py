@@ -10,6 +10,7 @@ import l0limits.norms as norms
 from l0limits.direct import DirectSystem
 from l0limits.errors import (
     BracketTooWideError,
+    KernelLimitError,
     DimensionCapError,
     NonFiniteError,
     ShapeMismatchError,
@@ -273,8 +274,8 @@ def _hom_comparisons(seeds):
             system = make(rng, max_dim=2)
             fixed = random_module(rng, system.space, max_dim=2)
             results = (
-                hom_inverse_system(system, fixed, rng=np.random.default_rng(seed)),
-                dual_limit_iso(system, rng=np.random.default_rng(seed)),
+                hom_inverse_system(system, fixed),
+                dual_limit_iso(system),
             )
             for result in results:
                 phi = result.comparison
@@ -283,18 +284,179 @@ def _hom_comparisons(seeds):
                 yield zero_morphism(phi.source, phi.target)
 
 
-def test_certify_isometric_iso_matches_probe_loop():
-    compared = 0
-    for k, phi in enumerate(_hom_comparisons(range(12))):
-        rng_new, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
-        got = certify_isometric_iso(phi, rng=rng_new)
-        want = reference_certify_isometric_iso(phi, rng=rng_ref)
-        assert (got.ok, got.bijective) == (want.ok, want.bijective)
-        assert abs(got.max_norm_deviation - want.max_norm_deviation) <= 1e-12
-        # Same draws from the caller's generator, in the same order.
-        assert rng_new.standard_normal() == rng_ref.standard_normal()
-        compared += 1
-    assert compared == 12 * 2 * 2 * 3
+def _sqrt_psd(mat):
+    """The symmetric square root of a symmetric positive definite matrix."""
+    w, v = np.linalg.eigh(mat)
+    return (v * np.sqrt(w)) @ v.T
+
+
+def _quadratic_null_form(probes):
+    """A symmetric S of spectral norm one with ``x^T S x = 0`` on every probe
+    row: a null vector of the linear map from the d(d+1)/2 entries of S to
+    the probes' quadratic forms."""
+    d = probes.shape[1]
+    upper = np.triu_indices(d)
+    weight = np.where(upper[0] == upper[1], 1.0, 2.0)
+    forms = probes[:, upper[0]] * probes[:, upper[1]] * weight
+    coeffs = np.linalg.svd(forms)[2][-1]
+    s = np.zeros((d, d))
+    s[upper] = coeffs
+    s = s + np.triu(s, 1).T
+    return s / np.linalg.norm(s, 2)
+
+
+def test_certify_isometric_iso_refuses_a_map_that_keeps_the_old_probe_norms():
+    """The sampled certificate compared norms on the five basis vectors and
+    eight draws of ``default_rng(0)``.  ``m = sqrt(I + tS)`` with S null on
+    all thirteen keeps every one of those norms, yet it is no isometry."""
+    probes = np.vstack([np.eye(5), np.random.default_rng(0).standard_normal((8, 5))])
+    m = _sqrt_psd(np.eye(5) + 0.3 * _quadratic_null_form(probes))
+    fiber = euclidean_module(AtomicMeasureSpace(["pt"], [1.0]), 5)
+    euclid = fiber.fibers[0].norm
+    assert np.allclose(norms.norm_rows(euclid, probes @ m.T), norms.norm_rows(euclid, probes),
+                       rtol=0.0, atol=1e-12)
+    cert = certify_isometric_iso(ModuleMorphism(fiber, fiber, [m]))
+    assert cert.bijective and not cert.ok
+    stretch = max(np.linalg.norm(m, 2), np.linalg.norm(np.linalg.inv(m), 2))
+    assert cert.max_norm_deviation == pytest.approx(stretch - 1.0, rel=1e-12)
+    # S has an eigenvalue +-1, so m or its inverse stretches by sqrt(1.3)
+    # or 1 / sqrt(0.7).
+    assert cert.max_norm_deviation >= np.sqrt(1.3) - 1.0 - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10_000), st.floats(0.01, 0.9))
+def test_non_isometric_square_roots_are_never_certified(dim, seed, t):
+    """``sqrt(I + tS)`` with symmetric ``S != 0`` stretches an eigenvector of
+    S, so it is refused whatever S is null on."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((dim, dim))
+    s = raw + raw.T
+    s /= np.linalg.norm(s, 2)
+    module = euclidean_module(AtomicMeasureSpace(["pt"], [1.0]), dim)
+    cert = certify_isometric_iso(ModuleMorphism(module, module, [_sqrt_psd(np.eye(dim) + t * s)]))
+    # An eigenvalue of S is +1 or -1, so |m| = sqrt(1 + t) or
+    # |m^-1| = 1 / sqrt(1 - t), the larger of the two.
+    assert cert.bijective and not cert.ok
+    assert cert.max_norm_deviation >= np.sqrt(1.0 + t) - 1.0 - 1e-12
+
+
+def _isometry(p, dim, rng):
+    """A member of the isometry group of the unit-weight p-norm: an
+    orthogonal matrix for p=2, a signed permutation for p=1 and p=inf."""
+    if p == 2:
+        return np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    return np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], size=dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, INF]), st.integers(1, 5), st.integers(0, 10_000))
+def test_isometry_group_members_are_certified(p, dim, seed):
+    rng = np.random.default_rng(seed)
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 2.0])
+    module = FiberModule(space, (Fiber(dim, WeightedP(p, np.ones(dim))),) * 2)
+    phi = ModuleMorphism(module, module, [_isometry(p, dim, rng) for _ in range(2)])
+    cert = certify_isometric_iso(phi)
+    assert cert.ok and cert.bijective, cert
+    assert cert.max_norm_deviation <= 1e-12
+
+
+#: A power of two, so that ``1 + TOL`` and ``1 - TOL`` are floats and the
+#: boundary of the scalar rule is exact.
+POW2_TOL = 2.0 ** -30
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([WeightedP(1, (1.0, 3.0)), WeightedP(2, (0.5, 2.0)), WeightedP(INF, (1.0, 1.0)),
+                     FramedP(1, [[1.0, 0.3], [0.0, 1.0], [2.0, -1.0]])]),
+    st.one_of(st.sampled_from([0.0, POW2_TOL, -POW2_TOL]),
+              st.floats(-4 * POW2_TOL, 4 * POW2_TOL), st.floats(-0.5, 3.0)),
+    st.booleans(),
+)
+def test_scalar_maps_are_certified_exactly_within_the_tolerance(norm, delta, negative):
+    c = (-1.0 if negative else 1.0) * (1.0 + delta)
+    module = FiberModule(AtomicMeasureSpace(["pt"], [1.0]), (Fiber(2, norm),))
+    cert = certify_isometric_iso(ModuleMorphism(module, module, [c * np.eye(2)]), tol=POW2_TOL)
+    assert cert.bijective
+    assert cert.ok == (abs(abs(c) - 1.0) <= POW2_TOL)
+
+
+def _evaluated(certify, phi):
+    try:
+        return certify(phi)
+    except KernelLimitError:
+        return None
+
+
+def _takes_scalar_rule(phi) -> bool:
+    """Whether some atom of ``phi`` is ``c I`` between equal fiber norms."""
+    return any(
+        s.dim and s.norm == t.norm and np.array_equal(m, m[0, 0] * np.eye(s.dim))
+        for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers)
+    )
+
+
+def test_certify_isometric_iso_matches_atom_loop():
+    """The certificate of the witness loop, wherever the loop evaluates:
+    seeded Hom and dual comparisons with scaled and zero variants, and maps
+    no scalar rule covers, isometric or not.  Bit for bit where no atom
+    takes the scalar rule; where one does, the rule's ``|c|`` and ``1/|c|``
+    are exact and the kernel's values may be off in the last bit."""
+    rng = np.random.default_rng(3)
+    space = AtomicMeasureSpace(["a", "b", "c"], [1.0, 1.0, 1.0])
+    module = FiberModule(space, (
+        Fiber(2, WeightedP(1, (1.0, 1.0))),
+        Fiber(3, WeightedP(2, (1.0, 1.0, 1.0))),
+        Fiber(2, WeightedP(INF, (1.0, 1.0))),
+    ))
+    plain = [
+        ModuleMorphism(module, module, [
+            _isometry(p, f.dim, rng) for p, f in zip((1, 2, INF), module.fibers)
+        ])
+        for _ in range(4)
+    ]
+    plain += [scale_morphism(phi, 1.0 + 1e-3) for phi in plain]
+    plain.append(ModuleMorphism(module, module, [
+        np.eye(2)[::-1], _sqrt_psd(np.eye(3) + 0.2 * np.diag([1.0, -1.0, 0.0])), -np.eye(2)[::-1],
+    ]))
+    counts = {"exact": 0, "scalar rule": 0, "skipped": 0}
+    for phi in [*_hom_comparisons(range(12)), *plain]:
+        want = _evaluated(reference_certify_isometric_iso, phi)
+        if want is None:
+            counts["skipped"] += 1
+            continue
+        got = certify_isometric_iso(phi)
+        if _takes_scalar_rule(phi):
+            assert (got.ok, got.bijective) == (want.ok, want.bijective)
+            assert got.max_norm_deviation == pytest.approx(
+                want.max_norm_deviation, rel=0.0, abs=4e-16)
+            counts["scalar rule"] += 1
+        else:
+            assert got == want
+            counts["exact"] += 1
+    assert sum(counts.values()) == 12 * 2 * 2 * 3 + len(plain)
+    assert min(counts.values()) > 0, counts
+
+
+def test_certificate_kernel_errors_are_located_at_their_atom():
+    """A map between Hom fibers that is no scalar multiple of the identity
+    goes to the kernel, whose error names its atom; the identity there is
+    certified by the scalar rule."""
+    space = AtomicMeasureSpace(["a", "wide"], [1.0, 1.0])
+    plane = euclidean_module(space, 2)
+    hom = hom_module(plane, euclidean_module(space, 3))
+    swap = np.eye(6)[[1, 0, 2, 3, 4, 5]]
+    assert certify_isometric_iso(identity_morphism(hom)).ok
+    with pytest.raises(BracketTooWideError) as raised:
+        certify_isometric_iso(ModuleMorphism(hom, hom, [np.eye(6), swap]))
+    assert raised.value.atom == "wide"
+
+
+def test_non_bijective_maps_have_infinite_deviation():
+    zero = zero_morphism(PLANE, PLANE)
+    cert = certify_isometric_iso(zero)
+    assert (cert.ok, cert.bijective, cert.max_norm_deviation) == (False, False, INF)
 
 
 def test_certify_isometric_iso_makes_no_per_vector_norm_calls(monkeypatch):

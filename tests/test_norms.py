@@ -177,6 +177,26 @@ def test_framed_ball_is_scale_invariant(p, shape, seed, exponent, negative):
     assert scaled == pytest.approx(base / abs(c), rel=1e-12, abs=0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.floats(-100, 100), st.booleans())
+@example(0, 13.0, False)
+@example(0, 100.0, False)
+def test_restricted_dual_is_scale_invariant(seed, exponent, negative):
+    """Restricting the dual of a frame scaled by c gives norms 1/|c| times
+    those of the unscaled restriction.  Absolute merge thresholds kept one
+    functional of a frame scaled by 1e13 (an invalid frame) and every
+    functional of one scaled by 1e100."""
+    rng = np.random.default_rng(seed)
+    frame = rng.standard_normal((5, 3))
+    basis = rng.standard_normal((3, 2))
+    ys = rng.standard_normal((4, 2))
+    c = (-1.0 if negative else 1.0) * 10.0**exponent
+    base = dual_spec(FramedP(INF, frame)).restrict(basis)
+    scaled = dual_spec(FramedP(INF, c * frame)).restrict(basis)
+    assert scaled.matrix.shape == base.matrix.shape
+    assert norm_rows(scaled, ys) == pytest.approx(norm_rows(base, ys) / abs(c), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("p, shape, work", [(1, (6, 3), 15), (INF, (6, 3), 160)])
 def test_frame_ball_budget_admits_work_equal_to_it(monkeypatch, p, shape, work):
     spec = FramedP(p, np.random.default_rng(0).standard_normal(shape))

@@ -157,7 +157,7 @@ def test_sections_iso_certifies_and_norm_identity():
     z = AtomicMeasureSpace(["z0", "z1"], [1.0, 2.0])
     rng = np.random.default_rng(4)
     module = random_module(rng, Y, max_dim=3)
-    report = sections_iso(z, module, rng=rng)
+    report = sections_iso(z, module)
     assert report.ok
     assert report.norm_identity_exact
     assert report.constant_section_matches
@@ -211,7 +211,7 @@ def test_dl_pullback_iso_randomized():
         else:
             sys_ = random_chain_direct_system(rng, max_dim=3)
         atom_map = random_atom_map(rng, sys_.space)
-        report = dl_pullback_iso(atom_map, sys_, rng=rng)
+        report = dl_pullback_iso(atom_map, sys_)
         assert report.ok, report.certificate
 
 
@@ -248,7 +248,7 @@ def test_alternative_couple_mediates_uniquely():
         plain = pulled.pull_element(v)
         return Element(pulled.module, [r @ c for r, c in zip(rotations, plain.coords)])
 
-    report = certify_alternative_couple(pulled, pulled.module, transport, rng=rng)
+    report = certify_alternative_couple(pulled, pulled.module, transport)
     assert report.ok
     for m, r in zip(report.mediating.matrices, rotations):
         assert np.allclose(m, r)
@@ -267,6 +267,30 @@ def test_alternative_couple_flags_norm_break():
     report = certify_alternative_couple(pulled, pulled.module, squash)
     assert not report.ok
     assert not report.certificate.ok
+
+
+def test_alternative_couple_flags_a_transport_that_is_not_additive(monkeypatch):
+    """``v -> v |v|`` atom by atom fixes every basis element, so its forced
+    mediating morphism is the identity; the sum of the basis elements shows
+    that it is no linear transport, with no random draw."""
+    from l0limits.pullback import certify_alternative_couple
+
+    module = euclidean_module(Y, 2)
+    pulled = pullback_module(COVER, module)
+
+    def stretch(v):
+        plain = pulled.pull_element(v)
+        return Element(pulled.module, [c * np.linalg.norm(c) for c in plain.coords])
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("random draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    report = certify_alternative_couple(pulled, pulled.module, stretch)
+    assert report.certificate.ok
+    assert all(np.array_equal(m, np.eye(2)) for m in report.mediating.matrices)
+    assert report.max_transport_deviation == pytest.approx(np.sqrt(2.0) - 1.0)
+    assert not report.ok
 
 
 def test_il_pullback_compare_two_stage_poset():
