@@ -143,7 +143,9 @@ def dl_universal_factorization(
     factorization exists within tolerance.  Uniqueness is certified by
     checking that the canonical images span every limit fiber.
     """
-    return systems._universal_factorization(system, target.module, target.maps, presentation, tol)
+    return systems._universal_factorization(
+        system, target.module, target.maps, presentation, tol
+    )[0]
 
 
 def dl_functor(

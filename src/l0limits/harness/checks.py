@@ -24,7 +24,7 @@ from ..direct import solve_square_component
 from ..errors import L0LimitsError
 from ..indexsets import FinitePoset, greatest_element
 from ..inverse import hom_inverse_system
-from ..modules import composite_deviation, morphism_deviation, scalar_module
+from ..modules import morphism_deviation, scalar_module
 from ..systems import (
     _limit,
     _limit_functor,
@@ -179,14 +179,7 @@ def _check_universal(doc, spec):
         maps[_stage_key(system.index, key, f"{path}.{key}")] = _resolve(
             doc, spec, "morphisms", f"{side}_maps", key
         )
-    presentation = _limit(system)
-    mediating = _universal_factorization(system, module, maps)
-    worst = max(
-        composite_deviation(
-            system._outer_first(presentation.canonical[i], mediating), (maps[i],)
-        )
-        for i in system.index.explicit_indices()
-    )
+    worst = _universal_factorization(system, module, maps)[1]
     return "pass", {f"max_{system.cone_shape}_deviation": worst}, ("universal-property",)
 
 

@@ -28,6 +28,8 @@ class FinitePoset:
 
     The supplied pairs are closed reflexively and transitively; the result
     must be antisymmetric and directed (every pair has an upper bound).
+    The poset is immutable, so it keeps its sorted strictly related pairs
+    and its greatest element from construction.
     """
 
     elements: Tuple[str, ...]
@@ -44,28 +46,38 @@ class FinitePoset:
         for a, b in rel:
             if a not in known or b not in known:
                 raise KeyError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
-        # Warshall's closure on the reachability matrix, one pivot at a time.
+        # The closure by repeated squaring of the reachability matrix: after
+        # s squarings it holds every path of at most 2^s edges, and a path
+        # without repeats has at most n - 1 < 2^ceil(log2 n) of them.
         position = {e: k for k, e in enumerate(elements)}
-        reach = np.eye(len(elements), dtype=bool)
+        reach = np.eye(len(elements), dtype=np.int64)
         for a, b in rel:
-            reach[position[a], position[b]] = True
-        for k in range(len(elements)):
-            reach |= np.outer(reach[:, k], reach[k])
+            reach[position[a], position[b]] = 1
+        for _ in range((len(elements) - 1).bit_length()):
+            reach = np.minimum(1, reach @ reach)
+        reach = reach.astype(bool)
         cycle = np.argwhere(reach & reach.T & ~np.eye(len(elements), dtype=bool))
         if cycle.size:
             a, b = (elements[k] for k in cycle[0])
             raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
         # A finite poset is directed exactly when it has a greatest element;
         # only without one are the pairs scanned, for the first unbounded one.
-        if not np.any(reach.all(axis=0)):
+        tops = np.flatnonzero(reach.all(axis=0))
+        if not tops.size:
             shared = reach.astype(np.int64) @ reach.T.astype(np.int64)
             a, b = (elements[k] for k in np.argwhere(shared == 0)[0])
             raise ValueError(
                 f"relation is not directed: {a!r}, {b!r} have no upper bound"
             )
         rel = {(elements[a], elements[b]) for a, b in zip(*np.nonzero(reach))}
+        # np.nonzero runs in row-major order: by the first element's position,
+        # then the second's.
+        strict = reach & ~np.eye(len(elements), dtype=bool)
+        pairs = tuple((elements[a], elements[b]) for a, b in zip(*np.nonzero(strict)))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "relation", frozenset(rel))
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_greatest", elements[tops[0]])
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.relation
@@ -74,11 +86,9 @@ class FinitePoset:
         return self.elements
 
     def related_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        """All strictly related pairs (a, b) with a < b, deterministic order."""
-        order = {e: k for k, e in enumerate(self.elements)}
-        pairs = [(a, b) for (a, b) in self.relation if a != b]
-        pairs.sort(key=lambda p: (order[p[0]], order[p[1]]))
-        return tuple(pairs)
+        """All strictly related pairs (a, b) with a < b, ordered by the
+        positions of a, then of b, among the elements."""
+        return self._pairs
 
     def same_shape(self, other) -> bool:
         return (
@@ -95,19 +105,9 @@ class FinitePoset:
 
 
 def greatest_element(poset: FinitePoset) -> str:
-    """The unique maximum, found by folding pairwise upper bounds."""
-    top = poset.elements[0]
-    for e in poset.elements[1:]:
-        if poset.leq(top, e):
-            top = e
-        elif not poset.leq(e, top):
-            top = next(
-                c for c in poset.elements if poset.leq(top, c) and poset.leq(e, c)
-            )
-    for e in poset.elements:
-        if not poset.leq(e, top):
-            raise ValueError("directedness invariant violated: no greatest element")
-    return top
+    """The unique maximum: a finite directed poset has one, and keeps it
+    from construction (the element every element is below)."""
+    return poset._greatest
 
 
 class IdentityTail:

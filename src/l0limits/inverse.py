@@ -153,7 +153,7 @@ def thread_from_components(
     }
     mediating = systems._universal_factorization(
         system, scalars, cone, tol=tol, check_admissibility=False
-    )
+    )[0]
     return Element(mediating.target, [m[:, 0] for m in mediating.matrices]), norm
 
 
@@ -177,7 +177,7 @@ def il_universal_factorization(
     """
     return systems._universal_factorization(
         system, source.module, source.maps, presentation, tol
-    )
+    )[0]
 
 
 def il_functor(
@@ -266,7 +266,7 @@ def hom_inverse_system(
     }
     comparison = systems._universal_factorization(
         hom_sys, hom_of_limit, q_maps, limit_of_homs, tol, check_admissibility=False
-    )
+    )[0]
     certificate = certify_isometric_iso(comparison, tol=10 * tol)
     return HomLimitComparison(hom_sys, limit_of_homs, hom_of_limit, comparison, certificate)
 

@@ -9,6 +9,7 @@ operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -529,32 +530,71 @@ def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> I
     """Check, exactly, that a morphism is an isometric isomorphism.
 
     The matrix ``m`` at an atom is an isometry within ``tol`` iff it is
-    bijective (by rank) and both ``|m|`` and ``|m^-1|`` are at most
-    ``1 + tol``.  The deviation is the largest ``max(|m|, |m^-1|) - 1``
-    over the atoms, clipped at zero, and infinite when an atom is not
-    bijective.  Between equal fiber norms ``m = c I`` has the norms ``|c|``
-    and ``1/|c|`` by homogeneity; every other atom's two norms come from
-    one :func:`~l0limits.norms.operator_norm_batch`, and a kernel error
-    there is raised, located at its atom.
+    bijective and both ``|m|`` and ``|m^-1|`` are at most ``1 + tol``.
+    Bijectivity is full rank under numpy's default relative tolerance,
+    so that an invertible atom of any scale counts as bijective.  The
+    deviation is the largest ``max(|m|, |m^-1|) - 1`` over the atoms,
+    clipped at zero, and infinite when an atom is not bijective.  All the
+    norms come from one :func:`~l0limits.norms.operator_norm_batch` (which
+    norms ``c I`` between equal fiber norms as ``|c|`` without a kernel),
+    and a kernel error there is raised, located at its atom.
     """
     tol = tolerance() if tol is None else tol
-    scalar, items, located = [], [], []
-    for atom, m, s, t in zip(
-        phi.source.space.atom_ids, phi.matrices, phi.source.fibers, phi.target.fibers
+    atoms = [
+        (atom, m, s, t)
+        for atom, m, s, t in zip(
+            phi.source.space.atom_ids, phi.matrices, phi.source.fibers, phi.target.fibers
+        )
+        if s.dim or t.dim
+    ]
+    if any(s.dim != t.dim for _, _, s, t in atoms) or not all(
+        _full_ranks([m for _, m, _, _ in atoms], 0)
     ):
-        if s.dim != t.dim or (s.dim and np.linalg.matrix_rank(m, tol=1e-10) != s.dim):
-            return IsoCertificate(False, False, np.inf, "not bijective per atom")
-        if not s.dim:
-            continue
-        if s.norm == t.norm and np.array_equal(m, m[0, 0] * np.eye(s.dim)):
-            scalar += [abs(m[0, 0]), 1.0 / abs(m[0, 0])]
-        else:
-            items += [(m, s.norm, t.norm), (np.linalg.inv(m), t.norm, s.norm)]
-            located += [atom, atom]
+        return IsoCertificate(False, False, np.inf, "not bijective per atom")
+    inverses = dict(_by_shape([m for _, m, _, _ in atoms], np.linalg.inv))
+    items, located = [], []
+    for n, (atom, m, s, t) in enumerate(atoms):
+        items += [(m, s.norm, t.norm), (inverses[n], t.norm, s.norm)]
+        located += [atom, atom]
     values = operator_norm_batch(items)
     for atom, value in zip(located, values):
         if isinstance(value, Exception):
             raise value.at_atom(atom)
-    max_dev = max(0.0, float(max(scalar + values, default=1.0)) - 1.0)
+    max_dev = max(0.0, float(max(values, default=1.0)) - 1.0)
     ok = max_dev <= tol
     return IsoCertificate(ok, True, max_dev, "" if ok else f"norm deviation {max_dev:g}")
+
+
+def _by_shape(mats: Sequence[np.ndarray], stacked):
+    """``(position, result)`` of a stacked numpy function applied to the
+    matrices, in one call per shape."""
+    shapes: dict = {}
+    for n, m in enumerate(mats):
+        shapes.setdefault(m.shape, []).append(n)
+    for positions in shapes.values():
+        results = stacked(np.array([mats[n] for n in positions]))
+        yield from zip(positions, results)
+
+
+def _full_ranks(mats: Sequence[np.ndarray], axis: int, tol: Optional[float] = None) -> List[bool]:
+    """Whether each matrix has full rank along ``axis`` (0: onto, 1:
+    one-to-one), by the rank ``np.linalg.matrix_rank(m, tol=tol)`` gives:
+    the count of singular values above ``tol``, or for ``tol=None`` above
+    numpy's default ``S.max() * max(shape) * eps``.  Each distinct matrix
+    takes part in one values-only SVD per shape, the routine
+    ``matrix_rank`` calls."""
+    # A matrix with an empty side has rank 0: full along that side only.
+    out = [m.shape[axis] == 0 for m in mats]
+    distinct: dict = {}
+    for n, m in enumerate(mats):
+        if m.size:
+            distinct.setdefault((m.shape, m.tobytes()), []).append(n)
+    keys = list(distinct)
+    reps = [mats[distinct[k][0]] for k in keys]
+    for u, sv in _by_shape(reps, partial(np.linalg.svd, compute_uv=False)):
+        shape = reps[u].shape
+        cut = sv.max(initial=0.0) * (max(shape) * np.finfo(float).eps) if tol is None else tol
+        full = int(np.count_nonzero(sv > cut)) == shape[axis]
+        for n in distinct[keys[u]]:
+            out[n] = full
+    return out

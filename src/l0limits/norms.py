@@ -21,6 +21,7 @@ Candidate enumeration is capped at dimension ``VERTEX_DIM_CAP``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from functools import cached_property
@@ -43,8 +44,8 @@ INF = float("inf")
 #: Sign-pattern and subset enumeration is limited to this many dimensions.
 VERTEX_DIM_CAP = 12
 
-#: A framed ball enumerates at most this many subset solves (p=inf) or
-#: subset SVDs (p=1).
+#: A framed ball enumerates at most this many subset solves (p=inf), or
+#: frame-row evaluations of subset normals, rows x subsets (p=1).
 FRAME_BALL_BUDGET = 500_000
 
 #: Floats one array of a stacked frame-ball enumeration may hold.
@@ -295,10 +296,11 @@ class FramedP:
         """
         rows, cols = self.matrix.shape
         if self.p == 1.0:
-            size, solves = max(cols - 1, 0), 1
+            # Each subset's normal is measured against every row of A.
+            size, per_subset = max(cols - 1, 0), rows
         else:
-            size, solves = cols, 2 ** min(cols, 40)
-        work = _comb(rows, size) * solves
+            size, per_subset = cols, 2 ** min(cols, 40)
+        work = _comb(rows, size) * per_subset
         if work > FRAME_BALL_BUDGET:
             raise DimensionCapError(
                 f"frame ball enumeration needs {work} candidate solves "
@@ -310,7 +312,7 @@ class FramedP:
                 return np.array([u, -u]) / np.abs(self.matrix @ u).sum()
             stack, widest = self._one_ball_vertices, max(cols * cols, rows)
         else:
-            stack, widest = self._inf_ball_vertices, solves * rows
+            stack, widest = self._inf_ball_vertices, per_subset * rows
         step = max(1, _CHUNK_FLOATS // widest)
         subsets = itertools.combinations(range(rows), size)
         parts = []
@@ -475,17 +477,33 @@ def _halve_symmetric(rows: np.ndarray) -> np.ndarray:
     """Drop near-zero, near-duplicate and sign-mirrored rows, keeping the
     span intact and the kept rows in order.  The thresholds are relative
     to the largest entry, so rows scaled by any ``c != 0`` keep the same
-    rows."""
+    rows.
+
+    A row is kept unless it is near zero or ``np.allclose`` (``rtol=1e-5``
+    and the relative ``atol``) to a kept row or its negative.  The rows are
+    compared in blocks, each with the rows kept so far and with itself in
+    one broadcast test of at most ``_CHUNK_FLOATS`` floats per array; one
+    pass over a block's booleans then keeps its rows in order."""
     scale = np.max(np.abs(rows), initial=0.0)
     atol = 1e-12 * scale
-    kept = []
-    for r in rows:
-        if np.max(np.abs(r), initial=0.0) <= 1e-14 * scale:
-            continue
-        if any(np.allclose(r, k, atol=atol) or np.allclose(r, -k, atol=atol) for k in kept):
-            continue
-        kept.append(r)
-    return np.array(kept) if kept else rows
+    rows_left = rows[np.max(np.abs(rows), axis=1, initial=0.0) > 1e-14 * scale]
+    kept = rows_left[:0]
+    while len(rows_left):
+        step = max(1, _CHUNK_FLOATS // (rows.shape[1] * (len(kept) + len(rows_left))))
+        block, rows_left = rows_left[:step], rows_left[step:]
+        known = np.concatenate([kept, block])
+        # np.allclose(r, k, atol) is |r - k| <= atol + 1e-5 |k| entrywise;
+        # for -k the difference is r + k.
+        bound = atol + 1e-5 * np.abs(known)[None]
+        close = (np.abs(block[:, None] - known[None]) <= bound).all(axis=2)
+        close |= (np.abs(block[:, None] + known[None]) <= bound).all(axis=2)
+        alive = np.zeros(len(known), dtype=bool)
+        alive[: len(kept)] = True
+        for n in range(len(block)):
+            if not (close[n] & alive).any():
+                alive[len(kept) + n] = True
+        kept = known[alive]
+    return kept if len(kept) else rows
 
 
 class OperatorNorm:
@@ -590,7 +608,9 @@ def norm_eval(spec, x) -> float:
 # ---------------------------------------------------------------------------
 # Operator norms between normed fibers.
 #
-# Dispatch:
+# Dispatch, after two rules that need no kernel: a matrix c I between equal
+# specs has the norm |c| (homogeneity), and identical matrices of one spec
+# pair are evaluated once.  Then:
 #   (a) polytope source ball: convex maximization attains at a vertex, so
 #       evaluate the target norm at each candidate;
 #   (b) Euclidean source and target: largest singular value;
@@ -682,13 +702,19 @@ def operator_norm_witness(mat, source_spec, target_spec):
 
     The witness has source norm one and achieves the returned value
     (``None`` for degenerate shapes).  The value is the one
-    :func:`operator_norm_batch` gives, bit for bit.
+    :func:`operator_norm_batch` gives, bit for bit: a matrix ``c I``
+    between equal specs has the norm ``|c|``, and any unit vector is its
+    witness.
     """
     mat = _as_matrix(mat)
     _check_shape(mat, source_spec, target_spec)
     path = kernel_path(source_spec, target_spec)
     if path == "trivial":
         return 0.0, None
+    scalar = _scalar_norms([(mat,)], source_spec, target_spec)[0]
+    if scalar == scalar:
+        unit = np.eye(1, source_spec.dim)
+        return scalar, unit[0] / norm_rows(source_spec, unit)[0]
     if path == "vertex":
         cands, values = _vertex_norms(mat, source_spec, target_spec)
         best = int(np.argmax(values))
@@ -717,17 +743,11 @@ def operator_norm_value(mat, source_spec, target_spec) -> float:
 
 def operator_norm_values(mats, source_spec, target_spec) -> np.ndarray:
     """Exact operator norm of each matrix in a (k, t, s) stack: the
-    one-spec-pair case of :func:`operator_norm_batch`, the whole stack
-    one group."""
+    one-spec-pair case of :func:`operator_norm_batch`."""
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (target_spec.dim, source_spec.dim):
         raise ShapeMismatchError("matrix stack shape does not match fiber dimensions")
-    path = kernel_path(source_spec, target_spec)
-    if path == "trivial" or not len(mats):
-        return np.zeros(len(mats))
-    if path == "spectral":
-        mats = _spectral_core(mats, source_spec, target_spec)
-    values = _group_values(path, mats, source_spec, target_spec)
+    values = operator_norm_batch([(m, source_spec, target_spec) for m in mats])
     return np.array(_raise_first(values), dtype=float)
 
 
@@ -735,33 +755,88 @@ def operator_norm_batch(items) -> list:
     """Exact operator norm of each ``(matrix, source spec, target spec)`` item.
 
     The matrices are float arrays of shape (target dim, source dim).  Each
-    value equals ``operator_norm_witness(...)[0]`` bit for bit.  Spectral
-    items are stacked by the shape of their core, with one LAPACK SVD per
-    shape; vertex and facet items are stacked by their pair of specs (the
-    same objects), bracket items evaluated one by one, in order.  An item
-    no exact kernel evaluates gets its :class:`KernelLimitError` in place
-    of its value, and a spectral item whose core overflows its
-    :class:`NonFiniteError`, so that a caller can raise it where a loop
-    over the items would.
+    value equals ``operator_norm_witness(...)[0]`` bit for bit.  Items are
+    grouped by their pair of specs (the same objects), and each group takes
+    its route once.  Before any kernel runs, identical matrices of a group
+    are merged, and a matrix ``c I`` between equal specs gets ``|c|`` (the
+    pointwise norm is homogeneous).  The other matrices reach the kernels:
+    spectral cores stacked by shape across the groups, with one LAPACK SVD
+    per shape; vertex and facet matrices stacked per group; bracket
+    matrices evaluated one by one, in order.  An item no exact kernel
+    evaluates gets its :class:`KernelLimitError` in place of its value, and
+    a spectral item whose core overflows its :class:`NonFiniteError`, so
+    that a caller can raise it where a loop over the items would; every
+    item gets an error object of its own.
     """
-    values = [0.0] * len(items)
-    groups = {}
+    # Per spec pair, its specs, its distinct matrices by their bytes (each
+    # kept as a list of the matrix and the positions of its items) and the
+    # matrix shape its fibers fix.
+    pairs = {}
     for n, (mat, source_spec, target_spec) in enumerate(items):
-        _check_shape(mat, source_spec, target_spec)
+        pair = pairs.get((id(source_spec), id(target_spec)))
+        if pair is None:
+            shape = (target_spec.dim, source_spec.dim)
+            pair = pairs[id(source_spec), id(target_spec)] = (source_spec, target_spec, {}, shape)
+        if mat.shape != pair[3]:
+            raise ShapeMismatchError("matrix shape does not match fiber dimensions")
+        owners = pair[2].setdefault(mat.tobytes(), [mat])
+        owners.append(n)
+    values = [0.0] * len(items)
+    runs = {}
+    for source_spec, target_spec, distinct, _ in pairs.values():
         path = kernel_path(source_spec, target_spec)
         if path == "trivial":
             continue
+        reps = list(distinct.values())
+        rest = []
+        for rep, scalar in zip(reps, _scalar_norms(reps, source_spec, target_spec)):
+            if scalar != scalar:
+                rest.append(rep)
+                continue
+            for n in rep[1:]:
+                values[n] = scalar
+        if not rest:
+            continue
         if path == "spectral":
-            mat = _spectral_core(mat, source_spec, target_spec)
-            key = (path, mat.shape)
+            rest = [[_spectral_core(m, source_spec, target_spec), *ns] for m, *ns in rest]
+            key = (path, rest[0][0].shape)
         else:
             key = (path, id(source_spec), id(target_spec))
-        groups.setdefault(key, (source_spec, target_spec, []))[2].append((n, mat))
-    for (path, *_), (source_spec, target_spec, group) in groups.items():
-        stack = np.array([m for _, m in group])
-        for (n, _), value in zip(group, _group_values(path, stack, source_spec, target_spec)):
-            values[n] = value
+        runs.setdefault(key, (source_spec, target_spec, []))[2].extend(rest)
+    for (path, *_), (source_spec, target_spec, run) in runs.items():
+        stack = np.array([rep[0] for rep in run])
+        for rep, value in zip(run, _group_values(path, stack, source_spec, target_spec)):
+            for n in rep[1:]:
+                values[n] = copy.copy(value) if isinstance(value, Exception) else value
     return values
+
+
+def _scalar_norms(reps, source_spec, target_spec) -> list:
+    """For each ``rep``, ``|c|`` if its matrix ``rep[0]`` is ``c I`` (c finite)
+    between equal specs, and NaN otherwise.  The pointwise norm is
+    homogeneous, ``|c x| = |c| |x|``, so ``|c|`` is the exact norm."""
+    out = [math.nan] * len(reps)
+    if not (source_spec is target_spec or source_spec == target_spec) or not source_spec.dim:
+        return out
+    dim = source_spec.dim
+    if dim == 1:
+        return [abs(c) if math.isfinite(c) else math.nan for c in (rep[0].item() for rep in reps)]
+    # Two entries rule out most other matrices: the top right corner is
+    # zero, and the last diagonal entry equals the first.
+    corner, last = dim - 1, dim * dim - 1
+    cands = [
+        k for k, rep in enumerate(reps)
+        if rep[0].item(corner) == 0.0 and rep[0].item(last) == rep[0].item(0)
+    ]
+    if not cands:
+        return out
+    flat = np.array([reps[k][0] for k in cands]).reshape(len(cands), -1)
+    c = flat[:, :1]
+    hit = (flat == c * np.eye(dim).ravel()).all(axis=1) & np.isfinite(c[:, 0])
+    for k, x, h in zip(cands, c[:, 0].tolist(), hit.tolist()):
+        if h:
+            out[k] = abs(x)
+    return out
 
 
 def _group_values(path, stack, source_spec, target_spec) -> list:

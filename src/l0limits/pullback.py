@@ -290,7 +290,7 @@ def _pullback_comparison(
         maps[i] = source.pull_morphism(limit.canonical[i], target)
     comparison = _universal_factorization(
         pulled_system, limit_pulled.module, maps, side_a, tol=tol
-    )
+    )[0]
     certificate = certify_isometric_iso(comparison, tol=tol)
     return PullbackCommuteReport(side_a, limit_pulled.module, comparison, certificate, note)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from graphlib import TopologicalSorter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +36,7 @@ from .indexsets import (
 from .modules import (
     FiberModule,
     ModuleMorphism,
+    _full_ranks,
     _operator_norm_results,
     composite_deviation,
     compose,
@@ -53,6 +53,10 @@ from .norms import _raise_first, kernel_path
 #: evaluation of the composite it bounds; 1e-12 absorbs that along paths
 #: of thousands of edges.
 PRODUCT_SLACK = 1e-12
+
+#: Absolute singular-value cut of the rank tests on canonical maps and on
+#: the components of system morphisms and limit maps.
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,9 @@ class System:
     other connecting map out of stage i is composed along the breadth-first
     tree of supplied edges rooted at i (edges taken in ``(str(a), str(b))``
     order), one composition from the map at its tree parent, and cached;
-    so is the limit, once built.  Subclasses fix the arrow direction
-    through ``forward`` and ``stage_axis`` and name their maps and cones in
-    the texts below.
+    so is the limit, once built, and the validation report per tolerance.
+    Subclasses fix the arrow direction through ``forward`` and
+    ``stage_axis`` and name their maps and cones in the texts below.
     """
 
     forward = True
@@ -128,6 +132,7 @@ class System:
         self._trees: Dict[object, dict] = {}
         self._closure: Dict[tuple, ModuleMorphism] = {}
         self._presentation: Optional[LimitPresentation] = None
+        self._reports: Dict[float, SystemReport] = {}
 
     def related_pairs(self):
         return self.index.related_pairs()
@@ -187,28 +192,41 @@ class System:
 
 def _redundant_targets(system: System) -> Dict[object, List]:
     """For each stage i, the stages k (in index order) that at least two
-    paths of supplied edges join i to.  Path counts are capped at two and
-    summed over the supplied-edge DAG from its sinks up."""
+    paths of supplied edges join i to.  Path counts capped at two come from
+    ``N <- min(2, I + A N)`` on the supplied-edge adjacency ``A``, which
+    reaches its fixed point within as many steps as the longest path; with
+    no stage of two outgoing edges every path is the only one."""
     explicit = system.index.explicit_indices()
-    succ = {a: [b for b in system._edges.get(a, ()) if b != a] for a in explicit}
-    counts: Dict[object, dict] = {}
-    for a in TopologicalSorter(succ).static_order():
-        row = {a: 1}
-        for b in succ[a]:
-            for k, n in counts[b].items():
-                row[k] = min(2, row.get(k, 0) + n)
-        counts[a] = row
+    if all(len([b for b in system._edges.get(a, ()) if b != a]) < 2 for a in explicit):
+        return {a: [] for a in explicit}
     position = {e: n for n, e in enumerate(explicit)}
-    return {
-        a: sorted((k for k, n in row.items() if n > 1), key=position.__getitem__)
-        for a, row in counts.items()
-    }
+    adjacency = np.zeros((len(explicit), len(explicit)), dtype=np.int64)
+    for a, targets in system._edges.items():
+        for b in targets:
+            if b != a:
+                adjacency[position[a], position[b]] = 1
+    eye = np.eye(len(explicit), dtype=np.int64)
+    counts = eye
+    while True:
+        step = np.minimum(2, eye + adjacency @ counts)
+        if np.array_equal(step, counts):
+            break
+        counts = step
+    return {a: [explicit[k] for k in np.flatnonzero(row > 1)] for a, row in zip(explicit, counts)}
 
 
 def validate_system(system: System, tol: Optional[float] = None) -> SystemReport:
     """Identity law, admissibility and cocycle law of a direct or inverse
-    system; see :func:`l0limits.direct.validate_direct_system`."""
+    system; see :func:`l0limits.direct.validate_direct_system`.  The report
+    is kept on the system per tolerance; an error is raised again on every
+    call."""
     tol = tolerance() if tol is None else tol
+    if tol not in system._reports:
+        system._reports[tol] = _validate_system(system, tol)
+    return system._reports[tol]
+
+
+def _validate_system(system: System, tol: float) -> SystemReport:
     violations: List[Violation] = []
     for (i, j), phi in system.maps.items():
         if i == j:
@@ -303,11 +321,20 @@ class SystemMorphism:
             if theta.source != source.modules[i] or theta.target != target.modules[i]:
                 raise ShapeMismatchError(f"component at {i!r} has wrong endpoints")
             self.components[i] = theta
+        self._reports: Dict[float, SystemReport] = {}
 
 
 def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None) -> SystemReport:
-    """Check admissibility, commuting squares and chain tail solvability."""
+    """Check admissibility, commuting squares and chain tail solvability.
+    The report is kept on the morphism per tolerance, as
+    :func:`validate_system` keeps its own."""
     tol = tolerance() if tol is None else tol
+    if tol not in theta._reports:
+        theta._reports[tol] = _validate_system_morphism(theta, tol)
+    return theta._reports[tol]
+
+
+def _validate_system_morphism(theta: SystemMorphism, tol: float) -> SystemReport:
     violations: List[Violation] = []
     system = theta.source
     norms = dict(zip(theta.components, operator_pointwise_norms(list(theta.components.values()))))
@@ -402,6 +429,7 @@ def _canonical_maps_unique(system: System, presentation: LimitPresentation) -> b
     """Uniqueness witness: at every atom the canonical maps, stacked along
     their stage sides, have full rank on the limit fiber (the canonical
     images span it, or the projections jointly separate it)."""
+    stacked = []
     for a, fiber in enumerate(presentation.module.fibers):
         if fiber.dim == 0:
             continue
@@ -409,10 +437,8 @@ def _canonical_maps_unique(system: System, presentation: LimitPresentation) -> b
         blocks = [m for m in blocks if m.size]
         if not blocks:
             return False
-        stacked = np.concatenate(blocks, axis=system.stage_axis)
-        if np.linalg.matrix_rank(stacked, tol=1e-10) < fiber.dim:
-            return False
-    return True
+        stacked.append(np.concatenate(blocks, axis=system.stage_axis))
+    return all(_full_ranks(stacked, 1 - system.stage_axis, RANK_TOL))
 
 
 def _universal_factorization(
@@ -422,10 +448,11 @@ def _universal_factorization(
     presentation: Optional[LimitPresentation] = None,
     tol: Optional[float] = None,
     check_admissibility: bool = True,
-) -> ModuleMorphism:
+) -> Tuple[ModuleMorphism, float]:
     """The unique morphism between the limit and the apex of a cone that
-    the cone factors through; see
-    :func:`l0limits.direct.dl_universal_factorization`."""
+    the cone factors through (see
+    :func:`l0limits.direct.dl_universal_factorization`), and the largest
+    deviation of a factored cone map from the cone's own."""
     tol = tolerance() if tol is None else tol
     index = system.index
     explicit = index.explicit_indices()
@@ -472,6 +499,7 @@ def _universal_factorization(
         shape[system.stage_axis] = 0
         mats.append(np.zeros(shape))
     mediating = ModuleMorphism(*system._arrow(presentation.module, apex), mats)
+    devs = []
     for i in explicit:
         dev = composite_deviation(
             system._outer_first(presentation.canonical[i], mediating), (maps[i],)
@@ -481,9 +509,10 @@ def _universal_factorization(
                 f"no factorization within tolerance: {system.cone_shape} at {i!r} "
                 f"deviates by {dev:g}"
             )
+        devs.append(dev)
     if not _canonical_maps_unique(system, presentation):
         raise ValidationError(system.unique_text)
-    return mediating
+    return mediating, max(devs)
 
 
 def _limit_functor(
@@ -528,12 +557,6 @@ def _limit_functor(
     return limit_map
 
 
-def _full_rank(mat: np.ndarray, axis: int) -> bool:
-    """Whether ``mat`` has full rank along ``axis``: 0 for onto, 1 for one-to-one."""
-    n = mat.shape[axis]
-    return n == 0 or np.linalg.matrix_rank(mat, tol=1e-10) == n
-
-
 def _rank_preservation(theta: SystemMorphism, onto: bool) -> PreservationReport:
     """If every stage map is surjective (``onto``) or injective at every
     atom, so must the induced limit map be."""
@@ -542,15 +565,18 @@ def _rank_preservation(theta: SystemMorphism, onto: bool) -> PreservationReport:
     else:
         axis, adjective, noun = 1, "injective", "injectivity"
     atoms = theta.source.space.atom_ids
-    stages_ok = True
+    stages = [(i, a) for i, comp in theta.components.items() for a in range(len(comp.matrices))]
+    full = _full_ranks([theta.components[i].matrices[a] for i, a in stages], axis, RANK_TOL)
+    # The witness names the last stage and atom without the property.
+    missing = [(i, a) for (i, a), ok in zip(stages, full) if not ok]
+    stages_ok = not missing
     witness = ""
-    for i, comp in theta.components.items():
-        for a, m in enumerate(comp.matrices):
-            if not _full_rank(m, axis):
-                stages_ok = False
-                witness = f"stage {i!r} not {adjective} at atom {atoms[a]!r}"
+    if missing:
+        i, a = missing[-1]
+        witness = f"stage {i!r} not {adjective} at atom {atoms[a]!r}"
     limit_map = _limit_functor(theta)
-    lost = [atoms[a] for a, m in enumerate(limit_map.matrices) if not _full_rank(m, axis)]
+    ranks = _full_ranks(limit_map.matrices, axis, RANK_TOL)
+    lost = [atoms[a] for a, ok in enumerate(ranks) if not ok]
     if stages_ok and lost:
         witness = f"limit map loses {noun} at atom {lost[0]!r}"
     return PreservationReport(stages_ok, not lost, (not stages_ok) or not lost, witness)

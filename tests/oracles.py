@@ -8,9 +8,12 @@ Dual-ball candidate sets for the base norm kinds are recomputed locally.
 System validation and poset closure are checked against the plain
 versions they replaced: a fresh breadth-first search for every composite,
 every law evaluated on every pair and triple, and a fixed-point closure
-of the order pairs.  Likewise the batched norm kernels are checked
+of the order pairs, with the greatest element folded from pairwise upper
+bounds and the redundant cocycle targets counted over a topological order
+of the supplied edges.  Likewise the batched norm kernels are checked
 against per-vector evaluation, the stacked frame-ball enumeration against
-its subset-by-subset loop, and the isometry certificate against its
+its subset-by-subset loop, the merge of restricted dual functionals
+against its row-by-row loop, and the isometry certificate against its
 atom-by-atom loop over witness calls.  The shared limit core (limits,
 universal factorizations, limit functors, rank preservation, pullback
 comparisons) is checked against the per-direction functions it replaced,
@@ -21,6 +24,7 @@ versions, from before they went through the universal property.
 from __future__ import annotations
 
 import itertools
+from graphlib import TopologicalSorter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -467,6 +471,54 @@ def reference_poset_relation(elements, pairs) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
+def reference_redundant_targets(system) -> Dict[object, List]:
+    """For each stage i, the stages k (in index order) that at least two
+    paths of supplied edges join i to: path counts capped at two, summed
+    over the supplied-edge DAG from its sinks up in a topological order."""
+    explicit = system.index.explicit_indices()
+    succ = {a: [b for b in system._edges.get(a, ()) if b != a] for a in explicit}
+    counts: Dict[object, dict] = {}
+    for a in TopologicalSorter(succ).static_order():
+        row = {a: 1}
+        for b in succ[a]:
+            for k, n in counts[b].items():
+                row[k] = min(2, row.get(k, 0) + n)
+        counts[a] = row
+    position = {e: n for n, e in enumerate(explicit)}
+    return {
+        a: sorted((k for k, n in row.items() if n > 1), key=position.__getitem__)
+        for a, row in counts.items()
+    }
+
+
+def reference_greatest_element(poset: FinitePoset) -> str:
+    """The unique maximum, found by folding pairwise upper bounds."""
+    top = poset.elements[0]
+    for e in poset.elements[1:]:
+        if poset.leq(top, e):
+            top = e
+        elif not poset.leq(e, top):
+            top = next(
+                c for c in poset.elements if poset.leq(top, c) and poset.leq(e, c)
+            )
+    return top
+
+
+def reference_halve_symmetric(rows: np.ndarray) -> np.ndarray:
+    """Drop near-zero, near-duplicate and sign-mirrored rows, one row at a
+    time against every kept row with two ``np.allclose`` calls."""
+    scale = np.max(np.abs(rows), initial=0.0)
+    atol = 1e-12 * scale
+    kept = []
+    for r in rows:
+        if np.max(np.abs(r), initial=0.0) <= 1e-14 * scale:
+            continue
+        if any(np.allclose(r, k, atol=atol) or np.allclose(r, -k, atol=atol) for k in kept):
+            continue
+        kept.append(r)
+    return np.array(kept) if kept else rows
+
+
 def _p_norm(y, p):
     if y.size == 0:
         return 0.0
@@ -495,13 +547,13 @@ def reference_norm_eval(spec, x) -> float:
 
 
 def reference_certify_isometric_iso(phi, tol=None) -> IsoCertificate:
-    """The exact isometry certificate atom by atom: both operator norms of
-    every bijective atom from its own witness call, with no shortcut for
-    scalar multiples of the identity."""
+    """The exact isometry certificate atom by atom: bijectivity by numpy's
+    default relative rank tolerance, and both operator norms of every
+    bijective atom from its own witness call."""
     tol = tolerance() if tol is None else tol
     max_dev = 0.0
     for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers):
-        if s.dim != t.dim or (s.dim and np.linalg.matrix_rank(m, tol=1e-10) != s.dim):
+        if s.dim != t.dim or (s.dim and np.linalg.matrix_rank(m) != s.dim):
             return IsoCertificate(False, False, INF, "not bijective per atom")
         if s.dim:
             forward = operator_norm_witness(m, s.norm, t.norm)[0]

@@ -26,7 +26,8 @@ def test_bracket_certifies_zero_map():
 
 def test_bracket_reports_interval_when_too_wide():
     spec = matrix_space_norm()
-    mat = np.eye(spec.dim)
+    # Not the identity: c I between equal specs is normed exactly, |c|.
+    mat = np.diag(np.arange(1.0, spec.dim + 1))
     with pytest.raises(BracketTooWideError) as err:
         operator_norm_witness(mat, spec, spec)
     assert err.value.lower <= err.value.upper

@@ -34,6 +34,7 @@ from l0limits.norms import (
     kernel_path,
     norm_eval,
     norm_rows,
+    operator_norm_batch,
     operator_norm_value,
     operator_norm_values,
     operator_norm_witness,
@@ -43,7 +44,12 @@ from l0limits.norms import (
     zero_norm,
 )
 
-from oracles import reference_frame_ball_candidates, reference_norm_eval, sampled_operator_norm
+from oracles import (
+    reference_frame_ball_candidates,
+    reference_halve_symmetric,
+    reference_norm_eval,
+    sampled_operator_norm,
+)
 
 
 def test_weighted_one_eval():
@@ -197,7 +203,7 @@ def test_restricted_dual_is_scale_invariant(seed, exponent, negative):
     assert norm_rows(scaled, ys) == pytest.approx(norm_rows(base, ys) / abs(c), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("p, shape, work", [(1, (6, 3), 15), (INF, (6, 3), 160)])
+@pytest.mark.parametrize("p, shape, work", [(1, (6, 3), 6 * 15), (INF, (6, 3), 160)])
 def test_frame_ball_budget_admits_work_equal_to_it(monkeypatch, p, shape, work):
     spec = FramedP(p, np.random.default_rng(0).standard_normal(shape))
     monkeypatch.setattr(norms, "FRAME_BALL_BUDGET", work - 1)
@@ -486,8 +492,11 @@ def test_operator_norm_values_on_the_bracket_path():
         expected = operator_norm_witness(mat, COVECTORS, COVECTORS)[0]
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
     wide = OperatorNorm(2, WeightedP(2, (1.0, 1.0)), 3, WeightedP(2, (1.0, 1.0, 1.0)))
+    # The identity is c I between equal specs, normed exactly; a diagonal
+    # that is not scalar still reaches the bracket.
+    assert operator_norm_values(np.eye(wide.dim)[None], wide, wide).tolist() == [1.0]
     with pytest.raises(BracketTooWideError):
-        operator_norm_values(np.eye(wide.dim)[None], wide, wide)
+        operator_norm_values(np.diag(np.arange(1.0, wide.dim + 1))[None], wide, wide)
     with pytest.raises(ShapeMismatchError):
         operator_norm_values(np.zeros((2, 2)), COVECTORS, COVECTORS)
 
@@ -708,3 +717,128 @@ def test_pointwise_operator_norm_takes_the_values_route(monkeypatch):
 def test_norm_specs_reject_non_finite_input(make):
     with pytest.raises(NonFiniteError):
         make()
+
+
+#: Factories of every spec kind, so that an equal spec that is another
+#: object can be made.
+SCALAR_SPECS = [
+    lambda: WeightedP(1, (1.0, 2.0)),
+    lambda: WeightedP(2, (0.5, 3.0, 1.0)),
+    lambda: WeightedP(INF, (1.0, 1e-3)),
+    lambda: FramedP(1, TALL),
+    lambda: FramedP(2, [[1.0, 0.2], [0.0, 1.0]]),
+    lambda: FramedP(INF, TALL),
+    lambda: dual_spec(FramedP(INF, TALL)),
+    lambda: dual_spec(FramedP(1, TALL)),
+    lambda: OperatorNorm(2, WeightedP(2, (1.0, 1.0)), 3, WeightedP(2, (1.0, 1.0, 1.0))),
+    lambda: OperatorNorm(2, WeightedP(1, (1.0, 2.0)), 2, FramedP(INF, TALL)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SCALAR_SPECS), st.one_of(st.just(None), st.floats(-100, 100)),
+       st.booleans(), st.booleans())
+def test_a_multiple_of_the_identity_norms_to_its_modulus(make, exponent, negative, same):
+    """``|c I| = |c|`` between equal specs of every kind, the same object or
+    not, from the batch and the witness alike; the witness is a unit vector.
+    Operator-norm fibers have only the bracket kernel, which could not
+    certify the identity."""
+    source = make()
+    target = source if same else make()
+    assert target == source
+    c = 0.0 if exponent is None else (-1.0 if negative else 1.0) * 10.0**exponent
+    mat = c * np.eye(source.dim)
+    assert operator_norm_value(mat, source, target) == abs(c)
+    assert operator_norm_values(np.stack([mat, mat]), source, target).tolist() == [abs(c)] * 2
+    value, witness = operator_norm_witness(mat, source, target)
+    assert value == abs(c)
+    assert norm_eval(source, witness) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_the_scalar_rule_needs_equal_specs_and_a_finite_scalar():
+    weighted = WeightedP(2, (1.0, 2.0))
+    other = WeightedP(2, (2.0, 1.0))
+    assert operator_norm_value(np.eye(2), weighted, other) == pytest.approx(2.0, rel=1e-15)
+    # [[inf]] is c I with c = inf, left to the kernel, which rejects it.
+    with pytest.raises(NonFiniteError):
+        operator_norm_value(np.array([[np.inf]]), WeightedP(2, (1.0,)), WeightedP(2, (1.0,)))
+
+
+def test_a_batch_with_repeated_items_equals_its_singleton_batches():
+    """Repeated matrices, repeated ``c I`` and repeated uncertifiable
+    matrices in one batch: every item gets its singleton batch's value bit
+    for bit, and every error is an object of its own."""
+    rng = np.random.default_rng(5)
+    wide = np.array([[1.0, 2.0], [0.0, 1.0]])
+    items = [(wide, COVECTORS, COVECTORS), (2.0 * np.eye(2), COVECTORS, COVECTORS)]
+    for source, target in OPNORM_PAIRS:
+        if kernel_path(source, target) == "bracket":
+            mat = _rotation(rng)
+        else:
+            mat = rng.standard_normal((target.dim, source.dim))
+        items.append((mat, source, target))
+    items = [items[k] for k in rng.permutation(3 * len(items)) % len(items)]
+    items += [(mat.copy(), source, target) for mat, source, target in items[:4]]
+    values = operator_norm_batch(items)
+    for item, value in zip(items, values):
+        single = operator_norm_batch([item])[0]
+        if isinstance(single, Exception):
+            assert (type(value), str(value)) == (type(single), str(single))
+        else:
+            assert np.float64(value).tobytes() == np.float64(single).tobytes()
+    errors = [v for v in values if isinstance(v, Exception)]
+    assert len(errors) >= 3
+    assert len({id(e) for e in errors}) == len(errors)
+
+
+def test_repeated_failing_morphisms_locate_their_own_errors():
+    import l0limits.modules as modules
+
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
+    module = FiberModule(space, (Fiber(2, COVECTORS), Fiber(2, COVECTORS)))
+    wide = np.array([[1.0, 2.0], [0.0, 1.0]])
+    phi = ModuleMorphism(module, module, [np.eye(2), wide])
+    first, second = modules._operator_norm_results([phi, phi])
+    assert first is not second
+    for err in (first, second):
+        assert isinstance(err, BracketTooWideError)
+        assert err.atom == "b"
+        assert str(err).count("at atom") == 1
+
+
+def test_restricted_dual_functionals_merge_as_the_row_loop_does():
+    """The blocked merge keeps the loop's rows in the loop's order: seeded
+    frames at scales 10^-100..10^100, with duplicated, mirrored, nearly
+    equal (within and beyond rtol) and zero rows mixed in."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        rows = rng.standard_normal((int(rng.integers(1, 12)), dim))
+        picks = rows[rng.integers(0, len(rows), size=int(rng.integers(0, 8)))]
+        near = picks * (1.0 + rng.choice([1e-7, 5e-6, 1.5e-5, 1e-4], size=(len(picks), 1)))
+        extra = [picks, -picks, near, -near, np.zeros((int(rng.integers(0, 2)), dim))]
+        rows = np.concatenate([rows, *extra])
+        rows = rows[rng.permutation(len(rows))] * 10.0 ** rng.uniform(-100, 100)
+        want = reference_halve_symmetric(rows)
+        got = norms._halve_symmetric(rows)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_halve_symmetric_compares_in_blocks(monkeypatch):
+    """Blocks of one row each against the rows kept so far give the rows of
+    a single block."""
+    rows = np.random.default_rng(2).standard_normal((40, 3))
+    rows = np.concatenate([rows, -rows[::3], rows[::5] * (1 + 1e-8)])
+    whole = norms._halve_symmetric(rows)
+    monkeypatch.setattr(norms, "_CHUNK_FLOATS", 1)
+    assert norms._halve_symmetric(rows).tobytes() == whole.tobytes()
+    assert whole.tobytes() == reference_halve_symmetric(rows).tobytes()
+
+
+def test_a_one_frame_budget_counts_rows_times_subsets():
+    """40,000 rows of two columns make 40,000 subsets, each normal measured
+    against every row: 1.6e9 row evaluations, over the budget."""
+    frame = FramedP(1, np.random.default_rng(0).standard_normal((40_000, 2)))
+    with pytest.raises(DimensionCapError, match="needs 1600000000 candidate solves"):
+        frame.ball_candidates()

@@ -39,6 +39,7 @@ from l0limits.indexsets import (
     HarmonicTail,
     IdentityTail,
     ScalarTail,
+    greatest_element,
     tail_limit_factor,
 )
 from l0limits.homdual import hom_module
@@ -70,7 +71,9 @@ from oracles import (
     ReferenceDirectSystem,
     ReferenceInverseSystem,
     reference_dl_seminorm,
+    reference_greatest_element,
     reference_poset_relation,
+    reference_redundant_targets,
     reference_validate_direct_system,
     reference_validate_inverse_system,
 )
@@ -476,3 +479,80 @@ def test_tail_limit_factor_is_a_zero_one_indicator(values):
     assert tail_limit_factor(scalar, space).tolist() == [
         float(abs(v - 1.0) <= tolerance()) for v in values
     ]
+
+
+def test_poset_closure_index_data_match_the_references():
+    """Closure by repeated squaring, the sorted related pairs and the
+    greatest element, on random posets of up to 20 elements given by their
+    covering pairs (chains need the most squarings) and topped off."""
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        n = int(rng.integers(1, 21))
+        labels = [f"p{k}" for k in rng.permutation(n)]
+        pairs = [(labels[a], labels[a + 1]) for a in range(n - 1) if rng.random() < 0.6]
+        pairs += [
+            (labels[a], labels[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.08
+        ]
+        pairs += [(labels[a], labels[-1]) for a in range(n - 1)]
+        poset = FinitePoset(labels, pairs)
+        relation = reference_poset_relation(labels, pairs)
+        assert poset.relation == relation
+        order = {e: k for k, e in enumerate(labels)}
+        want = sorted((p for p in relation if p[0] != p[1]), key=lambda p: (order[p[0]], order[p[1]]))
+        assert poset.related_pairs() == tuple(want)
+        assert greatest_element(poset) == reference_greatest_element(poset) == labels[-1]
+
+
+def _edge_systems(rng):
+    """Direct systems of identities on random subsets of the related pairs
+    (each consecutive chain step, or each covering pair of a poset, kept)."""
+    module = euclidean_module(AtomicMeasureSpace(["a"], [1.0]), 1)
+    ident = identity_morphism(module)
+    for _ in range(40):
+        stages = int(rng.integers(1, 9))
+        chain = Chain(stages, IdentityTail())
+        edges = {(k, k + 1) for k in range(stages - 1)}
+        edges |= {p for p in chain.related_pairs() if rng.random() < 0.3}
+        if rng.random() < 0.3:
+            edges.add((0, 0))
+        yield DirectSystem(chain, {k: module for k in range(stages)}, {e: ident for e in edges})
+        poset = randgen.random_poset(rng, max_elements=8)
+        edges = {p for p in poset.related_pairs() if rng.random() < 0.6}
+        yield DirectSystem(poset, {e: module for e in poset.elements}, {e: ident for e in edges})
+
+
+def test_redundant_targets_match_the_topological_count():
+    rng = np.random.default_rng(8)
+    shapes = set()
+    for system in _edge_systems(rng):
+        got = systems._redundant_targets(system)
+        assert got == reference_redundant_targets(system)
+        shapes.add(any(got.values()))
+    assert shapes == {False, True}
+
+
+def test_validation_reports_are_kept_per_tolerance(monkeypatch):
+    """A system and a system morphism are validated once per tolerance;
+    the limit functor's validation reuses the reports, and an error is
+    raised on every call."""
+    rng = np.random.default_rng(6)
+    theta = randgen.random_chain_morphism_pair(rng, stages=4)
+    runs = []
+    for name in ("_validate_system", "_validate_system_morphism"):
+        body = getattr(systems, name)
+        monkeypatch.setattr(systems, name, lambda obj, tol, body=body: runs.append(obj) or body(obj, tol))
+    first = validate_system_morphism(theta)
+    assert validate_system_morphism(theta) is first
+    assert validate_direct_system(theta.source) is validate_direct_system(theta.source)
+    dl_functor(theta)
+    assert len(runs) == 3
+    validate_system_morphism(theta, tol=1e-6)
+    assert len(runs) == 4
+
+    plane, hom = _plane_and_hom()
+    twist = ModuleMorphism(plane, hom, [TWIST])
+    system = DirectSystem(Chain(2, IdentityTail()), {0: plane, 1: hom}, {(0, 1): twist})
+    for _ in range(2):
+        with pytest.raises(BracketTooWideError):
+            validate_direct_system(system)
+    assert system._reports == {}
