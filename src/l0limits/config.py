@@ -9,6 +9,7 @@ The tolerance is context-local (a :class:`contextvars.ContextVar`, PEP
 another.
 """
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -24,8 +25,8 @@ def tolerance() -> float:
 
 def _checked(value: float) -> float:
     value = float(value)
-    if not value > 0.0:
-        raise ValueError(f"tolerance must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {value}")
     return value
 
 

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import pullback as pb
 from ..config import tolerance, tolerance_override
 from ..direct import solve_square_component
-from ..errors import L0LimitsError
+from ..errors import DocumentError, L0LimitsError
 from ..indexsets import FinitePoset, greatest_element
 from ..inverse import hom_inverse_system
 from ..modules import morphism_deviation, scalar_module
@@ -73,133 +75,60 @@ class RunReport:
         return 0
 
 
-def _limit_payload(presentation) -> Dict:
-    return {
-        "dims": {
-            atom: fiber.dim
-            for atom, fiber in zip(
-                presentation.module.space.atom_ids, presentation.module.fibers
-            )
-        },
-        "provenance": presentation.provenance,
-        "canonical_maps": len(presentation.canonical),
-    }
+def _dims(module) -> Dict:
+    return {atom: fiber.dim for atom, fiber in zip(module.space.atom_ids, module.fibers)}
 
 
-def _check_path(doc: Document, spec: CheckSpec) -> str:
-    """The JSON path of a check: its position in the document, else its name."""
-    k = next((k for k, c in enumerate(doc.checks) if c is spec), None)
-    return f"$.checks[{spec.name!r}]" if k is None else f"$.checks[{k}]"
+# Handlers: each takes a check's parameters as resolved objects, under their
+# document names, and returns (raw outcome, witness, provenance).
 
 
-def _resolve(doc: Document, spec: CheckSpec, table: str, *keys):
-    """The object of ``doc.<table>`` whose id the check parameter at
-    ``keys`` (a path into ``spec.params``) holds.  A missing or unknown id
-    is an error naming the parameter's path, ``$.checks[k].<param>``."""
-    ref = spec.params
-    for key in keys:
-        ref = ref.get(key) if isinstance(ref, dict) else None
-    objects = getattr(doc, table)
-    if isinstance(ref, str) and ref in objects:
-        return objects[ref]
-    what = table[:-1].replace("_", " ")
-    path = ".".join([_check_path(doc, spec), *map(str, keys)])
-    if ref is None:
-        raise L0LimitsError(f"{path}: missing {what} id")
-    raise L0LimitsError(f"{path}: unknown {what} {ref!r}")
-
-
-def _check_validate(doc, spec):
-    system = _resolve(doc, spec, "systems", "system")
+def _check_validate(system):
     report = validate_system(system)
-    witness = {
-        "violations": [
-            {
-                "kind": v.kind,
-                "indices": [str(i) for i in v.indices],
-                "deviation": v.deviation,
-                "detail": v.detail,
-            }
-            for v in report.violations
-        ]
-    }
-    return ("pass" if report.passed else "fail"), witness, ("system-laws",)
+    violations = [
+        {"kind": v.kind, "indices": [str(i) for i in v.indices],
+         "deviation": v.deviation, "detail": v.detail}
+        for v in report.violations
+    ]
+    return ("pass" if report.passed else "fail"), {"violations": violations}, ("system-laws",)
 
 
-def _directed_system(doc: Document, spec: CheckSpec):
-    """The system of a limit or universal check, whose kind names the
-    direction (direct or inverse) the system must have."""
-    system = _resolve(doc, spec, "systems", "system")
-    wanted = "direct" if "direct" in spec.kind else "inverse"
-    if system.limit_kind != wanted:
-        raise L0LimitsError(
-            f"{_check_path(doc, spec)}.system: {spec.kind} needs a system of kind "
-            f"{wanted!r}, {spec.params['system']!r} is {system.limit_kind!r}"
-        )
-    return system
-
-
-def _check_limit(doc, spec):
-    system = _directed_system(doc, spec)
+def _check_limit(system, expect_zero=False, expect_dims=None):
     presentation = _limit(system)
-    witness = _limit_payload(presentation)
+    witness = {"dims": _dims(presentation.module), "provenance": presentation.provenance,
+               "canonical_maps": len(presentation.canonical)}
     outcome = "pass"
-    if spec.params.get("expect_zero") and any(
-        f.dim != 0 for f in presentation.module.fibers
-    ):
+    if expect_zero and any(f.dim != 0 for f in presentation.module.fibers):
         outcome = "fail"
         witness["reason"] = "expected a zero limit module"
-    expected_dims = spec.params.get("expect_dims")
-    if expected_dims is not None:
-        actual = witness["dims"]
-        path = f"{_check_path(doc, spec)}.expect_dims"
-        if {k: _integer(v, f"{path}.{k}") for k, v in expected_dims.items()} != actual:
-            outcome = "fail"
-            witness["reason"] = f"expected dims {expected_dims}, got {actual}"
+    if expect_dims is not None and expect_dims != witness["dims"]:
+        outcome = "fail"
+        witness["reason"] = f"expected dims {expect_dims}, got {witness['dims']}"
     return outcome, witness, (presentation.provenance,)
 
 
-def _check_greatest(doc, spec):
-    index = _resolve(doc, spec, "index_sets", "index_set")
-    if not isinstance(index, FinitePoset):
-        raise L0LimitsError("greatest-element applies to finite posets")
-    top = greatest_element(index)
-    ok = all(index.leq(e, top) for e in index.elements)
+def _check_greatest(index_set):
+    top = greatest_element(index_set)
+    ok = all(index_set.leq(e, top) for e in index_set.elements)
     return ("pass" if ok else "fail"), {"top": top}, ("greatest-element",)
 
 
-def _check_universal(doc, spec):
-    """The cone of a direct system is a target, of an inverse one a source."""
-    system = _directed_system(doc, spec)
+def _check_universal(system, **cone):
+    """The cone of a direct system is a target, of an inverse one a source:
+    the ``<side>_module`` and ``<side>_maps`` parameters."""
     side = system.cone_side
-    module = _resolve(doc, spec, "modules", f"{side}_module")
-    path = f"{_check_path(doc, spec)}.{side}_maps"
-    maps = {}
-    for key in spec.params.get(f"{side}_maps", {}):
-        maps[_stage_key(system.index, key, f"{path}.{key}")] = _resolve(
-            doc, spec, "morphisms", f"{side}_maps", key
-        )
-    worst = _universal_factorization(system, module, maps)[1]
+    worst = _universal_factorization(system, cone[f"{side}_module"], cone[f"{side}_maps"])[1]
     return "pass", {f"max_{system.cone_shape}_deviation": worst}, ("universal-property",)
 
 
-def _check_functor_square(doc, spec):
-    params = spec.params
-    if "solve" in params:
-        solve = params["solve"]
-        source = _resolve(doc, spec, "systems", "solve", "source_system")
-        target = _resolve(doc, spec, "systems", "solve", "target_system")
-        path = f"{_check_path(doc, spec)}.solve"
-        fixed = {}
-        for key in solve.get("given", {}):
-            fixed[_stage_key(source.index, key, f"{path}.given.{key}")] = _resolve(
-                doc, spec, "morphisms", "solve", "given", key
-            )
-        stage = _stage_key(source.index, solve.get("solve_for"), f"{path}.solve_for")
-        solution = solve_square_component(source, target, fixed, stage)
-        witness = {"residual": solution.residual, "detail": solution.witness}
-        return ("pass" if solution.exists else "fail"), witness, ("square-solvability",)
-    first = _resolve(doc, spec, "system_morphisms", "first")
+def _check_square_solvable(source_system, target_system, given, solve_for):
+    solution = solve_square_component(source_system, target_system, given, solve_for)
+    witness = {"residual": solution.residual, "detail": solution.witness}
+    return ("pass" if solution.exists else "fail"), witness, ("square-solvability",)
+
+
+def _check_functor_square(first, second=None, expect_equal_images=True,
+                          require_components_differ=False):
     report = validate_system_morphism(first)
     if not report.passed:
         # An invalid morphism induces no limit map.
@@ -207,8 +136,7 @@ def _check_functor_square(doc, spec):
     outcome = "pass"
     image_first = _limit_functor(first)
     witness: Dict = {"limit_map_dims": [list(m.shape) for m in image_first.matrices]}
-    if "second" in params:
-        second = _resolve(doc, spec, "system_morphisms", "second")
+    if second is not None:
         image_second = _limit_functor(second)
         components_differ = any(
             morphism_deviation(first.components[i], second.components[i]) > tolerance()
@@ -218,56 +146,39 @@ def _check_functor_square(doc, spec):
         witness["components_differ"] = components_differ
         witness["limit_image_deviation"] = dev
         witness["images_equal"] = bool(dev <= tolerance())
-        if params.get("expect_equal_images", True) and dev > tolerance():
+        if expect_equal_images and dev > tolerance():
             outcome = "fail"
-        if params.get("require_components_differ") and not components_differ:
+        if require_components_differ and not components_differ:
             outcome = "fail"
     return outcome, witness, ("limit-functor",)
 
 
-#: Rank-preservation check kind -> (whether it tests surjectivity, the
-#: property's adjective, provenance).
-_RANK_CHECKS = {
-    "surjectivity-preserved": (True, "surjective", "image-preservation"),
-    "injectivity-preserved": (False, "injective", "kernel-preservation"),
-}
-
-
-def _check_rank_preservation(doc, spec):
-    onto, adjective, provenance = _RANK_CHECKS[spec.kind]
-    theta = _resolve(doc, spec, "system_morphisms", "morphism")
-    report = _rank_preservation(theta, onto)
+def _check_preserved(morphism, onto):
+    """Surjectivity (``onto``) or injectivity, at every stage and in the limit."""
+    adjective = "surjective" if onto else "injective"
+    report = _rank_preservation(morphism, onto)
     witness = {
         f"stages_{adjective}": report.stages_have_property,
         f"limit_{adjective}": report.limit_has_property,
         "detail": report.witness,
     }
     ok = report.stages_have_property and report.limit_has_property
+    provenance = "image-preservation" if onto else "kernel-preservation"
     return ("pass" if ok else "fail"), witness, (provenance,)
 
 
-def _check_pullback_commute(doc, spec):
-    system = _resolve(doc, spec, "systems", "system")
-    atom_map = _resolve(doc, spec, "atom_maps", "atom_map")
+def _check_pullback_commute(system, atom_map):
     report = pb.dl_pullback_iso(atom_map, system)
     witness = {
         "bijective": report.certificate.bijective,
         "max_norm_deviation": report.certificate.max_norm_deviation,
-        "limit_dims": {
-            a: f.dim
-            for a, f in zip(
-                report.limit_of_pulled.module.space.atom_ids,
-                report.limit_of_pulled.module.fibers,
-            )
-        },
+        "limit_dims": _dims(report.limit_of_pulled.module),
     }
     return ("pass" if report.ok else "fail"), witness, ("pullback-commute",)
 
 
-def _check_sections_iso(doc, spec):
-    z = _resolve(doc, spec, "spaces", "factor_space")
-    module = _resolve(doc, spec, "modules", "module")
-    report = pb.sections_iso(z, module)
+def _check_sections_iso(factor_space, module):
+    report = pb.sections_iso(factor_space, module)
     witness = {
         "norm_identity_exact": report.norm_identity_exact,
         "constant_section_matches": report.constant_section_matches,
@@ -276,24 +187,16 @@ def _check_sections_iso(doc, spec):
     return ("pass" if report.ok else "fail"), witness, ("sections-iso",)
 
 
-def _check_hom_iso(doc, spec):
-    """Homs into a module, or for a dual-iso check into the scalar module."""
-    system = _resolve(doc, spec, "systems", "system")
-    if spec.kind == "dual-iso":
-        fixed, provenance = scalar_module(system.space), "dual-of-limit"
-    else:
-        fixed, provenance = _resolve(doc, spec, "modules", "module"), "hom-of-limit"
+def _check_hom_iso(system, module=None):
+    """Homs into ``module``, or for a dual-iso check into the scalar module."""
+    provenance = "dual-of-limit" if module is None else "hom-of-limit"
+    fixed = scalar_module(system.space) if module is None else module
     cert = hom_inverse_system(system, fixed).certificate
-    witness = {
-        "bijective": cert.bijective,
-        "max_norm_deviation": cert.max_norm_deviation,
-    }
+    witness = {"bijective": cert.bijective, "max_norm_deviation": cert.max_norm_deviation}
     return ("pass" if cert.ok else "fail"), witness, (provenance,)
 
 
-def _check_il_pullback(doc, spec):
-    system = _resolve(doc, spec, "systems", "system")
-    atom_map = _resolve(doc, spec, "atom_maps", "atom_map")
+def _check_il_pullback(system, atom_map):
     report = pb.il_pullback_compare(atom_map, system)
     witness = {
         "isomorphic_on_instance": report.ok,
@@ -303,54 +206,186 @@ def _check_il_pullback(doc, spec):
     return ("pass" if report.ok else "fail"), witness, ("il-pullback-compare",)
 
 
-_DISPATCH = {
-    "validate-system": _check_validate,
-    "direct-limit": _check_limit,
-    "inverse-limit": _check_limit,
-    "universal-direct": _check_universal,
-    "universal-inverse": _check_universal,
-    "functor-square": _check_functor_square,
-    "pullback-commute": _check_pullback_commute,
-    "sections-iso": _check_sections_iso,
-    "dual-iso": _check_hom_iso,
-    "hom-iso": _check_hom_iso,
-    "greatest-element": _check_greatest,
-    "surjectivity-preserved": _check_rank_preservation,
-    "injectivity-preserved": _check_rank_preservation,
-    "il-pullback-compare": _check_il_pullback,
+# The contract of each check kind.  A parameter resolves its raw value as
+# ``resolve(doc, raw, resolved, path)``, given the parameters resolved
+# before it and its path below the check; a value it cannot resolve is a
+# DocumentError at that path.
+
+#: A declared parameter: what it holds (for messages), how it resolves and
+#: whether a check must give it.
+_Param = namedtuple("_Param", "what resolve required", defaults=(True,))
+
+
+def _id(table: str, cls=object) -> _Param:
+    """The id of an object of ``doc.<table>`` that is an instance of ``cls``."""
+    what = table[:-1].replace("_", " ")
+
+    def resolve(doc, raw, resolved, path):
+        obj = getattr(doc, table).get(raw) if isinstance(raw, str) else None
+        if obj is None:
+            raise DocumentError(path, f"unknown {what} {raw!r}")
+        if not isinstance(obj, cls):
+            raise DocumentError(path, f"{raw!r} is a {type(obj).__name__}, not a {cls.__name__}")
+        return obj
+
+    return _Param(f"{what} id", resolve)
+
+
+def _flag(doc, raw, resolved, path):
+    if not isinstance(raw, bool):
+        raise DocumentError(path, f"expected true or false, got {raw!r}")
+    return raw
+
+
+def _atom_dims(doc, raw, resolved, path):
+    if not isinstance(raw, dict):
+        raise DocumentError(path, "expected an object of dims by atom")
+    return {atom: _integer(dim, f"{path}.{atom}") for atom, dim in raw.items()}
+
+
+def _stage(system: str) -> _Param:
+    """A stage of the system that the parameter ``system`` names."""
+
+    def resolve(doc, raw, resolved, path):
+        if not isinstance(raw, str):
+            raise DocumentError(path, f"expected a stage key, got {raw!r}")
+        return _stage_key(resolved[system].index, raw, path)
+
+    return _Param("stage", resolve)
+
+
+def _stage_maps(system: str) -> _Param:
+    """Morphism ids by stage of the system that the parameter ``system`` names."""
+    stage, morphism = _stage(system).resolve, _id("morphisms").resolve
+
+    def resolve(doc, raw, resolved, path):
+        if not isinstance(raw, dict):
+            raise DocumentError(path, "expected an object of morphism ids by stage")
+        return {
+            stage(doc, k, resolved, f"{path}.{k}"): morphism(doc, ref, resolved, f"{path}.{k}")
+            for k, ref in raw.items()
+        }
+
+    return _Param("stage map", resolve)
+
+
+@dataclass(frozen=True)
+class _Contract:
+    """What a check kind takes: its handler, the direction (``direct`` or
+    ``inverse``) its ``system`` parameter must have, if any, and its
+    parameters in resolution order.  A parameter declared as a contract is
+    a group: given, it is the only parameter and binds its own handler."""
+
+    handler: Callable
+    direction: Optional[str]
+    params: Dict[str, object]
+    required = False  # a group: without it, its siblings apply
+
+
+def _contract(handler, direction=None, **params) -> _Contract:
+    return _Contract(handler, direction, params)
+
+
+def _bind(doc: Document, kind: str, contract: _Contract, raw, path: str):
+    """The handler of ``contract`` and its keyword arguments resolved from
+    ``raw``, the parameters at ``path``.  An undeclared, missing or
+    mistyped parameter, an id that names nothing and a system of the
+    wrong direction are each a DocumentError at the parameter's path."""
+    if not isinstance(raw, dict):
+        raise DocumentError(path, "expected an object of parameters")
+    for name in raw:
+        param = contract.params.get(name)
+        if param is None:
+            raise DocumentError(f"{path}.{name}", f"{kind} has no parameter {name!r}")
+        if isinstance(param, _Contract):
+            other = next((n for n in raw if n != name), None)
+            if other is not None:
+                message = f"{kind} takes {other!r} or {name!r}, not both"
+                raise DocumentError(f"{path}.{other}", message)
+            return _bind(doc, kind, param, raw[name], f"{path}.{name}")
+    args = {}
+    for name, param in contract.params.items():
+        if name in raw:
+            args[name] = param.resolve(doc, raw[name], args, f"{path}.{name}")
+        elif param.required:
+            raise DocumentError(f"{path}.{name}", f"missing {param.what}")
+        if name == "system" and contract.direction not in (None, args[name].limit_kind):
+            raise DocumentError(
+                f"{path}.system", f"{kind} needs a system of kind {contract.direction!r}, "
+                f"{raw[name]!r} is {args[name].limit_kind!r}"
+            )
+    return contract.handler, args
+
+
+_SYSTEM, _MODULE, _MORPHISM = _id("systems"), _id("modules"), _id("system_morphisms")
+_FLAG, _ATOM_DIMS = _Param("flag", _flag, False), _Param("atom dims", _atom_dims, False)
+
+_CONTRACTS = {
+    "validate-system": _contract(_check_validate, system=_SYSTEM),
+    "direct-limit": _contract(
+        _check_limit, "direct", system=_SYSTEM, expect_zero=_FLAG, expect_dims=_ATOM_DIMS
+    ),
+    "inverse-limit": _contract(
+        _check_limit, "inverse", system=_SYSTEM, expect_zero=_FLAG, expect_dims=_ATOM_DIMS
+    ),
+    "universal-direct": _contract(
+        _check_universal, "direct",
+        system=_SYSTEM, target_module=_MODULE, target_maps=_stage_maps("system"),
+    ),
+    "universal-inverse": _contract(
+        _check_universal, "inverse",
+        system=_SYSTEM, source_module=_MODULE, source_maps=_stage_maps("system"),
+    ),
+    "functor-square": _contract(
+        _check_functor_square,
+        first=_MORPHISM, second=_MORPHISM._replace(required=False),
+        expect_equal_images=_FLAG, require_components_differ=_FLAG,
+        solve=_contract(
+            _check_square_solvable, source_system=_SYSTEM, target_system=_SYSTEM,
+            given=_stage_maps("source_system"), solve_for=_stage("source_system"),
+        ),
+    ),
+    "pullback-commute": _contract(
+        _check_pullback_commute, "direct", system=_SYSTEM, atom_map=_id("atom_maps")
+    ),
+    "il-pullback-compare": _contract(
+        _check_il_pullback, "inverse", system=_SYSTEM, atom_map=_id("atom_maps")
+    ),
+    "sections-iso": _contract(_check_sections_iso, factor_space=_id("spaces"), module=_MODULE),
+    "dual-iso": _contract(_check_hom_iso, "direct", system=_SYSTEM),
+    "hom-iso": _contract(_check_hom_iso, "direct", system=_SYSTEM, module=_MODULE),
+    "greatest-element": _contract(_check_greatest, index_set=_id("index_sets", FinitePoset)),
+    "surjectivity-preserved": _contract(partial(_check_preserved, onto=True), morphism=_MORPHISM),
+    "injectivity-preserved": _contract(partial(_check_preserved, onto=False), morphism=_MORPHISM),
 }
 
-CHECK_KINDS = tuple(sorted(_DISPATCH))
+CHECK_KINDS = tuple(sorted(_CONTRACTS))
 
 
 def run_check(doc: Document, spec: CheckSpec) -> CheckResult:
-    """Run one check under its (possibly overridden) tolerance.  No check
-    draws random numbers, so a check's ``seed`` field steers nothing."""
-    if spec.kind not in _DISPATCH:
-        return CheckResult(
-            spec.name,
-            spec.kind,
-            "error",
-            "error",
-            spec.expect,
-            {"reason": f"unknown check kind {spec.kind!r}"},
-        )
+    """Run one check: bind its parameters by its kind's contract, then call
+    the handler under the check's (possibly overridden) tolerance.  No
+    check draws random numbers, so a check's ``seed`` field steers nothing."""
+    contract = _CONTRACTS.get(spec.kind)
+    if contract is None:
+        reason = {"reason": f"unknown check kind {spec.kind!r}"}
+        return CheckResult(spec.name, spec.kind, "error", "error", spec.expect, reason)
     start = time.perf_counter()
     tol = spec.tol if spec.tol is not None else tolerance()
     try:
+        handler, args = _bind(doc, spec.kind, contract, spec.params, "")
         with tolerance_override(tol):
-            raw, witness, provenance = _DISPATCH[spec.kind](doc, spec)
+            raw, witness, provenance = handler(**args)
+    except DocumentError as exc:  # a parameter, at its path below the check
+        k = next((k for k, c in enumerate(doc.checks) if c is spec), repr(spec.name))
+        raw, witness, provenance = "error", {"reason": f"$.checks[{k}]{exc}"}, ("error",)
     except L0LimitsError as exc:
         raw, witness, provenance = "error", {"reason": str(exc)}, ("error",)
-    except Exception as exc:  # malformed parameters, unresolved ids, ...
-        raw = "error"
-        witness = {"reason": f"{type(exc).__name__}: {exc}"}
+    except Exception as exc:  # a library fault, not a malformed parameter
+        raw, witness = "error", {"reason": f"{type(exc).__name__}: {exc}"}
         provenance = ("error",)
     duration = time.perf_counter() - start
-    if raw == "error":
-        verdict = "error"
-    else:
-        verdict = "pass" if raw == spec.expect else "fail"
+    verdict = "error" if raw == "error" else "pass" if raw == spec.expect else "fail"
     return CheckResult(
         spec.name, spec.kind, raw, verdict, spec.expect, witness, provenance, duration
     )

@@ -64,6 +64,19 @@ def _integer(raw, path: str) -> int:
     return int(raw)
 
 
+def _tolerance(raw, path: str) -> float:
+    value = _number(raw, path)
+    if not value > 0.0:
+        raise DocumentError(path, f"tolerance must be positive, got {raw!r}")
+    return value
+
+
+def _expect(raw, path: str) -> str:
+    if raw not in ("pass", "fail"):
+        raise DocumentError(path, f"expect must be 'pass' or 'fail', got {raw!r}")
+    return raw
+
+
 def _numbers(raw, path: str) -> list:
     if not isinstance(raw, list):
         raise DocumentError(path, "expected an array of numbers")
@@ -241,9 +254,9 @@ def parse_document(data: Dict) -> Document:
                         for key, val in raw.items()
                         if key not in ("name", "kind", "tol", "seed", "expect")
                     },
-                    tol=None if "tol" not in raw else _number(raw["tol"], f"{path}.tol"),
+                    tol=None if "tol" not in raw else _tolerance(raw["tol"], f"{path}.tol"),
                     seed=None if "seed" not in raw else _integer(raw["seed"], f"{path}.seed"),
-                    expect=str(raw.get("expect", "pass")),
+                    expect=_expect(raw.get("expect", "pass"), f"{path}.expect"),
                 )
             )
     names = [c.name for c in doc.checks]

@@ -17,6 +17,19 @@ def test_override_nests_and_restores():
     assert tolerance() == DEFAULT_TOLERANCE
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(bad):
+    """An infinite tolerance would pass every law check, so it is refused
+    like zero, negative and NaN ones, by the override and by the setter."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        with tolerance_override(bad):
+            pass
+    with pytest.raises(ValueError, match="finite and positive"):
+        set_tolerance(bad)
+    assert tolerance() == DEFAULT_TOLERANCE
+
+
 def test_override_in_one_thread_is_not_seen_by_another():
     """Two overlapping overrides: each thread sees its own value, and the
     default is back after both exit in the order that used to leave the

@@ -8,6 +8,7 @@ import pytest
 
 from l0limits.errors import DocumentError
 from l0limits.harness import (
+    CHECK_KINDS,
     CheckSpec,
     DocumentBuilder,
     dump_document,
@@ -312,10 +313,15 @@ def _set(*keys, value):
                                 "target_dim": 2, "target_norm": "n0"}), "$.norms.op.source_dim"),
     (_set("norms", "op", value={"kind": "operator", "source_dim": 2, "source_norm": "n0",
                                 "target_dim": 2.5, "target_norm": "n0"}), "$.norms.op.target_dim"),
+    (_set("checks", 0, "tol", value=0), "$.checks[0].tol"),
+    (_set("checks", 0, "tol", value=-1e-9), "$.checks[0].tol"),
+    (_set("checks", 0, "expect", value="fial"), "$.checks[0].expect"),
+    (_set("checks", 0, "expect", value=True), "$.checks[0].expect"),
 ], ids=["short-weights", "spaces-number", "spaces-array", "function-array", "fibers-number",
         "dim-text", "system-morphism-number", "maps-number", "checks-number", "seed-text",
         "seed-fraction", "seed-boolean", "dim-fraction", "stages-fraction",
-        "source-dim-boolean", "target-dim-fraction"])
+        "source-dim-boolean", "target-dim-fraction", "tol-zero", "tol-negative",
+        "expect-misspelt", "expect-boolean"])
 def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, where):
     """A malformed entry is an error (exit 2) naming its path, never a
     traceback."""
@@ -384,6 +390,18 @@ def test_cli_tolerance_flag_threads_through():
     assert json.loads(proc.stdout)["tolerance"] == 1e-6
 
 
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, bad):
+    """An infinite tolerance would pass every law; zero, negative and NaN
+    ones are an error too (exit 2), never a traceback."""
+    from l0limits.harness.cli import main
+
+    assert main(["--tol", bad, "report", str(FIXTURES / "remark-faithful.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tolerance must be finite and positive, got ")
+    assert captured.out == ""
+
+
 def test_cli_structured_deterministic_bytes():
     path = str(FIXTURES / "pullback-commute.json")
     a = run_cli("report", path, "--format", "structured", "--seed", "3")
@@ -450,6 +468,14 @@ def test_non_integer_chain_key_in_a_check_names_its_path(case):
 
 _MISMATCHED_KINDS = {
     "direct-limit": ("harmonic-inverse.json", {"system": "shrinking"}, "inverse"),
+    "dual-iso": ("harmonic-inverse.json", {"system": "shrinking"}, "inverse"),
+    "hom-iso": ("harmonic-inverse.json", {"system": "shrinking", "module": "plane2"}, "inverse"),
+    "pullback-commute": ("pullback-commute.json", {
+        "system": "two-stage-inverse", "atom_map": "two-to-one",
+    }, "inverse"),
+    "il-pullback-compare": ("pullback-commute.json", {
+        "system": "two-stage", "atom_map": "two-to-one",
+    }, "direct"),
     "universal-direct": ("harmonic-inverse.json", {
         "system": "shrinking", "target_module": "plane2",
         "target_maps": {"0": "shrinking_phi_0_1"},
@@ -464,8 +490,9 @@ _MISMATCHED_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(_MISMATCHED_KINDS))
 def test_limit_and_universal_checks_need_a_system_of_their_direction(kind):
-    """A direct-* check on an inverse system, or an inverse-* check on a
-    direct one, is an error verdict at the check's system parameter."""
+    """A limit, universal, Hom, dual or pullback check concerns direct or
+    inverse limits, not both: on a system of the other direction it is an
+    error verdict at the check's system parameter."""
     fixture, params, actual = _MISMATCHED_KINDS[kind]
     data = json.loads((FIXTURES / fixture).read_text())
     k = len(data["checks"])
@@ -499,13 +526,32 @@ _UNKNOWN_IDS = {
     "morphism": ("scaling-surjectivity.json", {
         "kind": "surjectivity-preserved",
     }, "morphism: missing system morphism id"),
+    "misspelt-parameter": ("remark-faithful.json", {
+        "kind": "direct-limit", "system": "M", "expect_dim": {"pt": 5},
+    }, "expect_dim: direct-limit has no parameter 'expect_dim'"),
+    "text-flag": ("harmonic-inverse.json", {
+        "kind": "inverse-limit", "system": "shrinking", "expect_zero": "no",
+    }, "expect_zero: expected true or false, got 'no'"),
+    "greatest-of-a-chain": ("harmonic-inverse.json", {
+        "kind": "greatest-element", "index_set": "idx_shrinking",
+    }, "index_set: 'idx_shrinking' is a Chain, not a FinitePoset"),
+    "group-beside-first": ("remark-faithful.json", {
+        "kind": "functor-square", "first": "Theta", "solve": {},
+    }, "first: functor-square takes 'first' or 'solve', not both"),
+    "missing-stage": ("remark-faithful.json", {
+        "kind": "functor-square", "solve": {"source_system": "M", "target_system": "N",
+                                            "given": {"1": "identity_plane"}},
+    }, "solve.solve_for: missing stage"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_UNKNOWN_IDS))
 def test_unknown_ids_in_check_parameters_name_their_path(case):
     """An id in a check's parameters that names nothing in the document is
-    an error verdict at the parameter's path, never a bare KeyError."""
+    an error verdict at the parameter's path, never a bare KeyError; so is
+    any parameter its kind's contract refuses: a misspelt name is not
+    ignored, a flag is a boolean, an index set is of the class its kind
+    needs, a group is the only parameter and a required one is given."""
     fixture, check, where = _UNKNOWN_IDS[case]
     data = json.loads((FIXTURES / fixture).read_text())
     k = len(data["checks"])
@@ -514,3 +560,52 @@ def test_unknown_ids_in_check_parameters_name_their_path(case):
     result = next(r for r in report.results if r.name == "zz-unknown")
     assert result.verdict == "error"
     assert result.witness["reason"] == f"$.checks[{k}].{where}"
+
+
+#: The system direction each directed check kind needs.
+_DIRECTIONS = {
+    "direct-limit": "direct", "universal-direct": "direct", "pullback-commute": "direct",
+    "dual-iso": "direct", "hom-iso": "direct", "inverse-limit": "inverse",
+    "universal-inverse": "inverse", "il-pullback-compare": "inverse",
+}
+
+
+def _mutations(spec):
+    """Each check ``spec`` turns into: another kind with the same
+    parameters, each parameter dropped, each parameter renamed.  Yields
+    (mutated spec, the renamed parameter or None)."""
+    def variant(kind=spec.kind, params=spec.params):
+        return CheckSpec(spec.name, kind, params, spec.tol, spec.seed, spec.expect)
+
+    for kind in CHECK_KINDS:
+        if kind != spec.kind:
+            yield variant(kind=kind), None
+    for name in spec.params:
+        yield variant(params={n: v for n, v in spec.params.items() if n != name}), None
+        renamed = f"{name}_x"
+        yield variant(params={(renamed if n == name else n): v
+                              for n, v in spec.params.items()}), renamed
+
+
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
+def test_mutated_fixture_checks_give_located_errors(path):
+    """Swap each fixture check's kind, drop each parameter, rename each:
+    no exception escapes, every error names a path below the check, a
+    directed kind on a system of the other direction never passes, and a
+    renamed parameter is never silently ignored."""
+    doc = load_document(str(path))
+    for k, spec in enumerate(list(doc.checks)):
+        for mutated, renamed in _mutations(spec):
+            doc.checks[k] = mutated
+            result = run_checks(doc, [mutated]).results[0]
+            case = (path.name, k, mutated.kind, sorted(mutated.params), result.witness)
+            if result.verdict == "error":
+                assert result.witness["reason"].startswith(f"$.checks[{k}]."), case
+            if renamed is not None:
+                assert result.verdict == "error", case
+                assert result.witness["reason"].startswith(f"$.checks[{k}].{renamed}: "), case
+            system = doc.systems.get(mutated.params.get("system"))
+            if mutated.kind in _DIRECTIONS and system is not None \
+                    and system.limit_kind != _DIRECTIONS[mutated.kind]:
+                assert result.verdict == "error", case
+        doc.checks[k] = spec
