@@ -16,14 +16,6 @@ class L0LimitsError(Exception):
         self.args = (f"at atom {atom!r}: {self.args[0]}",)
         return self
 
-    def __copy__(self) -> "L0LimitsError":
-        # The constructors of some subclasses take other arguments than
-        # ``args``, so the twin is made without calling them.
-        twin = type(self).__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        twin.args = self.args
-        return twin
-
 
 class SpaceMismatchError(L0LimitsError):
     """Operands live over different base spaces."""

@@ -254,17 +254,23 @@ def _stage(system: str) -> _Param:
     return _Param("stage", resolve)
 
 
-def _stage_maps(system: str) -> _Param:
-    """Morphism ids by stage of the system that the parameter ``system`` names."""
+def _stage_maps(system: str, every_stage: bool = False) -> _Param:
+    """Morphism ids by stage of the system that the parameter ``system``
+    names; with ``every_stage``, one for each of its explicit stages."""
     stage, morphism = _stage(system).resolve, _id("morphisms").resolve
 
     def resolve(doc, raw, resolved, path):
         if not isinstance(raw, dict):
             raise DocumentError(path, "expected an object of morphism ids by stage")
-        return {
+        maps = {
             stage(doc, k, resolved, f"{path}.{k}"): morphism(doc, ref, resolved, f"{path}.{k}")
             for k, ref in raw.items()
         }
+        if every_stage:
+            for i in resolved[system].index.explicit_indices():
+                if i not in maps:
+                    raise DocumentError(path, f"missing the map at stage {str(i)!r}")
+        return maps
 
     return _Param("stage map", resolve)
 
@@ -319,6 +325,7 @@ def _bind(doc: Document, kind: str, contract: _Contract, raw, path: str):
 
 _SYSTEM, _MODULE, _MORPHISM = _id("systems"), _id("modules"), _id("system_morphisms")
 _FLAG, _ATOM_DIMS = _Param("flag", _flag, False), _Param("atom dims", _atom_dims, False)
+_CONE_MAPS = _stage_maps("system", every_stage=True)
 
 _CONTRACTS = {
     "validate-system": _contract(_check_validate, system=_SYSTEM),
@@ -330,11 +337,11 @@ _CONTRACTS = {
     ),
     "universal-direct": _contract(
         _check_universal, "direct",
-        system=_SYSTEM, target_module=_MODULE, target_maps=_stage_maps("system"),
+        system=_SYSTEM, target_module=_MODULE, target_maps=_CONE_MAPS,
     ),
     "universal-inverse": _contract(
         _check_universal, "inverse",
-        system=_SYSTEM, source_module=_MODULE, source_maps=_stage_maps("system"),
+        system=_SYSTEM, source_module=_MODULE, source_maps=_CONE_MAPS,
     ),
     "functor-square": _contract(
         _check_functor_square,

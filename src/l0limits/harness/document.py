@@ -345,9 +345,12 @@ def _parse_index_set(doc: Document, iid: str, raw) -> object:
 def _stage_key(index, key: str, path: str):
     if isinstance(index, Chain):
         try:
-            return int(key)
+            stage = int(key)
         except ValueError:
             raise DocumentError(path, f"chain stage {key!r} is not an integer") from None
+        if not 0 <= stage < index.stages:
+            raise DocumentError(path, f"chain stage {key!r} is not in 0..{index.last}")
+        return stage
     if key not in index.elements:
         raise DocumentError(path, f"unknown poset element {key!r}")
     return key

@@ -251,24 +251,12 @@ def tail_growth_sup(num_tail, den_tail, last_stage: int, space: AtomicMeasureSpa
     base = last_stage + 1  # harmonic composite factor is base / (base + j)
     for a in range(n_atoms):
         if num is not None and den is not None:
-            f_num, f_den = num[a], den[a]
-            if f_den == 0.0:
-                out[a] = 1.0 if f_num == 0.0 else math.inf
-            elif f_num <= f_den:
-                out[a] = 1.0
-            else:
-                out[a] = math.inf
+            out[a] = 1.0 if num[a] <= den[a] else math.inf
         elif num is None and den is None:
             out[a] = 1.0
         elif num is None:
             # harmonic over scalar: (base/(base+j)) / f^j
-            f = den[a]
-            if f == 0.0:
-                out[a] = math.inf
-            elif f >= 1.0:
-                out[a] = 1.0
-            else:
-                out[a] = math.inf
+            out[a] = 1.0 if den[a] >= 1.0 else math.inf
         else:
             # scalar over harmonic: f^j (base+j)/base, maximized in closed form
             f = num[a]

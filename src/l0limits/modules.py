@@ -580,21 +580,14 @@ def _full_ranks(mats: Sequence[np.ndarray], axis: int, tol: Optional[float] = No
     """Whether each matrix has full rank along ``axis`` (0: onto, 1:
     one-to-one), by the rank ``np.linalg.matrix_rank(m, tol=tol)`` gives:
     the count of singular values above ``tol``, or for ``tol=None`` above
-    numpy's default ``S.max() * max(shape) * eps``.  Each distinct matrix
+    numpy's default ``S.max() * max(shape) * eps``.  Every non-empty matrix
     takes part in one values-only SVD per shape, the routine
     ``matrix_rank`` calls."""
     # A matrix with an empty side has rank 0: full along that side only.
     out = [m.shape[axis] == 0 for m in mats]
-    distinct: dict = {}
-    for n, m in enumerate(mats):
-        if m.size:
-            distinct.setdefault((m.shape, m.tobytes()), []).append(n)
-    keys = list(distinct)
-    reps = [mats[distinct[k][0]] for k in keys]
-    for u, sv in _by_shape(reps, partial(np.linalg.svd, compute_uv=False)):
-        shape = reps[u].shape
+    filled = [n for n, m in enumerate(mats) if m.size]
+    for u, sv in _by_shape([mats[n] for n in filled], partial(np.linalg.svd, compute_uv=False)):
+        shape = mats[filled[u]].shape
         cut = sv.max(initial=0.0) * (max(shape) * np.finfo(float).eps) if tol is None else tol
-        full = int(np.count_nonzero(sv > cut)) == shape[axis]
-        for n in distinct[keys[u]]:
-            out[n] = full
+        out[filled[u]] = int(np.count_nonzero(sv > cut)) == shape[axis]
     return out

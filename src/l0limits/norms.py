@@ -21,7 +21,6 @@ Candidate enumeration is capped at dimension ``VERTEX_DIM_CAP``.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from functools import cached_property
@@ -608,9 +607,8 @@ def norm_eval(spec, x) -> float:
 # ---------------------------------------------------------------------------
 # Operator norms between normed fibers.
 #
-# Dispatch, after two rules that need no kernel: a matrix c I between equal
-# specs has the norm |c| (homogeneity), and identical matrices of one spec
-# pair are evaluated once.  Then:
+# Dispatch, after a rule that needs no kernel: a matrix c I between equal
+# specs has the norm |c| (homogeneity).  Then:
 #   (a) polytope source ball: convex maximization attains at a vertex, so
 #       evaluate the target norm at each candidate;
 #   (b) Euclidean source and target: largest singular value;
@@ -711,7 +709,7 @@ def operator_norm_witness(mat, source_spec, target_spec):
     path = kernel_path(source_spec, target_spec)
     if path == "trivial":
         return 0.0, None
-    scalar = _scalar_norms([(mat,)], source_spec, target_spec)[0]
+    scalar = _scalar_norms([mat], source_spec, target_spec)[0]
     if scalar == scalar:
         unit = np.eye(1, source_spec.dim)
         return scalar, unit[0] / norm_rows(source_spec, unit)[0]
@@ -757,80 +755,75 @@ def operator_norm_batch(items) -> list:
     The matrices are float arrays of shape (target dim, source dim).  Each
     value equals ``operator_norm_witness(...)[0]`` bit for bit.  Items are
     grouped by their pair of specs (the same objects), and each group takes
-    its route once.  Before any kernel runs, identical matrices of a group
-    are merged, and a matrix ``c I`` between equal specs gets ``|c|`` (the
-    pointwise norm is homogeneous).  The other matrices reach the kernels:
-    spectral cores stacked by shape across the groups, with one LAPACK SVD
-    per shape; vertex and facet matrices stacked per group; bracket
-    matrices evaluated one by one, in order.  An item no exact kernel
-    evaluates gets its :class:`KernelLimitError` in place of its value, and
-    a spectral item whose core overflows its :class:`NonFiniteError`, so
-    that a caller can raise it where a loop over the items would; every
-    item gets an error object of its own.
+    its route once.  Before any kernel runs, a matrix ``c I`` between equal
+    specs gets ``|c|`` (the pointwise norm is homogeneous).  The other
+    matrices reach the kernels: spectral cores stacked by shape across the
+    groups, with one LAPACK SVD per shape; vertex and facet matrices
+    stacked per group; bracket matrices evaluated one by one, in order.  An
+    item no exact kernel evaluates gets its :class:`KernelLimitError` in
+    place of its value, and a spectral item whose core overflows its
+    :class:`NonFiniteError`, so that a caller can raise it where a loop over
+    the items would; every item gets an error object of its own.
     """
-    # Per spec pair, its specs, its distinct matrices by their bytes (each
-    # kept as a list of the matrix and the positions of its items) and the
-    # matrix shape its fibers fix.
+    # Per spec pair, its specs, the matrix shape its fibers fix and the
+    # positions of its items.
     pairs = {}
     for n, (mat, source_spec, target_spec) in enumerate(items):
         pair = pairs.get((id(source_spec), id(target_spec)))
         if pair is None:
             shape = (target_spec.dim, source_spec.dim)
-            pair = pairs[id(source_spec), id(target_spec)] = (source_spec, target_spec, {}, shape)
-        if mat.shape != pair[3]:
+            pair = pairs[id(source_spec), id(target_spec)] = (source_spec, target_spec, shape, [])
+        if mat.shape != pair[2]:
             raise ShapeMismatchError("matrix shape does not match fiber dimensions")
-        owners = pair[2].setdefault(mat.tobytes(), [mat])
-        owners.append(n)
+        pair[3].append(n)
     values = [0.0] * len(items)
     runs = {}
-    for source_spec, target_spec, distinct, _ in pairs.values():
+    for source_spec, target_spec, _, positions in pairs.values():
         path = kernel_path(source_spec, target_spec)
         if path == "trivial":
             continue
-        reps = list(distinct.values())
+        mats = [items[n][0] for n in positions]
         rest = []
-        for rep, scalar in zip(reps, _scalar_norms(reps, source_spec, target_spec)):
-            if scalar != scalar:
-                rest.append(rep)
-                continue
-            for n in rep[1:]:
+        for n, mat, scalar in zip(positions, mats, _scalar_norms(mats, source_spec, target_spec)):
+            if scalar == scalar:
                 values[n] = scalar
+            else:
+                rest.append((n, mat))
         if not rest:
             continue
         if path == "spectral":
-            rest = [[_spectral_core(m, source_spec, target_spec), *ns] for m, *ns in rest]
-            key = (path, rest[0][0].shape)
+            rest = [(n, _spectral_core(m, source_spec, target_spec)) for n, m in rest]
+            key = (path, rest[0][1].shape)
         else:
             key = (path, id(source_spec), id(target_spec))
         runs.setdefault(key, (source_spec, target_spec, []))[2].extend(rest)
     for (path, *_), (source_spec, target_spec, run) in runs.items():
-        stack = np.array([rep[0] for rep in run])
-        for rep, value in zip(run, _group_values(path, stack, source_spec, target_spec)):
-            for n in rep[1:]:
-                values[n] = copy.copy(value) if isinstance(value, Exception) else value
+        stack = np.array([m for _, m in run])
+        for (n, _), value in zip(run, _group_values(path, stack, source_spec, target_spec)):
+            values[n] = value
     return values
 
 
-def _scalar_norms(reps, source_spec, target_spec) -> list:
-    """For each ``rep``, ``|c|`` if its matrix ``rep[0]`` is ``c I`` (c finite)
-    between equal specs, and NaN otherwise.  The pointwise norm is
-    homogeneous, ``|c x| = |c| |x|``, so ``|c|`` is the exact norm."""
-    out = [math.nan] * len(reps)
+def _scalar_norms(mats, source_spec, target_spec) -> list:
+    """For each matrix, ``|c|`` if it is ``c I`` (c finite) between equal
+    specs, and NaN otherwise.  The pointwise norm is homogeneous,
+    ``|c x| = |c| |x|``, so ``|c|`` is the exact norm."""
+    out = [math.nan] * len(mats)
     if not (source_spec is target_spec or source_spec == target_spec) or not source_spec.dim:
         return out
     dim = source_spec.dim
     if dim == 1:
-        return [abs(c) if math.isfinite(c) else math.nan for c in (rep[0].item() for rep in reps)]
+        return [abs(c) if math.isfinite(c) else math.nan for c in (m.item() for m in mats)]
     # Two entries rule out most other matrices: the top right corner is
     # zero, and the last diagonal entry equals the first.
     corner, last = dim - 1, dim * dim - 1
     cands = [
-        k for k, rep in enumerate(reps)
-        if rep[0].item(corner) == 0.0 and rep[0].item(last) == rep[0].item(0)
+        k for k, m in enumerate(mats)
+        if m.item(corner) == 0.0 and m.item(last) == m.item(0)
     ]
     if not cands:
         return out
-    flat = np.array([reps[k][0] for k in cands]).reshape(len(cands), -1)
+    flat = np.array([mats[k] for k in cands]).reshape(len(cands), -1)
     c = flat[:, :1]
     hit = (flat == c * np.eye(dim).ravel()).all(axis=1) & np.isfinite(c[:, 0])
     for k, x, h in zip(cands, c[:, 0].tolist(), hit.tolist()):

@@ -87,9 +87,9 @@ class System:
     other connecting map out of stage i is composed along the breadth-first
     tree of supplied edges rooted at i (edges taken in ``(str(a), str(b))``
     order), one composition from the map at its tree parent, and cached;
-    so is the limit, once built, and the validation report per tolerance.
-    Subclasses fix the arrow direction through ``forward`` and
-    ``stage_axis`` and name their maps and cones in the texts below.
+    so is the limit, once built.  Subclasses fix the arrow direction
+    through ``forward`` and ``stage_axis`` and name their maps and cones in
+    the texts below.
     """
 
     forward = True
@@ -132,7 +132,6 @@ class System:
         self._trees: Dict[object, dict] = {}
         self._closure: Dict[tuple, ModuleMorphism] = {}
         self._presentation: Optional[LimitPresentation] = None
-        self._reports: Dict[float, SystemReport] = {}
 
     def related_pairs(self):
         return self.index.related_pairs()
@@ -217,16 +216,8 @@ def _redundant_targets(system: System) -> Dict[object, List]:
 
 def validate_system(system: System, tol: Optional[float] = None) -> SystemReport:
     """Identity law, admissibility and cocycle law of a direct or inverse
-    system; see :func:`l0limits.direct.validate_direct_system`.  The report
-    is kept on the system per tolerance; an error is raised again on every
-    call."""
+    system; see :func:`l0limits.direct.validate_direct_system`."""
     tol = tolerance() if tol is None else tol
-    if tol not in system._reports:
-        system._reports[tol] = _validate_system(system, tol)
-    return system._reports[tol]
-
-
-def _validate_system(system: System, tol: float) -> SystemReport:
     violations: List[Violation] = []
     for (i, j), phi in system.maps.items():
         if i == j:
@@ -321,20 +312,11 @@ class SystemMorphism:
             if theta.source != source.modules[i] or theta.target != target.modules[i]:
                 raise ShapeMismatchError(f"component at {i!r} has wrong endpoints")
             self.components[i] = theta
-        self._reports: Dict[float, SystemReport] = {}
 
 
 def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None) -> SystemReport:
-    """Check admissibility, commuting squares and chain tail solvability.
-    The report is kept on the morphism per tolerance, as
-    :func:`validate_system` keeps its own."""
+    """Check admissibility, commuting squares and chain tail solvability."""
     tol = tolerance() if tol is None else tol
-    if tol not in theta._reports:
-        theta._reports[tol] = _validate_system_morphism(theta, tol)
-    return theta._reports[tol]
-
-
-def _validate_system_morphism(theta: SystemMorphism, tol: float) -> SystemReport:
     violations: List[Violation] = []
     system = theta.source
     norms = dict(zip(theta.components, operator_pointwise_norms(list(theta.components.values()))))

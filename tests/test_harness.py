@@ -294,6 +294,17 @@ def _set(*keys, value):
     return edit
 
 
+def _on_chain_M(*keys, value):
+    """``_set`` on the document whose index set ``idx_M`` is a 2-stage chain."""
+    chain = _set("index_sets", "idx_M", value={"kind": "chain", "stages": 2,
+                                               "tail": {"kind": "identity"}})
+
+    def edit(data):
+        chain(data)
+        _set(*keys, value=value)(data)
+    return edit
+
+
 @pytest.mark.parametrize("edit,where", [
     (_set("spaces", "dirac", value={"atoms": ["pt", "q"], "weights": [1]}), "$.spaces.dirac"),
     (_set("spaces", value=5), "$.spaces"),
@@ -317,11 +328,15 @@ def _set(*keys, value):
     (_set("checks", 0, "tol", value=-1e-9), "$.checks[0].tol"),
     (_set("checks", 0, "expect", value="fial"), "$.checks[0].expect"),
     (_set("checks", 0, "expect", value=True), "$.checks[0].expect"),
+    (_on_chain_M("systems", "M", "modules", "99", value="plane"), "$.systems.M.modules.99"),
+    (_on_chain_M("systems", "M", "modules", "-1", value="plane"), "$.systems.M.modules.-1"),
+    (_on_chain_M("systems", "M", "maps", "0|99", value="M_phi_0_1"), "$.systems.M.maps.0|99"),
 ], ids=["short-weights", "spaces-number", "spaces-array", "function-array", "fibers-number",
         "dim-text", "system-morphism-number", "maps-number", "checks-number", "seed-text",
         "seed-fraction", "seed-boolean", "dim-fraction", "stages-fraction",
         "source-dim-boolean", "target-dim-fraction", "tol-zero", "tol-negative",
-        "expect-misspelt", "expect-boolean"])
+        "expect-misspelt", "expect-boolean", "module-past-the-chain", "negative-module-stage",
+        "map-past-the-chain"])
 def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, where):
     """A malformed entry is an error (exit 2) naming its path, never a
     traceback."""
@@ -507,6 +522,12 @@ def test_limit_and_universal_checks_need_a_system_of_their_direction(kind):
     )
 
 
+def _chain_solve(solve_for, given=None):
+    """A ``solve`` group on the 7-stage chain of ``fg-presentation.json``."""
+    return {"source_system": "generated-chain", "target_system": "generated-chain",
+            "given": given or {"1": "generated-chain_phi_0_1"}, "solve_for": solve_for}
+
+
 _UNKNOWN_IDS = {
     "system": ("harmonic-inverse.json", {
         "kind": "inverse-limit", "system": "nope",
@@ -542,6 +563,23 @@ _UNKNOWN_IDS = {
         "kind": "functor-square", "solve": {"source_system": "M", "target_system": "N",
                                             "given": {"1": "identity_plane"}},
     }, "solve.solve_for: missing stage"),
+    "stage-past-the-chain": ("fg-presentation.json", {
+        "kind": "functor-square", "solve": _chain_solve("99"),
+    }, "solve.solve_for: chain stage '99' is not in 0..6"),
+    "negative-stage": ("fg-presentation.json", {
+        "kind": "functor-square", "solve": _chain_solve("-3"),
+    }, "solve.solve_for: chain stage '-3' is not in 0..6"),
+    "given-past-the-chain": ("fg-presentation.json", {
+        "kind": "functor-square", "solve": _chain_solve("0", given={"99": "include_0"}),
+    }, "solve.given.99: chain stage '99' is not in 0..6"),
+    "cone-map-past-the-chain": ("fg-presentation.json", {
+        "kind": "universal-direct", "system": "generated-chain", "target_module": "ambient",
+        "target_maps": {**{str(i): f"include_{i}" for i in range(7)}, "99": "include_0"},
+    }, "target_maps.99: chain stage '99' is not in 0..6"),
+    "incomplete-cone": ("fg-presentation.json", {
+        "kind": "universal-direct", "system": "generated-chain", "target_module": "ambient",
+        "target_maps": {"1": "include_1"},
+    }, "target_maps: missing the map at stage '0'"),
 }
 
 
@@ -551,7 +589,8 @@ def test_unknown_ids_in_check_parameters_name_their_path(case):
     an error verdict at the parameter's path, never a bare KeyError; so is
     any parameter its kind's contract refuses: a misspelt name is not
     ignored, a flag is a boolean, an index set is of the class its kind
-    needs, a group is the only parameter and a required one is given."""
+    needs, a group is the only parameter and a required one is given, a
+    chain stage is one of the chain's and a cone has a map at every stage."""
     fixture, check, where = _UNKNOWN_IDS[case]
     data = json.loads((FIXTURES / fixture).read_text())
     k = len(data["checks"])

@@ -6,6 +6,8 @@ reports and connecting maps must still equal those of the reference,
 which evaluates every law on every pair and triple.
 """
 
+import itertools
+import math
 import time
 
 import numpy as np
@@ -40,6 +42,7 @@ from l0limits.indexsets import (
     IdentityTail,
     ScalarTail,
     greatest_element,
+    tail_growth_sup,
     tail_limit_factor,
 )
 from l0limits.homdual import hom_module
@@ -481,6 +484,59 @@ def test_tail_limit_factor_is_a_zero_one_indicator(values):
     ]
 
 
+#: Steps past the last stage over which the brute-force tail ratio runs.
+_TAIL_STEPS = 300
+
+_TAIL_KINDS = ("identity", "scalar", "harmonic")
+
+# A scalar tail value: 0, 1, or a hundredth in between, so that a bounded
+# ratio peaks within the steps run and an unbounded one still grows at the
+# last of them.
+_TAIL_VALUE = st.one_of(st.just(0.0), st.just(1.0), st.integers(1, 99).map(lambda k: k / 100))
+
+
+def _tail_ratios(num, den, base):
+    """The ratio of two composite tail factors over steps 0.._TAIL_STEPS,
+    as the running product of their step factors' ratios.  A step factor
+    is a scalar value, or None for the harmonic step (base+j-1)/(base+j).
+    Where the numerator's step factor is 0 the ratio drops to 0, also over
+    a zero denominator: nothing past that step constrains a component."""
+    ratios = [1.0]
+    for j in range(1, _TAIL_STEPS + 1):
+        harmonic = (base + j - 1) / (base + j)
+        top = harmonic if num is None else num
+        bottom = harmonic if den is None else den
+        ratios.append(ratios[-1] * (0.0 if top == 0.0 else top / bottom if bottom else math.inf))
+    return ratios
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_TAIL_VALUE, _TAIL_VALUE), min_size=1, max_size=6), st.integers(0, 5))
+def test_tail_growth_sup_is_the_brute_force_supremum(values, last_stage):
+    """Over every pair of tail kinds, the supremum equals the largest ratio
+    of the composite factors where that ratio stays bounded, and is inf
+    where it still grows at the last step."""
+    space = AtomicMeasureSpace([f"a{k}" for k in range(len(values))], np.ones(len(values)))
+
+    def tail(kind, side):
+        if kind == "scalar":
+            return ScalarTail(L0Function(space, [pair[side] for pair in values]))
+        return IdentityTail() if kind == "identity" else HarmonicTail()
+
+    def step(kind, value):
+        return {"identity": 1.0, "scalar": value, "harmonic": None}[kind]
+
+    for num_kind, den_kind in itertools.product(_TAIL_KINDS, repeat=2):
+        got = tail_growth_sup(tail(num_kind, 0), tail(den_kind, 1), last_stage, space)
+        for value, (f_num, f_den) in zip(got.tolist(), values):
+            ratios = _tail_ratios(step(num_kind, f_num), step(den_kind, f_den), last_stage + 1)
+            case = (num_kind, den_kind, f_num, f_den, last_stage)
+            if ratios[-1] == math.inf or ratios[-1] > ratios[-2]:
+                assert value == math.inf, case
+            else:
+                assert value == pytest.approx(max(ratios), rel=1e-12), case
+
+
 def test_poset_closure_index_data_match_the_references():
     """Closure by repeated squaring, the sorted related pairs and the
     greatest element, on random posets of up to 20 elements given by their
@@ -531,28 +587,12 @@ def test_redundant_targets_match_the_topological_count():
     assert shapes == {False, True}
 
 
-def test_validation_reports_are_kept_per_tolerance(monkeypatch):
-    """A system and a system morphism are validated once per tolerance;
-    the limit functor's validation reuses the reports, and an error is
-    raised on every call."""
-    rng = np.random.default_rng(6)
-    theta = randgen.random_chain_morphism_pair(rng, stages=4)
-    runs = []
-    for name in ("_validate_system", "_validate_system_morphism"):
-        body = getattr(systems, name)
-        monkeypatch.setattr(systems, name, lambda obj, tol, body=body: runs.append(obj) or body(obj, tol))
-    first = validate_system_morphism(theta)
-    assert validate_system_morphism(theta) is first
-    assert validate_direct_system(theta.source) is validate_direct_system(theta.source)
-    dl_functor(theta)
-    assert len(runs) == 3
-    validate_system_morphism(theta, tol=1e-6)
-    assert len(runs) == 4
-
+def test_a_failing_validation_raises_on_every_call():
+    """A system whose validation raises a kernel error raises it again on
+    the next call."""
     plane, hom = _plane_and_hom()
     twist = ModuleMorphism(plane, hom, [TWIST])
     system = DirectSystem(Chain(2, IdentityTail()), {0: plane, 1: hom}, {(0, 1): twist})
     for _ in range(2):
         with pytest.raises(BracketTooWideError):
             validate_direct_system(system)
-    assert system._reports == {}
