@@ -215,11 +215,13 @@ def parse_document(data: Dict) -> Document:
         with _at(f"$.morphisms.{pid}") as path:
             source = _ref(doc.modules, raw.get("source"), f"{path}.source")
             target = _ref(doc.modules, raw.get("target"), f"{path}.target")
+            # Parsed matrices are finite float64 arrays no one else holds,
+            # so the morphism adopts them.
             mats = [
                 _matrix(m, f"{path}.matrices[{k}]")
                 for k, m in enumerate(raw.get("matrices", []))
             ]
-            doc.morphisms[pid] = ModuleMorphism(source, target, mats)
+            doc.morphisms[pid] = ModuleMorphism(source, target, mats, _fresh=True)
     for iid, raw in _entries(data, "index_sets"):
         doc.index_sets[iid] = _parse_index_set(doc, iid, raw)
     for sid, raw in _entries(data, "systems"):

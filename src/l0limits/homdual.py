@@ -118,4 +118,5 @@ def adjoint(phi: ModuleMorphism) -> ModuleMorphism:
         dual_module(phi.target),
         dual_module(phi.source),
         [m.T for m in phi.matrices],
+        _fresh=True,
     )

@@ -222,7 +222,7 @@ def _precompose_map(hom_from: HomModule, hom_to: HomModule, phi: ModuleMorphism)
         block = phi.matrices[a].T
         rows, cols = block.shape
         mats.append((np.eye(t)[:, None, :, None] * block[:, None, :]).reshape(t * rows, t * cols))
-    return ModuleMorphism(hom_from, hom_to, mats)
+    return ModuleMorphism(hom_from, hom_to, mats, _fresh=True)
 
 
 def _hom_system(system: DirectSystem, fixed: FiberModule) -> InverseSystem:

@@ -209,9 +209,17 @@ class ModuleMorphism:
         *,
         _fresh: bool = False,
     ):
-        # ``_fresh`` is for callers in this module that pass float matrices
-        # they have just computed and hold no other reference to; those are
-        # adopted as they are, neither copied nor checked for finiteness.
+        # Matrices are validated once, where they enter the library: a
+        # public caller's are converted to float, tested for finiteness and
+        # copied.  A library caller passes ``_fresh=True`` to adopt its
+        # matrices as they are, with only the shape test and the read-only
+        # flag, and must meet this invariant: they are float64, finite by
+        # construction (parsed numbers, eye/zeros, transposes, slices or
+        # identity-Kronecker blocks of validated matrices), and no writable
+        # reference to them is held anywhere.  Products (``compose``,
+        # ``scale_morphism``) can overflow; the norm kernels raise
+        # NonFiniteError on what they meet.  On either path an empty matrix
+        # stands for the zero block of the atom's shape.
         if source.space != target.space:
             raise SpaceMismatchError("morphism endpoints live over different spaces")
         if len(matrices) != source.space.atom_count:
@@ -219,12 +227,9 @@ class ModuleMorphism:
         mats = []
         for a, (s, t, raw) in enumerate(zip(source.dims(), target.dims(), matrices)):
             expected = (t, s)
-            if _fresh:
-                m = raw
-            else:
-                m = np.asarray(raw, dtype=float)
-                if m.size == 0:
-                    m = np.zeros(expected)
+            m = raw if _fresh else np.asarray(raw, dtype=float)
+            if m.size == 0:
+                m = np.zeros(expected)
             if m.shape != expected:
                 raise ShapeMismatchError(
                     f"matrix at atom {source.space.atom_ids[a]!r} has shape "
@@ -247,7 +252,7 @@ class ModuleMorphism:
 
 
 def identity_morphism(module: FiberModule) -> ModuleMorphism:
-    return ModuleMorphism(module, module, [np.eye(f.dim) for f in module.fibers])
+    return ModuleMorphism(module, module, [np.eye(f.dim) for f in module.fibers], _fresh=True)
 
 
 def zero_morphism(source: FiberModule, target: FiberModule) -> ModuleMorphism:
@@ -255,6 +260,7 @@ def zero_morphism(source: FiberModule, target: FiberModule) -> ModuleMorphism:
         source,
         target,
         [np.zeros((t.dim, s.dim)) for s, t in zip(source.fibers, target.fibers)],
+        _fresh=True,
     )
 
 
@@ -504,7 +510,7 @@ def mask_module(module: FiberModule, keep: np.ndarray):
         np.eye(f.dim) if k else np.zeros((0, f.dim))
         for f, k in zip(module.fibers, keep)
     ]
-    projection = ModuleMorphism(module, masked, mats)
+    projection = ModuleMorphism(module, masked, mats, _fresh=True)
     return masked, projection
 
 
@@ -513,7 +519,7 @@ def mask_inclusion(module: FiberModule, masked: FiberModule) -> ModuleMorphism:
     mats = []
     for f, g in zip(module.fibers, masked.fibers):
         mats.append(np.eye(f.dim) if g.dim == f.dim else np.zeros((f.dim, 0)))
-    return ModuleMorphism(masked, module, mats)
+    return ModuleMorphism(masked, module, mats, _fresh=True)
 
 
 @dataclass(frozen=True)

@@ -478,11 +478,14 @@ def _halve_symmetric(rows: np.ndarray) -> np.ndarray:
     to the largest entry, so rows scaled by any ``c != 0`` keep the same
     rows.
 
-    A row is kept unless it is near zero or ``np.allclose`` (``rtol=1e-5``
-    and the relative ``atol``) to a kept row or its negative.  The rows are
-    compared in blocks, each with the rows kept so far and with itself in
-    one broadcast test of at most ``_CHUNK_FLOATS`` floats per array; one
-    pass over a block's booleans then keeps its rows in order."""
+    A row is kept unless it is near zero or agrees entrywise, to within the
+    relative ``atol``, with a kept row or its negative.  The restricted norm
+    is the largest ``|row . x|``, so only rows that agree to rounding may be
+    merged: a merge at ``np.allclose``'s ``rtol=1e-5`` made the norm
+    undershoot by up to 1e-5 relative.  The rows are compared in blocks,
+    each with the rows kept so far and with itself in one broadcast test of
+    at most ``_CHUNK_FLOATS`` floats per array; one pass over a block's
+    booleans then keeps its rows in order."""
     scale = np.max(np.abs(rows), initial=0.0)
     atol = 1e-12 * scale
     rows_left = rows[np.max(np.abs(rows), axis=1, initial=0.0) > 1e-14 * scale]
@@ -491,11 +494,9 @@ def _halve_symmetric(rows: np.ndarray) -> np.ndarray:
         step = max(1, _CHUNK_FLOATS // (rows.shape[1] * (len(kept) + len(rows_left))))
         block, rows_left = rows_left[:step], rows_left[step:]
         known = np.concatenate([kept, block])
-        # np.allclose(r, k, atol) is |r - k| <= atol + 1e-5 |k| entrywise;
-        # for -k the difference is r + k.
-        bound = atol + 1e-5 * np.abs(known)[None]
-        close = (np.abs(block[:, None] - known[None]) <= bound).all(axis=2)
-        close |= (np.abs(block[:, None] + known[None]) <= bound).all(axis=2)
+        # For -k the difference is r + k.
+        close = (np.abs(block[:, None] - known[None]) <= atol).all(axis=2)
+        close |= (np.abs(block[:, None] + known[None]) <= atol).all(axis=2)
         alive = np.zeros(len(known), dtype=bool)
         alive[: len(kept)] = True
         for n in range(len(block)):

@@ -56,7 +56,7 @@ class PullbackPresentation:
         if phi.source != self.base_module or other.base_module != phi.target:
             raise ValidationError("morphism endpoints do not match the presentations")
         mats = [phi.matrices[y] for y in self.atom_map.targets]
-        return ModuleMorphism(self.module, other.module, mats)
+        return ModuleMorphism(self.module, other.module, mats, _fresh=True)
 
 
 def pullback_module(atom_map: AtomMap, module: FiberModule) -> PullbackPresentation:

@@ -480,7 +480,7 @@ def _universal_factorization(
         shape = list(m.shape)
         shape[system.stage_axis] = 0
         mats.append(np.zeros(shape))
-    mediating = ModuleMorphism(*system._arrow(presentation.module, apex), mats)
+    mediating = ModuleMorphism(*system._arrow(presentation.module, apex), mats, _fresh=True)
     devs = []
     for i in explicit:
         dev = composite_deviation(
@@ -525,7 +525,7 @@ def _limit_functor(
             tgt_pres.module.fibers,
         )
     ]
-    limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
+    limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats, _fresh=True)
     for i in index.explicit_indices():
         # The maps where the canonical arrow starts and ends.
         start, end = theta.source._arrow(theta.components[i], limit_map)

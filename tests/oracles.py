@@ -506,14 +506,16 @@ def reference_greatest_element(poset: FinitePoset) -> str:
 
 def reference_halve_symmetric(rows: np.ndarray) -> np.ndarray:
     """Drop near-zero, near-duplicate and sign-mirrored rows, one row at a
-    time against every kept row with two ``np.allclose`` calls."""
+    time against every kept row with two ``np.allclose`` calls that merge
+    rows agreeing to ``1e-12`` times the largest entry, with no relative
+    term."""
     scale = np.max(np.abs(rows), initial=0.0)
     atol = 1e-12 * scale
     kept = []
     for r in rows:
         if np.max(np.abs(r), initial=0.0) <= 1e-14 * scale:
             continue
-        if any(np.allclose(r, k, atol=atol) or np.allclose(r, -k, atol=atol) for k in kept):
+        if any(np.allclose(r, sign * k, rtol=0.0, atol=atol) for k in kept for sign in (1, -1)):
             continue
         kept.append(r)
     return np.array(kept) if kept else rows

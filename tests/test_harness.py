@@ -331,12 +331,14 @@ def _on_chain_M(*keys, value):
     (_on_chain_M("systems", "M", "modules", "99", value="plane"), "$.systems.M.modules.99"),
     (_on_chain_M("systems", "M", "modules", "-1", value="plane"), "$.systems.M.modules.-1"),
     (_on_chain_M("systems", "M", "maps", "0|99", value="M_phi_0_1"), "$.systems.M.maps.0|99"),
+    (_set("morphisms", "Eta_theta_0", "matrices", value=[[[1, 0], [0, 1]], [[1, 0], [0, 1]]]),
+     "$.morphisms.Eta_theta_0"),
 ], ids=["short-weights", "spaces-number", "spaces-array", "function-array", "fibers-number",
         "dim-text", "system-morphism-number", "maps-number", "checks-number", "seed-text",
         "seed-fraction", "seed-boolean", "dim-fraction", "stages-fraction",
         "source-dim-boolean", "target-dim-fraction", "tol-zero", "tol-negative",
         "expect-misspelt", "expect-boolean", "module-past-the-chain", "negative-module-stage",
-        "map-past-the-chain"])
+        "map-past-the-chain", "one-matrix-too-many"])
 def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, where):
     """A malformed entry is an error (exit 2) naming its path, never a
     traceback."""
@@ -648,3 +650,32 @@ def test_mutated_fixture_checks_give_located_errors(path):
                     and system.limit_kind != _DIRECTIONS[mutated.kind]:
                 assert result.verdict == "error", case
         doc.checks[k] = spec
+
+
+def test_empty_morphism_matrices_stand_for_zero_blocks_and_round_trip():
+    """A morphism between a zero-dim fiber and a non-zero one may give its
+    matrix as ``[]``; it parses to the zero block of the atom's shape,
+    read-only, and serialize -> dump -> parse reproduces it byte for byte."""
+    data = {
+        "format_version": 1,
+        "spaces": {"X": {"atoms": ["a", "b"], "weights": [1, 1]}},
+        "norms": {"n": {"kind": "weighted_p", "p": 2, "weights": [1, 1]}},
+        "modules": {
+            "M": {"space": "X", "fibers": [{"dim": 2, "norm": "n"}, {"dim": 2, "norm": "n"}]},
+            "Z": {"space": "X", "fibers": [{"dim": 0}, {"dim": 2, "norm": "n"}]},
+        },
+        "morphisms": {
+            "in": {"source": "Z", "target": "M", "matrices": [[], [[1, 0], [0, 1]]]},
+            "out": {"source": "M", "target": "Z", "matrices": [[], [[1, 0], [0, 1]]]},
+        },
+    }
+    doc = parse_document(data)
+    shapes = {pid: [m.shape for m in phi.matrices] for pid, phi in doc.morphisms.items()}
+    assert shapes == {"in": [(2, 0), (2, 2)], "out": [(0, 2), (2, 2)]}
+    for phi in doc.morphisms.values():
+        assert all(m.dtype == np.float64 and not m.flags.writeable for m in phi.matrices)
+    dumped = dump_document(serialize_document(doc))
+    again = parse_document(json.loads(dumped))
+    assert dump_document(serialize_document(again)) == dumped
+    for pid, phi in doc.morphisms.items():
+        assert [m.shape for m in again.morphisms[pid].matrices] == shapes[pid]

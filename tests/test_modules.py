@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import l0limits.modules as modules
 import l0limits.norms as norms
-from l0limits.direct import DirectSystem
+from l0limits.direct import (
+    DirectSystem,
+    SystemMorphism,
+    Target,
+    direct_limit,
+    dl_functor,
+    dl_universal_factorization,
+)
 from l0limits.errors import (
     BracketTooWideError,
     KernelLimitError,
@@ -16,8 +23,15 @@ from l0limits.errors import (
     ShapeMismatchError,
     SpaceMismatchError,
 )
-from l0limits.indexsets import FinitePoset
-from l0limits.inverse import dual_limit_iso, hom_inverse_system
+from l0limits.indexsets import Chain, FinitePoset, ScalarTail
+from l0limits.inverse import (
+    InverseSystem,
+    Source,
+    dual_limit_iso,
+    hom_inverse_system,
+    il_universal_factorization,
+    inverse_limit,
+)
 from l0limits.measure import AtomicMeasureSpace, L0Function
 from l0limits.modules import (
     Element,
@@ -33,6 +47,8 @@ from l0limits.modules import (
     identity_morphism,
     is_morphism,
     kernel_image,
+    mask_inclusion,
+    mask_module,
     module_distance,
     morphism_deviation,
     operator_norm_witnesses,
@@ -44,10 +60,12 @@ from l0limits.modules import (
     zero_element,
     zero_morphism,
 )
-from l0limits.homdual import hom_module
+from l0limits.homdual import adjoint, hom_module
 from l0limits.norms import INF, FramedP, WeightedP, norm_eval
+from l0limits.pullback import pullback_module
 from l0limits.randgen import (
     random_admissible_morphism,
+    random_atom_map,
     random_chain_direct_system,
     random_direct_system,
     random_module,
@@ -619,3 +637,52 @@ def test_full_ranks_equal_matrix_rank(seed, tol, axis):
         for m in mats
     ]
     assert modules._full_ranks(mats, axis, tol) == want
+
+
+def _assert_adopted(phi):
+    """What the public constructor guarantees: read-only, finite float64
+    matrices of the endpoints' dims."""
+    for m, s, t in zip(phi.matrices, phi.source.dims(), phi.target.dims()):
+        assert m.dtype == np.float64 and m.shape == (t, s)
+        assert not m.flags.writeable and np.isfinite(m).all()
+
+
+def test_morphisms_the_library_builds_hold_read_only_finite_float64_matrices():
+    """Every library site that adopts its matrices without the public
+    checks, on chains whose tail collapses one atom of the limit."""
+    rng = np.random.default_rng(3)
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 2.0])
+    plane = euclidean_module(space, 2)
+    phi = random_admissible_morphism(rng, plane, plane, 0.5)
+    chain = Chain(2, ScalarTail(L0Function(space, [1.0, 0.5])))
+    direct = DirectSystem(chain, {0: plane, 1: plane}, {(0, 1): phi})
+    inverse = InverseSystem(chain, {0: plane, 1: plane}, {(0, 1): phi})
+    dl, il = direct_limit(direct), inverse_limit(inverse)
+    ident = identity_morphism(plane)
+    masked, projection = mask_module(plane, np.array([True, False]))
+    pulled = pullback_module(random_atom_map(rng, space), plane)
+    hom = hom_inverse_system(direct, scalar_module(space))
+    built = [
+        ident,
+        zero_morphism(plane, scalar_module(space)),
+        projection,
+        mask_inclusion(plane, masked),
+        dl_universal_factorization(direct, Target(dl.module, dict(dl.canonical)), dl),
+        il_universal_factorization(inverse, Source(il.module, dict(il.canonical)), il),
+        dl_functor(SystemMorphism(direct, direct, {0: ident, 1: ident})),
+        pulled.pull_morphism(phi, pulled),
+        adjoint(phi),
+        *hom.hom_system.maps.values(),
+        hom.comparison,
+    ]
+    assert [m.shape for m in projection.matrices] == [(2, 2), (0, 2)]
+    for morphism in built:
+        _assert_adopted(morphism)
+
+
+def test_the_public_constructor_converts_and_copies():
+    raw = np.eye(2)
+    phi = ModuleMorphism(PLANE, PLANE, [raw, [[1, 0], [0, 1]]])
+    raw[0, 0] = 5.0
+    assert phi.matrices[0][0, 0] == 1.0
+    _assert_adopted(phi)

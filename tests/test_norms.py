@@ -809,13 +809,13 @@ def test_repeated_failing_morphisms_locate_their_own_errors():
 def test_restricted_dual_functionals_merge_as_the_row_loop_does():
     """The blocked merge keeps the loop's rows in the loop's order: seeded
     frames at scales 10^-100..10^100, with duplicated, mirrored, nearly
-    equal (within and beyond rtol) and zero rows mixed in."""
+    equal (within and beyond the relative atol) and zero rows mixed in."""
     rng = np.random.default_rng(12)
     for _ in range(200):
         dim = int(rng.integers(1, 5))
         rows = rng.standard_normal((int(rng.integers(1, 12)), dim))
         picks = rows[rng.integers(0, len(rows), size=int(rng.integers(0, 8)))]
-        near = picks * (1.0 + rng.choice([1e-7, 5e-6, 1.5e-5, 1e-4], size=(len(picks), 1)))
+        near = picks * (1.0 + rng.choice([1e-13, 1e-7, 5e-6, 1.5e-5, 1e-4], size=(len(picks), 1)))
         extra = [picks, -picks, near, -near, np.zeros((int(rng.integers(0, 2)), dim))]
         rows = np.concatenate([rows, *extra])
         rows = rows[rng.permutation(len(rows))] * 10.0 ** rng.uniform(-100, 100)
@@ -842,3 +842,73 @@ def test_a_one_frame_budget_counts_rows_times_subsets():
     frame = FramedP(1, np.random.default_rng(0).standard_normal((40_000, 2)))
     with pytest.raises(DimensionCapError, match="needs 1600000000 candidate solves"):
         frame.ball_candidates()
+
+
+def test_a_square_frame_dual_is_its_inverse_transpose_and_the_public_frame_copies():
+    """A public frame is copied and rank-tested; the dual of a square frame
+    is the read-only float64 inverse transpose."""
+    raw = np.array([[2.0, 1.0], [0.0, 1.0]])
+    frames = [FramedP(p, raw) for p in (1, 2, INF)]
+    raw[0, 0] = 7.0
+    assert all(f.matrix[0, 0] == 2.0 and not f.matrix.flags.writeable for f in frames)
+    for frame in frames:
+        dual = frame.dual()
+        assert isinstance(dual, FramedP) and dual.p == {1: INF, 2: 2, INF: 1}[frame.p]
+        assert dual.matrix.dtype == np.float64 and not dual.matrix.flags.writeable
+        assert np.allclose(dual.matrix.T @ frame.matrix, np.eye(2), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="full column rank"):
+        FramedP(1, [[1.0, 2.0], [2.0, 4.0]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [1, 2, INF])
+def test_the_dual_of_a_frame_near_underflow_is_not_finite(p):
+    """The frame passes the rank test, but its inverse overflows."""
+    frame = FramedP(p, 1e-310 * np.eye(2))
+    with pytest.raises(NonFiniteError):
+        frame.dual()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.floats(-100, 100),
+       st.lists(st.floats(-11, -4), min_size=1, max_size=4))
+@example(0, 0.0, [-5.5])
+def test_a_restricted_norm_is_the_largest_pairing_of_every_row(seed, exponent, distances):
+    """The merge behind ``DualOf.restrict`` keeps rows planted at relative
+    distances 10^-11..10^-4 from others, at scales 10^-100..10^100: the
+    norm of the kept rows equals the largest ``|row . x|`` over all rows.
+    Merging at ``np.allclose``'s rtol=1e-5 dropped rows up to 1e-5 apart,
+    so the norm could undershoot by that much."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    count = dim + len(distances)
+    base = rng.uniform(0.5, 1.0, (count, dim)) * rng.choice([-1.0, 1.0], (count, dim))
+    picks = base[rng.permutation(count)[: len(distances)]]
+    planted = picks * (1.0 + 10.0 ** np.array(distances)[:, None]
+                       * rng.choice([-1.0, 1.0], picks.shape))
+    rows = np.concatenate([base, planted, -picks])
+    rows = rows[rng.permutation(len(rows))] * 10.0**exponent
+    spec = FramedP(INF, norms._halve_symmetric(rows))
+    xs = np.concatenate([rows, rng.standard_normal((8, dim))])
+    want = np.abs(xs @ rows.T).max(axis=1)
+    assert norm_rows(spec, xs) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_a_map_into_a_restricted_dual_past_norm_one_is_not_admissible():
+    """A false pass: the dual of the hexagon ``|x1|, |x2|, |x1 + x2| <= 1``
+    restricted to the line through ``(1 - 1e-6, 1)`` has the functionals
+    ``0.999999`` and ``1`` among its rows.  Merging them at rtol=1e-5 kept
+    the smaller one, so a map of true norm ``1 / 0.999999`` read 1 and was
+    certified admissible."""
+    space = AtomicMeasureSpace(["a"], [1.0])
+    inner = FramedP(INF, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    line = np.array([[1.0 - 1e-6], [1.0]])
+    line /= np.linalg.norm(line)
+    restricted = FiberModule(space, (Fiber(1, dual_spec(inner).restrict(line)),))
+    pairings = np.unique(np.abs(inner.ball_candidates() @ line))
+    assert pairings[-1] / pairings[-2] == pytest.approx(1.0 + 1e-6, rel=1e-9)
+    scalars = FiberModule(space, (Fiber(1, WeightedP(1, (1.0,))),))
+    phi = ModuleMorphism(scalars, restricted, [[[1.0 / pairings[-2]]]])
+    norm = operator_pointwise_norm(phi).values[0]
+    assert norm == pytest.approx(pairings[-1] / pairings[-2], rel=1e-12)
+    assert not is_morphism(phi)
