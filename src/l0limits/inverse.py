@@ -24,6 +24,7 @@ from .modules import (
     Element,
     FiberModule,
     ModuleMorphism,
+    _eye,
     certify_isometric_iso,
     pointwise_norm,
     scalar_module,
@@ -221,7 +222,7 @@ def _precompose_map(hom_from: HomModule, hom_to: HomModule, phi: ModuleMorphism)
         t = hom_from.hom_target.fibers[a].dim
         block = phi.matrices[a].T
         rows, cols = block.shape
-        mats.append((np.eye(t)[:, None, :, None] * block[:, None, :]).reshape(t * rows, t * cols))
+        mats.append((_eye(t)[:, None, :, None] * block[:, None, :]).reshape(t * rows, t * cols))
     return ModuleMorphism(hom_from, hom_to, mats, _fresh=True)
 
 

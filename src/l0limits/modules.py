@@ -8,8 +8,9 @@ operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -216,14 +217,27 @@ class ModuleMorphism:
         # flag, and must meet this invariant: they are float64, finite by
         # construction (parsed numbers, eye/zeros, transposes, slices or
         # identity-Kronecker blocks of validated matrices), and no writable
-        # reference to them is held anywhere.  Products (``compose``,
-        # ``scale_morphism``) can overflow; the norm kernels raise
-        # NonFiniteError on what they meet.  On either path an empty matrix
-        # stands for the zero block of the atom's shape.
-        if source.space != target.space:
+        # reference to them is held anywhere.  Identity blocks are shared:
+        # every morphism that holds ``np.eye(n)`` from ``_eye`` holds the
+        # same read-only array.  Products (``compose``, ``scale_morphism``)
+        # can overflow; the norm kernels and rank tests raise NonFiniteError
+        # on what they meet.  On either path an empty matrix stands for the
+        # zero block of the atom's shape.
+        if source.space is not target.space and source.space != target.space:
             raise SpaceMismatchError("morphism endpoints live over different spaces")
         if len(matrices) != source.space.atom_count:
             raise ShapeMismatchError("one matrix per atom required")
+        if _fresh:
+            mats = tuple(matrices)
+            for m, s, t in zip(mats, source._dims, target._dims):
+                if m.shape != (t, s):
+                    break
+                m.setflags(write=False)
+            else:
+                object.__setattr__(self, "source", source)
+                object.__setattr__(self, "target", target)
+                object.__setattr__(self, "matrices", mats)
+                return
         mats = []
         for a, (s, t, raw) in enumerate(zip(source.dims(), target.dims(), matrices)):
             expected = (t, s)
@@ -251,8 +265,16 @@ class ModuleMorphism:
         return f"ModuleMorphism({self.source.dims()}->{self.target.dims()})"
 
 
+@cache
+def _eye(n: int) -> np.ndarray:
+    """``np.eye(n)``, read-only and built once per ``n``."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def identity_morphism(module: FiberModule) -> ModuleMorphism:
-    return ModuleMorphism(module, module, [np.eye(f.dim) for f in module.fibers], _fresh=True)
+    return ModuleMorphism(module, module, [_eye(f.dim) for f in module.fibers], _fresh=True)
 
 
 def zero_morphism(source: FiberModule, target: FiberModule) -> ModuleMorphism:
@@ -272,7 +294,7 @@ def apply(phi: ModuleMorphism, v: Element) -> Element:
 
 def compose(psi: ModuleMorphism, phi: ModuleMorphism) -> ModuleMorphism:
     """The composite ``psi after phi``."""
-    if psi.source != phi.target:
+    if psi.source is not phi.target and psi.source != phi.target:
         raise ShapeMismatchError("composition endpoints do not match")
     mats = [b @ a for b, a in zip(psi.matrices, phi.matrices)]
     return ModuleMorphism(phi.source, psi.target, mats, _fresh=True)
@@ -308,7 +330,7 @@ def _chain_ends(factors: Sequence[ModuleMorphism]):
     """Source and target dims of a chain's composite; raises as
     :func:`compose` does when two neighbouring factors do not meet."""
     for psi, phi in zip(factors, factors[1:]):
-        if psi.source != phi.target:
+        if psi.source is not phi.target and psi.source != phi.target:
             raise ShapeMismatchError("composition endpoints do not match")
     return factors[-1].source.dims(), factors[0].target.dims()
 
@@ -507,7 +529,7 @@ def mask_module(module: FiberModule, keep: np.ndarray):
     fibers = [f if k else zero_fiber() for f, k in zip(module.fibers, keep)]
     masked = FiberModule(module.space, tuple(fibers))
     mats = [
-        np.eye(f.dim) if k else np.zeros((0, f.dim))
+        _eye(f.dim) if k else np.zeros((0, f.dim))
         for f, k in zip(module.fibers, keep)
     ]
     projection = ModuleMorphism(module, masked, mats, _fresh=True)
@@ -518,7 +540,7 @@ def mask_inclusion(module: FiberModule, masked: FiberModule) -> ModuleMorphism:
     """Inclusion of a masked module back into its parent."""
     mats = []
     for f, g in zip(module.fibers, masked.fibers):
-        mats.append(np.eye(f.dim) if g.dim == f.dim else np.zeros((f.dim, 0)))
+        mats.append(_eye(f.dim) if g.dim == f.dim else np.zeros((f.dim, 0)))
     return ModuleMorphism(masked, module, mats, _fresh=True)
 
 
@@ -540,10 +562,14 @@ def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> I
     Bijectivity is full rank under numpy's default relative tolerance,
     so that an invertible atom of any scale counts as bijective.  The
     deviation is the largest ``max(|m|, |m^-1|) - 1`` over the atoms,
-    clipped at zero, and infinite when an atom is not bijective.  All the
-    norms come from one :func:`~l0limits.norms.operator_norm_batch` (which
-    norms ``c I`` between equal fiber norms as ``|c|`` without a kernel),
-    and a kernel error there is raised, located at its atom.
+    clipped at zero, and infinite when an atom is not bijective.  A block
+    ``c I`` (``c`` finite and nonzero) is bijective and has the inverse
+    ``(1/c) I`` with no LAPACK call (see :func:`_full_ranks` and
+    :func:`_inverses`); every other block takes a stacked SVD and ``inv``.
+    All the norms come from one :func:`~l0limits.norms.operator_norm_batch`
+    (which norms ``c I`` between equal fiber norms as ``|c|`` without a
+    kernel).  A kernel error there, and the :class:`NonFiniteError` of a
+    block with a NaN or infinite entry, are raised located at the atom.
     """
     tol = tolerance() if tol is None else tol
     atoms = [
@@ -553,14 +579,14 @@ def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> I
         )
         if s.dim or t.dim
     ]
+    mats = [m for _, m, _, _ in atoms]
     if any(s.dim != t.dim for _, _, s, t in atoms) or not all(
-        _full_ranks([m for _, m, _, _ in atoms], 0)
+        _full_ranks(mats, 0, atoms=[atom for atom, _, _, _ in atoms])
     ):
         return IsoCertificate(False, False, np.inf, "not bijective per atom")
-    inverses = dict(_by_shape([m for _, m, _, _ in atoms], np.linalg.inv))
     items, located = [], []
-    for n, (atom, m, s, t) in enumerate(atoms):
-        items += [(m, s.norm, t.norm), (inverses[n], t.norm, s.norm)]
+    for (atom, m, s, t), inverse in zip(atoms, _inverses(mats)):
+        items += [(m, s.norm, t.norm), (inverse, t.norm, s.norm)]
         located += [atom, atom]
     values = operator_norm_batch(items)
     for atom, value in zip(located, values):
@@ -571,29 +597,94 @@ def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> I
     return IsoCertificate(ok, True, max_dev, "" if ok else f"norm deviation {max_dev:g}")
 
 
-def _by_shape(mats: Sequence[np.ndarray], stacked):
-    """``(position, result)`` of a stacked numpy function applied to the
-    matrices, in one call per shape."""
+def _scalar_of(m: np.ndarray) -> Optional[float]:
+    """``c`` when ``m`` is ``c I`` (square, non-empty) with ``c`` finite and
+    nonzero, else None.  The top right corner and the last diagonal entry
+    rule out most other matrices before the whole is compared."""
+    n = len(m)
+    if not n or m.shape != (n, n):
+        return None
+    c = m.item(0)
+    if c == 0.0 or not math.isfinite(c):
+        return None
+    if n > 1 and (
+        m.item(n - 1) != 0.0 or m.item(n * n - 1) != c or not (m == c * _eye(n)).all()
+    ):
+        return None
+    return c
+
+
+def _by_shape(mats: Sequence[np.ndarray], positions: Sequence[int]) -> list:
+    """``(positions, stack)`` of the matrices at the given positions, one
+    stack per shape, for a stacked numpy function to take in one call."""
     shapes: dict = {}
-    for n, m in enumerate(mats):
-        shapes.setdefault(m.shape, []).append(n)
-    for positions in shapes.values():
-        results = stacked(np.array([mats[n] for n in positions]))
-        yield from zip(positions, results)
+    for n in positions:
+        shapes.setdefault(mats[n].shape, []).append(n)
+    return [(group, np.array([mats[n] for n in group])) for group in shapes.values()]
 
 
-def _full_ranks(mats: Sequence[np.ndarray], axis: int, tol: Optional[float] = None) -> List[bool]:
+def _full_ranks(
+    mats: Sequence[np.ndarray],
+    axis: int,
+    tol: Optional[float] = None,
+    atoms: Optional[Sequence[str]] = None,
+) -> List[bool]:
     """Whether each matrix has full rank along ``axis`` (0: onto, 1:
     one-to-one), by the rank ``np.linalg.matrix_rank(m, tol=tol)`` gives:
     the count of singular values above ``tol``, or for ``tol=None`` above
-    numpy's default ``S.max() * max(shape) * eps``.  Every non-empty matrix
-    takes part in one values-only SVD per shape, the routine
-    ``matrix_rank`` calls."""
+    numpy's default ``S.max() * max(shape) * eps``.
+
+    A block ``c I`` (``c`` finite and nonzero, see :func:`_scalar_of`) has
+    every singular value ``|c|``, and numpy's default cut for it,
+    ``|c| n eps``, lies below ``|c|``; so it has full rank iff ``|c|``
+    exceeds ``tol``, or 0 for ``tol=None``, with no SVD.  Every other
+    non-empty matrix takes part in one values-only SVD per shape, the
+    routine ``matrix_rank`` calls.  A matrix with a NaN or infinite entry,
+    whose rank is undefined, raises :class:`NonFiniteError` (the first one
+    in order), located at its entry of ``atoms`` when given."""
+    scalar_cut = 0.0 if tol is None else tol
     # A matrix with an empty side has rank 0: full along that side only.
     out = [m.shape[axis] == 0 for m in mats]
-    filled = [n for n, m in enumerate(mats) if m.size]
-    for u, sv in _by_shape([mats[n] for n in filled], partial(np.linalg.svd, compute_uv=False)):
-        shape = mats[filled[u]].shape
-        cut = sv.max(initial=0.0) * (max(shape) * np.finfo(float).eps) if tol is None else tol
-        out[filled[u]] = int(np.count_nonzero(sv > cut)) == shape[axis]
+    rest = []
+    for n, m in enumerate(mats):
+        if m.size:
+            c = _scalar_of(m)
+            if c is None:
+                rest.append(n)
+            else:
+                out[n] = abs(c) > scalar_cut
+    stacks = _by_shape(mats, rest)
+    bad = [
+        n
+        for group, stack in stacks
+        for n, ok in zip(group, np.isfinite(stack).all(axis=(1, 2)).tolist())
+        if not ok
+    ]
+    if bad:
+        exc = NonFiniteError("matrix is not finite")
+        raise exc if atoms is None else exc.at_atom(atoms[min(bad)])
+    for group, stack in stacks:
+        shape = stack.shape[1:]
+        for n, sv in zip(group, np.linalg.svd(stack, compute_uv=False)):
+            cut = sv.max(initial=0.0) * (max(shape) * np.finfo(float).eps) if tol is None else tol
+            out[n] = int(np.count_nonzero(sv > cut)) == shape[axis]
+    return out
+
+
+def _inverses(mats: Sequence[np.ndarray]) -> list:
+    """``np.linalg.inv`` of each invertible matrix, bit for bit.  A block
+    ``c I`` with ``1/c`` finite is inverted as ``(1/c) I``, which is what
+    the LU solve computes for it, signed zeros included; every other
+    matrix takes part in one stacked ``inv`` per shape."""
+    out = [None] * len(mats)
+    rest = []
+    for n, m in enumerate(mats):
+        c = _scalar_of(m)
+        if c is not None and math.isfinite(1.0 / c):
+            out[n] = (1.0 / c) * _eye(len(m))
+        else:
+            rest.append(n)
+    for group, stack in _by_shape(mats, rest):
+        for n, inverse in zip(group, np.linalg.inv(stack)):
+            out[n] = inverse
     return out

@@ -38,6 +38,7 @@ from .modules import (
     ModuleMorphism,
     _full_ranks,
     _operator_norm_results,
+    _scalar_of,
     composite_deviation,
     compose,
     identity_morphism,
@@ -122,8 +123,10 @@ class System:
         for (i, j), phi in maps.items():
             if not index.leq(i, j):
                 raise KeyError(f"map supplied for unrelated pair ({i!r}, {j!r})")
-            source, target = self._arrow(i, j)
-            if phi.source != self.modules[source] or phi.target != self.modules[target]:
+            source, target = (self.modules[k] for k in self._arrow(i, j))
+            if (phi.source is not source and phi.source != source) or (
+                phi.target is not target and phi.target != target
+            ):
                 raise ShapeMismatchError(f"map at ({i!r}, {j!r}) has wrong endpoints")
             self.maps[(i, j)] = phi
         self._edges: Dict[object, list] = {}
@@ -410,17 +413,25 @@ def _build_limit(system: System) -> LimitPresentation:
 def _canonical_maps_unique(system: System, presentation: LimitPresentation) -> bool:
     """Uniqueness witness: at every atom the canonical maps, stacked along
     their stage sides, have full rank on the limit fiber (the canonical
-    images span it, or the projections jointly separate it)."""
-    stacked = []
+    images span it, or the projections jointly separate it), singular
+    values above ``RANK_TOL``.  An atom where some canonical block is
+    ``c I`` on the limit fiber with ``|c| > RANK_TOL`` has it with no SVD:
+    every singular value of the stack is at least ``|c|``.  The other atoms
+    take the stacked SVD of :func:`_full_ranks`, which raises
+    ``NonFiniteError`` at the first atom whose stack is not finite."""
+    stacked, located = [], []
     for a, fiber in enumerate(presentation.module.fibers):
         if fiber.dim == 0:
             continue
-        blocks = [phi.matrices[a] for phi in presentation.canonical.values()]
-        blocks = [m for m in blocks if m.size]
+        blocks = [m for phi in presentation.canonical.values() if (m := phi.matrices[a]).size]
         if not blocks:
             return False
+        scalars = (_scalar_of(m) for m in blocks)
+        if any(c is not None and abs(c) > RANK_TOL for c in scalars):
+            continue
         stacked.append(np.concatenate(blocks, axis=system.stage_axis))
-    return all(_full_ranks(stacked, 1 - system.stage_axis, RANK_TOL))
+        located.append(system.space.atom_ids[a])
+    return all(_full_ranks(stacked, 1 - system.stage_axis, RANK_TOL, located))
 
 
 def _universal_factorization(
@@ -548,7 +559,12 @@ def _rank_preservation(theta: SystemMorphism, onto: bool) -> PreservationReport:
         axis, adjective, noun = 1, "injective", "injectivity"
     atoms = theta.source.space.atom_ids
     stages = [(i, a) for i, comp in theta.components.items() for a in range(len(comp.matrices))]
-    full = _full_ranks([theta.components[i].matrices[a] for i, a in stages], axis, RANK_TOL)
+    full = _full_ranks(
+        [theta.components[i].matrices[a] for i, a in stages],
+        axis,
+        RANK_TOL,
+        [atoms[a] for _, a in stages],
+    )
     # The witness names the last stage and atom without the property.
     missing = [(i, a) for (i, a), ok in zip(stages, full) if not ok]
     stages_ok = not missing
@@ -557,7 +573,7 @@ def _rank_preservation(theta: SystemMorphism, onto: bool) -> PreservationReport:
         i, a = missing[-1]
         witness = f"stage {i!r} not {adjective} at atom {atoms[a]!r}"
     limit_map = _limit_functor(theta)
-    ranks = _full_ranks(limit_map.matrices, axis, RANK_TOL)
+    ranks = _full_ranks(limit_map.matrices, axis, RANK_TOL, atoms)
     lost = [atoms[a] for a, ok in enumerate(ranks) if not ok]
     if stages_ok and lost:
         witness = f"limit map loses {noun} at atom {lost[0]!r}"

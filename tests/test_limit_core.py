@@ -37,17 +37,32 @@ from l0limits.inverse import (
     inverse_limit,
     thread_from_components,
 )
-from l0limits.measure import L0Function
-from l0limits.modules import Element, apply, compose, identity_morphism, scale_morphism
+from l0limits.homdual import hom_module
+from l0limits.measure import AtomicMeasureSpace, L0Function
+from l0limits.modules import (
+    Element,
+    Fiber,
+    FiberModule,
+    ModuleMorphism,
+    apply,
+    certify_isometric_iso,
+    compose,
+    euclidean_module,
+    identity_morphism,
+    scale_morphism,
+)
+from l0limits.norms import WeightedP
 from l0limits.pullback import (
     dl_pullback_iso,
     il_pullback_compare,
     pullback_direct_system,
     pullback_inverse_system,
 )
-from l0limits.systems import LimitPresentation
+from l0limits.systems import LimitPresentation, _canonical_maps_unique
 
 from oracles import (
+    _reference_projections_separate,
+    _reference_spanning_ranks_ok,
     reference_check_injectivity_preservation,
     reference_check_surjectivity_preservation,
     reference_direct_limit,
@@ -213,6 +228,70 @@ def test_universal_factorizations_match_reference(seed):
         assert (cone, "ok") in outcomes and (cone, "raised") not in outcomes
     for cone in ("incompatible", "degenerate-limit", "zero-cone"):
         assert (cone, "raised") in outcomes
+
+
+def _lapack_calls(monkeypatch) -> list:
+    """The names of the ``np.linalg.svd`` and ``inv`` calls made from now on."""
+    calls = []
+    for name in ("svd", "inv"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_certificates_of_scalar_maps_call_no_lapack(monkeypatch):
+    """``c I`` blocks are bijective with the inverse ``(1/c) I`` and the
+    norms ``|c|`` and ``1/|c|``: no SVD and no ``inv``, over Euclidean,
+    1-norm and Hom fibers."""
+    space = AtomicMeasureSpace(["a", "b", "c"], [1.0, 1.0, 1.0])
+    hom = hom_module(euclidean_module(space, 2), euclidean_module(space, 3))
+    module = FiberModule(space, (
+        Fiber(2, WeightedP(1, (1.0, 2.0))), Fiber(3, WeightedP(2, (1.0, 1.0, 3.0))), hom.fibers[2],
+    ))
+    ident = identity_morphism(module)
+    half = scale_morphism(ident, -0.5)
+    calls = _lapack_calls(monkeypatch)
+    assert certify_isometric_iso(ident).ok
+    cert = certify_isometric_iso(half)
+    assert (cert.ok, cert.bijective, cert.max_norm_deviation) == (False, True, 1.0)
+    assert calls == []
+    # A general matrix still takes the stacked SVD and inv.
+    assert not certify_isometric_iso(compose(half, ModuleMorphism(module, module, [
+        np.eye(2)[::-1], np.eye(3), np.eye(6),
+    ]))).ok
+    assert calls == ["svd", "inv"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_uniqueness_witness_takes_lapack_only_without_a_scalar_block(seed, monkeypatch):
+    """Chain and poset limits hold an identity top-stage block at every
+    atom of a nonzero limit fiber, so their witness needs no SVD; the
+    degenerate presentation of ``_cones``, whose canonical maps are zero,
+    still reaches the SVD and is refused as the reference refuses it."""
+    built = []
+    for _, system in _systems(seed):
+        limit = LIMIT[system.forward][0](system)
+        zero = {i: scale_morphism(m, 0.0) for i, m in limit.canonical.items()}
+        degenerate = LimitPresentation(limit.kind, limit.module, zero, limit.provenance)
+        reference = _reference_spanning_ranks_ok if system.forward else _reference_projections_separate
+        built.append((system, limit, degenerate, reference(degenerate)))
+    calls = _lapack_calls(monkeypatch)
+    for system, limit, _, _ in built:
+        assert _canonical_maps_unique(system, limit)
+    assert calls == []
+    refused = 0
+    for system, limit, degenerate, want in built:
+        assert _canonical_maps_unique(system, degenerate) == want
+        # One SVD per shape of the stacked blocks; none on an all-zero limit.
+        nonzero = any(limit.module.dims())
+        assert want is not nonzero
+        assert set(calls) == ({"svd"} if nonzero else set())
+        calls.clear()
+        refused += nonzero
+    assert refused > 0
 
 
 def _morphisms(seed):

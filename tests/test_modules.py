@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import l0limits.modules as modules
 import l0limits.norms as norms
+import l0limits.systems as systems
 from l0limits.direct import (
     DirectSystem,
     SystemMorphism,
@@ -27,6 +28,7 @@ from l0limits.indexsets import Chain, FinitePoset, ScalarTail
 from l0limits.inverse import (
     InverseSystem,
     Source,
+    check_injectivity_preservation,
     dual_limit_iso,
     hom_inverse_system,
     il_universal_factorization,
@@ -686,3 +688,94 @@ def test_the_public_constructor_converts_and_copies():
     raw[0, 0] = 5.0
     assert phi.matrices[0][0, 0] == 1.0
     _assert_adopted(phi)
+
+
+def test_identity_blocks_are_shared_and_read_only():
+    ident = identity_morphism(PLANE)
+    assert ident.matrices[0] is identity_morphism(euclidean_module(TWO, 2)).matrices[1]
+    with pytest.raises(ValueError):
+        ident.matrices[0][0, 0] = 2.0
+    assert ident.matrices[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_an_adopted_matrix_of_the_wrong_shape_is_located_or_made_the_zero_block():
+    with pytest.raises(ShapeMismatchError, match="atom 'b' has shape"):
+        ModuleMorphism(PLANE, PLANE, [np.eye(2), np.eye(3)], _fresh=True)
+    phi = ModuleMorphism(PLANE, PLANE, [np.eye(2), np.zeros((0, 0))], _fresh=True)
+    assert phi.matrices[1].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    _assert_adopted(phi)
+
+
+def _nan_at_b():
+    return ModuleMorphism(PLANE, PLANE, [np.eye(2), np.full((2, 2), np.nan)], _fresh=True)
+
+
+def test_rank_tests_on_a_nan_matrix_raise_at_its_atom():
+    """The SVD of a NaN matrix does not converge; numpy's LinAlgError
+    named no atom and was no library error."""
+    with pytest.raises(NonFiniteError) as raised:
+        certify_isometric_iso(_nan_at_b())
+    assert raised.value.atom == "b"
+    system = DirectSystem(FinitePoset(["0"], []), {"0": PLANE}, {})
+    theta = SystemMorphism(system, system, {"0": _nan_at_b()})
+    with pytest.raises(NonFiniteError) as raised:
+        check_injectivity_preservation(theta)
+    assert raised.value.atom == "b"
+    presentation = systems.LimitPresentation("direct", PLANE, {"0": _nan_at_b()})
+    with pytest.raises(NonFiniteError) as raised:
+        systems._canonical_maps_unique(system, presentation)
+    assert raised.value.atom == "b"
+
+
+def test_an_overflowing_composite_raises_in_the_rank_test_as_in_the_norm():
+    """``1e300 I`` composed with itself is ``inf I``: no finite ``c I``, so
+    it reaches the rank test, which raises where the norm does.  It was
+    certified "not bijective"."""
+    big = scale_morphism(identity_morphism(PLANE), 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = compose(big, big)
+        for check in (certify_isometric_iso, operator_pointwise_norm):
+            with pytest.raises(NonFiniteError) as raised:
+                check(square)
+            assert raised.value.atom == "a"
+
+
+RANK_TOL_NEIGHBOURS = (
+    float(np.nextafter(systems.RANK_TOL, 0.0)),
+    systems.RANK_TOL,
+    float(np.nextafter(systems.RANK_TOL, 1.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.floats(1e-300, 1e300), st.sampled_from([0.0, 5e-324, *RANK_TOL_NEIGHBOURS])),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(0, 10_000),
+)
+def test_the_scalar_rule_gives_the_rank_and_the_inverse_lapack_gives(magnitude, negative, dim, seed):
+    """``c I`` takes no SVD and no ``inv``, yet its rank is what
+    ``np.linalg.matrix_rank`` gives, among general matrices whose
+    positions are kept, and its inverse is ``np.linalg.inv``'s byte for
+    byte."""
+    c = -magnitude if negative else magnitude
+    scalar = c * np.eye(dim)
+    rng = np.random.default_rng(seed)
+    general = [rng.standard_normal(tuple(rng.integers(0, 4, size=2))) for _ in range(3)]
+    at = int(rng.integers(0, len(general) + 1))
+    mats = general[:at] + [scalar] + general[at:]
+    for tol in (None, systems.RANK_TOL):
+        for axis in (0, 1):
+            want = [
+                m.shape[axis] == 0
+                or (min(m.shape) > 0 and np.linalg.matrix_rank(m, tol=tol) == m.shape[axis])
+                for m in mats
+            ]
+            assert modules._full_ranks(mats, axis, tol) == want
+    if c != 0.0:
+        squares = [m for m in mats if m.size and m.shape[0] == m.shape[1]]
+        with np.errstate(all="ignore"):
+            want = np.linalg.inv(scalar)
+            got = modules._inverses(squares)[next(k for k, m in enumerate(squares) if m is scalar)]
+        assert got.tobytes() == want.tobytes()
