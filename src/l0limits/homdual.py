@@ -41,13 +41,15 @@ def hom_module(source: FiberModule, target: FiberModule) -> HomModule:
     """
     if source.space != target.space:
         raise SpaceMismatchError("hom endpoints live over different spaces")
-    pairs = {}  # one Hom fiber per distinct (source fiber, target fiber)
+    built = {}  # one Hom fiber per distinct (source fiber, target fiber), by value
+    fibers = []
     for pair in zip(source.fibers, target.fibers):
-        if pair not in pairs:
+        fiber = built.get(pair)
+        if fiber is None:
             s, t = pair
-            pairs[pair] = Fiber(s.dim * t.dim, operator_spec(s.dim, s.norm, t.dim, t.norm))
-    fibers = tuple(pairs[pair] for pair in zip(source.fibers, target.fibers))
-    return HomModule(source.space, fibers, source, target)
+            fiber = built[pair] = Fiber(s.dim * t.dim, operator_spec(s.dim, s.norm, t.dim, t.norm))
+        fibers.append(fiber)
+    return HomModule(source.space, tuple(fibers), source, target)
 
 
 def dual_module(module: FiberModule) -> HomModule:

@@ -13,7 +13,9 @@ stage follow one of three finitely presented tail rules:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -41,43 +43,54 @@ class FinitePoset:
             raise ValueError("a directed set is nonempty")
         if len(set(elements)) != len(elements):
             raise ValueError("poset elements must be distinct")
-        known = set(elements)
+        position = {e: k for k, e in enumerate(elements)}
         rel = {(str(a), str(b)) for a, b in pairs}
         for a, b in rel:
-            if a not in known or b not in known:
+            if a not in position or b not in position:
                 raise KeyError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
-        # The closure by repeated squaring of the reachability matrix: after
-        # s squarings it holds every path of at most 2^s edges, and a path
-        # without repeats has at most n - 1 < 2^ceil(log2 n) of them.
-        position = {e: k for k, e in enumerate(elements)}
-        reach = np.eye(len(elements), dtype=np.int64)
+        # Row k of the order as an integer: bit j of above[k] is set when
+        # elements[k] <= elements[j].  Warshall's closure: after pivot m,
+        # every row holds the paths whose inner stages are among pivots
+        # 0..m, so after the last pivot it holds every path.
+        n = len(elements)
+        above = [1 << k for k in range(n)]
         for a, b in rel:
-            reach[position[a], position[b]] = 1
-        for _ in range((len(elements) - 1).bit_length()):
-            reach = np.minimum(1, reach @ reach)
-        reach = reach.astype(bool)
-        cycle = np.argwhere(reach & reach.T & ~np.eye(len(elements), dtype=bool))
-        if cycle.size:
-            a, b = (elements[k] for k in cycle[0])
-            raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
-        # A finite poset is directed exactly when it has a greatest element;
-        # only without one are the pairs scanned, for the first unbounded one.
-        tops = np.flatnonzero(reach.all(axis=0))
-        if not tops.size:
-            shared = reach.astype(np.int64) @ reach.T.astype(np.int64)
-            a, b = (elements[k] for k in np.argwhere(shared == 0)[0])
+            above[position[a]] |= 1 << position[b]
+        for m in range(n):
+            bit, pivot = 1 << m, above[m]
+            above = [row | pivot if row & bit else row for row in above]
+        # In a closed relation a ~ b (each below the other) exactly when
+        # their rows are equal.  The first position with a repeated row and
+        # the next position holding that row are the first such pair in
+        # row-major order: a partner before it would have come first.
+        if len(set(above)) < n:
+            a = next(k for k, row in enumerate(above) if above.count(row) > 1)
+            b = above.index(above[a], a + 1)
             raise ValueError(
-                f"relation is not directed: {a!r}, {b!r} have no upper bound"
+                f"relation is not antisymmetric: {elements[a]!r} ~ {elements[b]!r}"
             )
-        rel = {(elements[a], elements[b]) for a, b in zip(*np.nonzero(reach))}
-        # np.nonzero runs in row-major order: by the first element's position,
-        # then the second's.
-        strict = reach & ~np.eye(len(elements), dtype=bool)
-        pairs = tuple((elements[a], elements[b]) for a, b in zip(*np.nonzero(strict)))
+        # A finite poset is directed exactly when it has a greatest element,
+        # the one bit every row shares; only without one are the pairs
+        # scanned in row-major order, for the first without an upper bound.
+        tops = functools.reduce(operator.and_, above)
+        if not tops:
+            a, b = next(
+                (a, b) for a, ra in enumerate(above) for b, rb in enumerate(above) if not ra & rb
+            )
+            raise ValueError(
+                f"relation is not directed: {elements[a]!r}, {elements[b]!r} have no upper bound"
+            )
+        # Row-major: by the first element's position, then the second's.
+        pairs = tuple(
+            (elements[a], elements[b])
+            for a, row in enumerate(above)
+            for b in range(n)
+            if row >> b & 1 and a != b
+        )
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "relation", frozenset(rel))
+        object.__setattr__(self, "relation", frozenset(pairs + tuple(zip(elements, elements))))
         object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_greatest", elements[tops[0]])
+        object.__setattr__(self, "_greatest", elements[tops.bit_length() - 1])
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.relation

@@ -24,11 +24,11 @@ from .modules import (
     Element,
     FiberModule,
     ModuleMorphism,
-    _eye,
     certify_isometric_iso,
     pointwise_norm,
     scalar_module,
 )
+from .norms import _eye
 from . import systems
 from .systems import (
     LimitPresentation,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +23,9 @@ from .errors import (
 from .measure import AtomicMeasureSpace, L0Function, l0_distance
 from .norms import (
     WeightedP,
+    _eye,
     _raise_first,
+    _scalar_of,
     norm_eval,
     operator_norm_batch,
     operator_norm_witness,
@@ -263,14 +264,6 @@ class ModuleMorphism:
 
     def __repr__(self):
         return f"ModuleMorphism({self.source.dims()}->{self.target.dims()})"
-
-
-@cache
-def _eye(n: int) -> np.ndarray:
-    """``np.eye(n)``, read-only and built once per ``n``."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
 
 
 def identity_morphism(module: FiberModule) -> ModuleMorphism:
@@ -597,23 +590,6 @@ def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> I
     return IsoCertificate(ok, True, max_dev, "" if ok else f"norm deviation {max_dev:g}")
 
 
-def _scalar_of(m: np.ndarray) -> Optional[float]:
-    """``c`` when ``m`` is ``c I`` (square, non-empty) with ``c`` finite and
-    nonzero, else None.  The top right corner and the last diagonal entry
-    rule out most other matrices before the whole is compared."""
-    n = len(m)
-    if not n or m.shape != (n, n):
-        return None
-    c = m.item(0)
-    if c == 0.0 or not math.isfinite(c):
-        return None
-    if n > 1 and (
-        m.item(n - 1) != 0.0 or m.item(n * n - 1) != c or not (m == c * _eye(n)).all()
-    ):
-        return None
-    return c
-
-
 def _by_shape(mats: Sequence[np.ndarray], positions: Sequence[int]) -> list:
     """``(positions, stack)`` of the matrices at the given positions, one
     stack per shape, for a stacked numpy function to take in one call."""
@@ -634,9 +610,9 @@ def _full_ranks(
     the count of singular values above ``tol``, or for ``tol=None`` above
     numpy's default ``S.max() * max(shape) * eps``.
 
-    A block ``c I`` (``c`` finite and nonzero, see :func:`_scalar_of`) has
-    every singular value ``|c|``, and numpy's default cut for it,
-    ``|c| n eps``, lies below ``|c|``; so it has full rank iff ``|c|``
+    A block ``c I`` (``c`` finite, see :func:`_scalar_of`) has every
+    singular value ``|c|``, and numpy's default cut for it, ``|c| n eps``,
+    lies below ``|c|`` unless ``c`` is 0; so it has full rank iff ``|c|``
     exceeds ``tol``, or 0 for ``tol=None``, with no SVD.  Every other
     non-empty matrix takes part in one values-only SVD per shape, the
     routine ``matrix_rank`` calls.  A matrix with a NaN or infinite entry,
@@ -673,14 +649,15 @@ def _full_ranks(
 
 def _inverses(mats: Sequence[np.ndarray]) -> list:
     """``np.linalg.inv`` of each invertible matrix, bit for bit.  A block
-    ``c I`` with ``1/c`` finite is inverted as ``(1/c) I``, which is what
-    the LU solve computes for it, signed zeros included; every other
-    matrix takes part in one stacked ``inv`` per shape."""
+    ``c I`` with ``c`` nonzero and ``1/c`` finite is inverted as
+    ``(1/c) I``, which is what the LU solve computes for it, signed zeros
+    included; every other matrix takes part in one stacked ``inv`` per
+    shape."""
     out = [None] * len(mats)
     rest = []
     for n, m in enumerate(mats):
         c = _scalar_of(m)
-        if c is not None and math.isfinite(1.0 / c):
+        if c and math.isfinite(1.0 / c):
             out[n] = (1.0 / c) * _eye(len(m))
         else:
             rest.append(n)

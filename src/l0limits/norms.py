@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -561,7 +561,10 @@ class OperatorNorm:
 
 
 def _is_unit_scalar(dim: int, spec) -> bool:
-    return dim == 1 and abs(norm_rows(spec, np.ones((1, 1)))[0] - 1.0) <= 1e-15
+    """Whether a declared dim of 1 with ``spec`` is the scalars.  The
+    scalar 1 is the shared ``_eye(1)``, and ``norm_rows`` tests its shape
+    against the spec, so a spec of another dim raises."""
+    return dim == 1 and abs(norm_rows(spec, _eye(1))[0] - 1.0) <= 1e-15
 
 
 def dual_spec(spec):
@@ -712,7 +715,7 @@ def operator_norm_witness(mat, source_spec, target_spec):
         return 0.0, None
     scalar = _scalar_norms([mat], source_spec, target_spec)[0]
     if scalar == scalar:
-        unit = np.eye(1, source_spec.dim)
+        unit = _eye(source_spec.dim)[:1]
         return scalar, unit[0] / norm_rows(source_spec, unit)[0]
     if path == "vertex":
         cands, values = _vertex_norms(mat, source_spec, target_spec)
@@ -806,31 +809,42 @@ def operator_norm_batch(items) -> list:
 
 
 def _scalar_norms(mats, source_spec, target_spec) -> list:
-    """For each matrix, ``|c|`` if it is ``c I`` (c finite) between equal
-    specs, and NaN otherwise.  The pointwise norm is homogeneous,
-    ``|c x| = |c| |x|``, so ``|c|`` is the exact norm."""
-    out = [math.nan] * len(mats)
+    """For each matrix, ``|c|`` if it is ``c I`` (c finite, see
+    :func:`_scalar_of`) between equal specs, and NaN otherwise.  The
+    pointwise norm is homogeneous, ``|c x| = |c| |x|``, so ``|c|`` is the
+    exact norm; a zero block reads 0."""
     if not (source_spec is target_spec or source_spec == target_spec) or not source_spec.dim:
-        return out
-    dim = source_spec.dim
-    if dim == 1:
+        return [math.nan] * len(mats)
+    if source_spec.dim == 1:
         return [abs(c) if math.isfinite(c) else math.nan for c in (m.item() for m in mats)]
-    # Two entries rule out most other matrices: the top right corner is
-    # zero, and the last diagonal entry equals the first.
-    corner, last = dim - 1, dim * dim - 1
-    cands = [
-        k for k, m in enumerate(mats)
-        if m.item(corner) == 0.0 and m.item(last) == m.item(0)
-    ]
-    if not cands:
-        return out
-    flat = np.array([mats[k] for k in cands]).reshape(len(cands), -1)
-    c = flat[:, :1]
-    hit = (flat == c * np.eye(dim).ravel()).all(axis=1) & np.isfinite(c[:, 0])
-    for k, x, h in zip(cands, c[:, 0].tolist(), hit.tolist()):
-        if h:
-            out[k] = abs(x)
-    return out
+    return [math.nan if c is None else abs(c) for c in map(_scalar_of, mats)]
+
+
+@cache
+def _eye(n: int) -> np.ndarray:
+    """``np.eye(n)``, read-only and built once per ``n``."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _scalar_of(m: np.ndarray) -> Optional[float]:
+    """``c`` when ``m`` is ``c I`` (square, non-empty) with ``c`` finite,
+    zero included, else None: the one recogniser of that structure for the
+    norm, rank and inverse rules.  The top right corner and the last
+    diagonal entry rule out most other matrices before the whole is
+    compared."""
+    n = len(m)
+    if not n or m.shape != (n, n):
+        return None
+    c = m.item(0)
+    if not math.isfinite(c):
+        return None
+    if n > 1 and (
+        m.item(n - 1) != 0.0 or m.item(n * n - 1) != c or not (m == c * _eye(n)).all()
+    ):
+        return None
+    return c
 
 
 def _group_values(path, stack, source_spec, target_spec) -> list:

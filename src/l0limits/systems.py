@@ -38,7 +38,6 @@ from .modules import (
     ModuleMorphism,
     _full_ranks,
     _operator_norm_results,
-    _scalar_of,
     composite_deviation,
     compose,
     identity_morphism,
@@ -47,7 +46,7 @@ from .modules import (
     morphism_deviation,
     operator_pointwise_norms,
 )
-from .norms import _raise_first, kernel_path
+from .norms import _raise_first, _scalar_of, kernel_path
 
 #: Relative slack on a product of computed edge norms.  Every exactly
 #: evaluated norm carries a few ulps of rounding, and so does the
@@ -194,27 +193,46 @@ class System:
 
 def _redundant_targets(system: System) -> Dict[object, List]:
     """For each stage i, the stages k (in index order) that at least two
-    paths of supplied edges join i to.  Path counts capped at two come from
-    ``N <- min(2, I + A N)`` on the supplied-edge adjacency ``A``, which
-    reaches its fixed point within as many steps as the longest path; with
-    no stage of two outgoing edges every path is the only one."""
+    paths of supplied edges join i to.
+
+    Path counts capped at two, as two integers per stage: bit ``n`` of
+    ``once[i]`` says that at least one path joins i to the ``n``-th
+    explicit stage, and bit ``n`` of ``twice[i]`` that at least two do.
+    The supplied edges form a DAG (the index is a partial order and loops
+    are left out), so the counts of a stage follow from those of its
+    successors, ``N(i, k) = [i = k] + sum N(b, k)``: a stage is reached
+    twice from i when some successor reaches it twice or two successors
+    reach it each.  Each stage is counted once, after its successors, by a
+    depth-first walk that does not rely on the element order.  With no
+    stage of two outgoing edges every path is the only one."""
     explicit = system.index.explicit_indices()
-    if all(len([b for b in system._edges.get(a, ()) if b != a]) < 2 for a in explicit):
+    succ = {a: [b for b in system._edges.get(a, ()) if b != a] for a in explicit}
+    if all(len(targets) < 2 for targets in succ.values()):
         return {a: [] for a in explicit}
     position = {e: n for n, e in enumerate(explicit)}
-    adjacency = np.zeros((len(explicit), len(explicit)), dtype=np.int64)
-    for a, targets in system._edges.items():
-        for b in targets:
-            if b != a:
-                adjacency[position[a], position[b]] = 1
-    eye = np.eye(len(explicit), dtype=np.int64)
-    counts = eye
-    while True:
-        step = np.minimum(2, eye + adjacency @ counts)
-        if np.array_equal(step, counts):
-            break
-        counts = step
-    return {a: [explicit[k] for k in np.flatnonzero(row > 1)] for a, row in zip(explicit, counts)}
+    once: Dict[object, int] = {}
+    twice: Dict[object, int] = {}
+    for root in explicit:
+        stack = [root]
+        while stack:
+            a = stack[-1]
+            if a in once:
+                stack.pop()
+                continue
+            todo = [b for b in succ[a] if b not in once]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            reached, again = 1 << position[a], 0
+            for b in succ[a]:
+                again |= twice[b] | (reached & once[b])
+                reached |= once[b]
+            once[a], twice[a] = reached, again
+    return {
+        a: [explicit[n] for n in range(twice[a].bit_length()) if twice[a] >> n & 1]
+        for a in explicit
+    }
 
 
 def validate_system(system: System, tol: Optional[float] = None) -> SystemReport:

@@ -440,7 +440,9 @@ def reference_validate_inverse_system(system, tol: Optional[float] = None) -> Sy
 
 def reference_poset_relation(elements, pairs) -> frozenset:
     """Reflexive-transitive closure of order pairs by fixed-point iteration,
-    with the directedness scan over every pair of elements."""
+    with the antisymmetry and directedness scans over every pair of
+    elements in row-major position order: each error names the first
+    offending pair ``(a, b)`` by the position of ``a``, then of ``b``."""
     elements = tuple(str(e) for e in elements)
     rel = {(str(a), str(b)) for a, b in pairs}
     rel |= {(e, e) for e in elements}
@@ -452,9 +454,10 @@ def reference_poset_relation(elements, pairs) -> frozenset:
                 if b == c and (a, d) not in rel:
                     rel.add((a, d))
                     changed = True
-    for a, b in rel:
-        if a != b and (b, a) in rel:
-            raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
+    for a in elements:
+        for b in elements:
+            if a != b and (a, b) in rel and (b, a) in rel:
+                raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
     for a in elements:
         for b in elements:
             if not any((a, c) in rel and (b, c) in rel for c in elements):

@@ -305,6 +305,12 @@ def _on_chain_M(*keys, value):
     return edit
 
 
+#: The whole message of a malformed entry, where its text is pinned too: an
+#: operator norm declaring a scalar target of dim 1 against a 2-dim norm
+#: must not pass as a dual (its shape is tested, not only its value at 1).
+MALFORMED_MESSAGES = {"$.norms.op": "rows of shape (1, 1) against norm of dim 2"}
+
+
 @pytest.mark.parametrize("edit,where", [
     (_set("spaces", "dirac", value={"atoms": ["pt", "q"], "weights": [1]}), "$.spaces.dirac"),
     (_set("spaces", value=5), "$.spaces"),
@@ -324,6 +330,8 @@ def _on_chain_M(*keys, value):
                                 "target_dim": 2, "target_norm": "n0"}), "$.norms.op.source_dim"),
     (_set("norms", "op", value={"kind": "operator", "source_dim": 2, "source_norm": "n0",
                                 "target_dim": 2.5, "target_norm": "n0"}), "$.norms.op.target_dim"),
+    (_set("norms", "op", value={"kind": "operator", "source_dim": 2, "source_norm": "n0",
+                                "target_dim": 1, "target_norm": "n0"}), "$.norms.op"),
     (_set("checks", 0, "tol", value=0), "$.checks[0].tol"),
     (_set("checks", 0, "tol", value=-1e-9), "$.checks[0].tol"),
     (_set("checks", 0, "expect", value="fial"), "$.checks[0].expect"),
@@ -336,7 +344,7 @@ def _on_chain_M(*keys, value):
 ], ids=["short-weights", "spaces-number", "spaces-array", "function-array", "fibers-number",
         "dim-text", "system-morphism-number", "maps-number", "checks-number", "seed-text",
         "seed-fraction", "seed-boolean", "dim-fraction", "stages-fraction",
-        "source-dim-boolean", "target-dim-fraction", "tol-zero", "tol-negative",
+        "source-dim-boolean", "target-dim-fraction", "target-dim-against-norm", "tol-zero", "tol-negative",
         "expect-misspelt", "expect-boolean", "module-past-the-chain", "negative-module-stage",
         "map-past-the-chain", "one-matrix-too-many"])
 def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, where):
@@ -351,6 +359,31 @@ def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, w
     assert main(["report", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: "), err
+    if where in MALFORMED_MESSAGES:
+        assert err == f"error: {where}: {MALFORMED_MESSAGES[where]}\n"
+
+
+def test_a_warm_report_pass_builds_no_identity_in_norms(monkeypatch):
+    """The norm layer's ``c I`` rule and unit-scalar test use its cached
+    read-only identities: a report over every fixture, once warm, makes
+    no ``np.eye`` call from ``l0limits.norms``."""
+    def report():
+        for path in ALL_FIXTURES:
+            doc = parse_document(json.loads(path.read_text()))
+            render_structured(run_checks(doc))
+            dump_document(serialize_document(doc))
+
+    report()
+    callers = []
+    eye = np.eye
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return eye(*args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", counted)
+    report()
+    assert "l0limits.norms" not in callers
 
 
 @pytest.mark.parametrize("value", [1.5, True, "x"], ids=["fraction", "boolean", "text"])

@@ -270,7 +270,8 @@ def test_the_uniqueness_witness_takes_lapack_only_without_a_scalar_block(seed, m
     """Chain and poset limits hold an identity top-stage block at every
     atom of a nonzero limit fiber, so their witness needs no SVD; the
     degenerate presentation of ``_cones``, whose canonical maps are zero,
-    still reaches the SVD and is refused as the reference refuses it."""
+    is refused as the reference refuses it: by the ``c I`` rule where an
+    atom's stack is one square zero block, by the SVD where it is not."""
     built = []
     for _, system in _systems(seed):
         limit = LIMIT[system.forward][0](system)
@@ -282,16 +283,24 @@ def test_the_uniqueness_witness_takes_lapack_only_without_a_scalar_block(seed, m
     for system, limit, _, _ in built:
         assert _canonical_maps_unique(system, limit)
     assert calls == []
-    refused = 0
+    refused = reached_svd = 0
     for system, limit, degenerate, want in built:
         assert _canonical_maps_unique(system, degenerate) == want
         # One SVD per shape of the stacked blocks; none on an all-zero limit.
         nonzero = any(limit.module.dims())
         assert want is not nonzero
-        assert set(calls) == ({"svd"} if nonzero else set())
+        stacked = [
+            np.concatenate([m for phi in degenerate.canonical.values() if (m := phi.matrices[a]).size],
+                           axis=system.stage_axis).shape
+            for a, d in enumerate(degenerate.module.dims()) if d
+        ]
+        square = all(shape[0] == shape[1] for shape in stacked)
+        assert set(calls) == ({"svd"} if nonzero and not square else set())
         calls.clear()
         refused += nonzero
+        reached_svd += nonzero and not square
     assert refused > 0
+    assert reached_svd > 0
 
 
 def _morphisms(seed):

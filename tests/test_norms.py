@@ -164,15 +164,29 @@ def test_stacked_frame_ball_matches_the_subset_loop(monkeypatch, p):
                 assert got.tobytes() == want.tobytes()
 
 
+#: The multiple of ``cond(frame) * eps`` that ``test_framed_ball_is_scale_invariant``
+#: allows.  Over 51,444 seeded cases of its strategy (both p, all six shapes,
+#: seeds 0-10000 in steps of 7, three scales each) the largest relative gap
+#: was 3.4 times ``cond * eps``; 16 leaves room above that.
+SCALE_COND_FACTOR = 16
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([1, INF]), st.sampled_from([(1, 1), (3, 1), (2, 2), (4, 2), (5, 3), (4, 4)]),
        st.integers(0, 10_000), st.floats(-100, 100), st.booleans())
 @example(INF, (5, 3), 0, -5.0, False)
 @example(1, (5, 3), 0, -13.0, False)
+@example(1, (2, 2), 7517, 1.0, False)
 def test_framed_ball_is_scale_invariant(p, shape, seed, exponent, negative):
     """Scaling a frame by c divides every operator norm out of it by |c|.
     Absolute thresholds emptied the inf-ball of a frame scaled by 1e-5 and
-    rejected one scaled by 1e-13 as rank-deficient."""
+    rejected one scaled by 1e-13 as rank-deficient.
+
+    The ball's vertices are solved from the frame's rows, so the two norms
+    agree to a multiple of ``cond(frame) * eps``, not to a fixed 1e-12:
+    seed 7517 (a 2x2 frame of condition 1.19e5) reads a relative gap of
+    1.6e-12 under a ``cond * eps`` of 2.6e-11.  The bound is
+    ``SCALE_COND_FACTOR * cond * eps`` with 1e-12 as its floor."""
     rng = np.random.default_rng(seed)
     frame = rng.standard_normal(shape)
     mat = rng.standard_normal((2, shape[1]))
@@ -180,7 +194,8 @@ def test_framed_ball_is_scale_invariant(p, shape, seed, exponent, negative):
     c = (-1.0 if negative else 1.0) * 10.0**exponent
     base = operator_norm_value(mat, FramedP(p, frame), target)
     scaled = operator_norm_value(mat, FramedP(p, c * frame), target)
-    assert scaled == pytest.approx(base / abs(c), rel=1e-12, abs=0.0)
+    rel = max(1e-12, SCALE_COND_FACTOR * np.linalg.cond(frame) * np.finfo(float).eps)
+    assert scaled == pytest.approx(base / abs(c), rel=rel, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
