@@ -63,11 +63,11 @@ def validate_direct_system(system: DirectSystem, tol: Optional[float] = None) ->
     * admissibility: the pointwise operator norm of every supplied map is
       evaluated exactly.  A composed map is admissible without evaluation
       when every edge on its path has an exact kernel (vertex, facet or
-      spectral, not the bracket) and the per-atom product of the edge
+      spectral, not the bracket) and the product of the edges' largest
       norms, times ``1 + PRODUCT_SLACK`` (1e-12, in :mod:`l0limits.systems`),
-      is at most ``1 + tol``: operator norms are submultiplicative, and
-      the slack absorbs the rounding of the evaluated norms.  Every other
-      composed map is evaluated exactly;
+      is at most ``1 + tol``: operator norms are submultiplicative, rounding
+      is monotone, and the slack absorbs the rounding of the evaluated
+      norms.  Every other composed map is evaluated exactly;
     * cocycle: a triple (i, j, k) is evaluated only when at least two
       paths of supplied maps join i to k.  With a single path every map
       involved is a composite along that one path, so the law is

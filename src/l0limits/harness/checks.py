@@ -31,6 +31,7 @@ from ..systems import (
     _limit,
     _limit_functor,
     _rank_preservation,
+    _require_valid_systems,
     _universal_factorization,
     validate_system,
     validate_system_morphism,
@@ -134,7 +135,8 @@ def _check_functor_square(first, second=None, expect_equal_images=True,
         # An invalid morphism induces no limit map.
         return "fail", {"first_violations": len(report.violations)}, ("limit-functor",)
     outcome = "pass"
-    image_first = _limit_functor(first)
+    _require_valid_systems(first, tolerance())
+    image_first = _limit_functor(first, validate=False)
     witness: Dict = {"limit_map_dims": [list(m.shape) for m in image_first.matrices]}
     if second is not None:
         image_second = _limit_functor(second)

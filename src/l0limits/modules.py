@@ -325,7 +325,7 @@ def _chain_ends(factors: Sequence[ModuleMorphism]):
     for psi, phi in zip(factors, factors[1:]):
         if psi.source is not phi.target and psi.source != phi.target:
             raise ShapeMismatchError("composition endpoints do not match")
-    return factors[-1].source.dims(), factors[0].target.dims()
+    return factors[-1].source._dims, factors[0].target._dims
 
 
 def composite_deviation(
@@ -345,7 +345,7 @@ def composite_deviation(
     for a in range(len(left[0].matrices)):
         m = _chain_product(left, a)
         if m.size:
-            d = float(np.abs(m - _chain_product(right, a)).max())
+            d = float(np.maximum.reduce(np.abs(m - _chain_product(right, a)).ravel()))
             if d != d:
                 return d
             dev = max(dev, d)
@@ -381,36 +381,34 @@ def operator_pointwise_norms(phis: Sequence[ModuleMorphism]) -> List[L0Function]
     """:func:`operator_pointwise_norm` of each morphism, from one stacked
     pass over the atoms of all of them.  The first error in morphism order
     is raised, the one a loop over the morphisms would meet first."""
-    return _raise_first(_operator_norm_results(phis))
+    results = _raise_first(_operator_norm_results(phis))
+    return [L0Function(phi.source.space, values) for phi, values in zip(phis, results)]
 
 
 def _operator_norm_results(phis: Sequence[ModuleMorphism]) -> list:
-    """:func:`operator_pointwise_norm` of each morphism, evaluated in one
-    :func:`~l0limits.norms.operator_norm_batch`, or in its place the error
-    it raises: the first error of an atom in atom order (a kernel error,
-    or a spectral core that overflows), located at the atom, or the
-    :class:`NonFiniteError` of a norm value that overflows.  Callers raise
-    an error in its turn, where a loop would have raised it."""
+    """Each morphism's exact per-atom operator norms as a list of floats from
+    one :func:`~l0limits.norms.operator_norm_batch`, or in its place the
+    error it raises: the first error of an atom in atom order (a kernel error
+    or a spectral core that overflows) located at the atom, else the
+    :class:`L0Function` error of a norm that overflows, for callers to raise."""
     items = [
         (m, s.norm, t.norm)
         for phi in phis
         for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers)
     ]
     values = operator_norm_batch(items)
-    results = []
-    start = 0
+    results, start = [], 0
     for phi in phis:
         space = phi.source.space
         chunk = values[start:start + space.atom_count]
         start += space.atom_count
         bad = next((a for a, v in enumerate(chunk) if isinstance(v, Exception)), None)
         if bad is not None:
-            results.append(chunk[bad].at_atom(space.atom_ids[bad]))
-            continue
-        try:
-            results.append(L0Function(space, chunk))
-        except NonFiniteError as exc:
-            results.append(exc)
+            chunk = chunk[bad].at_atom(space.atom_ids[bad])
+        elif not all(map(math.isfinite, chunk)):
+            atom = space.atom_ids[next(a for a, v in enumerate(chunk) if not math.isfinite(v))]
+            chunk = NonFiniteError(f"function value at atom {atom!r} is not finite")
+        results.append(chunk)
     return results
 
 

@@ -44,14 +44,13 @@ from .modules import (
     mask_inclusion,
     mask_module,
     morphism_deviation,
-    operator_pointwise_norms,
 )
 from .norms import _raise_first, _scalar_of, kernel_path
 
-#: Relative slack on a product of computed edge norms.  Every exactly
-#: evaluated norm carries a few ulps of rounding, and so does the
-#: evaluation of the composite it bounds; 1e-12 absorbs that along paths
-#: of thousands of edges.
+#: Relative slack on a product of computed edge norms, each edge's largest
+#: over the atoms.  Every exactly evaluated norm carries a few ulps of
+#: rounding, and so does the evaluation of the composite it bounds; 1e-12
+#: absorbs that along paths of thousands of edges.
 PRODUCT_SLACK = 1e-12
 
 #: Absolute singular-value cut of the rank tests on canonical maps and on
@@ -132,7 +131,7 @@ class System:
         for a, b in sorted(self.maps, key=lambda p: (str(p[0]), str(p[1]))):
             self._edges.setdefault(a, []).append(b)
         self._trees: Dict[object, dict] = {}
-        self._closure: Dict[tuple, ModuleMorphism] = {}
+        self._closure: Dict[tuple, ModuleMorphism] = dict(self.maps)
         self._presentation: Optional[LimitPresentation] = None
 
     def related_pairs(self):
@@ -174,17 +173,15 @@ class System:
         """Connecting map at (i, j): supplied, or composed along the tree path."""
         if i == j:
             return identity_morphism(self.modules[i])
-        if (i, j) in self.maps:
-            return self.maps[(i, j)]
-        if (i, j) in self._closure:
-            return self._closure[(i, j)]
+        if (phi := self._closure.get((i, j))) is not None:
+            return phi
         tree = self._reach(i, j)
         pending = []
         node = j
-        while (i, node) not in self.maps and (i, node) not in self._closure:
+        while (i, node) not in self._closure:
             pending.append(node)
             node = tree[node]
-        phi = self.maps[(i, node)] if (i, node) in self.maps else self._closure[(i, node)]
+        phi = self._closure[(i, node)]
         for node in reversed(pending):
             phi = self._extend(phi, self.maps[(tree[node], node)])
             self._closure[(i, node)] = phi
@@ -251,25 +248,25 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
     # raised in its pair's turn, where a loop over the pairs would raise it.
     edges = [p for p in pairs if p in system.maps]
     edge_norms = dict(zip(edges, _operator_norm_results([system.maps[e] for e in edges])))
-    bounds: Dict[tuple, Optional[np.ndarray]] = {}
+    bounds: Dict[tuple, Optional[float]] = {}
 
     @cache
-    def exact_norm(edge) -> Optional[np.ndarray]:
-        """The edge's norm where every atom has an exact kernel, else None."""
+    def exact_norm(edge) -> Optional[float]:
+        """The edge's largest norm where every atom has an exact kernel, else None."""
         phi = system.maps[edge]
         fibers = zip(phi.source.fibers, phi.target.fibers)
         if all(kernel_path(s.norm, t.norm) != "bracket" for s, t in fibers):
-            return _raise_first([edge_norms[edge]])[0].values
+            return max(_raise_first([edge_norms[edge]])[0], default=0.0)
         return None
 
-    def path_bound(i, j, tree) -> Optional[np.ndarray]:
-        """Per-atom product of the edge norms along the tree path i -> j."""
+    def path_bound(i, j, tree) -> Optional[float]:
+        """Product of the edges' largest norms along the tree path i -> j."""
         pending = []
         node = j
         while node != i and (i, node) not in bounds:
             pending.append(node)
             node = tree[node]
-        bound = np.ones(system.space.atom_count) if node == i else bounds[(i, node)]
+        bound = 1.0 if node == i else bounds[(i, node)]
         for node in reversed(pending):
             factor = None if bound is None else exact_norm((tree[node], node))
             bound = None if factor is None else bound * factor
@@ -282,14 +279,13 @@ def validate_system(system: System, tol: Optional[float] = None) -> SystemReport
         except KeyError as exc:
             violations.append(Violation("missing-map", (i, j), float("inf"), str(exc)))
             continue
-        if (i, j) in system.maps:
-            result = edge_norms[(i, j)]
-        else:
+        result = edge_norms.get((i, j))
+        if result is None:
             bound = path_bound(i, j, tree)
-            if bound is not None and float(bound.max()) * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
+            if bound is not None and bound * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
                 continue
             result = _operator_norm_results([system._connect(i, j)])[0]
-        dev = float(_raise_first([result])[0].values.max(initial=0.0)) - 1.0
+        dev = max(_raise_first([result])[0], default=0.0) - 1.0
         if not dev <= tol:
             violations.append(
                 Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
@@ -339,10 +335,10 @@ def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None)
     """Check admissibility, commuting squares and chain tail solvability."""
     tol = tolerance() if tol is None else tol
     violations: List[Violation] = []
-    system = theta.source
-    norms = dict(zip(theta.components, operator_pointwise_norms(list(theta.components.values()))))
+    system, components = theta.source, theta.components
+    norms = dict(zip(components, _raise_first(_operator_norm_results([*components.values()]))))
     for i, norm in norms.items():
-        dev = float(norm.values.max(initial=0.0)) - 1.0
+        dev = max(norm, default=0.0) - 1.0
         if not dev <= tol:
             violations.append(Violation("admissibility", (i,), dev, "component norm > 1"))
     for (i, j) in system.index.related_pairs():
@@ -356,15 +352,14 @@ def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None)
         growth = tail_growth_sup(
             *system._arrow(theta.target.index.tail, system.index.tail), last, system.space
         )
-        norm_last = norms[last].values
-        for a, g in enumerate(growth):
+        for a, (g, norm) in enumerate(zip(growth, norms[last])):
             bound = tol if not np.isfinite(g) else (1.0 + tol) / g
-            if not norm_last[a] <= bound:
+            if not norm <= bound:
                 violations.append(
                     Violation(
                         "tail-square",
                         (last, system.space.atom_ids[a]),
-                        float(norm_last[a] - bound),
+                        float(norm - bound),
                         "no admissible components beyond the last stage",
                     )
                 )
@@ -481,7 +476,7 @@ def _universal_factorization(
         cone.append(i)
     if check_admissibility:
         for i, result in zip(cone, _operator_norm_results([maps[i] for i in cone])):
-            if not float(_raise_first([result])[0].values.max(initial=0.0)) <= 1.0 + tol:
+            if not max(_raise_first([result])[0], default=0.0) <= 1.0 + tol:
                 raise ValidationError(f"{side} map at {i!r} is not admissible")
     if fault is not None:
         raise fault
@@ -526,6 +521,14 @@ def _universal_factorization(
     return mediating, max(devs)
 
 
+def _require_valid_systems(theta: SystemMorphism, tol: float) -> None:
+    """Raise :class:`ValidationError` unless theta's source, then target, passes."""
+    for name, system in (("source", theta.source), ("target", theta.target)):
+        report = validate_system(system, tol)
+        if not report.passed:
+            raise ValidationError(f"{name} system fails validation", report)
+
+
 def _limit_functor(
     theta: SystemMorphism,
     validate: bool = True,
@@ -535,10 +538,7 @@ def _limit_functor(
     :func:`l0limits.direct.dl_functor`."""
     tol = tolerance() if tol is None else tol
     if validate:
-        for name, system in (("source", theta.source), ("target", theta.target)):
-            report = validate_system(system, tol)
-            if not report.passed:
-                raise ValidationError(f"{name} system fails validation", report)
+        _require_valid_systems(theta, tol)
         report = validate_system_morphism(theta, tol)
         if not report.passed:
             raise ValidationError("system morphism fails validation", report)

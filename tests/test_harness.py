@@ -190,6 +190,32 @@ def test_invalid_system_morphism_fails_functor_square():
     assert result.provenance == ("limit-functor",)
 
 
+def test_functor_square_validates_each_morphism_once(monkeypatch):
+    """The first morphism's report decides a fail verdict and is not
+    recomputed when its limit map is built; the second is validated with
+    its own limit map.  The verdict and witness flags stay as the golden
+    structured report records them."""
+    from l0limits import systems
+    from l0limits.harness import checks
+
+    seen = []
+    validate = systems.validate_system_morphism
+
+    def counted(theta, tol=None):
+        seen.append(theta)
+        return validate(theta, tol)
+
+    monkeypatch.setattr(systems, "validate_system_morphism", counted)
+    monkeypatch.setattr(checks, "validate_system_morphism", counted)
+    doc = load_document(FIXTURES / "remark-faithful.json")
+    spec = next(c for c in doc.checks if c.name == "collapse-distinct-morphisms")
+    result = run_check(doc, spec)
+    assert result.verdict == "pass"
+    assert result.witness["components_differ"] and result.witness["images_equal"]
+    morphisms = doc.system_morphisms
+    assert [id(t) for t in seen] == [id(morphisms["Theta"]), id(morphisms["Eta"])]
+
+
 def test_unknown_check_kind_is_error():
     doc = parse_document({"format_version": 1})
     result = run_check(doc, CheckSpec(name="x", kind="no-such-kind"))

@@ -664,7 +664,7 @@ def test_an_overflowing_norm_is_an_error_of_its_own_morphism():
             operator_pointwise_norms([fine, wide, overflow])
         first, second = modules._operator_norm_results([overflow, fine])
         assert isinstance(first, NonFiniteError)
-        assert second.values.tolist() == [0.5]
+        assert second == [0.5]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -194,6 +194,85 @@ def test_only_exact_kernels_certify_composites(monkeypatch, bracket):
     assert len(calls) == (6 if bracket else 3)
 
 
+_EDGE_NORM = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+    st.floats(1.0, 10.0), st.integers(-150, 149),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda atoms: st.lists(st.lists(_EDGE_NORM, min_size=atoms, max_size=atoms),
+                           min_size=1, max_size=6)
+))
+@example([[1e-150, 1.0], [1e-150, 1.0], [1e-10, 1.0]])  # a product rounds to a subnormal
+@example([[1e150, 1e-150], [1e150, 1e-150], [1e10, 1.0]])  # the bound rounds to inf
+def test_product_of_edge_maxima_bounds_every_atoms_product(edges):
+    """validate_system certifies a composite from one float per path, the
+    product of each edge's largest norm in path order.  IEEE multiplication
+    rounds monotonically, so that float is never below the product any
+    atom takes along the same path, subnormal and overflowing ones
+    included: no composite an atom's product would not settle is skipped."""
+    bound = 1.0
+    atoms = [1.0] * len(edges[0])
+    for norms in edges:
+        bound *= max(norms)
+        atoms = [p * n for p, n in zip(atoms, norms)]
+        assert all(p <= bound for p in atoms)
+
+
+def test_a_composite_the_float_bound_misses_is_normed(monkeypatch):
+    """Edge maxima in (1, 1 + tol] on different atoms: the product of the
+    maxima exceeds 1 + tol, every atom's product stays below it.  The
+    composite is normed and passes, as the reference finds."""
+    calls = []
+    batch = systems._operator_norm_results
+    monkeypatch.setattr(systems, "_operator_norm_results",
+                        lambda phis: calls.append(len(phis)) or batch(phis))
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
+    line = euclidean_module(space, 1)
+    high = 1.0 + 0.8 * tolerance()
+
+    def edge(at_a, at_b):
+        return ModuleMorphism(line, line, [np.array([[at_a]]), np.array([[at_b]])])
+
+    system = DirectSystem(
+        Chain(3, IdentityTail()), {k: line for k in range(3)},
+        {(0, 1): edge(high, 0.5), (1, 2): edge(0.5, high)},
+    )
+    assert high * high * (1.0 + systems.PRODUCT_SLACK) > 1.0 + tolerance()
+    report = validate_direct_system(system)
+    assert report.passed and not report.violations
+    assert report == reference_validate_direct_system(system)
+    assert calls == [2, 1]
+
+
+def test_validation_builds_no_function_for_a_norm_result(monkeypatch):
+    """Validation, a chain morphism and a universal factorization take the
+    maxima of plain float lists; no L0Function wraps a norm they compute."""
+    import l0limits.modules as modules
+
+    built = []
+
+    class Counted(L0Function):
+        def __init__(self, space, values):
+            built.append(values)
+            super().__init__(space, values)
+
+    rng = np.random.default_rng(19)
+    space = AtomicMeasureSpace(["a0", "a1"], [1.0, 2.0])
+    plane = euclidean_module(space, 2)
+    maps = {(k, k + 1): randgen.random_admissible_morphism(rng, plane, plane) for k in range(9)}
+    chain = DirectSystem(Chain(10, IdentityTail()), {k: plane for k in range(10)}, maps)
+    theta = SystemMorphism(chain, chain, {k: identity_morphism(plane) for k in range(10)})
+    monkeypatch.setattr(modules, "L0Function", Counted)
+    assert validate_direct_system(chain).passed
+    assert validate_system_morphism(theta).passed
+    pres = direct_limit(chain)
+    dl_universal_factorization(chain, Target(pres.module, dict(pres.canonical)))
+    assert built == []
+
+
 @pytest.mark.parametrize("cls", [DirectSystem, InverseSystem])
 def test_identity_chain_evaluates_only_supplied_maps(monkeypatch, cls):
     """A 200-stage chain: one norm per supplied map, no composition at all."""
@@ -401,8 +480,8 @@ def test_chain_morphism_norms_each_component_once(monkeypatch):
     rng = np.random.default_rng(5)
     theta = randgen.random_chain_morphism_pair(rng, stages=6)
     normed = []
-    batch = systems.operator_pointwise_norms
-    monkeypatch.setattr(systems, "operator_pointwise_norms",
+    batch = systems._operator_norm_results
+    monkeypatch.setattr(systems, "_operator_norm_results",
                         lambda phis: normed.extend(phis) or batch(phis))
     report = validate_system_morphism(theta)
     assert report.passed
