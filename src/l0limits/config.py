@@ -1,8 +1,10 @@
 """Global numeric configuration.
 
-All approximate comparisons in the library share a single absolute
-tolerance.  Keeping one knob avoids mixed-tolerance inconsistencies
-between validation, certification and limit construction.
+All approximate comparisons in the library share one absolute
+tolerance, :func:`tolerance`; no function takes one of its own.
+:func:`set_tolerance`, :func:`tolerance_override`, the CLI's ``--tol``
+and a document check's ``tol`` set it.  The Hom and dual certificates
+and the limit-functor squares compare against ``10 * tolerance()``.
 
 The tolerance is context-local (a :class:`contextvars.ContextVar`, PEP
 567): a change made in one thread or asyncio task is never seen by

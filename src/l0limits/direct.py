@@ -53,7 +53,7 @@ class DirectSystem(System):
         return self._connect(i, j)
 
 
-def validate_direct_system(system: DirectSystem, tol: Optional[float] = None) -> SystemReport:
+def validate_direct_system(system: DirectSystem) -> SystemReport:
     """Diagnostics: identity law, cocycle law, admissibility of every map.
 
     Every law is checked where it can fail, and only there:
@@ -65,9 +65,9 @@ def validate_direct_system(system: DirectSystem, tol: Optional[float] = None) ->
       when every edge on its path has an exact kernel (vertex, facet or
       spectral, not the bracket) and the product of the edges' largest
       norms, times ``1 + PRODUCT_SLACK`` (1e-12, in :mod:`l0limits.systems`),
-      is at most ``1 + tol``: operator norms are submultiplicative, rounding
-      is monotone, and the slack absorbs the rounding of the evaluated
-      norms.  Every other composed map is evaluated exactly;
+      is at most ``1 + tolerance()``: operator norms are submultiplicative,
+      rounding is monotone, and the slack absorbs the rounding of the
+      evaluated norms.  Every other composed map is evaluated exactly;
     * cocycle: a triple (i, j, k) is evaluated only when at least two
       paths of supplied maps join i to k.  With a single path every map
       involved is a composite along that one path, so the law is
@@ -77,16 +77,16 @@ def validate_direct_system(system: DirectSystem, tol: Optional[float] = None) ->
     explicit indices, as a stage-by-stage check of every pair and triple
     would report them.
     """
-    return validate_system(system, tol)
+    return validate_system(system)
 
 
-def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None) -> SystemReport:
+def validate_system_morphism(theta: SystemMorphism) -> SystemReport:
     """Check admissibility, commuting squares and chain tail solvability,
     of a morphism between direct or between inverse systems; see
     :func:`l0limits.systems.validate_system_morphism`."""
     # A binding rather than a re-export: perfbench/layertrace.py times the
     # functions each layer module defines itself.
-    return systems.validate_system_morphism(theta, tol)
+    return systems.validate_system_morphism(theta)
 
 
 @dataclass(frozen=True)
@@ -131,35 +131,24 @@ class Target:
     maps: Dict[object, ModuleMorphism] = field(compare=False)
 
 
-def dl_universal_factorization(
-    system: DirectSystem,
-    target: Target,
-    presentation: Optional[LimitPresentation] = None,
-    tol: Optional[float] = None,
-) -> ModuleMorphism:
+def dl_universal_factorization(system: DirectSystem, target: Target) -> ModuleMorphism:
     """The unique mediating morphism from the limit to a target.
 
     Raises :class:`ValidationError` when the target laws fail or no
     factorization exists within tolerance.  Uniqueness is certified by
     checking that the canonical images span every limit fiber.
     """
-    return systems._universal_factorization(
-        system, target.module, target.maps, presentation, tol
-    )[0]
+    return systems._universal_factorization(system, target.module, target.maps)[0]
 
 
-def dl_functor(
-    theta: SystemMorphism,
-    validate: bool = True,
-    tol: Optional[float] = None,
-) -> ModuleMorphism:
+def dl_functor(theta: SystemMorphism, validate: bool = True) -> ModuleMorphism:
     """The induced morphism between direct limits.
 
     Functorial: identities map to the identity and composites to
     composites; the result is the unique morphism commuting with every
     canonical square.
     """
-    return systems._limit_functor(theta, validate, tol)
+    return systems._limit_functor(theta, validate)
 
 
 @dataclass(frozen=True)
@@ -177,16 +166,14 @@ def solve_square_component(
     target_system,
     fixed: Dict,
     solve_for,
-    tol: Optional[float] = None,
 ) -> SquareSolution:
     """Try to complete a partial family to a commuting square at one stage.
 
     For a two-stage chain with the top component fixed this solves
     ``psi . theta = fixed_top . phi`` for ``theta`` atom by atom in the
     least-squares sense and reports the residual; a surjectivity mismatch
-    shows up as an irreducible residual.
+    shows up as an irreducible residual, above ``tolerance()``.
     """
-    tol = tolerance() if tol is None else tol
     index = source_system.index
     explicit = index.explicit_indices()
     if solve_for not in explicit:
@@ -225,7 +212,7 @@ def solve_square_component(
                 f"{source_system.space.atom_ids[a]!r}: residual {res:g} "
                 "(image of the fixed family exceeds the reachable column space)"
             )
-    exists = residual <= tol
+    exists = residual <= tolerance()
     component = ModuleMorphism(src_mod, tgt_mod, mats) if exists else None
     if exists:
         witness = "component recovered"

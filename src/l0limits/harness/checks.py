@@ -135,7 +135,7 @@ def _check_functor_square(first, second=None, expect_equal_images=True,
         # An invalid morphism induces no limit map.
         return "fail", {"first_violations": len(report.violations)}, ("limit-functor",)
     outcome = "pass"
-    _require_valid_systems(first, tolerance())
+    _require_valid_systems(first)
     image_first = _limit_functor(first, validate=False)
     witness: Dict = {"limit_map_dims": [list(m.shape) for m in image_first.matrices]}
     if second is not None:

@@ -277,13 +277,27 @@ def _parse_fiber(doc: Document, raw, path: str) -> Fiber:
         return Fiber(dim, _ref(doc.norms, raw.get("norm"), f"{path}.norm"))
 
 
-def _parse_norm(doc: Document, nid: str, raw, all_raw) -> object:
+def _parse_norm(doc: Document, nid: str, raw, all_raw, pending: tuple = ()) -> object:
+    """The norm ``nid``; ``pending`` are the ids whose parse is waiting
+    for it, outermost first."""
     path = f"$.norms.{nid}"
     if nid in doc.norms:
         return doc.norms[nid]
     if "kind" not in raw:
         raise DocumentError(path, "norm needs a kind")
     kind = raw["kind"]
+    pending = (*pending, nid)
+
+    def resolve(key: str):
+        """The norm ``raw[key]`` names, parsed first if its id sorts later."""
+        ref = raw.get(key)
+        if ref not in doc.norms and ref in all_raw:
+            if ref in pending:
+                cycle = " -> ".join(pending[pending.index(ref):] + (ref,))
+                raise DocumentError(f"$.norms.{ref}", f"cyclic norm reference {cycle}")
+            doc.norms[ref] = _parse_norm(doc, ref, all_raw[ref], all_raw, pending)
+        return _ref(doc.norms, ref, f"{path}.{key}")
+
     with _at(path):
         if kind == "weighted_p":
             return WeightedP(
@@ -296,22 +310,13 @@ def _parse_norm(doc: Document, nid: str, raw, all_raw) -> object:
                 _matrix(raw.get("matrix", []), f"{path}.matrix"),
             )
         if kind == "dual_of":
-            inner_id = raw.get("inner")
-            if inner_id not in doc.norms:
-                if inner_id not in all_raw:
-                    raise DocumentError(f"{path}.inner", f"unresolved norm {inner_id!r}")
-                doc.norms[inner_id] = _parse_norm(doc, inner_id, all_raw[inner_id], all_raw)
-            return dual_spec(doc.norms[inner_id])
+            return dual_spec(resolve("inner"))
         if kind == "operator":
-            for key in ("source_norm", "target_norm"):
-                ref = raw.get(key)
-                if ref not in doc.norms and ref in all_raw:
-                    doc.norms[ref] = _parse_norm(doc, ref, all_raw[ref], all_raw)
             return operator_spec(
                 _integer(raw.get("source_dim", -1), f"{path}.source_dim"),
-                _ref(doc.norms, raw.get("source_norm"), f"{path}.source_norm"),
+                resolve("source_norm"),
                 _integer(raw.get("target_dim", -1), f"{path}.target_dim"),
-                _ref(doc.norms, raw.get("target_norm"), f"{path}.target_norm"),
+                resolve("target_norm"),
             )
         raise DocumentError(path, f"unknown norm kind {kind!r}")
 

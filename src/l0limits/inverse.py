@@ -10,7 +10,7 @@ case analysis of the tail (never by truncation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .modules import (
     Element,
     FiberModule,
     ModuleMorphism,
-    certify_isometric_iso,
+    _certify_isometric_iso,
     pointwise_norm,
     scalar_module,
 )
@@ -65,7 +65,7 @@ class InverseSystem(System):
         return self._connect(i, j)
 
 
-def validate_inverse_system(system: InverseSystem, tol: Optional[float] = None) -> SystemReport:
+def validate_inverse_system(system: InverseSystem) -> SystemReport:
     """Diagnostics mirroring the direct case with arrows reversed.
 
     The same laws are evaluated at the same places as in
@@ -73,11 +73,11 @@ def validate_inverse_system(system: InverseSystem, tol: Optional[float] = None) 
     supplied maps at pairs (i, i); the exact operator norm of every
     supplied map and of every composite that submultiplicativity of exact
     edge norms (with ``PRODUCT_SLACK``) does not already bound by
-    ``1 + tol``; and the cocycle law ``P_ik = P_ij . P_jk`` on the triples
-    where at least two paths of supplied maps join i to k, since along a
-    single path it is associativity of composition.
+    ``1 + tolerance()``; and the cocycle law ``P_ik = P_ij . P_jk`` on the
+    triples where at least two paths of supplied maps join i to k, since
+    along a single path it is associativity of composition.
     """
-    return validate_system(system, tol)
+    return validate_system(system)
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,7 @@ def inverse_limit(system: InverseSystem) -> LimitPresentation:
     return systems._limit(system)
 
 
-def thread_from_components(
-    system: InverseSystem,
-    components: Dict,
-    tol: Optional[float] = None,
-):
+def thread_from_components(system: InverseSystem, components: Dict):
     """The unique limit element with the prescribed projections.
 
     The components must have finite norm under the tail rule; the
@@ -153,7 +149,7 @@ def thread_from_components(
         for i in system.index.explicit_indices()
     }
     mediating = systems._universal_factorization(
-        system, scalars, cone, tol=tol, check_admissibility=False
+        system, scalars, cone, check_admissibility=False
     )[0]
     return Element(mediating.target, [m[:, 0] for m in mediating.matrices]), norm
 
@@ -166,28 +162,17 @@ class Source:
     maps: Dict[object, ModuleMorphism] = field(compare=False)
 
 
-def il_universal_factorization(
-    system: InverseSystem,
-    source: Source,
-    presentation: Optional[LimitPresentation] = None,
-    tol: Optional[float] = None,
-) -> ModuleMorphism:
+def il_universal_factorization(system: InverseSystem, source: Source) -> ModuleMorphism:
     """The unique mediating morphism from a compatible source to the limit.
 
     Uniqueness is certified by joint injectivity of the projections.
     """
-    return systems._universal_factorization(
-        system, source.module, source.maps, presentation, tol
-    )[0]
+    return systems._universal_factorization(system, source.module, source.maps)[0]
 
 
-def il_functor(
-    theta: SystemMorphism,
-    validate: bool = True,
-    tol: Optional[float] = None,
-) -> ModuleMorphism:
+def il_functor(theta: SystemMorphism, validate: bool = True) -> ModuleMorphism:
     """The induced morphism between inverse limits."""
-    return systems._limit_functor(theta, validate, tol)
+    return systems._limit_functor(theta, validate)
 
 
 def check_injectivity_preservation(theta: SystemMorphism) -> PreservationReport:
@@ -239,21 +224,18 @@ def _hom_system(system: DirectSystem, fixed: FiberModule) -> InverseSystem:
     return InverseSystem(index, homs, maps)
 
 
-def hom_inverse_system(
-    system: DirectSystem, fixed: FiberModule, tol: Optional[float] = None
-) -> HomLimitComparison:
+def hom_inverse_system(system: DirectSystem, fixed: FiberModule) -> HomLimitComparison:
     """Homomorphisms into a fixed module, stage by stage, versus all at once.
 
     Precomposition with the connecting maps turns the stage Hom modules
     into an inverse system; its limit is compared with the homomorphisms
     out of the direct limit, and the comparison map is certified exactly
-    by :func:`~l0limits.modules.certify_isometric_iso` within ``10 * tol``.
-    The connecting maps are admissible because precomposition with a
-    contraction contracts operator norms; this is inherited from the
-    validated underlying system rather than re-checked through
-    matrix-space norms, which have no exact kernel.
+    as by :func:`~l0limits.modules.certify_isometric_iso`, but within
+    ``10 * tolerance()``.  The connecting maps are admissible because
+    precomposition with a contraction contracts operator norms; this is
+    inherited from the validated underlying system rather than re-checked
+    through matrix-space norms, which have no exact kernel.
     """
-    tol = tolerance() if tol is None else tol
     hom_sys = _hom_system(system, fixed)
     limit_of_homs = inverse_limit(hom_sys)
     dl = direct_limit(system)
@@ -266,13 +248,13 @@ def hom_inverse_system(
         for i in system.index.explicit_indices()
     }
     comparison = systems._universal_factorization(
-        hom_sys, hom_of_limit, q_maps, limit_of_homs, tol, check_admissibility=False
+        hom_sys, hom_of_limit, q_maps, check_admissibility=False
     )[0]
-    certificate = certify_isometric_iso(comparison, tol=10 * tol)
+    certificate = _certify_isometric_iso(comparison, 10 * tolerance())
     return HomLimitComparison(hom_sys, limit_of_homs, hom_of_limit, comparison, certificate)
 
 
-def dual_limit_iso(system: DirectSystem, tol: Optional[float] = None) -> HomLimitComparison:
+def dual_limit_iso(system: DirectSystem) -> HomLimitComparison:
     """Duals stage by stage versus the dual of the limit.
 
     Specializes :func:`hom_inverse_system` to the scalar module; the
@@ -280,7 +262,7 @@ def dual_limit_iso(system: DirectSystem, tol: Optional[float] = None) -> HomLimi
     the original connecting maps (precomposition with a map, on covectors,
     is its transpose).
     """
-    return hom_inverse_system(system, scalar_module(system.space), tol=tol)
+    return hom_inverse_system(system, scalar_module(system.space))
 
 
 def dual_system(system: DirectSystem) -> InverseSystem:

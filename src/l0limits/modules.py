@@ -420,10 +420,10 @@ def operator_norm_witnesses(phi: ModuleMorphism):
     ]
 
 
-def is_morphism(phi: ModuleMorphism, tol: Optional[float] = None) -> bool:
-    """True iff the pointwise operator norm is at most one at every atom."""
-    tol = tolerance() if tol is None else tol
-    return bool(np.all(operator_pointwise_norm(phi).values <= 1.0 + tol))
+def is_morphism(phi: ModuleMorphism) -> bool:
+    """True iff the pointwise operator norm is at most ``1 + tolerance()``
+    at every atom."""
+    return bool(np.all(operator_pointwise_norm(phi).values <= 1.0 + tolerance()))
 
 
 def _orth_basis(columns: np.ndarray, tol: float) -> np.ndarray:
@@ -545,11 +545,12 @@ class IsoCertificate:
     detail: str = ""
 
 
-def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> IsoCertificate:
+def certify_isometric_iso(phi: ModuleMorphism) -> IsoCertificate:
     """Check, exactly, that a morphism is an isometric isomorphism.
 
-    The matrix ``m`` at an atom is an isometry within ``tol`` iff it is
-    bijective and both ``|m|`` and ``|m^-1|`` are at most ``1 + tol``.
+    The matrix ``m`` at an atom is an isometry within ``tolerance()`` iff
+    it is bijective and both ``|m|`` and ``|m^-1|`` are at most
+    ``1 + tolerance()``.
     Bijectivity is full rank under numpy's default relative tolerance,
     so that an invertible atom of any scale counts as bijective.  The
     deviation is the largest ``max(|m|, |m^-1|) - 1`` over the atoms,
@@ -562,7 +563,13 @@ def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> I
     kernel).  A kernel error there, and the :class:`NonFiniteError` of a
     block with a NaN or infinite entry, are raised located at the atom.
     """
-    tol = tolerance() if tol is None else tol
+    return _certify_isometric_iso(phi, tolerance())
+
+
+def _certify_isometric_iso(phi: ModuleMorphism, bound: float) -> IsoCertificate:
+    """:func:`certify_isometric_iso` with ``bound`` in place of the
+    tolerance, for a relation the library certifies within a multiple of
+    it (``10 * tolerance()`` may be infinite, which no tolerance is)."""
     atoms = [
         (atom, m, s, t)
         for atom, m, s, t in zip(
@@ -584,7 +591,7 @@ def certify_isometric_iso(phi: ModuleMorphism, tol: Optional[float] = None) -> I
         if isinstance(value, Exception):
             raise value.at_atom(atom)
     max_dev = max(0.0, float(max(values, default=1.0)) - 1.0)
-    ok = max_dev <= tol
+    ok = max_dev <= bound
     return IsoCertificate(ok, True, max_dev, "" if ok else f"norm deviation {max_dev:g}")
 
 

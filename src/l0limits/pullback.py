@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -88,14 +87,13 @@ class CoupleCertificate:
     mediating: ModuleMorphism
     certificate: IsoCertificate
     max_transport_deviation: float
-
-    @property
-    def ok(self) -> bool:
-        return self.certificate.ok and self.max_transport_deviation <= tolerance()
+    #: An isometric isomorphism whose transports agree within the
+    #: tolerance in force at certification.
+    ok: bool
 
 
 def certify_alternative_couple(
-    presentation: PullbackPresentation,
+    pulled: PullbackPresentation,
     alt_module: FiberModule,
     alt_transport,
 ) -> CoupleCertificate:
@@ -108,10 +106,10 @@ def certify_alternative_couple(
     isomorphism and how far it is from intertwining the two transports.
     For linear transports the basis elements decide the intertwining;
     their sum is compared too, so that a transport which is not additive
-    fails.
+    fails.  The verdict ``ok`` is decided here, under the current tolerance.
     """
-    atom_map = presentation.atom_map
-    base = presentation.base_module
+    atom_map = pulled.atom_map
+    base = pulled.base_module
     mats = []
     for x, y in enumerate(atom_map.targets):
         fiber_dim = base.fibers[y].dim
@@ -124,18 +122,19 @@ def certify_alternative_couple(
             np.column_stack(columns) if columns
             else np.zeros((alt_module.fibers[x].dim, 0))
         )
-    mediating = ModuleMorphism(presentation.module, alt_module, mats)
+    mediating = ModuleMorphism(pulled.module, alt_module, mats)
     worst = 0.0
     probes = basis_elements(base)
     probes.append(Element(base, [np.ones(f.dim) for f in base.fibers]))
     for v in probes:
-        via_mediating = apply(mediating, presentation.pull_element(v))
+        via_mediating = apply(mediating, pulled.pull_element(v))
         direct = alt_transport(v)
         for a, b in zip(via_mediating.coords, direct.coords):
             if a.size:
                 worst = max(worst, float(np.max(np.abs(a - b))))
     certificate = certify_isometric_iso(mediating)
-    return CoupleCertificate(mediating, certificate, worst)
+    ok = certificate.ok and worst <= tolerance()
+    return CoupleCertificate(mediating, certificate, worst, ok)
 
 
 def product_space(z: AtomicMeasureSpace, y: AtomicMeasureSpace) -> AtomicMeasureSpace:
@@ -274,12 +273,11 @@ class PullbackCommuteReport:
 
 
 def _pullback_comparison(
-    atom_map: AtomMap, system: System, tol, note: str = ""
+    atom_map: AtomMap, system: System, note: str = ""
 ) -> PullbackCommuteReport:
     """The limit of the pulled-back system, the pullback of the limit with
     the pulled canonical maps as a cone, and the certified mediating
     morphism between them.  Each stage is pulled back once."""
-    tol = tolerance() if tol is None else tol
     pulled_system, stage_pulled = _pullback_system(atom_map, system)
     side_a = _limit(pulled_system)
     limit = _limit(system)
@@ -288,16 +286,12 @@ def _pullback_comparison(
     for i in system.index.explicit_indices():
         source, target = system._arrow(stage_pulled[i], limit_pulled)
         maps[i] = source.pull_morphism(limit.canonical[i], target)
-    comparison = _universal_factorization(
-        pulled_system, limit_pulled.module, maps, side_a, tol=tol
-    )[0]
-    certificate = certify_isometric_iso(comparison, tol=tol)
+    comparison = _universal_factorization(pulled_system, limit_pulled.module, maps)[0]
+    certificate = certify_isometric_iso(comparison)
     return PullbackCommuteReport(side_a, limit_pulled.module, comparison, certificate, note)
 
 
-def dl_pullback_iso(
-    atom_map: AtomMap, system: DirectSystem, tol: Optional[float] = None
-) -> PullbackCommuteReport:
+def dl_pullback_iso(atom_map: AtomMap, system: DirectSystem) -> PullbackCommuteReport:
     """Certify that pulling back commutes with the direct limit.
 
     Both sides are computed independently: the limit of the pulled-back
@@ -305,7 +299,7 @@ def dl_pullback_iso(
     morphisms.  The mediating morphism between them is then certified to
     be an isometric isomorphism.
     """
-    return _pullback_comparison(atom_map, system, tol)
+    return _pullback_comparison(atom_map, system)
 
 
 IL_PULLBACK_NOTE = (
@@ -315,12 +309,10 @@ IL_PULLBACK_NOTE = (
 )
 
 
-def il_pullback_compare(
-    atom_map: AtomMap, system: InverseSystem, tol: Optional[float] = None
-) -> PullbackCommuteReport:
+def il_pullback_compare(atom_map: AtomMap, system: InverseSystem) -> PullbackCommuteReport:
     """Compare both orders of inverse limit and pullback on one instance.
 
     Reports whether the canonical comparison is an isometric isomorphism
     here; no general claim is made either way.
     """
-    return _pullback_comparison(atom_map, system, tol, IL_PULLBACK_NOTE)
+    return _pullback_comparison(atom_map, system, IL_PULLBACK_NOTE)

@@ -232,10 +232,10 @@ def _redundant_targets(system: System) -> Dict[object, List]:
     }
 
 
-def validate_system(system: System, tol: Optional[float] = None) -> SystemReport:
+def validate_system(system: System) -> SystemReport:
     """Identity law, admissibility and cocycle law of a direct or inverse
     system; see :func:`l0limits.direct.validate_direct_system`."""
-    tol = tolerance() if tol is None else tol
+    tol = tolerance()
     violations: List[Violation] = []
     for (i, j), phi in system.maps.items():
         if i == j:
@@ -331,9 +331,9 @@ class SystemMorphism:
             self.components[i] = theta
 
 
-def validate_system_morphism(theta: SystemMorphism, tol: Optional[float] = None) -> SystemReport:
+def validate_system_morphism(theta: SystemMorphism) -> SystemReport:
     """Check admissibility, commuting squares and chain tail solvability."""
-    tol = tolerance() if tol is None else tol
+    tol = tolerance()
     violations: List[Violation] = []
     system, components = theta.source, theta.components
     norms = dict(zip(components, _raise_first(_operator_norm_results([*components.values()]))))
@@ -451,15 +451,13 @@ def _universal_factorization(
     system: System,
     apex: FiberModule,
     maps: Dict,
-    presentation: Optional[LimitPresentation] = None,
-    tol: Optional[float] = None,
     check_admissibility: bool = True,
 ) -> Tuple[ModuleMorphism, float]:
     """The unique morphism between the limit and the apex of a cone that
     the cone factors through (see
     :func:`l0limits.direct.dl_universal_factorization`), and the largest
     deviation of a factored cone map from the cone's own."""
-    tol = tolerance() if tol is None else tol
+    tol = tolerance()
     index = system.index
     explicit = index.explicit_indices()
     side = system.cone_side
@@ -488,7 +486,7 @@ def _universal_factorization(
     if worst > tol:
         i, j = worst_pair
         raise ValidationError(system.cone_law_text.format(i=i, j=j, dev=worst))
-    presentation = _limit(system) if presentation is None else presentation
+    presentation = _limit(system)
     mats = []
     for a, (fiber, m) in enumerate(zip(presentation.module.fibers, maps[_top(index)].matrices)):
         if m.shape[system.stage_axis] == fiber.dim:
@@ -521,25 +519,21 @@ def _universal_factorization(
     return mediating, max(devs)
 
 
-def _require_valid_systems(theta: SystemMorphism, tol: float) -> None:
+def _require_valid_systems(theta: SystemMorphism) -> None:
     """Raise :class:`ValidationError` unless theta's source, then target, passes."""
     for name, system in (("source", theta.source), ("target", theta.target)):
-        report = validate_system(system, tol)
+        report = validate_system(system)
         if not report.passed:
             raise ValidationError(f"{name} system fails validation", report)
 
 
-def _limit_functor(
-    theta: SystemMorphism,
-    validate: bool = True,
-    tol: Optional[float] = None,
-) -> ModuleMorphism:
+def _limit_functor(theta: SystemMorphism, validate: bool = True) -> ModuleMorphism:
     """The morphism a system morphism induces between the limits; see
-    :func:`l0limits.direct.dl_functor`."""
-    tol = tolerance() if tol is None else tol
+    :func:`l0limits.direct.dl_functor`.  Its squares with the canonical
+    maps are checked within ``10 * tolerance()``."""
     if validate:
-        _require_valid_systems(theta, tol)
-        report = validate_system_morphism(theta, tol)
+        _require_valid_systems(theta)
+        report = validate_system_morphism(theta)
         if not report.passed:
             raise ValidationError("system morphism fails validation", report)
     index = theta.source.index
@@ -555,13 +549,14 @@ def _limit_functor(
         )
     ]
     limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats, _fresh=True)
+    bound = 10 * tolerance()
     for i in index.explicit_indices():
         # The maps where the canonical arrow starts and ends.
         start, end = theta.source._arrow(theta.components[i], limit_map)
         dev = composite_deviation(
             (end, src_pres.canonical[i]), (tgt_pres.canonical[i], start)
         )
-        if not dev <= max(tol, 10 * tolerance()):
+        if not dev <= bound:
             raise ValidationError(
                 f"limit square at {i!r} deviates by {dev:g}; morphism invalid"
             )

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from l0limits.config import tolerance
+from l0limits.config import tolerance, tolerance_override
 from l0limits.direct import DirectSystem, Target, validate_direct_system
 from l0limits.errors import ShapeMismatchError, ValidationError
 from l0limits.indexsets import (
@@ -781,7 +781,8 @@ def reference_dl_functor(
     tol = tolerance() if tol is None else tol
     if validate:
         for name, system in (("source", theta.source), ("target", theta.target)):
-            report = validate_direct_system(system, tol)
+            with tolerance_override(tol):
+                report = validate_direct_system(system)
             if not report.passed:
                 raise ValidationError(f"{name} system fails validation", report)
         report = reference_validate_system_morphism(theta, tol)
@@ -959,7 +960,8 @@ def reference_il_functor(
     tol = tolerance() if tol is None else tol
     if validate:
         for name, system in (("source", theta.source), ("target", theta.target)):
-            report = validate_inverse_system(system, tol)
+            with tolerance_override(tol):
+                report = validate_inverse_system(system)
             if not report.passed:
                 raise ValidationError(f"{name} system fails validation", report)
         report = reference_validate_system_morphism(theta, tol)
@@ -1082,7 +1084,8 @@ def reference_dl_pullback_iso(
         },
     )
     comparison = reference_dl_universal_factorization(pulled_system, target, side_a, tol=tol)
-    certificate = certify_isometric_iso(comparison, tol=tol)
+    with tolerance_override(tol):
+        certificate = certify_isometric_iso(comparison)
     return PullbackCommuteReport(side_a, limit_pulled.module, comparison, certificate)
 
 
@@ -1113,7 +1116,8 @@ def reference_il_pullback_compare(
         },
     )
     comparison = reference_il_universal_factorization(pulled_system, source, side_a, tol=tol)
-    certificate = certify_isometric_iso(comparison, tol=tol)
+    with tolerance_override(tol):
+        certificate = certify_isometric_iso(comparison)
     return PullbackCommuteReport(
         side_a, limit_pulled.module, comparison, certificate, IL_PULLBACK_NOTE
     )

@@ -10,6 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from l0limits.config import tolerance_override
 from l0limits.direct import (
     ColimitClass,
     SystemMorphism,
@@ -68,6 +69,13 @@ TOL = 1e-9
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
+@pytest.fixture(autouse=True)
+def _pinned_tolerance():
+    """Every criterion runs with the library's tolerance set to ``TOL``."""
+    with tolerance_override(TOL):
+        yield
+
+
 def _report(criterion, text):
     print(f"[PASS] criterion {criterion}: {text}")
 
@@ -76,12 +84,12 @@ def test_criterion_01_limit_functor_collapse_and_missing_preimage():
     doc = load_document(str(FIXTURES / "remark-faithful.json"))
     theta = doc.system_morphisms["Theta"]
     eta = doc.system_morphisms["Eta"]
-    assert validate_system_morphism(theta, TOL).passed
-    assert validate_system_morphism(eta, TOL).passed
+    assert validate_system_morphism(theta).passed
+    assert validate_system_morphism(eta).passed
     # item i: distinct stage families with the same morphism of limits
     assert morphism_deviation(theta.components["0"], eta.components["0"]) > TOL
-    out_theta = dl_functor(theta, tol=TOL)
-    out_eta = dl_functor(eta, tol=TOL)
+    out_theta = dl_functor(theta)
+    out_eta = dl_functor(eta)
     expected = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert morphism_deviation(out_theta, out_eta) <= TOL
     assert np.max(np.abs(out_theta.matrices[0] - expected)) <= TOL
@@ -89,7 +97,7 @@ def test_criterion_01_limit_functor_collapse_and_missing_preimage():
     m_sys = doc.systems["M"]
     n_sys = doc.systems["N"]
     solution = solve_square_component(
-        m_sys, n_sys, {"1": identity_morphism(m_sys.modules["1"])}, "0", tol=TOL
+        m_sys, n_sys, {"1": identity_morphism(m_sys.modules["1"])}, "0"
     )
     assert not solution.exists
     assert solution.residual > TOL
@@ -100,7 +108,7 @@ def test_criterion_01_limit_functor_collapse_and_missing_preimage():
 def test_criterion_02_harmonic_inverse_limit_is_zero():
     doc = load_document(str(FIXTURES / "harmonic-inverse.json"))
     system = doc.systems["shrinking"]
-    assert validate_inverse_system(system, TOL).passed
+    assert validate_inverse_system(system).passed
     presentation = inverse_limit(system)
     assert presentation.module.dims() == tuple(0 for _ in system.space.atom_ids)
     # any nonzero module collapses the same way
@@ -130,11 +138,11 @@ def test_criterion_02_harmonic_inverse_limit_is_zero():
 def test_criterion_03_scaling_breaks_surjectivity_preservation():
     doc = load_document(str(FIXTURES / "scaling-surjectivity.json"))
     theta = doc.system_morphisms["Theta"]
-    assert validate_system_morphism(theta, TOL).passed
+    assert validate_system_morphism(theta).passed
     for comp in theta.components.values():
         for m in comp.matrices:
             assert np.linalg.matrix_rank(m) == m.shape[0]  # stage-wise onto
-    limit_map = il_functor(theta, tol=TOL)
+    limit_map = il_functor(theta)
     assert all(m.shape[1] == 0 for m in limit_map.matrices)  # image is zero
     report = check_surjectivity_preservation(theta)
     assert report.stages_have_property
@@ -146,28 +154,24 @@ def test_criterion_04_greatest_element_collapse_certified():
     rng = np.random.default_rng(4)
     for trial in range(100):
         system = random_direct_system(rng, max_dim=4)
-        assert validate_direct_system(system, TOL).passed, trial
+        assert validate_direct_system(system).passed, trial
         top = greatest_element(system.index)
         pres = direct_limit(system)
         assert pres.module is system.modules[top]
         for i in system.index.explicit_indices():
             assert morphism_deviation(pres.canonical[i], system.map(i, top)) <= TOL
-        mediating = dl_universal_factorization(
-            system, Target(pres.module, dict(pres.canonical)), pres, tol=TOL
-        )
+        mediating = dl_universal_factorization(system, Target(pres.module, dict(pres.canonical)))
         for m, f in zip(mediating.matrices, pres.module.fibers):
             assert np.max(np.abs(m - np.eye(f.dim)), initial=0.0) <= TOL
 
         inverse = random_inverse_system(rng, max_dim=4)
-        assert validate_inverse_system(inverse, TOL).passed, trial
+        assert validate_inverse_system(inverse).passed, trial
         itop = greatest_element(inverse.index)
         ipres = inverse_limit(inverse)
         assert ipres.module is inverse.modules[itop]
         for i in inverse.index.explicit_indices():
             assert morphism_deviation(ipres.canonical[i], inverse.map(i, itop)) <= TOL
-        imed = il_universal_factorization(
-            inverse, Source(ipres.module, dict(ipres.canonical)), ipres, tol=TOL
-        )
+        imed = il_universal_factorization(inverse, Source(ipres.module, dict(ipres.canonical)))
         for m, f in zip(imed.matrices, ipres.module.fibers):
             assert np.max(np.abs(m - np.eye(f.dim)), initial=0.0) <= TOL
     _report(4, "100 random posets collapse to the top stage, certified both ways")
@@ -197,7 +201,7 @@ def test_criterion_06_pullback_commutes_with_direct_limit():
         else:
             system = random_direct_system(rng, max_dim=3)
         atom_map = random_atom_map(rng, system.space)
-        report = dl_pullback_iso(atom_map, system, tol=TOL)
+        report = dl_pullback_iso(atom_map, system)
         assert report.certificate.bijective, trial
         assert report.certificate.max_norm_deviation <= 1e-9, trial
     doc = load_document(str(FIXTURES / "pullback-commute.json"))
@@ -213,7 +217,7 @@ def test_criterion_07_dual_of_limit_is_limit_of_duals():
             system = random_direct_system(rng, max_dim=3)
         else:
             system = random_chain_direct_system(rng, max_dim=3)
-        result = dual_limit_iso(system, tol=TOL)
+        result = dual_limit_iso(system)
         assert result.certificate.bijective, trial
         assert result.certificate.max_norm_deviation <= 1e-9, (
             trial, result.certificate.max_norm_deviation,
@@ -296,7 +300,7 @@ def test_criterion_11_finitely_generated_round_trip():
         rng.shuffle(gens)
         extra = [random_element(rng, module) for _ in range(int(rng.integers(0, 3)))]
         fg = present_as_fg_limit(module, extra + gens)
-        assert validate_direct_system(fg.system, TOL).passed, trial
+        assert validate_direct_system(fg.system).passed, trial
         presentation = direct_limit(fg.system)
         assert presentation.module.dims() == module.dims()
         for m, f in zip(fg.isomorphism.matrices, module.fibers):

@@ -1,7 +1,11 @@
+import importlib
+import inspect
+import pkgutil
 import threading
 
 import pytest
 
+import l0limits
 from l0limits.config import DEFAULT_TOLERANCE, set_tolerance, tolerance, tolerance_override
 
 
@@ -80,3 +84,38 @@ def test_set_tolerance_stays_in_its_thread():
     t.join(timeout=10)
     assert not t.is_alive()
     assert tolerance() == DEFAULT_TOLERANCE
+
+
+def _library_modules():
+    """``l0limits`` and its layer modules.  The harness is left out: its
+    ``CheckSpec.tol`` is a document's per-check tolerance, which the check
+    runs under through the context."""
+    names = [m.name for m in pkgutil.walk_packages(l0limits.__path__, "l0limits.")]
+    return [l0limits] + [
+        importlib.import_module(n) for n in names if not n.startswith("l0limits.harness")
+    ]
+
+
+def test_no_public_callable_takes_a_tolerance_or_a_presentation():
+    """The context tolerance is the only tolerance, and a system's limit is
+    the one it keeps: no public function, class or method of the library
+    takes a ``tol`` or a ``presentation``."""
+    modules = _library_modules()
+    assert len(modules) > 10
+    found = []
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", meth) for attr, meth in vars(obj).items()
+                            if inspect.isfunction(meth) and not attr.startswith("_")]
+            for qual, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                found += [f"{module.__name__}.{qual}({p})" for p in ("tol", "presentation")
+                          if p in params]
+    assert found == []

@@ -214,7 +214,7 @@ def test_universal_factorization_recovers_postcomposition():
             outside,
             {i: compose(rho, pres.canonical[i]) for i in system.index.explicit_indices()},
         )
-        phi = dl_universal_factorization(system, target, pres)
+        phi = dl_universal_factorization(system, target)
         assert morphism_deviation(phi, rho) < 1e-9
 
 
@@ -240,7 +240,7 @@ def test_universal_factorization_unique_because_canonicals_span():
         outside,
         {i: compose(rho, pres.canonical[i]) for i in system.index.explicit_indices()},
     )
-    mediating = dl_universal_factorization(system, target, pres)
+    mediating = dl_universal_factorization(system, target)
     for a in range(system.space.atom_count):
         columns = np.hstack(
             [pres.canonical[i].matrices[a] for i in system.index.explicit_indices()]

@@ -20,6 +20,7 @@ from l0limits.harness import (
     run_checks,
     serialize_document,
 )
+from l0limits.norms import OperatorNorm
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json"))
@@ -99,6 +100,55 @@ def test_rational_literals_parse():
     }
     doc = parse_document(data)
     assert doc.spaces["X"].weights.tolist() == [0.5, 1.5]
+
+
+_OPERATOR = {"kind": "operator", "source_dim": 1, "source_norm": "a", "target_dim": 1,
+             "target_norm": "a"}
+
+
+@pytest.mark.parametrize("norms,cycle", [
+    ({"a": {"kind": "dual_of", "inner": "a"}}, "a -> a"),
+    ({"a": {"kind": "dual_of", "inner": "b"}, "b": _OPERATOR}, "a -> b -> a"),
+], ids=["self", "two-cycle"])
+def test_a_cyclic_norm_reference_is_a_document_error(norms, cycle):
+    """A norm defined through itself, directly or through another norm, is
+    an error at the norm where the cycle starts, not a runaway recursion."""
+    with pytest.raises(DocumentError) as err:
+        parse_document({"format_version": 1, "norms": norms})
+    assert str(err.value) == f"$.norms.a: cyclic norm reference {cycle}"
+
+
+#: A canonical document whose operator norm ``a_op`` sorts before its
+#: endpoint norms, so both are parsed as forward references.
+OPERATOR_NORM_DOCUMENT = {
+    "atom_maps": {},
+    "checks": [],
+    "elements": {},
+    "format_version": 1,
+    "functions": {},
+    "index_sets": {},
+    "modules": {"homs": {"fibers": [{"dim": 6, "norm": "a_op"}], "space": "X"}},
+    "morphisms": {},
+    "norms": {
+        "a_op": {"kind": "operator", "source_dim": 2, "source_norm": "n_src",
+                 "target_dim": 3, "target_norm": "n_tgt"},
+        "n_src": {"kind": "weighted_p", "p": 1, "weights": [1.0, 2.0]},
+        "n_tgt": {"kind": "weighted_p", "p": "inf", "weights": [1.0, 1.0, 0.5]},
+    },
+    "spaces": {"X": {"atoms": ["a"], "weights": [1.0]}},
+    "system_morphisms": {},
+    "systems": {},
+}
+
+
+def test_an_operator_norm_before_its_endpoints_parses_and_round_trips():
+    text = dump_document(OPERATOR_NORM_DOCUMENT)
+    doc = parse_document(json.loads(text))
+    op = doc.norms["a_op"]
+    assert isinstance(op, OperatorNorm)
+    assert op.source_spec is doc.norms["n_src"] and op.target_spec is doc.norms["n_tgt"]
+    assert doc.modules["homs"].fibers[0].norm is op
+    assert dump_document(serialize_document(doc)) == text
 
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
@@ -201,9 +251,9 @@ def test_functor_square_validates_each_morphism_once(monkeypatch):
     seen = []
     validate = systems.validate_system_morphism
 
-    def counted(theta, tol=None):
+    def counted(theta):
         seen.append(theta)
-        return validate(theta, tol)
+        return validate(theta)
 
     monkeypatch.setattr(systems, "validate_system_morphism", counted)
     monkeypatch.setattr(checks, "validate_system_morphism", counted)
@@ -464,6 +514,22 @@ def test_cli_tolerance_flag_threads_through():
     proc = run_cli("--tol", "1e-6", "report", path, "--format", "structured")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tolerance"] == 1e-6
+
+
+def test_cli_tolerance_is_in_force_when_the_document_is_parsed(capsys):
+    """A scalar tail snaps its values to 0 and 1 within the tolerance when
+    it is built, at parse time.  At ``--tol 1e-5`` the tail value 0.999999
+    at atom ``a`` is 1, so the limit keeps ``a``, as it does for the same
+    document loaded under ``tolerance_override(1e-5)``."""
+    from l0limits.harness.cli import main
+
+    path = str(pathlib.Path(__file__).parent / "data" / "scalar-tail-near-one.json")
+    assert main(["--tol", "1e-5", "report", "--format", "structured", path]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["witness"]["dims"] == {"a": 2, "b": 0}
+    assert main(["report", "--format", "structured", path]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["witness"]["dims"] == {"a": 0, "b": 0}
 
 
 @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])

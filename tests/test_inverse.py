@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from l0limits.direct import DirectSystem, SystemMorphism, check_surjectivity_preservation
+from l0limits.config import DEFAULT_TOLERANCE, tolerance, tolerance_override
+from l0limits.direct import (
+    DirectSystem,
+    SystemMorphism,
+    check_surjectivity_preservation,
+    direct_limit,
+    dl_functor,
+)
 from l0limits.errors import ValidationError
 from l0limits.indexsets import (
     Chain,
@@ -260,7 +267,7 @@ def test_il_universal_factorization_recovers_precomposition():
                 for i in sys_.index.explicit_indices()
             },
         )
-        phi = il_universal_factorization(sys_, source, pres)
+        phi = il_universal_factorization(sys_, source)
         assert morphism_deviation(phi, rho) < 1e-9
 
 
@@ -371,6 +378,21 @@ def test_dual_limit_iso_on_random_systems():
         sys_ = random_chain_direct_system(rng, max_dim=3)
         result = dual_limit_iso(sys_)
         assert result.certificate.ok, result.certificate
+
+
+def test_tenfold_bounds_hold_at_the_largest_tolerances():
+    """The Hom certificate and the limit squares are bounded by
+    ``10 * tolerance()``, which is infinite above about 1.8e307.  They are
+    plain comparisons, not tolerances of their own, so they raise no
+    "finite and positive" error and the tolerance is back afterwards."""
+    sys_ = random_chain_direct_system(np.random.default_rng(35), max_dim=3)
+    ident = {i: identity_morphism(m) for i, m in sys_.modules.items()}
+    with tolerance_override(1e308):
+        result = dual_limit_iso(sys_)
+        limit_map = dl_functor(SystemMorphism(sys_, sys_, ident))
+    assert result.certificate.ok and result.certificate.bijective
+    assert limit_map.source == limit_map.target == direct_limit(sys_).module
+    assert tolerance() == DEFAULT_TOLERANCE
 
 
 def test_dual_system_uses_adjoint_maps():

@@ -168,6 +168,14 @@ def test_limits_match_reference(seed):
         _assert_same(_outcome(new, system), _outcome(old, system), _assert_same_presentation)
 
 
+def _with_limit(system, presentation):
+    """A copy of ``system`` that keeps ``presentation`` as its limit: the
+    library factors a cone through the limit its system keeps."""
+    copy = type(system)(system.index, system.modules, system.maps)
+    copy._presentation = presentation
+    return copy
+
+
 def _cones(system, rng):
     """Cones over the system, with the limit presentation to factor them
     through (None: the system's own): through its limit (they factor),
@@ -215,14 +223,17 @@ def test_universal_factorizations_match_reference(seed):
     for _, system in _systems(seed):
         rng = np.random.default_rng(seed)
         for cone, apex, maps, presentation in _cones(system, rng):
+            subject = system if presentation is None else _with_limit(system, presentation)
             if system.forward:
-                args = (system, Target(apex, maps), presentation)
-                new = _outcome(dl_universal_factorization, *args)
-                old = _outcome(reference_dl_universal_factorization, *args)
+                new = _outcome(dl_universal_factorization, subject, Target(apex, maps))
+                old = _outcome(
+                    reference_dl_universal_factorization, system, Target(apex, maps), presentation
+                )
             else:
-                args = (system, Source(apex, maps), presentation)
-                new = _outcome(il_universal_factorization, *args)
-                old = _outcome(reference_il_universal_factorization, *args)
+                new = _outcome(il_universal_factorization, subject, Source(apex, maps))
+                old = _outcome(
+                    reference_il_universal_factorization, system, Source(apex, maps), presentation
+                )
             outcomes.add((cone, _assert_same(new, old, _assert_same_morphism)))
     for cone in ("canonical", "through-limit"):
         assert (cone, "ok") in outcomes and (cone, "raised") not in outcomes

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from l0limits.config import tolerance_override
 from l0limits.direct import DirectSystem
 from l0limits.errors import ValidationError
 from l0limits.indexsets import Chain, FinitePoset, HarmonicTail, ScalarTail
@@ -291,6 +292,27 @@ def test_alternative_couple_flags_a_transport_that_is_not_additive(monkeypatch):
     assert all(np.array_equal(m, np.eye(2)) for m in report.mediating.matrices)
     assert report.max_transport_deviation == pytest.approx(np.sqrt(2.0) - 1.0)
     assert not report.ok
+
+
+def test_a_couple_is_decided_under_the_tolerance_it_is_certified_at():
+    """``ok`` is decided at certification: a couple certified under a wider
+    tolerance keeps its verdict when the tolerance is back to the default."""
+    from l0limits.pullback import certify_alternative_couple
+
+    module = euclidean_module(Y, 2)
+    pulled = pullback_module(COVER, module)
+
+    def bent(v):
+        # Exact on each basis element, where one coordinate is zero; off by
+        # 2e-6 on their sum, so it is not additive.
+        plain = pulled.pull_element(v)
+        return Element(pulled.module, [c + 2e-6 * c[0] * c[1] for c in plain.coords])
+
+    with tolerance_override(1e-5):
+        report = certify_alternative_couple(pulled, pulled.module, bent)
+        assert report.ok
+    assert report.max_transport_deviation == pytest.approx(2e-6)
+    assert report.ok
 
 
 def test_il_pullback_compare_two_stage_poset():

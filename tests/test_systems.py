@@ -360,9 +360,9 @@ def test_law_checks_build_no_morphisms(monkeypatch):
     calls = _count_law_check_objects(monkeypatch)
     assert validate_system_morphism(theta).passed
     assert calls == {"compose": 0, "morphism": 0}
-    dl_universal_factorization(chain, Target(d_pres.module, dict(d_pres.canonical)), d_pres)
+    dl_universal_factorization(chain, Target(d_pres.module, dict(d_pres.canonical)))
     assert calls == {"compose": 0, "morphism": 1}
-    il_universal_factorization(backward, Source(i_pres.module, dict(i_pres.canonical)), i_pres)
+    il_universal_factorization(backward, Source(i_pres.module, dict(i_pres.canonical)))
     assert calls == {"compose": 0, "morphism": 2}
 
 
