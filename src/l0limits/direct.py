@@ -67,11 +67,17 @@ def validate_direct_system(system: DirectSystem) -> SystemReport:
       norms, times ``1 + PRODUCT_SLACK`` (1e-12, in :mod:`l0limits.systems`),
       is at most ``1 + tolerance()``: operator norms are submultiplicative,
       rounding is monotone, and the slack absorbs the rounding of the
-      evaluated norms.  Every other composed map is evaluated exactly;
+      evaluated norms.  Every other composed map is evaluated exactly.
+      When every edge is exact and normed at most 1.0, every composite
+      passes so (while ``1 + PRODUCT_SLACK <= 1 + tolerance()``), and no
+      pair is visited: a pair no path of supplied maps joins is found
+      from one walk of the edges, as a ``missing-map`` violation;
     * cocycle: a triple (i, j, k) is evaluated only when at least two
       paths of supplied maps join i to k.  With a single path every map
       involved is a composite along that one path, so the law is
-      associativity of composition and holds up to rounding.
+      associativity of composition and holds up to rounding.  The
+      triples' deviations are reduced together, bit for bit those a
+      triple-by-triple comparison gives.
 
     Violations come in the order of the related pairs, then of the
     explicit indices, as a stage-by-stage check of every pair and triple

@@ -9,6 +9,7 @@ operation is a pure function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -223,7 +224,8 @@ class ModuleMorphism:
         # same read-only array.  Products (``compose``, ``scale_morphism``)
         # can overflow; the norm kernels and rank tests raise NonFiniteError
         # on what they meet.  On either path an empty matrix stands for the
-        # zero block of the atom's shape.
+        # zero block of the atom's shape.  :func:`compose` skips even the
+        # shape test: it hands its products straight to ``_adopt``.
         if source.space is not target.space and source.space != target.space:
             raise SpaceMismatchError("morphism endpoints live over different spaces")
         if len(matrices) != source.space.atom_count:
@@ -233,11 +235,8 @@ class ModuleMorphism:
             for m, s, t in zip(mats, source._dims, target._dims):
                 if m.shape != (t, s):
                     break
-                m.setflags(write=False)
             else:
-                object.__setattr__(self, "source", source)
-                object.__setattr__(self, "target", target)
-                object.__setattr__(self, "matrices", mats)
+                self._adopt(source, target, mats)
                 return
         mats = []
         for a, (s, t, raw) in enumerate(zip(source.dims(), target.dims(), matrices)):
@@ -256,11 +255,19 @@ class ModuleMorphism:
                         f"matrix at atom {source.space.atom_ids[a]!r} is not finite"
                     )
                 m = m.copy()
-            m.setflags(write=False)
             mats.append(m)
+        self._adopt(source, target, tuple(mats))
+
+    def _adopt(self, source: FiberModule, target: FiberModule, mats: tuple) -> ModuleMorphism:
+        """Hold ``mats`` as they are, made read-only: the step every
+        construction ends in, once the matrices are known to have the
+        shapes of the endpoints' fibers over one space."""
+        for m in mats:
+            m.setflags(write=False)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrices", tuple(mats))
+        object.__setattr__(self, "matrices", mats)
+        return self
 
     def __repr__(self):
         return f"ModuleMorphism({self.source.dims()}->{self.target.dims()})"
@@ -286,11 +293,16 @@ def apply(phi: ModuleMorphism, v: Element) -> Element:
 
 
 def compose(psi: ModuleMorphism, phi: ModuleMorphism) -> ModuleMorphism:
-    """The composite ``psi after phi``."""
+    """The composite ``psi after phi``.
+
+    Once the factors meet, their products are adopted as they are, with no
+    space or shape test: every matrix of a morphism has its atom's exact
+    ``(target dim, source dim)`` shape, so each product has the composite's,
+    and the three modules share one space."""
     if psi.source is not phi.target and psi.source != phi.target:
         raise ShapeMismatchError("composition endpoints do not match")
-    mats = [b @ a for b, a in zip(psi.matrices, phi.matrices)]
-    return ModuleMorphism(phi.source, psi.target, mats, _fresh=True)
+    mats = tuple([b @ a for b, a in zip(psi.matrices, phi.matrices)])
+    return ModuleMorphism.__new__(ModuleMorphism)._adopt(phi.source, psi.target, mats)
 
 
 def scale_morphism(phi: ModuleMorphism, factor) -> ModuleMorphism:
@@ -310,13 +322,13 @@ def morphism_deviation(a: ModuleMorphism, b: ModuleMorphism) -> float:
     return composite_deviation((a,), (b,))
 
 
-def _chain_product(factors: Sequence[ModuleMorphism], a: int) -> np.ndarray:
-    """Atom ``a``'s matrix of the composite ``factors[0] . factors[1] . ...``,
+def _chain_products(factors: Sequence[ModuleMorphism]) -> list:
+    """Each atom's matrix of the composite ``factors[0] . factors[1] . ...``,
     multiplied from the left as repeated :func:`compose` builds it."""
-    m = factors[0].matrices[a]
+    products = factors[0].matrices
     for phi in factors[1:]:
-        m = m @ phi.matrices[a]
-    return m
+        products = [m @ f for m, f in zip(products, phi.matrices)]
+    return products
 
 
 def _chain_ends(factors: Sequence[ModuleMorphism]):
@@ -331,7 +343,8 @@ def _chain_ends(factors: Sequence[ModuleMorphism]):
 def composite_deviation(
     left: Sequence[ModuleMorphism], right: Sequence[ModuleMorphism]
 ) -> float:
-    """``morphism_deviation`` of the composites of two chains of factors.
+    """``morphism_deviation`` of the composites of two chains of factors:
+    the one-pair case of :func:`composite_deviations`.
 
     Each chain lists its factors outermost first, so ``(psi, phi)`` stands
     for ``compose(psi, phi)`` and ``(chi, psi, phi)`` for
@@ -339,17 +352,42 @@ def composite_deviation(
     the composed morphisms bit for bit, from the same matrix products, but
     no composite morphism is built.
     """
-    if _chain_ends(left) != _chain_ends(right):
-        raise ShapeMismatchError("morphisms have incompatible shapes")
-    dev = 0.0
-    for a in range(len(left[0].matrices)):
-        m = _chain_product(left, a)
-        if m.size:
-            d = float(np.maximum.reduce(np.abs(m - _chain_product(right, a)).ravel()))
-            if d != d:
-                return d
-            dev = max(dev, d)
-    return dev
+    return composite_deviations([(left, right)])[0]
+
+
+def composite_deviations(pairs: Sequence[tuple]) -> List[float]:
+    """:func:`composite_deviation` of each ``(left, right)`` pair of chains.
+
+    A law holds on many pairs at once, so its check reduces them together:
+    the chains' products are taken atom by atom as for one pair, and all
+    their differences are reduced with one ``np.abs`` and one
+    ``np.maximum.reduceat``, one span per pair.  Each value equals the one
+    pair's bit for bit: an atom with an empty block is skipped, a pair with
+    no other atom reads 0.0, and a NaN difference makes the pair's value
+    NaN.  The first pair whose factors or ends do not meet raises
+    :class:`ShapeMismatchError`, before any later pair's products are taken.
+    """
+    lefts, rights, starts, owners = [], [], [], []
+    total = 0
+    for n, (left, right) in enumerate(pairs):
+        ends = _chain_ends(left)
+        if ends != _chain_ends(right):
+            raise ShapeMismatchError("morphisms have incompatible shapes")
+        size = sum(map(operator.mul, *ends))
+        if size:
+            # Empty blocks add nothing to the flattened differences.
+            lefts += _chain_products(left)
+            rights += _chain_products(right)
+            starts.append(total)
+            owners.append(n)
+            total += size
+    devs = [0.0] * len(pairs)
+    if owners:
+        flat = np.concatenate(lefts + rights, axis=None)
+        diff = flat[:total] - flat[total:]
+        for n, dev in zip(owners, np.maximum.reduceat(np.abs(diff), starts).tolist()):
+            devs[n] = dev
+    return devs
 
 
 def pointwise_norm(v: Element) -> L0Function:

@@ -319,7 +319,10 @@ class FramedP:
             flat = itertools.chain.from_iterable(itertools.islice(subsets, step))
             index = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
             parts.append(stack(self.matrix[index]))
-        return np.concatenate(parts)
+        candidates = np.concatenate(parts)
+        if not len(candidates):
+            raise KernelLimitError(f"no vertex of the {self!r} unit ball was kept")
+        return candidates
 
     def _one_ball_vertices(self, subs: np.ndarray) -> np.ndarray:
         """Vertices of {x : ||A x||_1 <= 1} from a (k, dim-1, dim) stack of
@@ -338,13 +341,19 @@ class FramedP:
         subsets: the intersections of dim active facets, for every sign
         pattern, filtered by feasibility.  Subsets are judged singular on
         their rows scaled to unit largest entry, whose determinant neither
-        overflows nor underflows."""
-        scale = np.abs(subs).max(axis=2, keepdims=True)
-        scale[scale == 0.0] = 1.0
-        subs = subs[np.abs(np.linalg.det(subs / scale)) > 1e-12]
+        overflows nor underflows.  A square frame's one subset is A itself,
+        which the frame's rank test admitted, and its vertices are exactly
+        ``A^-1 s`` for every sign pattern ``s``: they are kept unfiltered,
+        since at a large condition number rounding alone can push a true
+        vertex's image past a fixed slack."""
         # One right-hand side per solve, as a (dim, 1) matrix: numpy 1.x and
         # 2.x read that shape alike.
         signs = _sign_grid(self.dim)[None, :, :, None]
+        if self.is_square:
+            return np.linalg.solve(subs[:, None], signs).reshape(-1, self.dim)
+        scale = np.abs(subs).max(axis=2, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        subs = subs[np.abs(np.linalg.det(subs / scale)) > 1e-12]
         xs = np.linalg.solve(subs[:, None], signs).reshape(-1, self.dim)
         images = np.matmul(self.matrix, xs[:, :, None])
         return xs[np.abs(images).max(axis=(1, 2)) <= 1.0 + 1e-9]

@@ -38,19 +38,21 @@ from .modules import (
     ModuleMorphism,
     _full_ranks,
     _operator_norm_results,
-    composite_deviation,
+    composite_deviations,
     compose,
     identity_morphism,
     mask_inclusion,
     mask_module,
-    morphism_deviation,
 )
 from .norms import _raise_first, _scalar_of, kernel_path
 
 #: Relative slack on a product of computed edge norms, each edge's largest
 #: over the atoms.  Every exactly evaluated norm carries a few ulps of
 #: rounding, and so does the evaluation of the composite it bounds; 1e-12
-#: absorbs that along paths of thousands of edges.
+#: absorbs that along paths of thousands of edges.  While
+#: ``1 + PRODUCT_SLACK <= 1 + tolerance()``, edges normed at most 1.0
+#: settle every composite, and validation does not walk the pairs; below
+#: that tolerance every composite is bounded, or normed, on its own.
 PRODUCT_SLACK = 1e-12
 
 #: Absolute singular-value cut of the rank tests on canonical maps and on
@@ -188,24 +190,22 @@ class System:
         return phi
 
 
-def _redundant_targets(system: System) -> Dict[object, List]:
-    """For each stage i, the stages k (in index order) that at least two
-    paths of supplied edges join i to.
+def _path_counts(system: System) -> Tuple[Dict[object, int], Dict[object, int], Dict[object, List]]:
+    """Which stages the paths of supplied edges join, counted up to two:
+    the position of each explicit stage, per stage i the bitset ``once[i]``
+    of the stages at least one path joins i to (bit ``n`` for the ``n``-th
+    explicit stage; i reaches itself), and the stages k, in index order,
+    that at least two paths join i to.
 
-    Path counts capped at two, as two integers per stage: bit ``n`` of
-    ``once[i]`` says that at least one path joins i to the ``n``-th
-    explicit stage, and bit ``n`` of ``twice[i]`` that at least two do.
     The supplied edges form a DAG (the index is a partial order and loops
     are left out), so the counts of a stage follow from those of its
     successors, ``N(i, k) = [i = k] + sum N(b, k)``: a stage is reached
     twice from i when some successor reaches it twice or two successors
     reach it each.  Each stage is counted once, after its successors, by a
-    depth-first walk that does not rely on the element order.  With no
-    stage of two outgoing edges every path is the only one."""
+    depth-first walk that does not rely on the element order; a second
+    bitset per stage, ``twice``, holds the stages reached twice."""
     explicit = system.index.explicit_indices()
     succ = {a: [b for b in system._edges.get(a, ()) if b != a] for a in explicit}
-    if all(len(targets) < 2 for targets in succ.values()):
-        return {a: [] for a in explicit}
     position = {e: n for n, e in enumerate(explicit)}
     once: Dict[object, int] = {}
     twice: Dict[object, int] = {}
@@ -226,22 +226,33 @@ def _redundant_targets(system: System) -> Dict[object, List]:
                 again |= twice[b] | (reached & once[b])
                 reached |= once[b]
             once[a], twice[a] = reached, again
-    return {
+    redundant = {
         a: [explicit[n] for n in range(twice[a].bit_length()) if twice[a] >> n & 1]
         for a in explicit
     }
+    return position, once, redundant
 
 
 def validate_system(system: System) -> SystemReport:
     """Identity law, admissibility and cocycle law of a direct or inverse
-    system; see :func:`l0limits.direct.validate_direct_system`."""
+    system; see :func:`l0limits.direct.validate_direct_system`.
+
+    Which pairs are joined by supplied edges, and which by two paths of
+    them, comes from one walk of :func:`_path_counts`.  When every edge is
+    normed exactly, without error, at most 1.0, and ``1.0 * (1 +
+    PRODUCT_SLACK) <= 1 + tolerance()``, every composite's bound is at most
+    that (a product of floats in [0, 1] rounds to at most 1.0), so the
+    pairs are not walked one by one: only an unjoined pair can fail.  The
+    identity laws, and the cocycle laws, each take one
+    :func:`composite_deviations`.
+    """
     tol = tolerance()
     violations: List[Violation] = []
-    for (i, j), phi in system.maps.items():
-        if i == j:
-            dev = morphism_deviation(phi, identity_morphism(system.modules[i]))
-            if not dev <= tol:
-                violations.append(Violation("identity", (i,), dev, system.identity_detail))
+    loops = [i for (i, j) in system.maps if i == j]
+    identities = [((system.maps[(i, i)],), (identity_morphism(system.modules[i]),)) for i in loops]
+    for i, dev in zip(loops, composite_deviations(identities)):
+        if not dev <= tol:
+            violations.append(Violation("identity", (i,), dev, system.identity_detail))
 
     pairs = system.related_pairs()
     # The supplied edges are normed in one batch; each edge's error is
@@ -273,15 +284,25 @@ def validate_system(system: System) -> SystemReport:
             bounds[(i, node)] = bound
         return bound
 
-    for (i, j) in pairs:
-        try:
-            tree = system._reach(i, j)
-        except KeyError as exc:
-            violations.append(Violation("missing-map", (i, j), float("inf"), str(exc)))
+    position, once, redundant = _path_counts(system)
+    # With every related pair supplied there is no composite to settle.
+    settled = len(edges) < len(pairs) and 1.0 * (1.0 + PRODUCT_SLACK) <= 1.0 + tol and all(
+        not isinstance(edge_norms[e], Exception) and (n := exact_norm(e)) is not None and n <= 1.0
+        for e in edges
+    )
+    # Settled, only an unjoined pair can fail.  Every joined pair is
+    # related, so with as many joined pairs as related ones there is none.
+    joined = sum(reach.bit_count() - 1 for reach in once.values())
+    for (i, j) in () if settled and joined == len(pairs) else pairs:
+        if not once[i] >> position[j] & 1:
+            detail = str(KeyError(system.missing_text.format(i=i, j=j)))
+            violations.append(Violation("missing-map", (i, j), float("inf"), detail))
+            continue
+        if settled:
             continue
         result = edge_norms.get((i, j))
         if result is None:
-            bound = path_bound(i, j, tree)
+            bound = path_bound(i, j, system._reach(i, j))
             if bound is not None and bound * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
                 continue
             result = _operator_norm_results([system._connect(i, j)])[0]
@@ -291,7 +312,7 @@ def validate_system(system: System) -> SystemReport:
                 Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
             )
 
-    redundant = _redundant_targets(system)
+    triples, laws = [], []
     for (i, j) in pairs:
         for k in redundant[i]:
             if k == j or not system.index.leq(j, k):
@@ -302,9 +323,11 @@ def validate_system(system: System) -> SystemReport:
             except KeyError:
                 continue
             # The composite along j, outermost factor first, as _extend builds it.
-            dev = composite_deviation((direct_map,), system._outer_first(lower, upper))
-            if not dev <= tol:
-                violations.append(Violation("cocycle", (i, j, k), dev, system.cocycle_detail))
+            triples.append((i, j, k))
+            laws.append(((direct_map,), system._outer_first(lower, upper)))
+    for triple, dev in zip(triples, composite_deviations(laws)):
+        if not dev <= tol:
+            violations.append(Violation("cocycle", triple, dev, system.cocycle_detail))
     return SystemReport(not violations, tuple(violations))
 
 
@@ -341,12 +364,15 @@ def validate_system_morphism(theta: SystemMorphism) -> SystemReport:
         dev = max(norm, default=0.0) - 1.0
         if not dev <= tol:
             violations.append(Violation("admissibility", (i,), dev, "component norm > 1"))
-    for (i, j) in system.index.related_pairs():
+    pairs = system.index.related_pairs()
+    squares = []
+    for (i, j) in pairs:
         # The components where the connecting arrow starts and ends.
         start, end = system._arrow(theta.components[i], theta.components[j])
-        dev = composite_deviation((end, system.map(i, j)), (theta.target.map(i, j), start))
+        squares.append(((end, system.map(i, j)), (theta.target.map(i, j), start)))
+    for pair, dev in zip(pairs, composite_deviations(squares)):
         if not dev <= tol:
-            violations.append(Violation("square", (i, j), dev, "square does not commute"))
+            violations.append(Violation("square", pair, dev, "square does not commute"))
     if isinstance(system.index, Chain):
         last = system.index.last
         growth = tail_growth_sup(
@@ -478,11 +504,12 @@ def _universal_factorization(
                 raise ValidationError(f"{side} map at {i!r} is not admissible")
     if fault is not None:
         raise fault
+    pairs = index.related_pairs()
+    laws = [(system._outer_first(system.map(i, j), maps[j]), (maps[i],)) for (i, j) in pairs]
     worst, worst_pair = 0.0, (None, None)
-    for (i, j) in index.related_pairs():
-        dev = composite_deviation(system._outer_first(system.map(i, j), maps[j]), (maps[i],))
+    for pair, dev in zip(pairs, composite_deviations(laws)):
         if dev > worst:
-            worst, worst_pair = dev, (i, j)
+            worst, worst_pair = dev, pair
     if worst > tol:
         i, j = worst_pair
         raise ValidationError(system.cone_law_text.format(i=i, j=j, dev=worst))
@@ -503,17 +530,15 @@ def _universal_factorization(
         shape[system.stage_axis] = 0
         mats.append(np.zeros(shape))
     mediating = ModuleMorphism(*system._arrow(presentation.module, apex), mats, _fresh=True)
-    devs = []
-    for i in explicit:
-        dev = composite_deviation(
-            system._outer_first(presentation.canonical[i], mediating), (maps[i],)
-        )
+    devs = composite_deviations([
+        (system._outer_first(presentation.canonical[i], mediating), (maps[i],)) for i in explicit
+    ])
+    for i, dev in zip(explicit, devs):
         if not dev <= tol:
             raise ValidationError(
                 f"no factorization within tolerance: {system.cone_shape} at {i!r} "
                 f"deviates by {dev:g}"
             )
-        devs.append(dev)
     if not _canonical_maps_unique(system, presentation):
         raise ValidationError(system.unique_text)
     return mediating, max(devs)
@@ -550,12 +575,13 @@ def _limit_functor(theta: SystemMorphism, validate: bool = True) -> ModuleMorphi
     ]
     limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats, _fresh=True)
     bound = 10 * tolerance()
-    for i in index.explicit_indices():
+    explicit = index.explicit_indices()
+    squares = []
+    for i in explicit:
         # The maps where the canonical arrow starts and ends.
         start, end = theta.source._arrow(theta.components[i], limit_map)
-        dev = composite_deviation(
-            (end, src_pres.canonical[i]), (tgt_pres.canonical[i], start)
-        )
+        squares.append(((end, src_pres.canonical[i]), (tgt_pres.canonical[i], start)))
+    for i, dev in zip(explicit, composite_deviations(squares)):
         if not dev <= bound:
             raise ValidationError(
                 f"limit square at {i!r} deviates by {dev:g}; morphism invalid"

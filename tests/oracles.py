@@ -45,14 +45,13 @@ from l0limits.modules import (
     Element,
     IsoCertificate,
     ModuleMorphism,
+    _chain_ends,
     apply,
     certify_isometric_iso,
-    composite_deviation,
     compose,
     identity_morphism,
     mask_inclusion,
     mask_module,
-    morphism_deviation,
     operator_pointwise_norm,
     pointwise_norm,
 )
@@ -356,6 +355,36 @@ class ReferenceInverseSystem(_ReferenceSystem):
         return self._closure[key]
 
 
+def _reference_chain_product(factors, a: int) -> np.ndarray:
+    """Atom ``a``'s matrix of the composite of a chain, outermost factor first."""
+    m = factors[0].matrices[a]
+    for phi in factors[1:]:
+        m = m @ phi.matrices[a]
+    return m
+
+
+def reference_composite_deviation(left, right) -> float:
+    """The deviation of two chains' composites by one pass per atom, as the
+    library computed it pair by pair: the largest absolute difference of the
+    products, NaN as soon as an atom's is NaN, atoms with an empty block
+    skipped."""
+    if _chain_ends(left) != _chain_ends(right):
+        raise ShapeMismatchError("morphisms have incompatible shapes")
+    dev = 0.0
+    for a in range(len(left[0].matrices)):
+        m = _reference_chain_product(left, a)
+        if m.size:
+            d = float(np.maximum.reduce(np.abs(m - _reference_chain_product(right, a)).ravel()))
+            if d != d:
+                return d
+            dev = max(dev, d)
+    return dev
+
+
+def reference_morphism_deviation(a, b) -> float:
+    return reference_composite_deviation((a,), (b,))
+
+
 def reference_validate_direct_system(system, tol: Optional[float] = None) -> SystemReport:
     """Diagnostics: identity law, cocycle law, admissibility of every map."""
     system = ReferenceDirectSystem(system)
@@ -363,7 +392,7 @@ def reference_validate_direct_system(system, tol: Optional[float] = None) -> Sys
     violations: List[Violation] = []
     for (i, j) in system.maps:
         if i == j:
-            dev = morphism_deviation(
+            dev = reference_morphism_deviation(
                 system.maps[(i, j)], identity_morphism(system.modules[i])
             )
             if dev > tol:
@@ -389,7 +418,7 @@ def reference_validate_direct_system(system, tol: Optional[float] = None) -> Sys
                 composite = compose(system.map(j, k), system.map(i, j))
             except KeyError:
                 continue
-            dev = morphism_deviation(direct_map, composite)
+            dev = reference_morphism_deviation(direct_map, composite)
             if dev > tol:
                 violations.append(
                     Violation("cocycle", (i, j, k), dev, "phi_ik != phi_jk . phi_ij")
@@ -404,7 +433,7 @@ def reference_validate_inverse_system(system, tol: Optional[float] = None) -> Sy
     violations: List[Violation] = []
     for (i, j) in system.maps:
         if i == j:
-            dev = morphism_deviation(
+            dev = reference_morphism_deviation(
                 system.maps[(i, j)], identity_morphism(system.modules[i])
             )
             if dev > tol:
@@ -430,7 +459,7 @@ def reference_validate_inverse_system(system, tol: Optional[float] = None) -> Sy
                 composite = compose(system.map(i, j), system.map(j, k))
             except KeyError:
                 continue
-            dev = morphism_deviation(direct_map, composite)
+            dev = reference_morphism_deviation(direct_map, composite)
             if dev > tol:
                 violations.append(
                     Violation("cocycle", (i, j, k), dev, "P_ik != P_ij . P_jk")
@@ -571,7 +600,8 @@ def reference_certify_isometric_iso(phi, tol=None) -> IsoCertificate:
 def reference_frame_ball_candidates(spec: FramedP) -> np.ndarray:
     """Vertex candidates of a framed 1- or inf-ball by one LAPACK call per
     row subset (and per sign pattern, for p=inf), with the relative rank,
-    determinant and length thresholds of the stacked enumeration."""
+    determinant and length thresholds of the stacked enumeration.  A square
+    inf-frame keeps ``A^-1 s`` for every sign pattern, unfiltered."""
     matrix = spec.matrix
     rows, cols = matrix.shape
     if spec.p == 1:
@@ -590,6 +620,8 @@ def reference_frame_ball_candidates(spec: FramedP) -> np.ndarray:
                 verts.append(u / val)
                 verts.append(-u / val)
         return np.array(verts)
+    if rows == cols:
+        return np.array([np.linalg.solve(matrix, signs) for signs in _signs(cols)])
     verts = []
     for subset in itertools.combinations(range(rows), cols):
         sub = matrix[list(subset), :]
@@ -632,7 +664,7 @@ def reference_validate_system_morphism(theta: SystemMorphism, tol: Optional[floa
         else:
             left = (theta.components[i], theta.source.map(i, j))
             right = (theta.target.map(i, j), theta.components[j])
-        dev = composite_deviation(left, right)
+        dev = reference_composite_deviation(left, right)
         if not dev <= tol:
             violations.append(Violation("square", (i, j), dev, "square does not commute"))
     index = theta.source.index
@@ -726,7 +758,7 @@ def reference_dl_universal_factorization(
             raise ValidationError(f"target map at {i!r} is not admissible")
     worst = ("", 0.0)
     for (i, j) in index.related_pairs():
-        dev = composite_deviation((target.maps[j], system.map(i, j)), (target.maps[i],))
+        dev = reference_composite_deviation((target.maps[j], system.map(i, j)), (target.maps[i],))
         if dev > worst[1]:
             worst = (f"target law at ({i!r}, {j!r})", dev)
     if worst[1] > tol:
@@ -757,7 +789,7 @@ def reference_dl_universal_factorization(
                 mats.append(np.zeros((m.shape[0], 0)))
         mediating = ModuleMorphism(presentation.module, target.module, mats)
     for i in explicit:
-        dev = composite_deviation((mediating, presentation.canonical[i]), (target.maps[i],))
+        dev = reference_composite_deviation((mediating, presentation.canonical[i]), (target.maps[i],))
         if not dev <= tol:
             raise ValidationError(
                 f"no factorization within tolerance: square at {i!r} deviates by {dev:g}"
@@ -808,7 +840,7 @@ def reference_dl_functor(
             mats.append(trimmed[:, :s_dim] if s_dim <= block.shape[1] else trimmed)
     limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
     for i in index.explicit_indices():
-        dev = composite_deviation(
+        dev = reference_composite_deviation(
             (limit_map, src_pres.canonical[i]),
             (tgt_pres.canonical[i], theta.components[i]),
         )
@@ -913,7 +945,7 @@ def reference_il_universal_factorization(
                 raise ValidationError(f"source map at {i!r} is not admissible")
     worst = ("", 0.0)
     for (i, j) in index.related_pairs():
-        dev = composite_deviation((system.map(i, j), source.maps[j]), (source.maps[i],))
+        dev = reference_composite_deviation((system.map(i, j), source.maps[j]), (source.maps[i],))
         if dev > worst[1]:
             worst = (f"compatibility at ({i!r}, {j!r})", dev)
     if worst[1] > tol:
@@ -941,7 +973,7 @@ def reference_il_universal_factorization(
                 mats.append(np.zeros((0, m.shape[1])))
         mediating = ModuleMorphism(source.module, presentation.module, mats)
     for i in explicit:
-        dev = composite_deviation((presentation.canonical[i], mediating), (source.maps[i],))
+        dev = reference_composite_deviation((presentation.canonical[i], mediating), (source.maps[i],))
         if not dev <= tol:
             raise ValidationError(
                 f"no factorization within tolerance: triangle at {i!r} deviates by {dev:g}"
@@ -982,7 +1014,7 @@ def reference_il_functor(
         mats.append(block[:t_dim, :s_dim])
     limit_map = ModuleMorphism(src_pres.module, tgt_pres.module, mats)
     for i in index.explicit_indices():
-        dev = composite_deviation(
+        dev = reference_composite_deviation(
             (tgt_pres.canonical[i], limit_map),
             (theta.components[i], src_pres.canonical[i]),
         )

@@ -46,6 +46,8 @@ from l0limits.modules import (
     certify_isometric_iso,
     compose,
     composite_deviation,
+    composite_deviations,
+    euclidean_fiber,
     euclidean_module,
     identity_morphism,
     is_morphism,
@@ -61,6 +63,7 @@ from l0limits.modules import (
     scale_morphism,
     submodule_generated,
     zero_element,
+    zero_fiber,
     zero_morphism,
 )
 from l0limits.homdual import adjoint, hom_module
@@ -75,7 +78,7 @@ from l0limits.randgen import (
     random_space,
 )
 
-from oracles import reference_certify_isometric_iso
+from oracles import reference_certify_isometric_iso, reference_composite_deviation
 
 
 TWO = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
@@ -562,6 +565,81 @@ def test_composite_deviation_raises_like_compose():
         composite_deviation(left[::-1], right)
     with pytest.raises(ShapeMismatchError, match="incompatible shapes"):
         composite_deviation(left, right[:1])
+
+
+_ENTRY = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+
+
+@st.composite
+def _laws(draw):
+    """One to four ``(left, right)`` pairs of chains of one to three factors
+    over one to three atoms, fibers of dims 0-2, entries that may be NaN or
+    infinite; a pair may be faulty, its right chain ending elsewhere
+    (``ends``) or two neighbouring factors of its left chain not meeting
+    (``meet``)."""
+    atoms = draw(st.integers(1, 3))
+    space = AtomicMeasureSpace([f"a{n}" for n in range(atoms)], [1.0] * atoms)
+    dims = st.lists(st.integers(0, 2), min_size=atoms, max_size=atoms)
+
+    def module(ds):
+        return FiberModule(space, tuple(euclidean_fiber(d) if d else zero_fiber() for d in ds))
+
+    def morphism(source, target):
+        mats = []
+        for s, t in zip(source.dims(), target.dims()):
+            entries = draw(st.lists(_ENTRY, min_size=s * t, max_size=s * t))
+            mats.append(np.array(entries, dtype=float).reshape(t, s))
+        return ModuleMorphism(source, target, mats, _fresh=True)
+
+    def chain(first, last):
+        count = draw(st.integers(1, 3))
+        stops = [first] + [module(draw(dims)) for _ in range(count - 1)] + [last]
+        return [morphism(stops[k], stops[k + 1]) for k in reversed(range(count))]
+
+    def bumped(m):
+        return module([d + 1 for d in m.dims()])
+
+    laws = []
+    for _ in range(draw(st.integers(1, 4))):
+        first, last = module(draw(dims)), module(draw(dims))
+        left, right = chain(first, last), chain(first, last)
+        fault = draw(st.sampled_from([None, None, None, "ends", "meet"]))
+        if fault == "ends":
+            right = chain(first, bumped(last))
+        elif fault == "meet":
+            left = [left[0], morphism(first, bumped(left[0].source))]
+        laws.append((left, right))
+    return laws
+
+
+def _deviation_outcome(deviations, laws):
+    """The deviations as hex strings, bit for bit, or the error's text."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return [float.hex(d) for d in deviations(laws)]
+    except ShapeMismatchError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laws())
+def test_batched_deviations_match_the_pair_loop(laws):
+    """One reduction per law gives each pair's deviation bit for bit, and
+    raises the error of the first faulty pair, as a loop over the pairs."""
+    loop = _deviation_outcome(
+        lambda pairs: [reference_composite_deviation(left, right) for left, right in pairs], laws
+    )
+    assert _deviation_outcome(composite_deviations, laws) == loop
+
+
+def test_the_first_faulty_pair_raises():
+    left, right = _chains(2)
+    ends, meet = (left, right[:1]), (left[::-1], right)
+    with pytest.raises(ShapeMismatchError, match="incompatible shapes"):
+        composite_deviations([(left, right), ends, meet])
+    with pytest.raises(ShapeMismatchError, match="composition endpoints"):
+        composite_deviations([(left, right), meet, ends])
+    assert composite_deviations([]) == []
 
 
 def test_nan_deviation_is_not_lost():

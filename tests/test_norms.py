@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from l0limits import norms
 from l0limits.errors import (
     BracketTooWideError,
     DimensionCapError,
+    KernelLimitError,
     NonFiniteError,
     ShapeMismatchError,
     UnsupportedNormError,
@@ -22,6 +25,7 @@ from l0limits.modules import (
     is_morphism,
     operator_pointwise_norm,
     operator_pointwise_norms,
+    scale_morphism,
 )
 from l0limits.norms import (
     INF,
@@ -216,6 +220,72 @@ def test_restricted_dual_is_scale_invariant(seed, exponent, negative):
     scaled = dual_spec(FramedP(INF, c * frame)).restrict(basis)
     assert scaled.matrix.shape == base.matrix.shape
     assert norm_rows(scaled, ys) == pytest.approx(norm_rows(base, ys) / abs(c), rel=1e-12, abs=0.0)
+
+
+#: A square frame of condition 4.0e10 and a map out of its inf-ball.  A
+#: feasibility test with the fixed slack 1e-9 dropped two of the ball's four
+#: vertices ``A^-1 s``, so the map read a norm 324 times too small, and the
+#: map scaled by it passed as admissible.
+ILL_SQUARE_FRAME = [[0.05907361217051204, 0.7024432709924953],
+                    [-0.059439080308457, -0.7067890456950902]]
+ILL_SQUARE_MAP = [[-0.3511134768655856, 1.1202303480818123],
+                  [1.4593915696617625, -0.5852353969375876]]
+
+
+def _exact_square_inf_norm(frame, mat):
+    """max over the sign patterns s of ``||mat A^-1 s||_inf``, in exact
+    rational arithmetic on the given floats, for a 2x2 frame A."""
+    a = [[Fraction(x) for x in row] for row in frame]
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    inv = [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+    best = Fraction(0)
+    for s in itertools.product((-1, 1), repeat=2):
+        x = [inv[r][0] * s[0] + inv[r][1] * s[1] for r in range(2)]
+        best = max(best, *(abs(row[0] * x[0] + row[1] * x[1]) for row in m))
+    return best
+
+
+def test_a_square_frame_keeps_every_vertex_at_any_condition():
+    frame = FramedP(INF, ILL_SQUARE_FRAME)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=2)))
+    want = np.array([np.linalg.solve(frame.matrix, s) for s in signs])
+    assert frame.ball_candidates().tobytes() == want.tobytes()
+    space = AtomicMeasureSpace(["a"], [1.0])
+    source = FiberModule(space, (Fiber(2, frame),))
+    target = FiberModule(space, (Fiber(2, WeightedP(INF, (1.0, 1.0))),))
+    phi = ModuleMorphism(source, target, [ILL_SQUARE_MAP])
+    exact = _exact_square_inf_norm(ILL_SQUARE_FRAME, ILL_SQUARE_MAP)
+    rel = SCALE_COND_FACTOR * np.linalg.cond(frame.matrix) * np.finfo(float).eps
+    value = operator_pointwise_norm(phi).values[0]
+    assert value == pytest.approx(float(exact), rel=rel, abs=0.0)
+    # The map scaled by the computed norm is admissible, and truly so.
+    assert is_morphism(scale_morphism(phi, 1.0 / value))
+    assert float(exact / Fraction(value)) <= 1.0 + rel
+
+
+#: A 3x2 frame of condition 4.7e10 whose inf-ball enumeration keeps no
+#: candidate: each solved vertex's third row reads past the slack.
+EMPTY_BALL_FRAME = [[0.0547114667416926, -0.01730079192417197],
+                    [-0.649764889852718, 0.20546784462084383],
+                    [-0.6956348627305853, 0.2199727903653531]]
+
+
+def test_an_empty_vertex_set_is_a_located_kernel_error():
+    """Not numpy's unlocated ``zero-size array`` ValueError."""
+    frame = FramedP(INF, EMPTY_BALL_FRAME)
+    with pytest.raises(KernelLimitError, match="kept"):
+        frame.ball_candidates()
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
+    plane = Fiber(2, WeightedP(2, (1.0, 1.0)))
+    source = FiberModule(space, (plane, Fiber(2, frame)))
+    phi = ModuleMorphism(source, FiberModule(space, (plane, plane)), [np.eye(2), np.eye(2)])
+    with pytest.raises(KernelLimitError) as raised:
+        operator_pointwise_norm(phi)
+    assert raised.value.atom == "b"
+    assert "at atom 'b'" in str(raised.value)
+    with pytest.raises(KernelLimitError):
+        norm_eval(dual_spec(frame), [1.0, 0.0])
 
 
 @pytest.mark.parametrize("p, shape, work", [(1, (6, 3), 6 * 15), (INF, (6, 3), 160)])

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l0limits import randgen, systems
-from l0limits.config import tolerance
+from l0limits.config import tolerance, tolerance_override
 from l0limits.direct import (
     ColimitClass,
     DirectSystem,
@@ -172,6 +172,76 @@ def test_reports_and_maps_match_reference(kind):
     assert {"identity", "admissibility", "missing-map"} <= failing
     if kind.endswith("poset"):
         assert "cocycle" in failing
+
+
+#: Factors applied to every supplied edge: contractions, edges as drawn,
+#: edges over 1.0 but within the tolerance, and edges over it.
+EDGE_SCALES = (0.5, 1.0, "1+tol/2", "1+10tol")
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-13], ids=["tol1e-9", "tol1e-13"])
+@pytest.mark.parametrize("kind", sorted(RANDOM_SYSTEMS))
+def test_validation_that_skips_the_pair_walk_matches_the_reference(kind, tol):
+    """Every edge scaled alike, then one edge dropped: the whole report is
+    the reference's, which norms every map, whether validation walks the
+    pairs or the edges alone decide.  At 1e-13, below ``PRODUCT_SLACK``,
+    the pairs are always walked."""
+    validate, reference = (
+        (validate_direct_system, reference_validate_direct_system) if kind.startswith("direct")
+        else (validate_inverse_system, reference_validate_inverse_system)
+    )
+    found = set()
+    for seed in range(10):
+        rng = np.random.default_rng([seed, len(kind), 21])
+        system = RANDOM_SYSTEMS[kind](rng)
+        # Each edge scaled to its largest norm 1, then by the factor.
+        units = {p: 1.0 / max(max(operator_pointwise_norm(phi).values), 1e-300)
+                 for p, phi in system.maps.items() if p[0] != p[1]}
+        edges = list(units)
+        for scale in EDGE_SCALES:
+            factor = {"1+tol/2": 1.0 + tol / 2, "1+10tol": 1.0 + 10 * tol}.get(scale, scale)
+            maps = {p: scale_morphism(phi, units[p] * factor) if p in units else phi
+                    for p, phi in system.maps.items()}
+            variants = [maps]
+            if edges:
+                dropped = dict(maps)
+                del dropped[edges[int(rng.integers(len(edges)))]]
+                variants.append(dropped)
+            for variant in variants:
+                scaled = type(system)(system.index, system.modules, variant)
+                with tolerance_override(tol):
+                    got = _outcome(validate, scaled)
+                    assert got == _outcome(reference, scaled)
+                found.update(v[0] for v in got[1])
+    assert {"admissibility", "missing-map"} <= found
+
+
+@pytest.mark.parametrize("cls", [DirectSystem, InverseSystem])
+def test_a_contraction_chain_validates_without_walking_its_pairs(monkeypatch, cls):
+    """Edges normed at most 1.0 settle every composite: no breadth-first
+    tree is grown, with every stage joined or with a missing edge."""
+    reaches = []
+    reach = systems.System._reach
+    monkeypatch.setattr(systems.System, "_reach",
+                        lambda self, i, j: reaches.append((i, j)) or reach(self, i, j))
+    rng = np.random.default_rng(21)
+    space = AtomicMeasureSpace(["a0", "a1"], [1.0, 2.0])
+    plane = euclidean_module(space, 2)
+    validate, reference = (
+        (validate_direct_system, reference_validate_direct_system) if cls is DirectSystem
+        else (validate_inverse_system, reference_validate_inverse_system)
+    )
+    maps = {(k, k + 1): scale_morphism(randgen.random_admissible_morphism(rng, plane, plane), 0.5)
+            for k in range(9)}
+    chain = cls(Chain(10, IdentityTail()), {k: plane for k in range(10)}, maps)
+    assert validate(chain).passed
+    del maps[(4, 5)]
+    broken = cls(Chain(10, IdentityTail()), {k: plane for k in range(10)}, maps)
+    report = validate(broken)
+    assert {v.kind for v in report.violations} == {"missing-map"}
+    assert len(report.violations) == 5 * 5
+    assert report == reference(broken)
+    assert reaches == []
 
 
 @pytest.mark.parametrize("bracket", [False, True])
@@ -718,14 +788,14 @@ def test_redundant_targets_match_the_reference_on_unordered_dags(n, data):
     module = euclidean_module(AtomicMeasureSpace(["a"], [1.0]), 1)
     ident = identity_morphism(module)
     system = DirectSystem(poset, {e: module for e in labels}, {e: ident for e in edges})
-    assert systems._redundant_targets(system) == reference_redundant_targets(system)
+    assert systems._path_counts(system)[2] == reference_redundant_targets(system)
 
 
 def test_redundant_targets_match_the_topological_count():
     rng = np.random.default_rng(8)
     shapes = set()
     for system in _edge_systems(rng):
-        got = systems._redundant_targets(system)
+        got = systems._path_counts(system)[2]
         assert got == reference_redundant_targets(system)
         shapes.add(any(got.values()))
     assert shapes == {False, True}
