@@ -96,10 +96,8 @@ def _selection(doc, args) -> List[CheckSpec]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # The document is parsed under --tol too: a scalar tail snaps its
-        # values to 0 and 1 within the tolerance at construction.
+        doc = load_document(args.document)
         with tolerance_override(args.tol):
-            doc = load_document(args.document)
             report = run_checks(doc, _selection(doc, args), args.seed, args.document)
     except (L0LimitsError, OSError, ValueError) as exc:  # ValueError: a bad --tol
         sys.stderr.write(f"error: {exc}\n")

@@ -6,7 +6,8 @@ captured by chains 0..N whose connecting maps beyond the last explicit
 stage follow one of three finitely presented tail rules:
 
 * identity tail: all further maps are the identity;
-* scalar tail f (values in [0, 1]): all further maps scale by f;
+* scalar tail f (values in [0, 1]): all further maps scale by f, and the
+  limit keeps exactly the atoms where f equals 1;
 * harmonic tail: the map at step k scales by (k+1)/(k+2), so composite
   factors telescope to (N+1)/(N+j+1).
 """
@@ -139,26 +140,18 @@ class IdentityTail:
 
 
 class ScalarTail:
-    """Connecting maps beyond the last stage scale by a fixed function."""
+    """Connecting maps beyond the last stage scale by a fixed function,
+    kept as given.  Its values must lie in [0, 1] exactly: above 1 a tail
+    map would not contract.  Since ``f**k -> 0`` for every ``f < 1``, the
+    limit keeps an atom exactly where the value equals 1."""
 
     kind = "scalar"
 
     def __init__(self, function: L0Function):
-        from .config import tolerance
-
-        tol = tolerance()
         values = function.values
-        if np.any(values < -tol) or np.any(values > 1.0 + tol):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("scalar tail values must lie in [0, 1]")
-        # Snap to the exact endpoints so the closed-form case analysis
-        # (f = 0, 0 < f < 1, f = 1) never depends on float dust.
-        snapped = np.where(np.abs(values - 1.0) <= tol, 1.0, values)
-        snapped = np.where(np.abs(snapped) <= tol, 0.0, snapped)
-        snapped = np.clip(snapped, 0.0, 1.0)
-        if np.array_equal(snapped, values):
-            self.function = function
-        else:
-            self.function = L0Function(function.space, snapped)
+        self.function = function
 
     def __eq__(self, other):
         return isinstance(other, ScalarTail) and self.function == other.function
@@ -195,6 +188,8 @@ class Chain:
     def __post_init__(self):
         if self.stages < 1:
             raise ValueError("a chain needs at least one explicit stage")
+        n = self.stages  # immutable, so the pairs are kept from construction
+        object.__setattr__(self, "_pairs", tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
     @property
     def last(self) -> int:
@@ -204,9 +199,8 @@ class Chain:
         return tuple(range(self.stages))
 
     def related_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(
-            (i, j) for i in range(self.stages) for j in range(i + 1, self.stages)
-        )
+        """All pairs (i, j) with i < j, ordered by i, then by j."""
+        return self._pairs
 
     def leq(self, a: int, b: int) -> bool:
         return a <= b
@@ -231,8 +225,7 @@ def tail_limit_factor(tail, space: AtomicMeasureSpace) -> np.ndarray:
     if isinstance(tail, IdentityTail):
         return np.ones(space.atom_count)
     if isinstance(tail, ScalarTail):
-        # tolerance-free by construction: values are clipped into [0, 1]
-        return (tail.function.values >= 1.0).astype(float)
+        return (tail.function.values == 1.0).astype(float)
     if isinstance(tail, HarmonicTail):
         return np.zeros(space.atom_count)
     raise ValueError(f"unrecognized tail rule {tail!r}")

@@ -314,6 +314,8 @@ def validate_system(system: System) -> SystemReport:
 
     triples, laws = [], []
     for (i, j) in pairs:
+        if not redundant[i]:
+            continue
         for k in redundant[i]:
             if k == j or not system.index.leq(j, k):
                 continue

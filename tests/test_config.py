@@ -1,12 +1,20 @@
 import importlib
+import importlib.util
 import inspect
+import json
+import pathlib
 import pkgutil
+import sys
 import threading
 
 import pytest
 
 import l0limits
+from l0limits import config
 from l0limits.config import DEFAULT_TOLERANCE, set_tolerance, tolerance, tolerance_override
+from l0limits.harness import parse_document
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_override_nests_and_restores():
@@ -119,3 +127,41 @@ def test_no_public_callable_takes_a_tolerance_or_a_presentation():
                 found += [f"{module.__name__}.{qual}({p})" for p in ("tol", "presentation")
                           if p in params]
     assert found == []
+
+
+def _report_pool(seed: int):
+    """The documents of one op of the ``report`` benchmark workload: the
+    bundled fixtures and the generated documents of ``seed``."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_report_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        return module.Report(seed).pool
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_no_document_reads_the_tolerance_while_it_is_parsed(monkeypatch):
+    """A document builds the same objects under every tolerance: with every
+    binding of ``tolerance`` in the package made to raise, every fixture,
+    the near-one scalar tail document and the ``report`` workload's pool
+    still parse."""
+    texts = {p.name: p.read_text() for p in sorted((ROOT / "fixtures").glob("*.json"))}
+    near_one = ROOT / "tests" / "data" / "scalar-tail-near-one.json"
+    texts[near_one.name] = near_one.read_text()
+    texts.update(_report_pool(1))
+    assert len(texts) > 60
+
+    def unread():
+        raise RuntimeError("tolerance read during parse")
+
+    for info in pkgutil.walk_packages(l0limits.__path__, "l0limits."):
+        importlib.import_module(info.name)
+    original = config.tolerance
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "l0limits" and getattr(module, "tolerance", None) is original:
+            monkeypatch.setattr(module, "tolerance", unread)
+    for text in texts.values():
+        parse_document(json.loads(text))

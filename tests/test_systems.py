@@ -7,7 +7,9 @@ which evaluates every law on every pair and triple.
 """
 
 import itertools
+import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -62,6 +64,7 @@ from l0limits.modules import (
     ModuleMorphism,
     apply,
     compose,
+    euclidean_fiber,
     euclidean_module,
     identity_morphism,
     operator_pointwise_norm,
@@ -80,6 +83,9 @@ from oracles import (
     reference_validate_direct_system,
     reference_validate_inverse_system,
 )
+
+#: A chain document whose scalar tail is 0.999999 at atom ``a``.
+NEAR_ONE = pathlib.Path(__file__).parent / "data" / "scalar-tail-near-one.json"
 
 #: Factors applied to one supplied map: just inside the tolerance, over
 #: the admissibility bound, far over it, and a sign flip (same norm,
@@ -613,20 +619,74 @@ def test_colimit_seminorms_cost_about_their_hand_written_version():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6))
+@example([0.9999999999999999, 1.0, 0.0])
 def test_tail_limit_factor_is_a_zero_one_indicator(values):
     """Direct and inverse chain limits keep the atoms where the tail
     factor is positive; one rule serves both only because the factor is
-    0 or 1 for every tail kind.  A scalar tail snaps values within the
-    tolerance of 1 to 1, so such a value counts as 1."""
+    0 or 1 for every tail kind.  A scalar tail's factor is 1 exactly where
+    its value is 1.0: ``f**k -> 0`` for the largest float below 1 too."""
     space = AtomicMeasureSpace([f"a{k}" for k in range(len(values))], np.ones(len(values)))
     scalar = ScalarTail(L0Function(space, values))
     for tail in (IdentityTail(), HarmonicTail(), scalar):
         factor = tail_limit_factor(tail, space)
         assert factor.shape == (space.atom_count,)
         assert set(factor.tolist()) <= {0.0, 1.0}
-    assert tail_limit_factor(scalar, space).tolist() == [
-        float(abs(v - 1.0) <= tolerance()) for v in values
-    ]
+    assert tail_limit_factor(scalar, space).tolist() == [float(v == 1.0) for v in values]
+
+
+# A scalar tail value: 0, 1, one of the floats 1 - 2**-k just below 1 (the
+# last, k = 53, is the largest float below 1), or any value in between.
+_EXACT_TAIL_VALUE = st.one_of(
+    st.just(0.0),
+    st.just(1.0),
+    st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_EXACT_TAIL_VALUE, st.integers(0, 3)), min_size=1, max_size=5),
+    st.sampled_from((DirectSystem, InverseSystem)),
+)
+@example([(1.0 - 2.0**-53, 2), (1.0 - 2.0**-30, 2), (1.0, 3)], DirectSystem)
+def test_a_chain_limit_keeps_exactly_the_atoms_whose_tail_is_one(atoms, cls):
+    """The limit fiber at an atom is the stage's fiber where the scalar
+    tail is 1.0 and zero elsewhere: a value one ulp below 1 still
+    contracts to zero."""
+    space = AtomicMeasureSpace([f"a{k}" for k in range(len(atoms))], np.ones(len(atoms)))
+    stage = FiberModule(space, tuple(euclidean_fiber(dim) for _, dim in atoms))
+    tail = ScalarTail(L0Function(space, [value for value, _ in atoms]))
+    system = cls(Chain(2, tail), {0: stage, 1: stage}, {(0, 1): identity_morphism(stage)})
+    limit = direct_limit if cls is DirectSystem else inverse_limit
+    assert limit(system).module.dims() == tuple(dim if value == 1.0 else 0 for value, dim in atoms)
+
+
+@pytest.mark.parametrize("bad", [1.0 + 2.0**-52, -1e-300], ids=["above-one", "below-zero"])
+def test_a_tail_value_outside_the_unit_interval_is_a_located_document_error(
+    tmp_path, capsys, bad
+):
+    """A tail value above 1 would not contract, and none below 0 is a
+    scale factor: either is an error (exit 2) at the chain's index set,
+    however close it lies to [0, 1]."""
+    from l0limits.harness.cli import main
+
+    data = json.loads(NEAR_ONE.read_text())
+    data["functions"]["tail_idx_near"]["values"][0] = bad
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: $.index_sets.idx_near: scalar tail values must lie in [0, 1]\n"
+    assert captured.out == ""
+
+
+def test_chain_related_pairs_are_kept_from_construction():
+    """A chain builds its pairs once, in nested-range order."""
+    chain = Chain(6, IdentityTail())
+    assert chain.related_pairs() is chain.related_pairs()
+    assert chain.related_pairs() == tuple((i, j) for i in range(6) for j in range(i + 1, 6))
+    assert Chain(1, IdentityTail()).related_pairs() == ()
 
 
 #: Steps past the last stage over which the brute-force tail ratio runs.
