@@ -50,6 +50,10 @@ FRAME_BALL_BUDGET = 500_000
 #: Floats one array of a stacked frame-ball enumeration may hold.
 _CHUNK_FLOATS = 1 << 19
 
+#: The multiple of a solved inf-ball vertex's rounding bound that its test
+#: against the frame's other rows allows (see ``FramedP._inf_ball_vertices``).
+_SOLVE_SLACK = 2
+
 
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -73,12 +77,14 @@ def _check_cap(n: int, what: str) -> None:
         )
 
 
+@cache
 def _sign_grid(n: int) -> np.ndarray:
-    """All sign vectors in {-1, +1}^n, shape (2^n, n)."""
+    """All sign vectors in {-1, +1}^n, shape (2^n, n), read-only and built
+    once per ``n``."""
     _check_cap(n, "sign-pattern enumeration")
-    if n == 0:
-        return np.zeros((1, 0))
-    return np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    grid = np.array(list(itertools.product((-1.0, 1.0), repeat=n))) if n else np.zeros((1, 0))
+    grid.setflags(write=False)
+    return grid
 
 
 def _comb(n: int, k: int) -> int:
@@ -226,7 +232,9 @@ class FramedP:
 
     kind = "framed_p"
 
-    def __init__(self, p, matrix):
+    def __init__(self, p, matrix, *, _fresh: bool = False):
+        # ``_fresh``: the duals below derive a square frame from an admitted
+        # one, whose rank needs no second SVD.
         p = float(p)
         if p not in (1.0, 2.0, INF):
             raise UnsupportedNormError(f"p must be 1, 2 or inf, got {p}")
@@ -234,7 +242,7 @@ class FramedP:
         if not np.isfinite(matrix).all():
             raise NonFiniteError("frame matrix must be finite")
         rows, cols = matrix.shape
-        if cols > 0:
+        if cols > 0 and not _fresh:
             if rows < cols:
                 raise ValueError("frame matrix must have at least as many rows as columns")
             sv = np.linalg.svd(matrix, compute_uv=False)
@@ -291,7 +299,8 @@ class FramedP:
         themselves (held twice while the stacks' parts are joined).  The
         budget is checked before anything is allocated.  The rank, determinant
         and length thresholds are relative, so ``FramedP(p, c * A)`` has the
-        candidates of ``FramedP(p, A)`` divided by ``c``, up to rounding.
+        candidates of ``FramedP(p, A)`` divided by ``c``, up to rounding.  A
+        one-column frame needs no enumeration.
         """
         rows, cols = self.matrix.shape
         if self.p == 1.0:
@@ -305,10 +314,17 @@ class FramedP:
                 f"frame ball enumeration needs {work} candidate solves "
                 f"(budget {FRAME_BALL_BUDGET})"
             )
-        if self.p == 1.0:
-            if cols == 1:
+        if cols == 1:
+            if self.p == 1.0:
                 u = np.ones(1)
                 return np.array([u, -u]) / np.abs(self.matrix @ u).sum()
+            # The ball is [-1/max |a_i|, 1/max |a_i|]: its vertices +-1/a_i,
+            # the points a subset solve gives, come from the rows of largest
+            # modulus, found exactly.
+            moduli = np.abs(self.matrix[:, 0])
+            x = 1.0 / self.matrix[moduli == moduli.max()]
+            return np.stack([-x, x], axis=1).reshape(-1, 1)
+        if self.p == 1.0:
             stack, widest = self._one_ball_vertices, max(cols * cols, rows)
         else:
             stack, widest = self._inf_ball_vertices, per_subset * rows
@@ -318,45 +334,67 @@ class FramedP:
         for _ in range(0, _comb(rows, size), step):
             flat = itertools.chain.from_iterable(itertools.islice(subsets, step))
             index = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
-            parts.append(stack(self.matrix[index]))
+            parts.append(stack(index))
         candidates = np.concatenate(parts)
         if not len(candidates):
             raise KernelLimitError(f"no vertex of the {self!r} unit ball was kept")
         return candidates
 
-    def _one_ball_vertices(self, subs: np.ndarray) -> np.ndarray:
-        """Vertices of {x : ||A x||_1 <= 1} from a (k, dim-1, dim) stack of
-        row subsets.  The dual ball is the zonotope spanned by the rows of
+    def _one_ball_vertices(self, index: np.ndarray) -> np.ndarray:
+        """Vertices of {x : ||A x||_1 <= 1} from a (k, dim-1) stack of row
+        subsets.  The dual ball is the zonotope spanned by the rows of
         A, whose facet normals are orthogonal to (dim-1)-subsets of rows;
         each normal u gives the vertices +-u / ||A u||_1."""
-        _, sv, vt = np.linalg.svd(subs)
+        _, sv, vt = np.linalg.svd(self.matrix[index])
         normals = vt[(sv > 1e-12 * sv[:, :1]).all(axis=1), -1]
         lengths = np.abs(np.matmul(self.matrix, normals[:, :, None]))[:, :, 0].sum(axis=1)
         keep = lengths > 1e-12 * np.abs(self.matrix).max()
         verts = normals[keep] / lengths[keep, None]
         return np.stack([verts, -verts], axis=1).reshape(-1, self.dim)
 
-    def _inf_ball_vertices(self, subs: np.ndarray) -> np.ndarray:
-        """Vertices of {x : |a_i . x| <= 1} from a (k, dim, dim) stack of row
-        subsets: the intersections of dim active facets, for every sign
-        pattern, filtered by feasibility.  Subsets are judged singular on
-        their rows scaled to unit largest entry, whose determinant neither
-        overflows nor underflows.  A square frame's one subset is A itself,
-        which the frame's rank test admitted, and its vertices are exactly
-        ``A^-1 s`` for every sign pattern ``s``: they are kept unfiltered,
-        since at a large condition number rounding alone can push a true
-        vertex's image past a fixed slack."""
+    def _inf_ball_vertices(self, index: np.ndarray) -> np.ndarray:
+        """Vertices of {x : |a_i . x| <= 1} from a (k, dim) stack of row
+        subsets S: the intersections of dim active facets, ``A_S x = s`` for
+        every sign pattern s, filtered by feasibility.  Subsets are judged
+        singular on their rows scaled to unit largest entry, whose
+        determinant neither overflows nor underflows.  A square frame's one
+        subset is A itself, which the frame's rank test admitted, and its
+        vertices are exactly ``A^-1 s``: they are kept unfiltered.
+
+        A tall frame tests only the rows outside S (those in S equal +-1 by
+        construction), each with a slack scaled to the solve's error, so
+        that a vertex is kept at any condition the rank test admits.  The
+        computed ``a_i . x`` is off by its own rounding, about ``dim * eps *
+        ||a_i||_1 ||x||_inf``, plus ``lambda_i . r`` for ``a_i = lambda_i
+        A_S`` and the solve's residual r, about ``dim * eps * ||a_j||_1
+        ||x||_inf`` in row j of S; the slack is ``_SOLVE_SLACK`` times their
+        sum.  The sign patterns G satisfy ``G^T G = 2^dim I``, so ``A_S^-1 =
+        X^T G / 2^dim`` for the solved points X, with no LAPACK call."""
+        subs = self.matrix[index]
+        grid = _sign_grid(self.dim)
         # One right-hand side per solve, as a (dim, 1) matrix: numpy 1.x and
         # 2.x read that shape alike.
-        signs = _sign_grid(self.dim)[None, :, :, None]
+        signs = grid[None, :, :, None]
         if self.is_square:
             return np.linalg.solve(subs[:, None], signs).reshape(-1, self.dim)
         scale = np.abs(subs).max(axis=2, keepdims=True)
         scale[scale == 0.0] = 1.0
-        subs = subs[np.abs(np.linalg.det(subs / scale)) > 1e-12]
-        xs = np.linalg.solve(subs[:, None], signs).reshape(-1, self.dim)
-        images = np.matmul(self.matrix, xs[:, :, None])
-        return xs[np.abs(images).max(axis=(1, 2)) <= 1.0 + 1e-9]
+        regular = np.abs(np.linalg.det(subs / scale)) > 1e-12
+        subs, index = subs[regular], index[regular]
+        xs = np.linalg.solve(subs[:, None], signs)[..., 0]
+        lams = np.abs(self.matrix @ (xs.swapaxes(1, 2) @ grid)) / len(grid)
+        lengths = np.abs(self.matrix).sum(axis=1)
+        bounds = lengths + (lams @ lengths[index][:, :, None])[:, :, 0]
+        # A row of S, or a zero row, needs no test: its bound is infinite.
+        bounds[np.arange(len(index))[:, None], index] = np.inf
+        bounds[bounds == 0.0] = np.inf
+        # Each |a_i . x| - 1 in units of its row's bound, in place.
+        excess = xs @ self.matrix.T
+        np.abs(excess, out=excess)
+        excess -= 1.0
+        excess /= bounds[:, None, :]
+        slack = _SOLVE_SLACK * self.dim * np.finfo(float).eps * np.abs(xs).max(axis=2)
+        return xs[excess.max(axis=2) <= slack]
 
     @cached_property
     def _dual_candidates(self) -> np.ndarray:
@@ -385,9 +423,9 @@ class FramedP:
         if self.dim == 0:
             return zero_norm()
         if self.p == 2.0:
-            return FramedP(2, self._inverse_transform.T)
+            return FramedP(2, self._inverse_transform.T, _fresh=True)
         if self.is_square:
-            return FramedP(_conjugate(self.p), np.linalg.inv(self.matrix).T)
+            return FramedP(_conjugate(self.p), np.linalg.inv(self.matrix).T, _fresh=True)
         return DualOf(self)
 
     def restrict(self, basis: np.ndarray):
@@ -722,10 +760,10 @@ def operator_norm_witness(mat, source_spec, target_spec):
     path = kernel_path(source_spec, target_spec)
     if path == "trivial":
         return 0.0, None
-    scalar = _scalar_norms([mat], source_spec, target_spec)[0]
-    if scalar == scalar:
+    scalar = _scalar_of(mat)
+    if scalar is not None and (source_spec is target_spec or source_spec == target_spec):
         unit = _eye(source_spec.dim)[:1]
-        return scalar, unit[0] / norm_rows(source_spec, unit)[0]
+        return abs(scalar), unit[0] / norm_rows(source_spec, unit)[0]
     if path == "vertex":
         cands, values = _vertex_norms(mat, source_spec, target_spec)
         best = int(np.argmax(values))
@@ -767,66 +805,61 @@ def operator_norm_batch(items) -> list:
 
     The matrices are float arrays of shape (target dim, source dim).  Each
     value equals ``operator_norm_witness(...)[0]`` bit for bit.  Items are
-    grouped by their pair of specs (the same objects), and each group takes
-    its route once.  Before any kernel runs, a matrix ``c I`` between equal
-    specs gets ``|c|`` (the pointwise norm is homogeneous).  The other
-    matrices reach the kernels: spectral cores stacked by shape across the
-    groups, with one LAPACK SVD per shape; vertex and facet matrices
-    stacked per group; bracket matrices evaluated one by one, in order.  An
-    item no exact kernel evaluates gets its :class:`KernelLimitError` in
-    place of its value, and a spectral item whose core overflows its
-    :class:`NonFiniteError`, so that a caller can raise it where a loop over
-    the items would; every item gets an error object of its own.
+    grouped by their pair of specs (the same objects), and one pass over
+    the pairs settles each in place: its route (:func:`kernel_path`), then
+    the rule that a matrix ``c I`` between equal specs has the norm ``|c|``
+    (the pointwise norm is homogeneous), then the kernel of its route for
+    the matrices left: a vertex or facet pair in one stacked call, a lone
+    matrix as a view of itself, and a bracket pair one matrix at a time.
+    Only spectral cores ``T M R^-1`` are gathered across the pairs, by
+    shape, for one LAPACK SVD per shape.  An item no exact kernel
+    evaluates gets its :class:`KernelLimitError` in place of its value,
+    and a spectral item whose core overflows its :class:`NonFiniteError`,
+    so that a caller can raise it where a loop over the items would; every
+    item gets an error object of its own.
     """
     # Per spec pair, its specs, the matrix shape its fibers fix and the
     # positions of its items.
     pairs = {}
     for n, (mat, source_spec, target_spec) in enumerate(items):
-        pair = pairs.get((id(source_spec), id(target_spec)))
+        key = (id(source_spec), id(target_spec))
+        pair = pairs.get(key)
         if pair is None:
-            shape = (target_spec.dim, source_spec.dim)
-            pair = pairs[id(source_spec), id(target_spec)] = (source_spec, target_spec, shape, [])
+            pair = pairs[key] = (source_spec, target_spec, (target_spec.dim, source_spec.dim), [])
         if mat.shape != pair[2]:
             raise ShapeMismatchError("matrix shape does not match fiber dimensions")
         pair[3].append(n)
     values = [0.0] * len(items)
-    runs = {}
-    for source_spec, target_spec, _, positions in pairs.values():
+    cores = {}
+    for source_spec, target_spec, shape, positions in pairs.values():
         path = kernel_path(source_spec, target_spec)
         if path == "trivial":
             continue
-        mats = [items[n][0] for n in positions]
-        rest = []
-        for n, mat, scalar in zip(positions, mats, _scalar_norms(mats, source_spec, target_spec)):
-            if scalar == scalar:
-                values[n] = scalar
-            else:
-                rest.append((n, mat))
-        if not rest:
-            continue
-        if path == "spectral":
-            rest = [(n, _spectral_core(m, source_spec, target_spec)) for n, m in rest]
-            key = (path, rest[0][1].shape)
+        # Only a square matrix can be c I.
+        if shape[0] == shape[1] and (source_spec is target_spec or source_spec == target_spec):
+            rest = []
+            for n in positions:
+                c = _scalar_of(items[n][0])
+                if c is None:
+                    rest.append(n)
+                else:
+                    values[n] = abs(c)
         else:
-            key = (path, id(source_spec), id(target_spec))
-        runs.setdefault(key, (source_spec, target_spec, []))[2].extend(rest)
-    for (path, *_), (source_spec, target_spec, run) in runs.items():
-        stack = np.array([m for _, m in run])
-        for (n, _), value in zip(run, _group_values(path, stack, source_spec, target_spec)):
+            rest = positions
+        if path == "spectral":
+            for n in rest:
+                core = _spectral_core(items[n][0], source_spec, target_spec)
+                cores.setdefault(core.shape, []).append((n, core))
+        elif len(rest) == 1:
+            values[rest[0]] = _pair_values(path, items[rest[0]][0][None], source_spec, target_spec)[0]
+        elif rest:
+            stack = np.array([items[n][0] for n in rest])
+            for n, value in zip(rest, _pair_values(path, stack, source_spec, target_spec)):
+                values[n] = value
+    for run in cores.values():
+        for (n, _), value in zip(run, _spectral_values(np.array([c for _, c in run]))):
             values[n] = value
     return values
-
-
-def _scalar_norms(mats, source_spec, target_spec) -> list:
-    """For each matrix, ``|c|`` if it is ``c I`` (c finite, see
-    :func:`_scalar_of`) between equal specs, and NaN otherwise.  The
-    pointwise norm is homogeneous, ``|c x| = |c| |x|``, so ``|c|`` is the
-    exact norm; a zero block reads 0."""
-    if not (source_spec is target_spec or source_spec == target_spec) or not source_spec.dim:
-        return [math.nan] * len(mats)
-    if source_spec.dim == 1:
-        return [abs(c) if math.isfinite(c) else math.nan for c in (m.item() for m in mats)]
-    return [math.nan if c is None else abs(c) for c in map(_scalar_of, mats)]
 
 
 @cache
@@ -856,62 +889,42 @@ def _scalar_of(m: np.ndarray) -> Optional[float]:
     return c
 
 
-def _group_values(path, stack, source_spec, target_spec) -> list:
-    """The values of a (k, t, s) stack on one path of the route: spectral
-    cores, or matrices that share one pair of specs.  A stack that raises
-    a kernel error is taken apart, so that each matrix gets its value or an
-    error of its own."""
+def _pair_values(path, mats, source_spec, target_spec) -> list:
+    """The values of a (k, t, s) stack of matrices between one pair of
+    specs on the vertex, facet or bracket path.  A stack that raises a
+    :class:`KernelLimitError` is taken apart, so that each matrix gets its
+    value or an error of its own."""
     try:
-        return _STACKED[path](stack, source_spec, target_spec)
+        if path == "vertex":
+            return _vertex_norms(mats, source_spec, target_spec)[1].max(axis=-1).tolist()
+        if path == "facet":
+            return _facet_scores(mats, source_spec, target_spec)[1].max(axis=-1).tolist()
+        return [_bracket_norm(m, source_spec, target_spec)[0] for m in mats]
     except KernelLimitError as exc:
-        if len(stack) == 1:
+        if len(mats) == 1:
             return [exc]
-    return [_group_values(path, m[None], source_spec, target_spec)[0] for m in stack]
+    return [_pair_values(path, m[None], source_spec, target_spec)[0] for m in mats]
 
 
-def _vertex_stack(mats, source_spec, target_spec) -> list:
-    """Per matrix, the largest target norm of an image of a vertex candidate."""
-    return _row_maxima(_vertex_norms(mats, source_spec, target_spec)[1])
-
-
-def _facet_stack(mats, source_spec, target_spec) -> list:
-    """Per matrix, the longest target facet functional pulled back through it."""
-    return _row_maxima(_facet_scores(mats, source_spec, target_spec)[1])
-
-
-def _spectral_stack(cores, source_spec, target_spec) -> list:
-    """Per core, its largest singular value as :func:`spectral_norm` gives it:
-    from the full SVD, since the largest singular value ``compute_uv=False``
-    gives can differ in the last bits, and zero for a zero core.  A core
-    that overflowed gets a :class:`NonFiniteError` in its place, so that
-    the SVD of the others still runs."""
+def _spectral_values(cores) -> list:
+    """Per core of a (k, t, s) stack, its largest singular value as
+    :func:`spectral_norm` gives it: from the full SVD, since the largest
+    singular value ``compute_uv=False`` gives can differ in the last bits,
+    and zero for a zero core.  A core that overflowed gets a
+    :class:`NonFiniteError` in its place, so that the SVD of the others
+    still runs."""
     finite = np.isfinite(cores).all(axis=(1, 2))
-    sigmas = np.zeros(len(cores))
-    if finite.any():
-        sigmas[finite] = np.linalg.svd(cores[finite], full_matrices=False)[1][:, 0]
+    if finite.all():
+        sigmas = np.linalg.svd(cores, full_matrices=False)[1][:, 0]
+    else:
+        sigmas = np.zeros(len(cores))
+        if finite.any():
+            sigmas[finite] = np.linalg.svd(cores[finite], full_matrices=False)[1][:, 0]
     sigmas[~cores.any(axis=(1, 2))] = 0.0
     return [
-        float(s) if ok else NonFiniteError("operator norm overflows the float range")
-        for s, ok in zip(sigmas, finite)
+        s if ok else NonFiniteError("operator norm overflows the float range")
+        for s, ok in zip(sigmas.tolist(), finite.tolist())
     ]
-
-
-def _bracket_stack(mats, source_spec, target_spec) -> list:
-    """Per matrix, in order, the certified bracket's value."""
-    return [_bracket_norm(m, source_spec, target_spec)[0] for m in mats]
-
-
-_STACKED = {
-    "vertex": _vertex_stack,
-    "facet": _facet_stack,
-    "spectral": _spectral_stack,
-    "bracket": _bracket_stack,
-}
-
-
-def _row_maxima(values: np.ndarray) -> list:
-    """The largest entry of each row."""
-    return values.max(axis=-1).tolist()
 
 
 def _raise_first(values: list) -> list:
@@ -932,7 +945,7 @@ def _vertex_norms(mats, source_spec, target_spec):
     one's image under a (t, s) matrix, or under each matrix of a (k, t, s)
     stack: shape (candidates,) or (k, candidates)."""
     cands = source_spec.ball_candidates()
-    images = cands @ np.swapaxes(mats, -1, -2)
+    images = cands @ mats.swapaxes(-1, -2)
     values = target_spec.eval_rows(images.reshape(-1, target_spec.dim))
     return cands, values.reshape(images.shape[:-1])
 

@@ -601,7 +601,11 @@ def reference_frame_ball_candidates(spec: FramedP) -> np.ndarray:
     """Vertex candidates of a framed 1- or inf-ball by one LAPACK call per
     row subset (and per sign pattern, for p=inf), with the relative rank,
     determinant and length thresholds of the stacked enumeration.  A square
-    inf-frame keeps ``A^-1 s`` for every sign pattern, unfiltered."""
+    inf-frame keeps ``A^-1 s`` for every sign pattern, unfiltered; a tall
+    one tests each solved point x against the rows outside its subset S,
+    row i with the slack ``2 * dim * eps * ||x||_inf * (||a_i||_1 + sum_j
+    |lambda_ij| ||a_j||_1)`` over the rows j of S, where ``a_i = lambda_i
+    A_S``."""
     matrix = spec.matrix
     rows, cols = matrix.shape
     if spec.p == 1:
@@ -629,9 +633,14 @@ def reference_frame_ball_candidates(spec: FramedP) -> np.ndarray:
         scale[scale == 0.0] = 1.0
         if abs(np.linalg.det(sub / scale)) <= 1e-12:
             continue
+        lengths = np.abs(matrix).sum(axis=1)
+        bounds = lengths + np.abs(matrix @ np.linalg.inv(sub)) @ lengths[list(subset)]
         for signs in _signs(cols):
             x = np.linalg.solve(sub, signs)
-            if np.max(np.abs(matrix @ x)) <= 1.0 + 1e-9:
+            slack = 2 * cols * np.finfo(float).eps * np.abs(x).max() * bounds
+            inside = np.abs(matrix @ x) <= 1.0 + slack
+            inside[list(subset)] = True
+            if inside.all():
                 verts.append(x)
     return np.array(verts)
 

@@ -264,18 +264,94 @@ def test_a_square_frame_keeps_every_vertex_at_any_condition():
     assert float(exact / Fraction(value)) <= 1.0 + rel
 
 
-#: A 3x2 frame of condition 4.7e10 whose inf-ball enumeration keeps no
-#: candidate: each solved vertex's third row reads past the slack.
-EMPTY_BALL_FRAME = [[0.0547114667416926, -0.01730079192417197],
-                    [-0.649764889852718, 0.20546784462084383],
-                    [-0.6956348627305853, 0.2199727903653531]]
+#: Tall frames that a feasibility test with the fixed slack 1e-9, run on
+#: every row, read wrong.  The first (condition 1.13e8) kept too few
+#: vertices: the map ``I`` into ``WeightedP(inf, (1, 1))`` read 4.339e7
+#: where its exact norm is 1.621e8.  The second (condition 4.7e10) kept
+#: none, so its norms raised.
+ILL_TALL_FRAMES = [
+    [[-0.429824230948801, 0.13428355922942906],
+     [0.41567543240869687, -0.12986326439386212],
+     [0.7440034597762745, -0.23243789601460127]],
+    [[0.0547114667416926, -0.01730079192417197],
+     [-0.649764889852718, 0.20546784462084383],
+     [-0.6956348627305853, 0.2199727903653531]],
+]
 
 
-def test_an_empty_vertex_set_is_a_located_kernel_error():
-    """Not numpy's unlocated ``zero-size array`` ValueError."""
-    frame = FramedP(INF, EMPTY_BALL_FRAME)
+def _exact_tall_vertices(frame):
+    """The vertices of the inf-ball of a k x 2 frame, in exact rational
+    arithmetic on the given floats: each nonsingular pair of rows, each
+    sign pattern, kept when every row reads at most 1."""
+    a = [[Fraction(x) for x in row] for row in frame]
+    verts = []
+    for i, j in itertools.combinations(range(len(a)), 2):
+        det = a[i][0] * a[j][1] - a[i][1] * a[j][0]
+        if det == 0:
+            continue
+        for si, sj in itertools.product((-1, 1), repeat=2):
+            x = ((si * a[j][1] - sj * a[i][1]) / det, (sj * a[i][0] - si * a[j][0]) / det)
+            if all(abs(r[0] * x[0] + r[1] * x[1]) <= 1 for r in a):
+                verts.append(x)
+    return verts
+
+
+def _exact_tall_norms(frame, mat, xi):
+    """The exact norm of ``mat`` out of ``FramedP(inf, frame)`` into
+    ``WeightedP(inf, (1, 1))``, and the exact dual norm of ``xi``."""
+    verts = _exact_tall_vertices(frame)
+    m = [[Fraction(x) for x in row] for row in mat]
+    op = max(abs(row[0] * x[0] + row[1] * x[1]) for row in m for x in verts)
+    dual = max(Fraction(xi[0]) * x[0] + Fraction(xi[1]) * x[1] for x in verts)
+    return op, dual
+
+
+def _tall_frame_rel(frame):
+    return SCALE_COND_FACTOR * np.linalg.cond(frame) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("frame", ILL_TALL_FRAMES, ids=["cond1.1e8", "cond4.7e10"])
+def test_a_tall_frame_keeps_every_vertex(frame):
+    spec = FramedP(INF, frame)
+    exact, _ = _exact_tall_norms(frame, np.eye(2), (1.0, 0.0))
+    value = operator_norm_value(np.eye(2), spec, WeightedP(INF, (1.0, 1.0)))
+    assert value == pytest.approx(float(exact), rel=_tall_frame_rel(frame), abs=0.0)
+    assert len(spec.ball_candidates()) >= len(_exact_tall_vertices(frame))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 11.9))
+@example(0, 11.9)
+def test_tall_frames_and_their_duals_match_exact_vertices(seed, log_cond):
+    """A 3x2 frame of condition about ``10^log_cond``, up to the 1e12 the
+    rank test admits: the operator norm of a map out of its inf-ball and its
+    dual norm (``DualOf``) of a covector agree with the exact vertex
+    enumeration to ``SCALE_COND_FACTOR * cond * eps``, in both directions."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    right, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    frame = left @ np.diag([1.0, 10.0**-log_cond]) @ right.T
+    mat = rng.standard_normal((2, 2))
+    xi = rng.standard_normal(2)
+    spec = FramedP(INF, frame)
+    exact_op, exact_dual = _exact_tall_norms(frame, mat, xi)
+    dual = dual_spec(spec)
+    assert isinstance(dual, DualOf)
+    rel = _tall_frame_rel(frame)
+    op = operator_norm_value(mat, spec, WeightedP(INF, (1.0, 1.0)))
+    assert op == pytest.approx(float(exact_op), rel=rel, abs=0.0)
+    assert norm_eval(dual, xi) == pytest.approx(float(exact_dual), rel=rel, abs=0.0)
+
+
+def test_an_empty_vertex_set_is_a_located_kernel_error(monkeypatch):
+    """Not numpy's unlocated ``zero-size array`` ValueError.  No admitted
+    frame keeps no vertex any more, so the enumeration is made to keep
+    none."""
+    monkeypatch.setattr(FramedP, "_inf_ball_vertices", lambda self, index: np.zeros((0, self.dim)))
+    frame = FramedP(INF, ILL_TALL_FRAMES[1])
     with pytest.raises(KernelLimitError, match="kept"):
         frame.ball_candidates()
+    frame = FramedP(INF, ILL_TALL_FRAMES[1])
     space = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
     plane = Fiber(2, WeightedP(2, (1.0, 1.0)))
     source = FiberModule(space, (plane, Fiber(2, frame)))
@@ -804,6 +880,29 @@ def test_norm_specs_reject_non_finite_input(make):
         make()
 
 
+@pytest.mark.parametrize("p, frame", [
+    (1, [[2.0, 0.5], [-1.0, 3.0]]),
+    (INF, [[2.0, 0.5], [-1.0, 3.0]]),
+    (2, [[2.0, 0.5], [-1.0, 3.0]]),
+    (2, TALL),
+], ids=["square-p1", "square-pinf", "square-p2", "tall-p2"])
+def test_the_dual_of_an_admitted_frame_runs_no_rank_svd(monkeypatch, p, frame):
+    """The dual's frame is derived from one the constructor admitted, so it
+    is adopted without the rank SVD; it is the matrix the public
+    constructor builds, byte for byte, and read-only."""
+    spec = FramedP(p, frame)
+    inverse = spec._inverse_transform if p == 2 else np.linalg.inv(spec.matrix)
+    want = FramedP({1: INF, INF: 1, 2: 2}[p], inverse.T)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or svd(*args, **kwargs))
+    dual = spec.dual()
+    assert calls == []
+    assert isinstance(dual, FramedP) and dual.p == want.p
+    assert dual.matrix.tobytes() == want.matrix.tobytes()
+    assert dual.matrix.flags.c_contiguous and not dual.matrix.flags.writeable
+
+
 #: Factories of every spec kind, so that an equal spec that is another
 #: object can be made.
 SCALAR_SPECS = [
@@ -849,22 +948,48 @@ def test_the_scalar_rule_needs_equal_specs_and_a_finite_scalar():
         operator_norm_value(np.array([[np.inf]]), WeightedP(2, (1.0,)), WeightedP(2, (1.0,)))
 
 
-def test_a_batch_with_repeated_items_equals_its_singleton_batches():
-    """Repeated matrices, repeated ``c I`` and repeated uncertifiable
-    matrices in one batch: every item gets its singleton batch's value bit
-    for bit, and every error is an object of its own."""
+def _batch_pool():
+    """Items on every route: one per pair of ``OPNORM_PAIRS``; an
+    uncertifiable bracket matrix and a ``c I`` between operator-norm
+    fibers; a lone vertex pair whose ball is beyond the enumeration cap; a
+    lone facet pair; a spectral pair whose core shape no other pair has;
+    and a second spectral pair whose cores share their shape with the
+    ``OPNORM_PAIRS`` one, so that the two are stacked together."""
     rng = np.random.default_rng(5)
-    wide = np.array([[1.0, 2.0], [0.0, 1.0]])
-    items = [(wide, COVECTORS, COVECTORS), (2.0 * np.eye(2), COVECTORS, COVECTORS)]
+    items = [(np.array([[1.0, 2.0], [0.0, 1.0]]), COVECTORS, COVECTORS),
+             (2.0 * np.eye(2), COVECTORS, COVECTORS)]
     for source, target in OPNORM_PAIRS:
         if kernel_path(source, target) == "bracket":
             mat = _rotation(rng)
         else:
             mat = rng.standard_normal((target.dim, source.dim))
         items.append((mat, source, target))
-    items = [items[k] for k in rng.permutation(3 * len(items)) % len(items)]
-    items += [(mat.copy(), source, target) for mat, source, target in items[:4]]
+    capped = (WeightedP(INF, np.ones(13)), WeightedP(2, (1.0,)))
+    facet = (WeightedP(2, (1.0, 3.0)), WeightedP(INF, (1.0, 2.0)))
+    lone_core = (WeightedP(2, (1.0, 2.0, 0.5)), FramedP(2, rng.standard_normal((4, 4))))
+    shared_core = (WeightedP(2, (2.0, 1.0)), WeightedP(2, (1.0, 1.0, 3.0)))
+    for source, target in (capped, facet, lone_core, shared_core, shared_core):
+        items.append((rng.standard_normal((target.dim, source.dim)), source, target))
+    return items
+
+
+BATCH_POOL = _batch_pool()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(BATCH_POOL) - 1), st.booleans()), min_size=1, max_size=24))
+@example([(k % len(BATCH_POOL), k >= len(BATCH_POOL)) for k in range(2 * len(BATCH_POOL))])
+def test_a_batch_with_repeated_items_equals_its_singleton_batches(picks):
+    """Any subset of the pool's items, in any order and repeated, the same
+    matrix object or a copy of it: every item gets its singleton batch's
+    value bit for bit, or an error of the same type and text, and every
+    error is an object of its own."""
+    items = []
+    for k, copy in picks:
+        mat, source, target = BATCH_POOL[k]
+        items.append((mat.copy() if copy else mat, source, target))
     values = operator_norm_batch(items)
+    assert len(values) == len(items)
     for item, value in zip(items, values):
         single = operator_norm_batch([item])[0]
         if isinstance(single, Exception):
@@ -872,8 +997,15 @@ def test_a_batch_with_repeated_items_equals_its_singleton_batches():
         else:
             assert np.float64(value).tobytes() == np.float64(single).tobytes()
     errors = [v for v in values if isinstance(v, Exception)]
-    assert len(errors) >= 3
     assert len({id(e) for e in errors}) == len(errors)
+
+
+def test_the_batch_pool_covers_every_route_and_error():
+    paths = {kernel_path(source, target) for _, source, target in BATCH_POOL}
+    assert paths == {"vertex", "facet", "spectral", "trivial", "bracket"}
+    values = operator_norm_batch(BATCH_POOL)
+    kinds = {type(v) for v in values if isinstance(v, Exception)}
+    assert kinds == {BracketTooWideError, DimensionCapError}
 
 
 def test_repeated_failing_morphisms_locate_their_own_errors():
