@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ from .measure import AtomicMeasureSpace, L0Function, l0_distance
 from .norms import (
     WeightedP,
     _eye,
+    _Results,
     _raise_first,
     _scalar_of,
     norm_eval,
@@ -423,23 +425,26 @@ def operator_pointwise_norms(phis: Sequence[ModuleMorphism]) -> List[L0Function]
     return [L0Function(phi.source.space, values) for phi, values in zip(phis, results)]
 
 
-def _operator_norm_results(phis: Sequence[ModuleMorphism]) -> list:
+def _operator_norm_results(phis: Sequence[ModuleMorphism]) -> _Results:
     """Each morphism's exact per-atom operator norms as a list of floats from
     one :func:`~l0limits.norms.operator_norm_batch`, or in its place the
     error it raises: the first error of an atom in atom order (a kernel error
     or a spectral core that overflows) located at the atom, else the
-    :class:`L0Function` error of a norm that overflows, for callers to raise."""
+    :class:`L0Function` error of a norm that overflows, for callers to raise.
+    The list's ``inexact`` holds the positions of the morphisms with an atom
+    on the bracket path, as the batch took it."""
     items = [
         (m, s.norm, t.norm)
         for phi in phis
         for m, s, t in zip(phi.matrices, phi.source.fibers, phi.target.fibers)
     ]
     values = operator_norm_batch(items)
-    results, start = [], 0
+    results, stops, start = [], [], 0
     for phi in phis:
         space = phi.source.space
         chunk = values[start:start + space.atom_count]
         start += space.atom_count
+        stops.append(start)
         bad = next((a for a, v in enumerate(chunk) if isinstance(v, Exception)), None)
         if bad is not None:
             chunk = chunk[bad].at_atom(space.atom_ids[bad])
@@ -447,7 +452,8 @@ def _operator_norm_results(phis: Sequence[ModuleMorphism]) -> list:
             atom = space.atom_ids[next(a for a, v in enumerate(chunk) if not math.isfinite(v))]
             chunk = NonFiniteError(f"function value at atom {atom!r} is not finite")
         results.append(chunk)
-    return results
+    # Item n belongs to the first morphism whose atoms end past it.
+    return _Results(results, sorted({bisect_right(stops, n) for n in values.inexact}))
 
 
 def operator_norm_witnesses(phi: ModuleMorphism):

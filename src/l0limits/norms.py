@@ -12,7 +12,8 @@ Duals are simplified eagerly: only ``DualOf`` of a strictly tall framed
 1- or inf-norm survives as a symbolic node, everything else collapses to
 a closed form, and double duals flatten back to the original norm.
 Specs are immutable, so each computes its dual once and keeps it, as it
-keeps its vertex candidates and inverse transform.
+keeps its vertex candidates, its inverse transform and its latest
+restrictions.
 
 Unit balls of the 1/inf variants are polytopes; convex maximization over
 them is exact once a finite candidate superset of the vertices is known.
@@ -49,6 +50,9 @@ FRAME_BALL_BUDGET = 500_000
 
 #: Floats one array of a stacked frame-ball enumeration may hold.
 _CHUNK_FLOATS = 1 << 19
+
+#: The restrictions a spec keeps, at most (see ``_restriction``).
+_KEPT_RESTRICTIONS = 4
 
 #: The multiple of a solved inf-ball vertex's rounding bound that its test
 #: against the frame's other rows allows (see ``FramedP._inf_ball_vertices``).
@@ -143,6 +147,7 @@ class WeightedP:
         weights.setflags(write=False)
         self.p = p
         self.weights = weights
+        self._restrictions = {}
 
     @property
     def dim(self) -> int:
@@ -201,11 +206,14 @@ class WeightedP:
         return WeightedP(_conjugate(self.p), 1.0 / self.weights)
 
     def restrict(self, basis: np.ndarray):
-        basis = _as_matrix(basis)
-        if basis.shape[0] != self.dim:
-            raise ShapeMismatchError("restriction basis has wrong ambient dimension")
-        if basis.shape == (self.dim, self.dim) and np.array_equal(basis, np.eye(self.dim)):
-            return self
+        """The norm ``y -> ||diag(w) B y||_p`` on the span of the columns of
+        ``basis``, in their coordinates: a framed p-norm, or this norm for
+        the identity.  A restriction along a basis this spec still keeps is
+        returned as it is, so the result may be a shared object (see
+        :func:`_restriction`)."""
+        return _restriction(self, basis)
+
+    def _restricted(self, basis: np.ndarray):
         return FramedP(self.p, self.weights[:, None] * basis)
 
     def __eq__(self, other):
@@ -252,6 +260,7 @@ class FramedP:
         matrix.setflags(write=False)
         self.p = p
         self.matrix = matrix
+        self._restrictions = {}
 
     @property
     def dim(self) -> int:
@@ -429,11 +438,13 @@ class FramedP:
         return DualOf(self)
 
     def restrict(self, basis: np.ndarray):
-        basis = _as_matrix(basis)
-        if basis.shape[0] != self.dim:
-            raise ShapeMismatchError("restriction basis has wrong ambient dimension")
-        if basis.shape == (self.dim, self.dim) and np.array_equal(basis, np.eye(self.dim)):
-            return self
+        """The norm ``y -> ||A B y||_p`` on the span of the columns of
+        ``basis``, in their coordinates, or this norm for the identity.  A
+        restriction along a basis this spec still keeps is returned as it
+        is, so the result may be a shared object (see :func:`_restriction`)."""
+        return _restriction(self, basis)
+
+    def _restricted(self, basis: np.ndarray):
         return FramedP(self.p, self.matrix @ basis)
 
     def __eq__(self, other):
@@ -467,6 +478,7 @@ class DualOf:
                 "use dual_spec for the general construction"
             )
         self.inner = inner
+        self._restrictions = {}
 
     @property
     def dim(self) -> int:
@@ -494,11 +506,13 @@ class DualOf:
         return self.inner
 
     def restrict(self, basis: np.ndarray):
-        basis = _as_matrix(basis)
-        if basis.shape[0] != self.dim:
-            raise ShapeMismatchError("restriction basis has wrong ambient dimension")
-        if basis.shape == (self.dim, self.dim) and np.array_equal(basis, np.eye(self.dim)):
-            return self
+        """This norm on the span of the columns of ``basis``, in their
+        coordinates: a framed inf-norm, or this norm for the identity.  A
+        restriction along a basis this spec still keeps is returned as it
+        is, so the result may be a shared object (see :func:`_restriction`)."""
+        return _restriction(self, basis)
+
+    def _restricted(self, basis: np.ndarray):
         if basis.shape[1] == 0:
             return zero_norm()
         # Restricting a polyhedral norm with dual candidates {w} gives the
@@ -517,6 +531,44 @@ class DualOf:
 
     def __repr__(self):
         return f"DualOf({self.inner!r})"
+
+
+def _restriction(spec, basis):
+    """``spec`` restricted to the span of the columns of ``basis``, the
+    entry of every ``restrict``: the shape check, then ``spec`` itself for
+    the identity, else the restriction ``spec`` keeps along an equal basis
+    (same shape, same bytes), else a new one from ``spec._restricted``.
+
+    A nested-subspace system restricts one ambient norm to a few subspaces
+    over and over, so equal restrictions are one object: its ball
+    candidates, factors and operator-norm stacks are built once.  A
+    construction reads only the basis's values, so a kept restriction is
+    bit for bit the one a new build would give; bases that differ in a
+    byte (the sign of a zero) are kept apart.  The bytes fix the shape too,
+    since the rows are the spec's dim (a spec of dim 0 has no restriction
+    but itself).  A spec keeps its latest ``_KEPT_RESTRICTIONS``
+    restrictions in a plain dict made with it, which pickles and copies
+    with it.  A restriction that raises is not kept, and neither is the
+    identity, so no spec holds itself.  Each change to a table is one dict
+    call, atomic under the interpreter, and ``setdefault`` keeps the first
+    of racing builds: threads that restrict one spec at once all get the
+    one kept restriction, with no lock."""
+    basis = _as_matrix(basis)
+    dim, cols = basis.shape
+    if dim != spec.dim:
+        raise ShapeMismatchError("restriction basis has wrong ambient dimension")
+    key = basis.tobytes()
+    # The bytes of the identity settle the common case; an identity with a
+    # -0.0 entry is one too.
+    if cols == dim and (key == _eye(dim).tobytes() or _scalar_of(basis) == 1.0):
+        return spec
+    kept = spec._restrictions
+    restricted = kept.get(key)
+    if restricted is None:
+        restricted = kept.setdefault(key, spec._restricted(basis))
+        for stale in list(kept)[:-_KEPT_RESTRICTIONS]:
+            kept.pop(stale, None)
+    return restricted
 
 
 def _halve_symmetric(rows: np.ndarray) -> np.ndarray:
@@ -816,7 +868,8 @@ def operator_norm_batch(items) -> list:
     evaluates gets its :class:`KernelLimitError` in place of its value,
     and a spectral item whose core overflows its :class:`NonFiniteError`,
     so that a caller can raise it where a loop over the items would; every
-    item gets an error object of its own.
+    item gets an error object of its own.  The list's ``inexact`` holds the
+    positions, in order, of the items on the bracket path.
     """
     # Per spec pair, its specs, the matrix shape its fibers fix and the
     # positions of its items.
@@ -830,11 +883,13 @@ def operator_norm_batch(items) -> list:
             raise ShapeMismatchError("matrix shape does not match fiber dimensions")
         pair[3].append(n)
     values = [0.0] * len(items)
-    cores = {}
+    cores, inexact = {}, []
     for source_spec, target_spec, shape, positions in pairs.values():
         path = kernel_path(source_spec, target_spec)
         if path == "trivial":
             continue
+        if path == "bracket":
+            inexact += positions
         # Only a square matrix can be c I.
         if shape[0] == shape[1] and (source_spec is target_spec or source_spec == target_spec):
             rest = []
@@ -859,7 +914,19 @@ def operator_norm_batch(items) -> list:
     for run in cores.values():
         for (n, _), value in zip(run, _spectral_values(np.array([c for _, c in run]))):
             values[n] = value
-    return values
+    return _Results(values, sorted(inexact))
+
+
+class _Results(list):
+    """A list of results, of items or of morphisms, whose ``inexact`` holds
+    the positions of the entries that the bracket path evaluated, in whole
+    or in part."""
+
+    __slots__ = ("inexact",)
+
+    def __init__(self, values, inexact):
+        super().__init__(values)
+        self.inexact = inexact
 
 
 @cache

@@ -44,7 +44,7 @@ from .modules import (
     mask_inclusion,
     mask_module,
 )
-from .norms import _raise_first, _scalar_of, kernel_path
+from .norms import _raise_first, _scalar_of
 
 #: Relative slack on a product of computed edge norms, each edge's largest
 #: over the atoms.  Every exactly evaluated norm carries a few ulps of
@@ -258,17 +258,17 @@ def validate_system(system: System) -> SystemReport:
     # The supplied edges are normed in one batch; each edge's error is
     # raised in its pair's turn, where a loop over the pairs would raise it.
     edges = [p for p in pairs if p in system.maps]
-    edge_norms = dict(zip(edges, _operator_norm_results([system.maps[e] for e in edges])))
+    results = _operator_norm_results([system.maps[e] for e in edges])
+    edge_norms = dict(zip(edges, results))
+    inexact = {edges[n] for n in results.inexact}
     bounds: Dict[tuple, Optional[float]] = {}
 
     @cache
     def exact_norm(edge) -> Optional[float]:
-        """The edge's largest norm where every atom has an exact kernel, else None."""
-        phi = system.maps[edge]
-        fibers = zip(phi.source.fibers, phi.target.fibers)
-        if all(kernel_path(s.norm, t.norm) != "bracket" for s, t in fibers):
-            return max(_raise_first([edge_norms[edge]])[0], default=0.0)
-        return None
+        """The edge's largest norm where no atom took the bracket path, else None."""
+        if edge in inexact:
+            return None
+        return max(_raise_first([edge_norms[edge]])[0], default=0.0)
 
     def path_bound(i, j, tree) -> Optional[float]:
         """Product of the edges' largest norms along the tree path i -> j."""

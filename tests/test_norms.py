@@ -567,6 +567,147 @@ def test_restrict_weighted_and_dual():
         )
 
 
+def _restricting_parents():
+    """A fresh spec of each kind that restricts, all of dim 3."""
+    return [
+        WeightedP(1, (1.0, 2.0, 0.5)),
+        FramedP(INF, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+        dual_spec(FramedP(1, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 1.0]])),
+    ]
+
+
+def _kept(spec) -> dict:
+    return spec._restrictions
+
+
+_FLAG, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_an_equal_basis_gives_the_one_kept_restriction(k):
+    """A non-contiguous view, the original again and a copy: one spec,
+    equal to a fresh restriction, with the same ball candidates."""
+    parent, fresh_parent = _restricting_parents()[k], _restricting_parents()[k]
+    view = _FLAG[:, :2]
+    assert not view.flags.c_contiguous
+    restricted = parent.restrict(view)
+    assert parent.restrict(view) is restricted
+    assert parent.restrict(view.copy()) is restricted
+    assert parent.restrict(view.tolist()) is restricted
+    fresh = fresh_parent.restrict(view.copy())
+    assert fresh is not restricted and fresh == restricted
+    assert fresh.ball_candidates().tobytes() == restricted.ball_candidates().tobytes()
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_bases_that_differ_in_shape_or_a_zero_sign_give_distinct_specs(k):
+    parent = _restricting_parents()[k]
+    plane = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    signed = plane.copy()
+    signed[2, 0] = -0.0
+    assert np.array_equal(plane, signed) and plane.tobytes() != signed.tobytes()
+    specs = [parent.restrict(b) for b in (plane, signed, plane[:, :1])]
+    assert len({id(spec) for spec in specs}) == 3
+    assert [parent.restrict(b) for b in (plane, signed, plane[:, :1])] == specs
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_an_identity_or_failing_restriction_keeps_nothing(k):
+    """The identity gives the parent itself, which it does not keep, so no
+    spec holds itself; a wrong ambient dim or a NaN raises every time."""
+    parent = _restricting_parents()[k]
+    assert parent.restrict(np.eye(3)) is parent
+    signed = np.eye(3)
+    signed[0, 1] = -0.0
+    assert parent.restrict(signed) is parent
+    nan = _FLAG[:, :2].copy()
+    nan[1, 1] = np.nan
+    for _ in range(2):
+        with pytest.raises(ShapeMismatchError):
+            parent.restrict(np.ones((2, 1)))
+        with pytest.raises(NonFiniteError):
+            parent.restrict(nan)
+    assert _kept(parent) == {}
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_a_parent_with_kept_restrictions_pickles_and_copies(k):
+    import copy
+    import pickle
+
+    parent = _restricting_parents()[k]
+    restricted = parent.restrict(_FLAG[:, :2])
+    for clone in (pickle.loads(pickle.dumps(parent)), copy.deepcopy(parent)):
+        assert clone == parent
+        again = clone.restrict(_FLAG[:, :2].copy())
+        assert again == restricted and again is not restricted
+        assert clone.restrict(_FLAG[:, :2]) is again
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_the_kept_restrictions_never_pass_their_bound(k):
+    parent = _restricting_parents()[k]
+    for n in range(3 * norms._KEPT_RESTRICTIONS):
+        latest = parent.restrict((1.0 + n) * _FLAG[:, :2])
+        assert len(_kept(parent)) == min(n + 1, norms._KEPT_RESTRICTIONS)
+        assert parent.restrict((1.0 + n) * _FLAG[:, :2]) is latest
+
+
+def test_threads_restricting_one_spec_share_its_kept_restrictions():
+    """Eight threads restrict one parent at once, with a short switch
+    interval: along as many bases as the table keeps, every thread gets
+    the one kept restriction of each; along three times as many, none
+    raises and the table stays within its bound."""
+    import sys
+    import threading
+
+    parent = WeightedP(1, (1.0, 2.0, 0.5))
+    bound = norms._KEPT_RESTRICTIONS
+    errors = []
+
+    def run(bases, outs):
+        def work(out):
+            try:
+                for _ in range(30):
+                    out += [parent.restrict(b.copy()) for b in bases]
+            except Exception as exc:  # a thread's error fails the test below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in outs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        few = [(1.0 + n) * _FLAG[:, :2] for n in range(bound)]
+        outs = [[] for _ in range(8)]
+        run(few, outs)
+        kept = _kept(parent)
+        for out in outs:
+            assert len(out) == 30 * bound
+            assert all(spec is kept[few[n % bound].tobytes()] for n, spec in enumerate(out))
+        run([(1.0 + n) * _FLAG[:, 1:] for n in range(3 * bound)], [[] for _ in range(8)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(_kept(parent)) == bound
+
+
+def test_submodules_along_equal_bases_share_their_fiber_norms():
+    from l0limits.modules import submodule_from_bases
+
+    space = AtomicMeasureSpace(["a", "b", "c"], [1.0, 1.0, 1.0])
+    module = FiberModule(space, tuple(Fiber(3, spec) for spec in _restricting_parents()))
+    first, _ = submodule_from_bases(module, [_FLAG[:, :2]] * 3)
+    second, _ = submodule_from_bases(module, [_FLAG[:, :2].copy() for _ in range(3)])
+    for f, g in zip(first.fibers, second.fibers):
+        assert f.norm is g.norm
+
+
 def test_operator_norm_rejects_unsupported_dual():
     with pytest.raises(UnsupportedNormError):
         dual_spec(OperatorNorm(2, WeightedP(2, (1, 1)), 2, WeightedP(2, (1, 1))))
@@ -976,21 +1117,40 @@ def _batch_pool():
 BATCH_POOL = _batch_pool()
 
 
+def _rebuilt(spec):
+    """An equal spec built anew by its constructor, sharing no object or
+    cache with ``spec``."""
+    if isinstance(spec, WeightedP):
+        return WeightedP(spec.p, spec.weights.copy())
+    if isinstance(spec, FramedP):
+        return FramedP(spec.p, spec.matrix.copy())
+    if isinstance(spec, DualOf):
+        return DualOf(_rebuilt(spec.inner))
+    return OperatorNorm(spec.source_dim, _rebuilt(spec.source_spec),
+                        spec.target_dim, _rebuilt(spec.target_spec))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, len(BATCH_POOL) - 1), st.booleans()), min_size=1, max_size=24))
-@example([(k % len(BATCH_POOL), k >= len(BATCH_POOL)) for k in range(2 * len(BATCH_POOL))])
+@given(st.lists(st.tuples(st.integers(0, len(BATCH_POOL) - 1), st.booleans(), st.booleans()),
+                min_size=1, max_size=24))
+@example([(k % len(BATCH_POOL), k >= len(BATCH_POOL), k % 2 == 1) for k in range(2 * len(BATCH_POOL))])
 def test_a_batch_with_repeated_items_equals_its_singleton_batches(picks):
     """Any subset of the pool's items, in any order and repeated, the same
-    matrix object or a copy of it: every item gets its singleton batch's
-    value bit for bit, or an error of the same type and text, and every
-    error is an object of its own."""
-    items = []
-    for k, copy in picks:
+    matrix object or a copy of it, between the pool's specs or equal
+    rebuilt ones: every item gets the value of the pool item's singleton
+    batch bit for bit, or an error of the same type and text, and every
+    error is an object of its own.  So a spec pair's items may share one
+    stack whether their specs are one object or equal ones."""
+    items, pooled = [], []
+    for k, copy, rebuilt in picks:
         mat, source, target = BATCH_POOL[k]
+        if rebuilt:
+            source, target = _rebuilt(source), _rebuilt(target)
         items.append((mat.copy() if copy else mat, source, target))
+        pooled.append(BATCH_POOL[k])
     values = operator_norm_batch(items)
     assert len(values) == len(items)
-    for item, value in zip(items, values):
+    for item, value in zip(pooled, values):
         single = operator_norm_batch([item])[0]
         if isinstance(single, Exception):
             assert (type(value), str(value)) == (type(single), str(single))
@@ -1021,6 +1181,28 @@ def test_repeated_failing_morphisms_locate_their_own_errors():
         assert isinstance(err, BracketTooWideError)
         assert err.atom == "b"
         assert str(err).count("at atom") == 1
+
+
+def test_the_results_name_the_morphisms_with_a_bracket_atom():
+    """The bracket items of a batch, and the morphisms with an atom among
+    them, as ``kernel_path`` routes them, whatever their values."""
+    import l0limits.modules as modules
+
+    space = AtomicMeasureSpace(["a", "b"], [1.0, 1.0])
+    mixed = FiberModule(space, (Fiber(2, WeightedP(2, (1.0, 1.0))), Fiber(2, COVECTORS)))
+    plain = euclidean_module(space, 2)
+    wide = np.array([[1.0, 2.0], [0.0, 1.0]])
+    exact = ModuleMorphism(plain, plain, [wide, wide])
+    bracket = ModuleMorphism(mixed, mixed, [wide, 0.5 * np.eye(2)])
+    failing = ModuleMorphism(mixed, mixed, [np.eye(2), wide])
+    point = FiberModule(AtomicMeasureSpace(["z"], [1.0]), (Fiber(0, zero_norm()),))
+    trivial = ModuleMorphism(point, point, [np.zeros((0, 0))])
+    results = modules._operator_norm_results([exact, bracket, trivial, failing, exact])
+    assert results.inexact == [1, 3]
+    assert isinstance(results[3], BracketTooWideError)
+    items = [(wide, COVECTORS, COVECTORS), (wide, WeightedP(2, (1.0, 1.0)), WeightedP(1, (1.0, 1.0))),
+             (np.eye(2), COVECTORS, COVECTORS)]
+    assert operator_norm_batch(items).inexact == [0, 2]
 
 
 def test_restricted_dual_functionals_merge_as_the_row_loop_does():

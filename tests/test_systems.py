@@ -270,6 +270,42 @@ def test_only_exact_kernels_certify_composites(monkeypatch, bracket):
     assert len(calls) == (6 if bracket else 3)
 
 
+@pytest.mark.parametrize("validate", [validate_direct_system, validate_inverse_system])
+def test_validation_takes_each_route_from_the_batch(monkeypatch, validate):
+    """A 10-stage chain with fresh fibers at every stage: ``kernel_path``
+    runs once per spec pair of each operator-norm batch, and validation
+    reads each edge's exactness from the batch, routing no atom again."""
+    from l0limits import modules, norms
+
+    routes, pairs = [], []
+    path, batch = norms.kernel_path, norms.operator_norm_batch
+
+    def counted_path(source, target):
+        routes.append((source, target))
+        return path(source, target)
+
+    def counted_batch(items):
+        pairs.append(len({(id(s), id(t)) for _, s, t in items}))
+        return batch(items)
+
+    monkeypatch.setattr(norms, "kernel_path", counted_path)
+    monkeypatch.setattr(systems, "kernel_path", counted_path, raising=False)
+    monkeypatch.setattr(modules, "operator_norm_batch", counted_batch)
+    rng = np.random.default_rng(10)
+    space = randgen.random_space(rng)
+    stages = {k: randgen.random_module(rng, space, max_dim=3) for k in range(10)}
+    if validate is validate_direct_system:
+        maps = {(k, k + 1): randgen.random_admissible_morphism(rng, stages[k], stages[k + 1])
+                for k in range(9)}
+        system = DirectSystem(Chain(10, IdentityTail()), stages, maps)
+    else:
+        maps = {(k, k + 1): randgen.random_admissible_morphism(rng, stages[k + 1], stages[k])
+                for k in range(9)}
+        system = InverseSystem(Chain(10, IdentityTail()), stages, maps)
+    assert validate(system).passed
+    assert pairs and len(routes) == sum(pairs)
+
+
 _EDGE_NORM = st.builds(
     lambda mantissa, exponent: mantissa * 10.0 ** exponent,
     st.floats(1.0, 10.0), st.integers(-150, 149),
