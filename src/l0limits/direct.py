@@ -28,6 +28,7 @@ from .modules import (
     pointwise_norm,
     submodule_generated,
 )
+from .norms import _mm
 from . import systems
 from .systems import (
     LimitPresentation,
@@ -210,7 +211,7 @@ def solve_square_component(
         rhs = np.vstack([chi.matrices[a] for _, chi in squares])
         sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         mats.append(sol)
-        res = float(np.max(np.abs(lhs @ sol - rhs), initial=0.0))
+        res = float(np.max(np.abs(_mm(lhs, sol) - rhs), initial=0.0))
         if res > residual:
             residual = res
             witness = (
@@ -266,7 +267,7 @@ def present_as_fg_limit(module: FiberModule, gens: List[Element]) -> FgPresentat
         # Coordinates of stage k inside stage k+1: bases are orthonormal
         # and nested, so the transfer matrix is B_{k+1}^T B_k.
         mats = [
-            nxt.T @ cur
+            _mm(nxt.T, cur)
             for cur, nxt in zip(inclusions[k].matrices, inclusions[k + 1].matrices)
         ]
         maps[(k, k + 1)] = ModuleMorphism(stages[k], stages[k + 1], mats)

@@ -77,7 +77,15 @@ def _expect(raw, path: str) -> str:
     return raw
 
 
+def _finite_floats(raw) -> bool:
+    """Whether ``raw`` is a list of finite floats only: the common array,
+    which needs neither a path nor a check per number."""
+    return type(raw) is list and all([type(x) is float and math.isfinite(x) for x in raw])
+
+
 def _numbers(raw, path: str) -> list:
+    if _finite_floats(raw):
+        return list(raw)
     if not isinstance(raw, list):
         raise DocumentError(path, "expected an array of numbers")
     return [_number(x, f"{path}[{k}]") for k, x in enumerate(raw)]
@@ -86,7 +94,7 @@ def _numbers(raw, path: str) -> list:
 def _matrix(raw, path: str) -> np.ndarray:
     if not isinstance(raw, list):
         raise DocumentError(path, "expected an array of rows")
-    rows = [_numbers(r, f"{path}[{k}]") for k, r in enumerate(raw)]
+    rows = [r if _finite_floats(r) else _numbers(r, f"{path}[{k}]") for k, r in enumerate(raw)]
     if rows and len({len(r) for r in rows}) != 1:
         raise DocumentError(path, "ragged matrix rows")
     return np.array(rows, dtype=float) if rows else np.zeros((0, 0))

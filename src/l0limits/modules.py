@@ -26,6 +26,7 @@ from .measure import AtomicMeasureSpace, L0Function, l0_distance
 from .norms import (
     WeightedP,
     _eye,
+    _mm,
     _Results,
     _raise_first,
     _scalar_of,
@@ -291,7 +292,7 @@ def zero_morphism(source: FiberModule, target: FiberModule) -> ModuleMorphism:
 def apply(phi: ModuleMorphism, v: Element) -> Element:
     if v.module != phi.source:
         raise ShapeMismatchError("element does not belong to the morphism source")
-    return Element(phi.target, [m @ c for m, c in zip(phi.matrices, v.coords)], _fresh=True)
+    return Element(phi.target, [_mm(m, c) for m, c in zip(phi.matrices, v.coords)], _fresh=True)
 
 
 def compose(psi: ModuleMorphism, phi: ModuleMorphism) -> ModuleMorphism:
@@ -303,7 +304,7 @@ def compose(psi: ModuleMorphism, phi: ModuleMorphism) -> ModuleMorphism:
     and the three modules share one space."""
     if psi.source is not phi.target and psi.source != phi.target:
         raise ShapeMismatchError("composition endpoints do not match")
-    mats = tuple([b @ a for b, a in zip(psi.matrices, phi.matrices)])
+    mats = tuple([_mm(b, a) for b, a in zip(psi.matrices, phi.matrices)])
     return ModuleMorphism.__new__(ModuleMorphism)._adopt(phi.source, psi.target, mats)
 
 
@@ -329,7 +330,7 @@ def _chain_products(factors: Sequence[ModuleMorphism]) -> list:
     multiplied from the left as repeated :func:`compose` builds it."""
     products = factors[0].matrices
     for phi in factors[1:]:
-        products = [m @ f for m, f in zip(products, phi.matrices)]
+        products = [_mm(m, f) for m, f in zip(products, phi.matrices)]
     return products
 
 

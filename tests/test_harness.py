@@ -384,7 +384,10 @@ def _on_chain_M(*keys, value):
 #: The whole message of a malformed entry, where its text is pinned too: an
 #: operator norm declaring a scalar target of dim 1 against a 2-dim norm
 #: must not pass as a dual (its shape is tested, not only its value at 1).
-MALFORMED_MESSAGES = {"$.norms.op": "rows of shape (1, 1) against norm of dim 2"}
+MALFORMED_MESSAGES = {
+    "$.norms.op": "rows of shape (1, 1) against norm of dim 2",
+    "$.morphisms.M_phi_0_1.matrices[0][1]": "expected an array of numbers",
+}
 
 
 @pytest.mark.parametrize("edit,where", [
@@ -417,12 +420,13 @@ MALFORMED_MESSAGES = {"$.norms.op": "rows of shape (1, 1) against norm of dim 2"
     (_on_chain_M("systems", "M", "maps", "0|99", value="M_phi_0_1"), "$.systems.M.maps.0|99"),
     (_set("morphisms", "Eta_theta_0", "matrices", value=[[[1, 0], [0, 1]], [[1, 0], [0, 1]]]),
      "$.morphisms.Eta_theta_0"),
+    (_set("morphisms", "M_phi_0_1", "matrices", 0, 1, value=5), "$.morphisms.M_phi_0_1.matrices[0][1]"),
 ], ids=["short-weights", "spaces-number", "spaces-array", "function-array", "fibers-number",
         "dim-text", "system-morphism-number", "maps-number", "checks-number", "seed-text",
         "seed-fraction", "seed-boolean", "dim-fraction", "stages-fraction",
         "source-dim-boolean", "target-dim-fraction", "target-dim-against-norm", "tol-zero", "tol-negative",
         "expect-misspelt", "expect-boolean", "module-past-the-chain", "negative-module-stage",
-        "map-past-the-chain", "one-matrix-too-many"])
+        "map-past-the-chain", "one-matrix-too-many", "row-number"])
 def test_cli_reports_malformed_documents_at_their_path(tmp_path, capsys, edit, where):
     """A malformed entry is an error (exit 2) naming its path, never a
     traceback."""
@@ -563,6 +567,50 @@ def test_loader_rejects_non_finite_numbers(keys, where, bad):
     with pytest.raises(DocumentError) as raised:
         parse_document(data)
     assert raised.value.path == where
+
+
+#: A bad entry that follows good ones in an array, and the message it gets.
+#: An array of finite floats only is read with no check per number; any
+#: other array is checked number by number, so these messages stay whole.
+_MIXED_ENTRIES = {
+    "boolean": (True, "expected a number, got a boolean"),
+    "text": ("x", "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+    "zero-denominator": ("1/0", "bad rational literal '1/0': Fraction(1, 0)"),
+    "null": (None, "expected a number, got NoneType"),
+    "nested": ([1.0], "expected a number, got list"),
+    "nan": (float("nan"), "number nan is not finite"),
+    "inf": (float("-inf"), "number -inf is not finite"),
+    "huge": (10**400, "integer out of the float range"),
+}
+
+
+@pytest.mark.parametrize("keys,where", [
+    (("morphisms", "M_phi_0_1", "matrices", 0, 1), "$.morphisms.M_phi_0_1.matrices[0][1]"),
+    (("norms", "n0", "weights"), "$.norms.n0.weights"),
+    (("spaces", "dirac", "weights"), "$.spaces.dirac.weights"),
+], ids=["matrix-row", "norm", "space"])
+@pytest.mark.parametrize("case", sorted(_MIXED_ENTRIES))
+def test_a_mixed_array_is_rejected_at_its_bad_number(keys, where, case):
+    bad, message = _MIXED_ENTRIES[case]
+    data = json.loads((FIXTURES / "remark-faithful.json").read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = [1.0, 2, "1/2", bad]
+    with pytest.raises(DocumentError) as raised:
+        parse_document(data)
+    assert str(raised.value) == f"{where}[3]: {message}"
+
+
+def test_a_mixed_array_of_good_numbers_parses_as_its_floats():
+    data = json.loads((FIXTURES / "remark-faithful.json").read_text())
+    # A row of floats only, then a row of other numbers.
+    data["morphisms"]["M_phi_0_1"]["matrices"][0] = [[1.0, -0.0], ["0/3", 1]]
+    data["norms"]["n0"]["weights"] = [1, "1/1"]
+    doc = parse_document(data)
+    (mat,) = doc.morphisms["M_phi_0_1"].matrices
+    assert mat.tobytes() == np.array([[1.0, -0.0], [0.0, 1.0]]).tobytes()
+    assert doc.norms["n0"].weights.tobytes() == np.ones(2).tobytes()
 
 
 _BAD_CHAIN_KEYS = {

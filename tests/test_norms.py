@@ -1311,3 +1311,86 @@ def test_a_map_into_a_restricted_dual_past_norm_one_is_not_admissible():
     norm = operator_pointwise_norm(phi).values[0]
     assert norm == pytest.approx(pairings[-1] / pairings[-2], rel=1e-12)
     assert not is_morphism(phi)
+
+
+#: Entries for the product property: signed zeros, NaN, infinities, the
+#: ends of the float range and ordinary normals.
+_MM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1, 1), st.integers(-300, 300)),
+    st.floats(-10, 10),
+)
+
+
+@st.composite
+def _mm_operands(draw):
+    """A matrix and a matrix or vector to multiply it by, shapes 0-9 on each
+    axis, each in a C, Fortran, transposed or sliced layout; or a whole
+    matrix (C, Fortran or transposed) against itself or its own transpose,
+    as ``compose`` meets one morphism composed with itself.  A sliced block
+    against another view of its own buffer is outside ``_mm``'s
+    precondition, so it is not drawn."""
+
+    def entries(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(_MM_ENTRIES, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    def matrix(rows, cols, layouts=("C", "F", "T", "block")):
+        layout = draw(st.sampled_from(layouts))
+        if layout == "F":
+            return np.asfortranarray(entries(rows, cols))
+        if layout == "T":
+            return entries(cols, rows).T
+        if layout == "block":
+            return entries(rows + 1, cols + 2)[1:, 2:]
+        return entries(rows, cols)
+
+    m, k, n = (draw(st.integers(0, 9)) for _ in range(3))
+    kind = draw(st.sampled_from(["matrix", "vector", "strided-vector", "gram", "co-gram", "square"]))
+    if kind in ("gram", "co-gram", "square"):
+        a = matrix(m, m if kind == "square" else k, layouts=("C", "F", "T"))
+        return {"gram": (a.T, a), "co-gram": (a, a.T), "square": (a, a)}[kind]
+    a = matrix(m, k)
+    if kind == "vector":
+        return a, entries(k)
+    if kind == "strided-vector":
+        return a, entries(2 * k)[::2]
+    return a, matrix(k, n)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_mm_operands())
+@example((np.array([[0.0]]), np.array([[0.0, np.nan]])))
+@example((np.array([[2.0]]), np.array([[-0.0]])))
+@example((np.array([[1e-200], [1.0]]), np.array([[-1e-200, 1.0]])))
+def test_mm_is_matmul_byte_for_byte(operands):
+    a, b = operands
+    with np.errstate(all="ignore"):
+        got, want = norms._mm(a, b), a @ b
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_every_matrix_product_goes_through_mm():
+    """``@`` on two matrices, or a matrix and a vector, is written only in
+    ``_mm``; the functions that multiply stacks of matrices and the
+    generators of random inputs keep it."""
+    import ast
+    import pathlib
+
+    stacks = {"_mm", "_vertex_norms", "_facet_scores", "_one_ball_vertices", "_inf_ball_vertices"}
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            if not stacks.intersection(scope):
+                found.append(f"{path.name}:{node.lineno} in {'.'.join(scope) or 'module'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(pathlib.Path(norms.__file__).parent.rglob("*.py")):
+        if path.name != "randgen.py":
+            visit(ast.parse(path.read_text()), path, ())
+    assert not found, found
