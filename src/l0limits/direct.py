@@ -83,6 +83,12 @@ def validate_direct_system(system: DirectSystem) -> SystemReport:
     Violations come in the order of the related pairs, then of the
     explicit indices, as a stage-by-stage check of every pair and triple
     would report them.
+
+    The laws between a system and others are settled the same way, where
+    they can fail: the cone law of :func:`dl_universal_factorization` and
+    the squares of :func:`validate_system_morphism` are evaluated on the
+    supplied edges, and on the other pairs only when the bound their tree
+    paths telescope from the edges' deviations exceeds ``tolerance()``.
     """
     return validate_system(system)
 
@@ -90,7 +96,9 @@ def validate_direct_system(system: DirectSystem) -> SystemReport:
 def validate_system_morphism(theta: SystemMorphism) -> SystemReport:
     """Check admissibility, commuting squares and chain tail solvability,
     of a morphism between direct or between inverse systems; see
-    :func:`l0limits.systems.validate_system_morphism`."""
+    :func:`l0limits.systems.validate_system_morphism`.  The squares off
+    the supplied edges are evaluated only when the bound from the edges'
+    squares does not settle them."""
     # A binding rather than a re-export: perfbench/layertrace.py times the
     # functions each layer module defines itself.
     return systems.validate_system_morphism(theta)
@@ -144,6 +152,17 @@ def dl_universal_factorization(system: DirectSystem, target: Target) -> ModuleMo
     Raises :class:`ValidationError` when the target laws fail or no
     factorization exists within tolerance.  Uniqueness is certified by
     checking that the canonical images span every limit fiber.
+
+    The target law ``psi_j . phi_ij = psi_i`` is evaluated at every
+    supplied edge.  At another related pair, ``psi_j phi_ij - psi_i`` is
+    the sum over the edges of its tree path of the edge differences, each
+    times a closure from i.  With ``|X Y|_max <= |X|_max ||Y||_1``, the
+    column sums of the edges and rounding terms for every product, the
+    edges' computed deviations bound the pair's computed deviation.  One
+    such bound, taken over all edges, serves every pair, and the pairs off
+    the edges are evaluated only when it exceeds ``tolerance()``.  A pair
+    left out therefore passes, and verdicts, texts and the worst pair
+    named are those of a check of every pair.
     """
     return systems._universal_factorization(system, target.module, target.maps)[0]
 

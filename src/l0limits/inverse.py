@@ -75,7 +75,10 @@ def validate_inverse_system(system: InverseSystem) -> SystemReport:
     edge norms (with ``PRODUCT_SLACK``) does not already bound by
     ``1 + tolerance()``; and the cocycle law ``P_ik = P_ij . P_jk`` on the
     triples where at least two paths of supplied maps join i to k, since
-    along a single path it is associativity of composition.
+    along a single path it is associativity of composition.  The source
+    compatibility of :func:`il_universal_factorization` and the squares of
+    a morphism of inverse systems are settled from the supplied edges as
+    in the direct case.
     """
     return validate_system(system)
 
@@ -165,7 +168,12 @@ class Source:
 def il_universal_factorization(system: InverseSystem, source: Source) -> ModuleMorphism:
     """The unique mediating morphism from a compatible source to the limit.
 
-    Uniqueness is certified by joint injectivity of the projections.
+    Uniqueness is certified by joint injectivity of the projections.  The
+    compatibility ``P_ij . q_j = q_i`` is evaluated at every supplied
+    edge, and at the other related pairs only when the bound their tree
+    paths telescope from the edges' deviations exceeds ``tolerance()``: the
+    closures sit on the left here, so the edges' row sums bound them (see
+    :func:`l0limits.direct.dl_universal_factorization`).
     """
     return systems._universal_factorization(system, source.module, source.maps)[0]
 

@@ -118,7 +118,10 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     An overflow warns as ``@``'s does on numpy 2, named ``dot`` rather than
     ``matmul``; older numpy releases may not warn at all from ``.dot``, so
     an overflow is reported by the kernels' :class:`NonFiniteError`, never
-    by a warning."""
+    by a warning: each kernel entry (:func:`operator_norm_batch`,
+    :func:`operator_norm_witness`, :func:`spectral_norm_witness`) runs
+    under ``np.errstate(over="ignore", invalid="ignore")``, so that a
+    caller who turns warnings into errors still gets the located error."""
     return a.dot(b) if len(b) > 1 else a @ b
 
 
@@ -142,6 +145,7 @@ def spectral_norm(mat: np.ndarray) -> float:
     return spectral_norm_witness(mat)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def spectral_norm_witness(mat: np.ndarray):
     """Largest singular value together with a maximizing unit vector.
 
@@ -829,6 +833,7 @@ def kernel_path(source_spec, target_spec) -> str:
     return "bracket"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def operator_norm_witness(mat, source_spec, target_spec):
     """Exact pointwise operator norm with a maximizing unit vector.
 
@@ -883,6 +888,7 @@ def operator_norm_values(mats, source_spec, target_spec) -> np.ndarray:
     return np.array(_raise_first(values), dtype=float)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def operator_norm_batch(items) -> list:
     """Exact operator norm of each ``(matrix, source spec, target spec)`` item.
 

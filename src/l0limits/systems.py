@@ -18,9 +18,10 @@ a 0/1 indicator for every tail kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .modules import (
     mask_inclusion,
     mask_module,
 )
-from .norms import _raise_first, _scalar_of
+from .norms import _mm, _raise_first, _scalar_of
 
 #: Relative slack on a product of computed edge norms, each edge's largest
 #: over the atoms.  Every exactly evaluated norm carries a few ulps of
@@ -58,6 +59,18 @@ PRODUCT_SLACK = 1e-12
 #: Absolute singular-value cut of the rank tests on canonical maps and on
 #: the components of system morphisms and limit maps.
 RANK_TOL = 1e-10
+
+#: A telescoped bound (:func:`_telescoped_bound`) takes inputs, edge
+#: deviations, stage-map entries and abs sums, up to this size, and edges
+#: whose abs sums, each taken at least 1, multiply to at most it.  Then no
+#: product a law takes can overflow, and underflow, in the law's products
+#: or in the bound's own evaluation, costs less than ``_BOUND_FLOOR``,
+#: which is added to it.  Otherwise the bound is infinite.
+_BOUND_RANGE = 2.0**64
+_BOUND_FLOOR = 2.0**-500
+
+#: Unit roundoff of float64.
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -87,10 +100,14 @@ class System:
     Maps may be supplied for any covering family of related pairs.  Every
     other connecting map out of stage i is composed along the breadth-first
     tree of supplied edges rooted at i (edges taken in ``(str(a), str(b))``
-    order), one composition from the map at its tree parent, and cached;
-    so is the limit, once built.  Subclasses fix the arrow direction
-    through ``forward`` and ``stage_axis`` and name their maps and cones in
-    the texts below.
+    order), when it is first asked for: from the nearest pair on its tree
+    path already built, one product per atom and edge in the order
+    repeated :func:`compose` takes them, so its bytes do not depend on
+    what was built before.  Only the pair asked for becomes a morphism and
+    is cached, so a chain's limit builds its canonical maps and none of
+    the pairs on their paths; the limit too is cached once built.
+    Subclasses fix the arrow direction through ``forward`` and
+    ``stage_axis`` and name their maps and cones in the texts below.
     """
 
     forward = True
@@ -150,13 +167,9 @@ class System:
         takes its factors and a matrix lists its (target, source) dims."""
         return self._arrow(near, far)[::-1]
 
-    def _extend(self, acc: ModuleMorphism, edge: ModuleMorphism) -> ModuleMorphism:
-        """The map along a path, lengthened at its upper end by one edge."""
-        return compose(*self._outer_first(acc, edge))
-
-    def _reach(self, i, j) -> dict:
-        """Breadth-first parents of the stages reachable from i; raises
-        ``KeyError`` when j is not among them."""
+    def _tree(self, i) -> dict:
+        """Breadth-first parents of the stages reachable from i, in the
+        order they are reached (i first, with parent None); built once."""
         tree = self._trees.get(i)
         if tree is None:
             tree = {i: None}
@@ -167,28 +180,45 @@ class System:
                         tree[b] = a
                         order.append(b)
             self._trees[i] = tree
+        return tree
+
+    def _reach(self, i, j) -> dict:
+        """The tree of :meth:`_tree` rooted at i; raises ``KeyError`` when j
+        is not in it."""
+        tree = self._tree(i)
         if j not in tree:
             raise KeyError(self.missing_text.format(i=i, j=j))
         return tree
 
     def _connect(self, i, j) -> ModuleMorphism:
-        """Connecting map at (i, j): supplied, or composed along the tree path."""
+        """Connecting map at (i, j): supplied, or composed along the tree path.
+
+        The path is lengthened edge by edge from the nearest pair on it that
+        is already built, at its upper end, atom by atom with the products
+        repeated :func:`compose` takes, so a closure has the same bytes
+        whichever pairs were built before it.  Only the requested pair
+        becomes a morphism, and is cached."""
         if i == j:
             return identity_morphism(self.modules[i])
         if (phi := self._closure.get((i, j))) is not None:
             return phi
         tree = self._reach(i, j)
-        pending = []
+        path = []
         node = j
         while (i, node) not in self._closure:
-            pending.append(node)
+            path.append(self.maps[(tree[node], node)])
             node = tree[node]
-        phi = self._closure[(i, node)]
-        for node in reversed(pending):
-            phi = self._extend(phi, self.maps[(tree[node], node)])
-            self._closure[(i, node)] = phi
+        built = self._closure[(i, node)]
+        mats = built.matrices
+        for edge in reversed(path):
+            if self.forward:
+                mats = [_mm(e, m) for m, e in zip(mats, edge.matrices)]
+            else:
+                mats = [_mm(m, e) for m, e in zip(mats, edge.matrices)]
+        first, last = self._arrow(built, path[0])
+        phi = ModuleMorphism.__new__(ModuleMorphism)._adopt(first.source, last.target, tuple(mats))
+        self._closure[(i, j)] = phi
         return phi
-
 
 def _path_counts(system: System) -> Tuple[Dict[object, int], Dict[object, int], Dict[object, List]]:
     """Which stages the paths of supplied edges join, counted up to two:
@@ -324,13 +354,171 @@ def validate_system(system: System) -> SystemReport:
                 lower, upper = system._connect(i, j), system._connect(j, k)
             except KeyError:
                 continue
-            # The composite along j, outermost factor first, as _extend builds it.
+            # The composite along j, outermost factor first, as compose takes it.
             triples.append((i, j, k))
             laws.append(((direct_map,), system._outer_first(lower, upper)))
     for triple, dev in zip(triples, composite_deviations(laws)):
         if not dev <= tol:
             violations.append(Violation("cocycle", triple, dev, system.cocycle_detail))
     return SystemReport(not violations, tuple(violations))
+
+
+def _gamma(n: int) -> float:
+    """``gamma_n = n u / (1 - n u)``: an n-term dot product, or a product of
+    matrices whose inner dimensions add up to n, errs by at most gamma_n
+    times the same product of the entries' absolute values (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, §3.5)."""
+    nu = n * _U
+    return nu / (1.0 - nu) if nu < 0.5 else math.inf
+
+
+def _abs_maxima(phis: Sequence[ModuleMorphism], axis: Optional[int]) -> List[float]:
+    """Per morphism, over its atoms, the largest absolute column sum (axis
+    0), row sum (axis 1) or entry (None) of its matrices: 0.0 with no
+    entries, NaN with a NaN.  One ``np.abs`` and two reductions for all."""
+    blocks, lines, spans, owners = [], [], [], []
+    offset = 0
+    for n, phi in enumerate(phis):
+        first = len(lines)
+        for m in phi.matrices:
+            if m.size:
+                block = m.T if axis == 0 else m
+                blocks.append(block)
+                step = 1 if axis is None else block.shape[1]
+                lines.extend(range(offset, offset + m.size, step))
+                offset += m.size
+        if len(lines) > first:
+            spans.append(first)
+            owners.append(n)
+    maxima = [0.0] * len(phis)
+    if blocks:
+        flat = np.abs(np.concatenate(blocks, axis=None))
+        # A sum beyond the float range is an infinity: no finite bound.
+        with np.errstate(over="ignore"):
+            sums = flat if axis is None else np.add.reduceat(flat, lines)
+        for n, value in zip(owners, np.maximum.reduceat(sums, spans).tolist()):
+            maxima[n] = value
+    return maxima
+
+
+def _telescoped_bound(devs: Dict, stage_maps: Dict, inner, outer=None) -> float:
+    """An upper bound on the computed deviation of a pair law at every
+    related pair of a system that is not an edge (a pair with a supplied
+    map), from the deviations ``devs`` the law computed on the edges.
+    Every related pair must be joined by a tree path.
+
+    A pair law compares two chains of factors, as
+    :func:`composite_deviations` multiplies them: the law's stage maps
+    (``stage_maps``, a cone's maps or a system morphism's components) at
+    the pair's ends, and the closures of the systems it spans.  Along the
+    tree path ``i = k_0 -> ... -> k_r = j`` that :meth:`System._connect`
+    composes, the exact difference telescopes into the exact edge
+    differences ``D_t``: ``sum_t L_t D_t R_t``, where the closure factors
+    ``L_t`` on the left and ``R_t`` on the right run one from i to k_t, the
+    other from k_{t+1} to j.  For a cone ``m_j phi_ij - m_i = sum_t D_t
+    phi_{i k_t}``; a square's has a target closure on its other side.
+    ``inner`` names the supplied maps whose closures run from i, as
+    ``(maps, axis)``, and ``outer`` those that run to j (None for none, the
+    identity): axis 0 for a factor on the right, bounded by its largest
+    absolute column sum, as ``|X Y|_max <= |X|_max ||Y||_1``, and axis 1
+    for one on the left, by its largest row sum.  The closures' and the
+    law's own products err by ``gamma`` terms (:func:`_gamma`) in the
+    stage maps' largest entries, and ``|D_t|`` exceeds the edge's computed
+    deviation by such terms too.
+
+    One bound serves every pair: each path's factors, taken at least 1,
+    are multiplied over all edges, its terms summed over all edges, and
+    its rounding taken for the longest path.  The result is doubled, for
+    the rounding of the law's final subtraction and of the bound's
+    evaluation, and ``_BOUND_FLOOR`` is added.  A NaN or infinity in any
+    input, or an input or a product of factors beyond ``_BOUND_RANGE``,
+    makes the bound infinite."""
+    edges = list(devs)
+    inner_sums = _abs_maxima([inner[0][e] for e in edges], inner[1])
+    outer_sums = (
+        [1.0] * len(edges) if outer is None else _abs_maxima([outer[0][e] for e in edges], outer[1])
+    )
+    mags = dict(zip(stage_maps, _abs_maxima(list(stage_maps.values()), None)))
+    dim = max(max(phi.source._dims + phi.target._dims, default=0) for phi in stage_maps.values())
+    edge_gamma = _gamma(dim)
+    total, spread = 0.0, 1.0
+    for (a, b), dev, into, out in zip(edges, devs.values(), inner_sums, outer_sums):
+        # |D| <= dev + gamma_dim (|A| |e| + |f| |B|) for the edge's two products.
+        total += dev + edge_gamma * (mags[a] + mags[b]) * (into + out)
+        spread *= max(into, 1.0) * max(out, 1.0)
+    inputs = (total, spread, *inner_sums, *outer_sums, *mags.values())
+    # A NaN compares false, so it fails the range as an infinity does.
+    if not all(x <= _BOUND_RANGE for x in inputs):
+        return math.inf
+    # The errors of the two chains' products, closures included, on a
+    # path of at most one edge fewer than the stages.
+    ends = _gamma((len(mags) - 1) * dim) * 2.0 * max(mags.values())
+    return 2.0 * spread * (total + ends) + _BOUND_FLOOR
+
+
+def _law_deviations(system: System, law, stage_maps: Dict, inner, outer=None):
+    """``(pair, deviation)`` of the pair law ``law(i, j)`` (a ``(left,
+    right)`` pair of chains) at the related pairs of ``system``, in pair
+    order, leaving out the pairs that are not edges when the law's
+    telescoped bound (:func:`_telescoped_bound`) is within
+    ``tolerance()``: no computed deviation there could exceed that bound,
+    so none could fail.
+
+    The edges are evaluated first, in one :func:`composite_deviations`,
+    then, when the bound exceeds the tolerance, the other pairs in
+    another.  All pairs are evaluated in one call, as a check of every
+    pair does, when the inner and outer sides supply different pairs (a
+    system morphism's source and target), so that no tree path carries
+    both; when no more pairs than edges are left to settle (the bound
+    reads every edge's maps, and costs about as much as evaluating that
+    many pairs); or when some related pair has no tree path (the law then
+    raises the ``KeyError`` of the first)."""
+    pairs = system.related_pairs()
+    edges = [p for p in pairs if p in system.maps]
+    # Every stage a tree reaches is related to its root, so the trees join
+    # every related pair when they hold as many stages besides their roots.
+    if (
+        (outer is not None and outer[0].keys() != inner[0].keys())
+        or len(pairs) - len(edges) <= len(edges)
+        or sum(len(system._tree(i)) - 1 for i in system.index.explicit_indices()) < len(pairs)
+    ):
+        return list(zip(pairs, composite_deviations([law(i, j) for i, j in pairs])))
+    devs = dict(zip(edges, composite_deviations([law(i, j) for i, j in edges])))
+    if not _telescoped_bound(devs, stage_maps, inner, outer) <= tolerance():
+        rest = [p for p in pairs if p not in devs]
+        devs.update(zip(rest, composite_deviations([law(i, j) for i, j in rest])))
+    return [(p, devs[p]) for p in pairs if p in devs]
+
+
+def _cone_law(system: System, maps: Dict):
+    """The cone law ``m_j . phi_ij = m_i`` of ``maps``, one per explicit
+    stage, as :func:`_law_deviations` takes it: the pair law, the stage
+    maps and the inner side.  A direct system's closures sit on the right
+    of the cone's maps, an inverse one's on the left, and both start at i."""
+
+    def law(i, j):
+        return system._outer_first(system.map(i, j), maps[j]), (maps[i],)
+
+    stage_maps = {i: maps[i] for i in system.index.explicit_indices()}
+    return law, stage_maps, (system.maps, 0 if system.forward else 1)
+
+
+def _square_law(theta: SystemMorphism):
+    """The commuting squares of a system morphism, as
+    :func:`_law_deviations` takes them: the pair law, the components and
+    the inner and outer sides.  The source's closures sit on the right of a
+    square and the target's on the left; along a path from i, a direct
+    square's source closures start at i, an inverse square's target ones."""
+    source, target, components = theta.source, theta.target, theta.components
+
+    def square(i, j):
+        # The components where the connecting arrow starts and ends.
+        start, end = source._arrow(components[i], components[j])
+        return (end, source.map(i, j)), (target.map(i, j), start)
+
+    sides = ((source.maps, 0), (target.maps, 1))
+    inner, outer = sides if source.forward else sides[::-1]
+    return square, components, inner, outer
 
 
 class SystemMorphism:
@@ -357,7 +545,14 @@ class SystemMorphism:
 
 
 def validate_system_morphism(theta: SystemMorphism) -> SystemReport:
-    """Check admissibility, commuting squares and chain tail solvability."""
+    """Check admissibility, commuting squares and chain tail solvability.
+
+    The squares at the edges are evaluated; those at the other related
+    pairs only when the telescoped bound (:func:`_telescoped_bound`) from
+    the edges' squares exceeds ``tolerance()``.  Each of their computed
+    deviations is at most that bound, so a pair left out could not be a
+    violation.  When the source and target supply different pairs, every
+    square is evaluated."""
     tol = tolerance()
     violations: List[Violation] = []
     system, components = theta.source, theta.components
@@ -366,13 +561,7 @@ def validate_system_morphism(theta: SystemMorphism) -> SystemReport:
         dev = max(norm, default=0.0) - 1.0
         if not dev <= tol:
             violations.append(Violation("admissibility", (i,), dev, "component norm > 1"))
-    pairs = system.index.related_pairs()
-    squares = []
-    for (i, j) in pairs:
-        # The components where the connecting arrow starts and ends.
-        start, end = system._arrow(theta.components[i], theta.components[j])
-        squares.append(((end, system.map(i, j)), (theta.target.map(i, j), start)))
-    for pair, dev in zip(pairs, composite_deviations(squares)):
+    for pair, dev in _law_deviations(system, *_square_law(theta)):
         if not dev <= tol:
             violations.append(Violation("square", pair, dev, "square does not commute"))
     if isinstance(system.index, Chain):
@@ -484,7 +673,10 @@ def _universal_factorization(
     """The unique morphism between the limit and the apex of a cone that
     the cone factors through (see
     :func:`l0limits.direct.dl_universal_factorization`), and the largest
-    deviation of a factored cone map from the cone's own."""
+    deviation of a factored cone map from the cone's own.  The cone law
+    is evaluated as :func:`_law_deviations` does; the pairs it leaves out
+    are within the tolerance, so the worst pair it reports, the first
+    with the largest deviation, is the one a check of every pair finds."""
     tol = tolerance()
     index = system.index
     explicit = index.explicit_indices()
@@ -506,10 +698,8 @@ def _universal_factorization(
                 raise ValidationError(f"{side} map at {i!r} is not admissible")
     if fault is not None:
         raise fault
-    pairs = index.related_pairs()
-    laws = [(system._outer_first(system.map(i, j), maps[j]), (maps[i],)) for (i, j) in pairs]
     worst, worst_pair = 0.0, (None, None)
-    for pair, dev in zip(pairs, composite_deviations(laws)):
+    for pair, dev in _law_deviations(system, *_cone_law(system, maps)):
         if dev > worst:
             worst, worst_pair = dev, pair
     if worst > tol:

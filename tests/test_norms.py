@@ -931,7 +931,7 @@ def test_stacked_pointwise_norms_raise_at_the_first_failing_morphism():
     assert operator_pointwise_norms([fine, fine])[1] == operator_pointwise_norm(fine)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_norm_is_an_error_of_its_own_morphism():
     import l0limits.modules as modules
 
@@ -954,7 +954,7 @@ def test_an_overflowing_norm_is_an_error_of_its_own_morphism():
         assert second == [0.5]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_non_finite_spectral_core_is_an_error_not_an_svd():
     # LAPACK's full SVD of this 3x3 matrix does not return.
     stuck = np.ones((3, 3))
