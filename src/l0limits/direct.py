@@ -62,17 +62,18 @@ def validate_direct_system(system: DirectSystem) -> SystemReport:
     * identity: every supplied map at a pair (i, i) is compared with the
       identity;
     * admissibility: the pointwise operator norm of every supplied map is
-      evaluated exactly.  A composed map is admissible without evaluation
-      when every edge on its path has an exact kernel (vertex, facet or
-      spectral, not the bracket) and the product of the edges' largest
-      norms, times ``1 + PRODUCT_SLACK`` (1e-12, in :mod:`l0limits.systems`),
-      is at most ``1 + tolerance()``: operator norms are submultiplicative,
-      rounding is monotone, and the slack absorbs the rounding of the
-      evaluated norms.  Every other composed map is evaluated exactly.
-      When every edge is exact and normed at most 1.0, every composite
-      passes so (while ``1 + PRODUCT_SLACK <= 1 + tolerance()``), and no
-      pair is visited: a pair no path of supplied maps joins is found
-      from one walk of the edges, as a ``missing-map`` violation;
+      evaluated exactly.  The composed maps are admissible without
+      evaluation when every edge has an exact kernel (vertex, facet or
+      spectral, not the bracket) and the product over all edges of each
+      edge's largest norm, taken at least 1, times ``1 + PRODUCT_SLACK``
+      (1e-12, in :mod:`l0limits.systems`), is at most ``1 +
+      tolerance()``: operator norms are submultiplicative, that product
+      is at least any path's, rounding is monotone, and the slack absorbs
+      the rounding of the evaluated norms.  Otherwise every composed map
+      is evaluated exactly.  A pair no path of supplied maps joins is
+      found from one walk of the edges, as a ``missing-map`` violation;
+      when the bound settles and every pair is joined, no pair is
+      visited;
     * cocycle: a triple (i, j, k) is evaluated only when at least two
       paths of supplied maps join i to k.  With a single path every map
       involved is a composite along that one path, so the law is
@@ -82,7 +83,9 @@ def validate_direct_system(system: DirectSystem) -> SystemReport:
 
     Violations come in the order of the related pairs, then of the
     explicit indices, as a stage-by-stage check of every pair and triple
-    would report them.
+    would report them, and a kernel error is raised at the first pair
+    whose map a pair-by-pair check would fail to norm.  A product that
+    overflows is a non-finite deviation or a located error, not a warning.
 
     The laws between a system and others are settled the same way, where
     they can fail: the cone law of :func:`dl_universal_factorization` and

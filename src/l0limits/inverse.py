@@ -71,11 +71,12 @@ def validate_inverse_system(system: InverseSystem) -> SystemReport:
     The same laws are evaluated at the same places as in
     :func:`l0limits.direct.validate_direct_system`: the identity law on
     supplied maps at pairs (i, i); the exact operator norm of every
-    supplied map and of every composite that submultiplicativity of exact
-    edge norms (with ``PRODUCT_SLACK``) does not already bound by
-    ``1 + tolerance()``; and the cocycle law ``P_ik = P_ij . P_jk`` on the
-    triples where at least two paths of supplied maps join i to k, since
-    along a single path it is associativity of composition.  The source
+    supplied map, and of every composite unless the one bound from the
+    exact edge norms (their product, each taken at least 1, with
+    ``PRODUCT_SLACK``) is within ``1 + tolerance()``; and the cocycle law
+    ``P_ik = P_ij . P_jk`` on the triples where at least two paths of
+    supplied maps join i to k, since along a single path it is
+    associativity of composition.  The source
     compatibility of :func:`il_universal_factorization` and the squares of
     a morphism of inverse systems are settled from the supplied edges as
     in the direct case.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,12 +47,12 @@ from .modules import (
 from .norms import _mm, _raise_first, _scalar_of
 
 #: Relative slack on a product of computed edge norms, each edge's largest
-#: over the atoms.  Every exactly evaluated norm carries a few ulps of
-#: rounding, and so does the evaluation of the composite it bounds; 1e-12
-#: absorbs that along paths of thousands of edges.  While
-#: ``1 + PRODUCT_SLACK <= 1 + tolerance()``, edges normed at most 1.0
-#: settle every composite, and validation does not walk the pairs; below
-#: that tolerance every composite is bounded, or normed, on its own.
+#: over the atoms, taken at least 1.  Every exactly evaluated norm carries
+#: a few ulps of rounding, and so does the evaluation of the composite it
+#: bounds; 1e-12 absorbs that along paths of thousands of edges.  When the
+#: product over all supplied edges, times ``1 + PRODUCT_SLACK``, is at most
+#: ``1 + tolerance()``, it settles every composite and validation norms
+#: none; otherwise every composite is normed.
 PRODUCT_SLACK = 1e-12
 
 #: Absolute singular-value cut of the rank tests on canonical maps and on
@@ -263,18 +262,23 @@ def _path_counts(system: System) -> Tuple[Dict[object, int], Dict[object, int], 
     return position, once, redundant
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_system(system: System) -> SystemReport:
     """Identity law, admissibility and cocycle law of a direct or inverse
     system; see :func:`l0limits.direct.validate_direct_system`.
 
-    Which pairs are joined by supplied edges, and which by two paths of
-    them, comes from one walk of :func:`_path_counts`.  When every edge is
-    normed exactly, without error, at most 1.0, and ``1.0 * (1 +
-    PRODUCT_SLACK) <= 1 + tolerance()``, every composite's bound is at most
-    that (a product of floats in [0, 1] rounds to at most 1.0), so the
-    pairs are not walked one by one: only an unjoined pair can fail.  The
-    identity laws, and the cocycle laws, each take one
-    :func:`composite_deviations`.
+    The supplied edges are normed in one batch.  Every composite is
+    bounded by one float, the product over all edges of each edge's
+    largest norm taken at least 1; an edge with an error or a bracket atom
+    makes it infinite.  When that bound times ``1 + PRODUCT_SLACK`` is at
+    most ``1 + tolerance()``, no composite is built or normed; otherwise
+    every composite a path joins is normed in a second batch.  Which pairs
+    are joined by supplied edges, and which by two paths of them, comes
+    from one walk of :func:`_path_counts`; when the bound settles and
+    every pair is joined, the pairs are not walked at all.  The identity
+    laws, and the cocycle laws, each take one :func:`composite_deviations`.
+    Products that overflow read as non-finite deviations or located
+    errors, not warnings.
     """
     tol = tolerance()
     violations: List[Violation] = []
@@ -285,62 +289,36 @@ def validate_system(system: System) -> SystemReport:
             violations.append(Violation("identity", (i,), dev, system.identity_detail))
 
     pairs = system.related_pairs()
-    # The supplied edges are normed in one batch; each edge's error is
-    # raised in its pair's turn, where a loop over the pairs would raise it.
     edges = [p for p in pairs if p in system.maps]
     results = _operator_norm_results([system.maps[e] for e in edges])
-    edge_norms = dict(zip(edges, results))
-    inexact = {edges[n] for n in results.inexact}
-    bounds: Dict[tuple, Optional[float]] = {}
-
-    @cache
-    def exact_norm(edge) -> Optional[float]:
-        """The edge's largest norm where no atom took the bracket path, else None."""
-        if edge in inexact:
-            return None
-        return max(_raise_first([edge_norms[edge]])[0], default=0.0)
-
-    def path_bound(i, j, tree) -> Optional[float]:
-        """Product of the edges' largest norms along the tree path i -> j."""
-        pending = []
-        node = j
-        while node != i and (i, node) not in bounds:
-            pending.append(node)
-            node = tree[node]
-        bound = 1.0 if node == i else bounds[(i, node)]
-        for node in reversed(pending):
-            factor = None if bound is None else exact_norm((tree[node], node))
-            bound = None if factor is None else bound * factor
-            bounds[(i, node)] = bound
-        return bound
-
+    norms = dict(zip(edges, results))
+    # One bound for every composite: the product of all edges' largest
+    # norms, each taken at least 1, is at least any path's product (rounding
+    # is monotone).  An error or a bracket atom leaves it unbounded.
+    bound = math.inf if results.inexact else 1.0
+    for result in results:
+        bound = math.inf if isinstance(result, Exception) else bound * max([1.0, *result])
+    settled = bound * (1.0 + PRODUCT_SLACK) <= 1.0 + tol
     position, once, redundant = _path_counts(system)
-    # With every related pair supplied there is no composite to settle.
-    settled = len(edges) < len(pairs) and 1.0 * (1.0 + PRODUCT_SLACK) <= 1.0 + tol and all(
-        not isinstance(edge_norms[e], Exception) and (n := exact_norm(e)) is not None and n <= 1.0
-        for e in edges
-    )
-    # Settled, only an unjoined pair can fail.  Every joined pair is
-    # related, so with as many joined pairs as related ones there is none.
+    if not settled:
+        composites = [p for p in pairs if p not in norms and once[p[0]] >> position[p[1]] & 1]
+        built = [system._connect(*p) for p in composites]
+        norms.update(zip(composites, _operator_norm_results(built)))
+    # Settled, every edge and composite passes, so only an unjoined pair
+    # can fail; every joined pair is related, so with as many joined pairs
+    # as related ones none is walked.  Each error is raised in its pair's
+    # turn, where a loop over the pairs would meet it.
     joined = sum(reach.bit_count() - 1 for reach in once.values())
     for (i, j) in () if settled and joined == len(pairs) else pairs:
         if not once[i] >> position[j] & 1:
             detail = str(KeyError(system.missing_text.format(i=i, j=j)))
             violations.append(Violation("missing-map", (i, j), float("inf"), detail))
-            continue
-        if settled:
-            continue
-        result = edge_norms.get((i, j))
-        if result is None:
-            bound = path_bound(i, j, system._reach(i, j))
-            if bound is not None and bound * (1.0 + PRODUCT_SLACK) <= 1.0 + tol:
-                continue
-            result = _operator_norm_results([system._connect(i, j)])[0]
-        dev = max(_raise_first([result])[0], default=0.0) - 1.0
-        if not dev <= tol:
-            violations.append(
-                Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
-            )
+        elif not settled:
+            dev = max(_raise_first([norms[(i, j)]])[0], default=0.0) - 1.0
+            if not dev <= tol:
+                violations.append(
+                    Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
+                )
 
     triples, laws = [], []
     for (i, j) in pairs:
@@ -544,6 +522,7 @@ class SystemMorphism:
             self.components[i] = theta
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_system_morphism(theta: SystemMorphism) -> SystemReport:
     """Check admissibility, commuting squares and chain tail solvability.
 
@@ -552,7 +531,8 @@ def validate_system_morphism(theta: SystemMorphism) -> SystemReport:
     the edges' squares exceeds ``tolerance()``.  Each of their computed
     deviations is at most that bound, so a pair left out could not be a
     violation.  When the source and target supply different pairs, every
-    square is evaluated."""
+    square is evaluated.  A square whose products overflow reads a
+    non-finite deviation, not a warning."""
     tol = tolerance()
     violations: List[Violation] = []
     system, components = theta.source, theta.components

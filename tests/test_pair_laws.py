@@ -20,7 +20,7 @@ from l0limits import randgen, systems
 from l0limits.config import tolerance_override
 from l0limits.direct import DirectSystem, Target, direct_limit, dl_universal_factorization
 from l0limits.errors import L0LimitsError
-from l0limits.indexsets import Chain, IdentityTail
+from l0limits.indexsets import Chain, FinitePoset, IdentityTail
 from l0limits.inverse import InverseSystem, Source, il_universal_factorization, inverse_limit
 from l0limits.measure import AtomicMeasureSpace
 from l0limits.modules import (
@@ -291,33 +291,65 @@ def _inverse_chain(rng, space, stages):
     return InverseSystem(Chain(stages, randgen.random_tail(rng, space)), modules, maps)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(["direct", "inverse"]), st.integers(3, 10), st.booleans(),
-       st.sampled_from(TOLS), st.data())
+def _tree_poset_system(cls, rng, space, elements, factor):
+    """A system of ``cls`` over a poset of ``elements`` elements whose
+    covering pairs form a tree into the greatest one: each other element
+    is covered by one of the next two, so paths run long and branch.
+    Maps are supplied on the covering pairs, and unless ``factor`` is
+    None on about half the other related pairs too, each the composite along its
+    path times ``factor``; the pairs left have no supplied map."""
+    labels = [f"e{k}" for k in range(elements)]
+    cover = {labels[k]: labels[int(rng.integers(k + 1, min(k + 3, elements)))]
+             for k in range(elements - 1)}
+    modules = {e: randgen.random_module(rng, space, max_dim=3) for e in labels}
+    maps = {}
+    for a, b in cover.items():
+        ends = (modules[a], modules[b]) if cls is DirectSystem else (modules[b], modules[a])
+        maps[(a, b)] = randgen.random_admissible_morphism(rng, *ends)
+    system = cls(FinitePoset(labels, list(cover.items())), modules, maps)
+    if factor is not None:
+        for pair in system.related_pairs():
+            if pair not in maps and rng.random() < 0.5:
+                maps[pair] = scale_morphism(system.map(*pair), factor)
+        system = cls(system.index, modules, maps)
+    return system
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.sampled_from(["direct", "inverse", "direct-poset", "inverse-poset"]), st.integers(3, 10),
+       st.booleans(), st.sampled_from(TOLS), st.data())
 def test_cone_laws_read_as_the_all_pairs_reference(kind, stages, shortcuts, tol, data):
     """Universal factorizations onto a limit's canonical maps, with the
     edges scaled by ``1 + k tol`` and a cone entry moved by a multiple of
-    tol, on chains with and without shortcut maps: the same mediating
-    map, or the same text (which names the worst pair), as the reference
-    that evaluates every pair."""
+    tol, on chains with and without shortcut maps and on tree-shaped
+    posets where some related pairs have no supplied map: the same
+    mediating map, or the same text (which names the worst pair), as the
+    reference that evaluates every pair."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     space = randgen.random_space(rng, max_atoms=2)
-    if kind == "direct":
-        system = randgen.random_chain_direct_system(rng, space, stages=stages, max_dim=3)
+    if kind.startswith("direct"):
         limit, factor, reference, wrap = direct_limit, dl_universal_factorization, \
             reference_dl_universal_factorization, Target
     else:
-        system = _inverse_chain(rng, space, stages)
         limit, factor, reference, wrap = inverse_limit, il_universal_factorization, \
             reference_il_universal_factorization, Source
-    if shortcuts:
-        system = _with_shortcuts(system, 1.0 + data.draw(st.integers(-3, 3)) * tol)
+    shortcut = 1.0 + data.draw(st.integers(-3, 3)) * tol if shortcuts else None
+    if kind.endswith("poset"):
+        cls = DirectSystem if kind == "direct-poset" else InverseSystem
+        system = _tree_poset_system(cls, rng, space, stages, shortcut)
+    else:
+        if kind == "direct":
+            system = randgen.random_chain_direct_system(rng, space, stages=stages, max_dim=3)
+        else:
+            system = _inverse_chain(rng, space, stages)
+        if shortcuts:
+            system = _with_shortcuts(system, shortcut)
     presentation = limit(system)
     cone = dict(presentation.canonical)
     k = data.draw(st.integers(-20, 20))
     system = _edges_scaled(system, rng, 1.0 + k * tol, data.draw(st.booleans()))
     if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, stages - 1))
+        i = data.draw(st.sampled_from(system.index.explicit_indices()))
         cone[i] = _moved(cone[i], rng, data.draw(st.sampled_from(MOVES)) * tol)
     with tolerance_override(tol):
         got = _outcome(lambda: factor(system, wrap(presentation.module, cone)))

@@ -82,6 +82,7 @@ from oracles import (
     reference_redundant_targets,
     reference_validate_direct_system,
     reference_validate_inverse_system,
+    reference_validate_system_morphism,
 )
 
 #: A chain document whose scalar tail is 0.999999 at atom ``a``.
@@ -181,8 +182,9 @@ def test_reports_and_maps_match_reference(kind):
 
 
 #: Factors applied to every supplied edge: contractions, edges as drawn,
-#: edges over 1.0 but within the tolerance, and edges over it.
-EDGE_SCALES = (0.5, 1.0, "1+tol/2", "1+10tol")
+#: edges one ulp over 1.0, edges over 1.0 but within the tolerance, and
+#: edges over it.
+EDGE_SCALES = (0.5, 1.0, "1+eps", "1+tol/2", "1+10tol")
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-13], ids=["tol1e-9", "tol1e-13"])
@@ -205,7 +207,8 @@ def test_validation_that_skips_the_pair_walk_matches_the_reference(kind, tol):
                  for p, phi in system.maps.items() if p[0] != p[1]}
         edges = list(units)
         for scale in EDGE_SCALES:
-            factor = {"1+tol/2": 1.0 + tol / 2, "1+10tol": 1.0 + 10 * tol}.get(scale, scale)
+            factor = {"1+eps": 1.0 + 2.0**-52, "1+tol/2": 1.0 + tol / 2,
+                      "1+10tol": 1.0 + 10 * tol}.get(scale, scale)
             maps = {p: scale_morphism(phi, units[p] * factor) if p in units else phi
                     for p, phi in system.maps.items()}
             variants = [maps]
@@ -224,30 +227,37 @@ def test_validation_that_skips_the_pair_walk_matches_the_reference(kind, tol):
 
 @pytest.mark.parametrize("cls", [DirectSystem, InverseSystem])
 def test_a_contraction_chain_validates_without_walking_its_pairs(monkeypatch, cls):
-    """Edges normed at most 1.0 settle every composite: no breadth-first
-    tree is grown, with every stage joined or with a missing edge."""
+    """Edges normed at most 1.0, or one ulp over it as rounding may leave
+    them, settle every composite: no breadth-first tree is grown, with
+    every stage joined or with a missing edge."""
     reaches = []
     reach = systems.System._reach
     monkeypatch.setattr(systems.System, "_reach",
                         lambda self, i, j: reaches.append((i, j)) or reach(self, i, j))
-    rng = np.random.default_rng(21)
     space = AtomicMeasureSpace(["a0", "a1"], [1.0, 2.0])
     plane = euclidean_module(space, 2)
     validate, reference = (
         (validate_direct_system, reference_validate_direct_system) if cls is DirectSystem
         else (validate_inverse_system, reference_validate_inverse_system)
     )
-    maps = {(k, k + 1): scale_morphism(randgen.random_admissible_morphism(rng, plane, plane), 0.5)
-            for k in range(9)}
-    chain = cls(Chain(10, IdentityTail()), {k: plane for k in range(10)}, maps)
-    assert validate(chain).passed
-    del maps[(4, 5)]
-    broken = cls(Chain(10, IdentityTail()), {k: plane for k in range(10)}, maps)
-    report = validate(broken)
-    assert {v.kind for v in report.violations} == {"missing-map"}
-    assert len(report.violations) == 5 * 5
-    assert report == reference(broken)
-    assert reaches == []
+    for over in (False, True):
+        rng = np.random.default_rng(21)
+        maps = {}
+        for k in range(9):
+            phi = scale_morphism(randgen.random_admissible_morphism(rng, plane, plane), 0.5)
+            if over:
+                phi = ModuleMorphism(plane, plane, [phi.matrices[0], (1.0 + 2.0**-52) * np.eye(2)])
+                assert max(operator_pointwise_norm(phi).values) == 1.0 + 2.0**-52
+            maps[(k, k + 1)] = phi
+        chain = cls(Chain(10, IdentityTail()), {k: plane for k in range(10)}, maps)
+        assert validate(chain).passed
+        del maps[(4, 5)]
+        broken = cls(Chain(10, IdentityTail()), {k: plane for k in range(10)}, maps)
+        report = validate(broken)
+        assert {v.kind for v in report.violations} == {"missing-map"}
+        assert len(report.violations) == 5 * 5
+        assert report == reference(broken)
+        assert reaches == []
 
 
 @pytest.mark.parametrize("bracket", [False, True])
@@ -320,17 +330,20 @@ _EDGE_NORM = st.builds(
 @example([[1e-150, 1.0], [1e-150, 1.0], [1e-10, 1.0]])  # a product rounds to a subnormal
 @example([[1e150, 1e-150], [1e150, 1e-150], [1e10, 1.0]])  # the bound rounds to inf
 def test_product_of_edge_maxima_bounds_every_atoms_product(edges):
-    """validate_system certifies a composite from one float per path, the
-    product of each edge's largest norm in path order.  IEEE multiplication
-    rounds monotonically, so that float is never below the product any
-    atom takes along the same path, subnormal and overflowing ones
-    included: no composite an atom's product would not settle is skipped."""
-    bound = 1.0
+    """validate_system certifies every composite from one float, the
+    product over all edges of each edge's largest norm taken at least 1.
+    IEEE multiplication rounds monotonically, so the product of a path's
+    maxima is never below the product any atom takes along it, subnormal
+    and overflowing ones included, and the product over all edges, each
+    at least 1, never below that: no composite an atom's product would
+    not settle is skipped."""
+    path, whole = 1.0, 1.0
     atoms = [1.0] * len(edges[0])
     for norms in edges:
-        bound *= max(norms)
+        path *= max(norms)
+        whole *= max(1.0, *norms)
         atoms = [p * n for p, n in zip(atoms, norms)]
-        assert all(p <= bound for p in atoms)
+        assert all(p <= path <= whole for p in atoms)
 
 
 def test_a_composite_the_float_bound_misses_is_normed(monkeypatch):
@@ -566,6 +579,67 @@ def test_validation_raises_the_kernel_error_a_pairwise_loop_meets_first():
     with pytest.raises(BracketTooWideError) as raised:
         validate_direct_system(system)
     assert str(raised.value) == str(composite.value)
+
+
+def _flooded(phi):
+    """``phi`` with every entry 1e300: its products with most maps overflow."""
+    return ModuleMorphism(phi.source, phi.target, [np.full(m.shape, 1e300) for m in phi.matrices])
+
+
+def test_an_overflowing_edge_error_surfaces_at_the_composite_a_pairwise_loop_meets_first():
+    """Edge (1, 2) of a 4-stage chain overflows its norm, and so does the
+    composite (0, 2) at an earlier atom: the pair loop meets (0, 2) first,
+    so its error is the one raised."""
+    system = randgen.random_chain_direct_system(np.random.default_rng(4), stages=4)
+    system = DirectSystem(system.index, system.modules,
+                          {**system.maps, (1, 2): _flooded(system.maps[(1, 2)])})
+    with pytest.raises(NonFiniteError) as raised:
+        validate_direct_system(system)
+    assert str(raised.value) == "function value at atom 'a0' is not finite"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as reference:
+        reference_validate_direct_system(system)
+    assert str(raised.value) == str(reference.value)
+
+
+def test_an_overflowing_cocycle_is_a_violation_not_a_warning():
+    """a < b < c with every map supplied: a -> b and b -> c read 1e200, so
+    their composite overflows, and the cocycle law reads an infinite
+    deviation where tier-1 turns the overflow warning into an error."""
+    line = euclidean_module(AtomicMeasureSpace(["x"], [1.0]), 1)
+
+    def scalar(c):
+        return ModuleMorphism(line, line, [np.array([[c]])])
+
+    system = DirectSystem(
+        FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c")]), {e: line for e in "abc"},
+        {("a", "b"): scalar(1e200), ("b", "c"): scalar(1e200), ("a", "c"): scalar(0.5)},
+    )
+    report = validate_direct_system(system)
+    assert [(v.kind, v.indices, v.deviation) for v in report.violations] == [
+        ("admissibility", ("a", "b"), 1e200),
+        ("admissibility", ("b", "c"), 1e200),
+        ("cocycle", ("a", "b", "c"), math.inf),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert report == reference_validate_direct_system(system)
+
+
+def test_overflowing_squares_are_violations_not_warnings():
+    """A 3-stage chain morphism whose source edges read 1e300 everywhere:
+    every square's products overflow, and each is reported as the
+    reference reports it, (0, 2) with a NaN deviation."""
+    theta = randgen.random_chain_morphism_pair(np.random.default_rng(4), stages=3)
+    source = theta.source
+    flooded = type(source)(source.index, source.modules,
+                           {p: _flooded(phi) for p, phi in source.maps.items()})
+    bad = SystemMorphism(flooded, theta.target, theta.components)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_validate_system_morphism(bad)
+    # NaN deviations compare by their repr.
+    got, want = ([(v.kind, v.indices, repr(v.deviation)) for v in r.violations]
+                 for r in (validate_system_morphism(bad), want))
+    assert got == want
+    assert [v[:2] for v in got] == [("square", (0, 1)), ("square", (0, 2)), ("square", (1, 2))]
 
 
 @pytest.mark.parametrize("cone,error,text", [
