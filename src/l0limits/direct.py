@@ -70,12 +70,13 @@ def validate_direct_system(system: DirectSystem) -> SystemReport:
       tolerance()``: operator norms are submultiplicative, that product
       is at least any path's, rounding is monotone, and the slack absorbs
       the rounding of the evaluated norms.  Otherwise every composed map
-      is evaluated exactly.  A pair no path of supplied maps joins is
-      found from one walk of the edges, as a ``missing-map`` violation;
-      when the bound settles and every pair is joined, no pair is
-      visited;
+      is evaluated exactly.  A pair no path of supplied maps joins is a
+      ``missing-map`` violation; when the bound settles and every pair is
+      joined, no pair is visited;
     * cocycle: a triple (i, j, k) is evaluated only when at least two
-      paths of supplied maps join i to k.  With a single path every map
+      paths of supplied maps join i to k.  Both questions are read from
+      the breadth-first trees of supplied maps that compose the
+      closures, one per stage.  With a single path every map
       involved is a composite along that one path, so the law is
       associativity of composition and holds up to rounding.  The
       triples' deviations are reduced together, bit for bit those a

@@ -76,7 +76,9 @@ def validate_inverse_system(system: InverseSystem) -> SystemReport:
     ``PRODUCT_SLACK``) is within ``1 + tolerance()``; and the cocycle law
     ``P_ik = P_ij . P_jk`` on the triples where at least two paths of
     supplied maps join i to k, since along a single path it is
-    associativity of composition.  The source
+    associativity of composition.  Which pairs the supplied maps join,
+    once or twice, is read from the trees that compose the closures, as
+    in the direct case.  The source
     compatibility of :func:`il_universal_factorization` and the squares of
     a morphism of inverse systems are settled from the supplied edges as
     in the direct case.

@@ -104,7 +104,9 @@ class System:
     repeated :func:`compose` takes them, so its bytes do not depend on
     what was built before.  Only the pair asked for becomes a morphism and
     is cached, so a chain's limit builds its canonical maps and none of
-    the pairs on their paths; the limit too is cached once built.
+    the pairs on their paths; the limit too is cached once built.  The
+    same trees tell validation which pairs the supplied maps join, and
+    which two paths of them join (:meth:`_redundant`).
     Subclasses fix the arrow direction through ``forward`` and
     ``stage_axis`` and name their maps and cones in the texts below.
     """
@@ -219,47 +221,26 @@ class System:
         self._closure[(i, j)] = phi
         return phi
 
-def _path_counts(system: System) -> Tuple[Dict[object, int], Dict[object, int], Dict[object, List]]:
-    """Which stages the paths of supplied edges join, counted up to two:
-    the position of each explicit stage, per stage i the bitset ``once[i]``
-    of the stages at least one path joins i to (bit ``n`` for the ``n``-th
-    explicit stage; i reaches itself), and the stages k, in index order,
-    that at least two paths join i to.
+    def _joins_every_pair(self) -> bool:
+        """Whether paths of supplied maps join every related pair.  Every
+        stage a tree reaches is related to its root, so the trees join every
+        pair when they hold as many stages besides their roots."""
+        explicit = self.index.explicit_indices()
+        return sum(len(self._tree(i)) - 1 for i in explicit) == len(self.related_pairs())
 
-    The supplied edges form a DAG (the index is a partial order and loops
-    are left out), so the counts of a stage follow from those of its
-    successors, ``N(i, k) = [i = k] + sum N(b, k)``: a stage is reached
-    twice from i when some successor reaches it twice or two successors
-    reach it each.  Each stage is counted once, after its successors, by a
-    depth-first walk that does not rely on the element order; a second
-    bitset per stage, ``twice``, holds the stages reached twice."""
-    explicit = system.index.explicit_indices()
-    succ = {a: [b for b in system._edges.get(a, ()) if b != a] for a in explicit}
-    position = {e: n for n, e in enumerate(explicit)}
-    once: Dict[object, int] = {}
-    twice: Dict[object, int] = {}
-    for root in explicit:
-        stack = [root]
-        while stack:
-            a = stack[-1]
-            if a in once:
-                stack.pop()
-                continue
-            todo = [b for b in succ[a] if b not in once]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            reached, again = 1 << position[a], 0
-            for b in succ[a]:
-                again |= twice[b] | (reached & once[b])
-                reached |= once[b]
-            once[a], twice[a] = reached, again
-    redundant = {
-        a: [explicit[n] for n in range(twice[a].bit_length()) if twice[a] >> n & 1]
-        for a in explicit
-    }
-    return position, once, redundant
+    def _redundant(self, i) -> list:
+        """The stages, in index order, that two paths of supplied maps join
+        i to.  The tree path is one.  Any other leaves the tree of i by an
+        edge (a, b) that is neither a loop nor the tree's edge into b, and
+        goes on to a stage of the tree of b; a head b already reached adds
+        nothing, as its tree lies in the tree that reached it."""
+        tree = self._tree(i)
+        reached = set()
+        for a in tree:
+            for b in self._edges.get(a, ()):
+                if b != a and tree[b] != a and b not in reached:
+                    reached.update(self._tree(b))
+        return [k for k in self.index.explicit_indices() if k in reached] if reached else []
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -273,10 +254,11 @@ def validate_system(system: System) -> SystemReport:
     makes it infinite.  When that bound times ``1 + PRODUCT_SLACK`` is at
     most ``1 + tolerance()``, no composite is built or normed; otherwise
     every composite a path joins is normed in a second batch.  Which pairs
-    are joined by supplied edges, and which by two paths of them, comes
-    from one walk of :func:`_path_counts`; when the bound settles and
-    every pair is joined, the pairs are not walked at all.  The identity
-    laws, and the cocycle laws, each take one :func:`composite_deviations`.
+    the supplied edges join, and which two paths of them join, is read from
+    the breadth-first trees that compose the closures
+    (:meth:`System._tree`); when the bound settles and every pair is
+    joined, the pairs are not walked at all.  The identity laws, and the
+    cocycle laws, each take one :func:`composite_deviations`.
     Products that overflow read as non-finite deviations or located
     errors, not warnings.
     """
@@ -299,18 +281,16 @@ def validate_system(system: System) -> SystemReport:
     for result in results:
         bound = math.inf if isinstance(result, Exception) else bound * max([1.0, *result])
     settled = bound * (1.0 + PRODUCT_SLACK) <= 1.0 + tol
-    position, once, redundant = _path_counts(system)
+    tree = system._tree
     if not settled:
-        composites = [p for p in pairs if p not in norms and once[p[0]] >> position[p[1]] & 1]
+        composites = [p for p in pairs if p not in norms and p[1] in tree(p[0])]
         built = [system._connect(*p) for p in composites]
         norms.update(zip(composites, _operator_norm_results(built)))
     # Settled, every edge and composite passes, so only an unjoined pair
-    # can fail; every joined pair is related, so with as many joined pairs
-    # as related ones none is walked.  Each error is raised in its pair's
-    # turn, where a loop over the pairs would meet it.
-    joined = sum(reach.bit_count() - 1 for reach in once.values())
-    for (i, j) in () if settled and joined == len(pairs) else pairs:
-        if not once[i] >> position[j] & 1:
+    # can fail, and with every pair joined none is walked.  Each error is
+    # raised in its pair's turn, where a loop over the pairs would meet it.
+    for (i, j) in () if settled and system._joins_every_pair() else pairs:
+        if j not in tree(i):
             detail = str(KeyError(system.missing_text.format(i=i, j=j)))
             violations.append(Violation("missing-map", (i, j), float("inf"), detail))
         elif not settled:
@@ -320,18 +300,14 @@ def validate_system(system: System) -> SystemReport:
                     Violation("admissibility", (i, j), dev, "pointwise operator norm > 1")
                 )
 
+    redundant = {i: system._redundant(i) for i in system.index.explicit_indices()}
     triples, laws = [], []
     for (i, j) in pairs:
-        if not redundant[i]:
-            continue
         for k in redundant[i]:
-            if k == j or not system.index.leq(j, k):
+            if k == j or j not in tree(i) or k not in tree(j):
                 continue
-            try:
-                direct_map = system._connect(i, k)
-                lower, upper = system._connect(i, j), system._connect(j, k)
-            except KeyError:
-                continue
+            direct_map = system._connect(i, k)
+            lower, upper = system._connect(i, j), system._connect(j, k)
             # The composite along j, outermost factor first, as compose takes it.
             triples.append((i, j, k))
             laws.append(((direct_map,), system._outer_first(lower, upper)))
@@ -453,12 +429,10 @@ def _law_deviations(system: System, law, stage_maps: Dict, inner, outer=None):
     raises the ``KeyError`` of the first)."""
     pairs = system.related_pairs()
     edges = [p for p in pairs if p in system.maps]
-    # Every stage a tree reaches is related to its root, so the trees join
-    # every related pair when they hold as many stages besides their roots.
     if (
         (outer is not None and outer[0].keys() != inner[0].keys())
         or len(pairs) - len(edges) <= len(edges)
-        or sum(len(system._tree(i)) - 1 for i in system.index.explicit_indices()) < len(pairs)
+        or not system._joins_every_pair()
     ):
         return list(zip(pairs, composite_deviations([law(i, j) for i, j in pairs])))
     devs = dict(zip(edges, composite_deviations([law(i, j) for i, j in edges])))
@@ -602,7 +576,10 @@ def _limit(system: System) -> LimitPresentation:
     return system._presentation
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _build_limit(system: System) -> LimitPresentation:
+    """Builds the limit :func:`_limit` keeps; a closure or a canonical map
+    that overflows keeps its non-finite entries, with no warning."""
     index = system.index
     top = _top(index)
     if isinstance(index, FinitePoset):
@@ -644,6 +621,7 @@ def _canonical_maps_unique(system: System, presentation: LimitPresentation) -> b
     return all(_full_ranks(stacked, 1 - system.stage_axis, RANK_TOL, located))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _universal_factorization(
     system: System,
     apex: FiberModule,
@@ -656,7 +634,8 @@ def _universal_factorization(
     deviation of a factored cone map from the cone's own.  The cone law
     is evaluated as :func:`_law_deviations` does; the pairs it leaves out
     are within the tolerance, so the worst pair it reports, the first
-    with the largest deviation, is the one a check of every pair finds."""
+    with the largest deviation, is the one a check of every pair finds.
+    Products that overflow read as non-finite deviations, not warnings."""
     tol = tolerance()
     index = system.index
     explicit = index.explicit_indices()
@@ -724,10 +703,12 @@ def _require_valid_systems(theta: SystemMorphism) -> None:
             raise ValidationError(f"{name} system fails validation", report)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _limit_functor(theta: SystemMorphism, validate: bool = True) -> ModuleMorphism:
     """The morphism a system morphism induces between the limits; see
     :func:`l0limits.direct.dl_functor`.  Its squares with the canonical
-    maps are checked within ``10 * tolerance()``."""
+    maps are checked within ``10 * tolerance()``; products that overflow
+    read as non-finite deviations, not warnings."""
     if validate:
         _require_valid_systems(theta)
         report = validate_system_morphism(theta)

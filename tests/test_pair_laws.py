@@ -30,6 +30,7 @@ from l0limits.modules import (
     compose,
     euclidean_fiber,
     euclidean_module,
+    identity_morphism,
     scale_morphism,
 )
 from l0limits.systems import SystemMorphism, validate_system_morphism
@@ -284,6 +285,13 @@ def _edges_scaled(system, rng, factor, every):
     return type(system)(system.index, system.modules, maps)
 
 
+def _without(system, key):
+    """``system`` without a supplied map at ``key``: some related pair may
+    then have no path."""
+    maps = {p: phi for p, phi in system.maps.items() if p != key}
+    return type(system)(system.index, system.modules, maps)
+
+
 def _inverse_chain(rng, space, stages):
     modules = {k: randgen.random_module(rng, space, max_dim=3) for k in range(stages)}
     maps = {(k, k + 1): randgen.random_admissible_morphism(rng, modules[k + 1], modules[k])
@@ -322,9 +330,10 @@ def test_cone_laws_read_as_the_all_pairs_reference(kind, stages, shortcuts, tol,
     """Universal factorizations onto a limit's canonical maps, with the
     edges scaled by ``1 + k tol`` and a cone entry moved by a multiple of
     tol, on chains with and without shortcut maps and on tree-shaped
-    posets where some related pairs have no supplied map: the same
-    mediating map, or the same text (which names the worst pair), as the
-    reference that evaluates every pair."""
+    posets where some related pairs have no supplied map, and at times one
+    supplied map dropped after the limit is taken: the same mediating map,
+    or the same text (which names the worst pair, or the first pair no
+    path joins), as the reference that evaluates every pair."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     space = randgen.random_space(rng, max_atoms=2)
     if kind.startswith("direct"):
@@ -348,6 +357,8 @@ def test_cone_laws_read_as_the_all_pairs_reference(kind, stages, shortcuts, tol,
     cone = dict(presentation.canonical)
     k = data.draw(st.integers(-20, 20))
     system = _edges_scaled(system, rng, 1.0 + k * tol, data.draw(st.booleans()))
+    if data.draw(st.integers(0, 2)) == 0:
+        system = _without(system, data.draw(st.sampled_from(sorted(system.maps))))
     if data.draw(st.booleans()):
         i = data.draw(st.sampled_from(system.index.explicit_indices()))
         cone[i] = _moved(cone[i], rng, data.draw(st.sampled_from(MOVES)) * tol)
@@ -372,31 +383,46 @@ def _transposed(theta):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(["direct", "inverse"]), st.integers(3, 10),
+@given(st.sampled_from(["direct", "inverse", "direct-poset", "inverse-poset"]), st.integers(3, 10),
        st.sampled_from(["none", "both", "source", "target"]), st.sampled_from(TOLS), st.data())
 def test_squares_read_as_the_all_pairs_reference(kind, stages, shortcuts, tol, data):
     """System morphisms with an edge of either side scaled by ``1 + k
     tol`` and a component entry moved by a multiple of tol, on chains with
     shortcut maps on both sides, on one (source and target then supply
-    different pairs) or on none: the same report as the reference."""
+    different pairs) or on none, and between a tree-shaped poset system
+    and its scaled copy by identity components, either way round; at
+    times one supplied map is dropped from both sides: the same report,
+    or the same text of the first pair no path joins, as the reference."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    theta = randgen.random_chain_morphism_pair(rng, randgen.random_space(rng, max_atoms=2), stages)
-    if kind == "inverse":
-        theta = _transposed(theta)
-    source, target = theta.source, theta.target
-    if shortcuts in ("both", "source"):
-        source = _with_shortcuts(source, 1.0 + data.draw(st.integers(-3, 3)) * tol)
-    if shortcuts in ("both", "target"):
-        target = _with_shortcuts(target)
+    space = randgen.random_space(rng, max_atoms=2)
     k = data.draw(st.integers(-40, 40))
-    if data.draw(st.booleans()):
-        source = _edges_scaled(source, rng, 1.0 + k * tol, False)
+    if kind.endswith("poset"):
+        cls = DirectSystem if kind == "direct-poset" else InverseSystem
+        shortcut = None if shortcuts == "none" else 1.0 + data.draw(st.integers(-3, 3)) * tol
+        system = _tree_poset_system(cls, rng, space, stages, shortcut)
+        scaled = _edges_scaled(system, rng, 1.0 + k * tol, False)
+        source, target = (system, scaled) if data.draw(st.booleans()) else (scaled, system)
+        components = {e: identity_morphism(m) for e, m in system.modules.items()}
     else:
-        target = _edges_scaled(target, rng, 1.0 + k * tol, False)
-    components = dict(theta.components)
+        theta = randgen.random_chain_morphism_pair(rng, space, stages)
+        if kind == "inverse":
+            theta = _transposed(theta)
+        source, target = theta.source, theta.target
+        if shortcuts in ("both", "source"):
+            source = _with_shortcuts(source, 1.0 + data.draw(st.integers(-3, 3)) * tol)
+        if shortcuts in ("both", "target"):
+            target = _with_shortcuts(target)
+        if data.draw(st.booleans()):
+            source = _edges_scaled(source, rng, 1.0 + k * tol, False)
+        else:
+            target = _edges_scaled(target, rng, 1.0 + k * tol, False)
+        components = dict(theta.components)
     if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, stages - 1))
+        i = data.draw(st.sampled_from(source.index.explicit_indices()))
         components[i] = _moved(components[i], rng, data.draw(st.sampled_from(MOVES)) * tol)
+    if data.draw(st.integers(0, 2)) == 0:
+        key = data.draw(st.sampled_from(sorted(source.maps)))
+        source, target = _without(source, key), _without(target, key)
     bad = SystemMorphism(source, target, components)
     with tolerance_override(tol):
         got = _outcome(lambda: validate_system_morphism(bad))

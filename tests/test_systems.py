@@ -11,6 +11,7 @@ import json
 import math
 import pathlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,7 @@ from oracles import (
     ReferenceDirectSystem,
     ReferenceInverseSystem,
     reference_dl_seminorm,
+    reference_dl_universal_factorization,
     reference_greatest_element,
     reference_poset_relation,
     reference_redundant_targets,
@@ -228,8 +230,8 @@ def test_validation_that_skips_the_pair_walk_matches_the_reference(kind, tol):
 @pytest.mark.parametrize("cls", [DirectSystem, InverseSystem])
 def test_a_contraction_chain_validates_without_walking_its_pairs(monkeypatch, cls):
     """Edges normed at most 1.0, or one ulp over it as rounding may leave
-    them, settle every composite: no breadth-first tree is grown, with
-    every stage joined or with a missing edge."""
+    them, settle every composite: no pair is connected, with every stage
+    joined or with a missing edge."""
     reaches = []
     reach = systems.System._reach
     monkeypatch.setattr(systems.System, "_reach",
@@ -586,6 +588,12 @@ def _flooded(phi):
     return ModuleMorphism(phi.source, phi.target, [np.full(m.shape, 1e300) for m in phi.matrices])
 
 
+def _flooded_system(system):
+    """``system`` with every supplied map flooded by :func:`_flooded`."""
+    return type(system)(system.index, system.modules,
+                        {p: _flooded(phi) for p, phi in system.maps.items()})
+
+
 def test_an_overflowing_edge_error_surfaces_at_the_composite_a_pairwise_loop_meets_first():
     """Edge (1, 2) of a 4-stage chain overflows its norm, and so does the
     composite (0, 2) at an earlier atom: the pair loop meets (0, 2) first,
@@ -629,10 +637,7 @@ def test_overflowing_squares_are_violations_not_warnings():
     every square's products overflow, and each is reported as the
     reference reports it, (0, 2) with a NaN deviation."""
     theta = randgen.random_chain_morphism_pair(np.random.default_rng(4), stages=3)
-    source = theta.source
-    flooded = type(source)(source.index, source.modules,
-                           {p: _flooded(phi) for p, phi in source.maps.items()})
-    bad = SystemMorphism(flooded, theta.target, theta.components)
+    bad = SystemMorphism(_flooded_system(theta.source), theta.target, theta.components)
     with np.errstate(over="ignore", invalid="ignore"):
         want = reference_validate_system_morphism(bad)
     # NaN deviations compare by their repr.
@@ -640,6 +645,43 @@ def test_overflowing_squares_are_violations_not_warnings():
                  for r in (validate_system_morphism(bad), want))
     assert got == want
     assert [v[:2] for v in got] == [("square", (0, 1)), ("square", (0, 2)), ("square", (1, 2))]
+
+
+def test_an_overflowing_limit_functor_is_a_verdict_not_a_warning():
+    """The flooded chain morphism of
+    :func:`test_overflowing_squares_are_violations_not_warnings`, not
+    validated: its limit squares overflow, and the one at stage 0 reads a
+    NaN deviation."""
+    theta = randgen.random_chain_morphism_pair(np.random.default_rng(4), stages=3)
+    bad = SystemMorphism(_flooded_system(theta.source), theta.target, theta.components)
+    with pytest.raises(ValidationError) as raised:
+        dl_functor(bad, validate=False)
+    assert str(raised.value) == "limit square at 0 deviates by nan; morphism invalid"
+
+
+def test_an_overflowing_limit_is_built_without_a_warning():
+    """The flooded source's closures overflow: its limit is still presented,
+    with canonical maps that are not finite."""
+    theta = randgen.random_chain_morphism_pair(np.random.default_rng(4), stages=3)
+    presentation = direct_limit(_flooded_system(theta.source))
+    assert not all(np.isfinite(m).all() for m in presentation.canonical[0].matrices)
+
+
+def test_an_overflowing_cone_law_is_a_verdict_not_a_warning():
+    """A flooded chain factored onto the unflooded chain's limit cone: the
+    cone law overflows, and the worst pair is the one the reference finds."""
+    system = randgen.random_chain_direct_system(np.random.default_rng(4), stages=3)
+    presentation = direct_limit(system)
+    flooded = _flooded_system(system)
+    want = "target-law violation: target law at (1, 2) deviates by 1e+300"
+    with pytest.raises(ValidationError) as raised:
+        dl_universal_factorization(flooded, Target(presentation.module, dict(presentation.canonical)))
+    assert str(raised.value) == want
+    with warnings.catch_warnings(), pytest.raises(ValidationError) as reference:
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reference_dl_universal_factorization(
+            flooded, Target(presentation.module, dict(presentation.canonical)))
+    assert str(reference.value) == want
 
 
 @pytest.mark.parametrize("cone,error,text", [
@@ -968,11 +1010,12 @@ def test_poset_closure_matches_the_reference_on_any_relation(relation):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(3, 10), st.data())
 def test_redundant_targets_match_the_reference_on_unordered_dags(n, data):
-    """Path counts capped at two equal the topological reference on posets
-    whose element order is not a topological order of the supplied edges:
-    the top comes first, and the bottom supplies edges to it and to one
-    more stage, so two paths can meet.  The other related pairs are each
-    supplied or left to composition."""
+    """The stages two paths join, read from the trees, equal the path
+    counts of the topological reference on posets whose element order is
+    not a topological order of the supplied edges: the top comes first,
+    and the bottom supplies edges to it and to one more stage, so two
+    paths can meet.  The other related pairs are each supplied or left to
+    composition."""
     ranked = [f"s{k}" for k in range(n)]  # s0 lowest, s{n-1} the top
     labels = [ranked[-1]] + data.draw(st.permutations(ranked[:-1]))
     pairs = [(ranked[a], ranked[b]) for a, b in data.draw(st.sets(_rising(n)))]
@@ -985,14 +1028,15 @@ def test_redundant_targets_match_the_reference_on_unordered_dags(n, data):
     module = euclidean_module(AtomicMeasureSpace(["a"], [1.0]), 1)
     ident = identity_morphism(module)
     system = DirectSystem(poset, {e: module for e in labels}, {e: ident for e in edges})
-    assert systems._path_counts(system)[2] == reference_redundant_targets(system)
+    redundant = {i: system._redundant(i) for i in system.index.explicit_indices()}
+    assert redundant == reference_redundant_targets(system)
 
 
 def test_redundant_targets_match_the_topological_count():
     rng = np.random.default_rng(8)
     shapes = set()
     for system in _edge_systems(rng):
-        got = systems._path_counts(system)[2]
+        got = {i: system._redundant(i) for i in system.index.explicit_indices()}
         assert got == reference_redundant_targets(system)
         shapes.add(any(got.values()))
     assert shapes == {False, True}
