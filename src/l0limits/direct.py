@@ -10,13 +10,14 @@ completion step is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .config import tolerance
-from .errors import ShapeMismatchError, ValidationError
+from .errors import NonFiniteError, ShapeMismatchError, ValidationError
 from .indexsets import Chain, IdentityTail
 from .measure import L0Function
 from .modules import (
@@ -66,8 +67,8 @@ def validate_direct_system(system: DirectSystem) -> SystemReport:
       evaluation when every edge has an exact kernel (vertex, facet or
       spectral, not the bracket) and the product over all edges of each
       edge's largest norm, taken at least 1, times ``1 + PRODUCT_SLACK``
-      (1e-12, in :mod:`l0limits.systems`), is at most ``1 +
-      tolerance()``: operator norms are submultiplicative, that product
+      (1e-12, in :mod:`l0limits.systems`), exceeds 1 by at most
+      ``tolerance()``: operator norms are submultiplicative, that product
       is at least any path's, rounding is monotone, and the slack absorbs
       the rounding of the evaluated norms.  Otherwise every composed map
       is evaluated exactly.  A pair no path of supplied maps joins is a
@@ -191,6 +192,7 @@ class SquareSolution:
     witness: str = ""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_square_component(
     source_system: DirectSystem,
     target_system,
@@ -202,7 +204,10 @@ def solve_square_component(
     For a two-stage chain with the top component fixed this solves
     ``psi . theta = fixed_top . phi`` for ``theta`` atom by atom in the
     least-squares sense and reports the residual; a surjectivity mismatch
-    shows up as an irreducible residual, above ``tolerance()``.
+    shows up as an irreducible residual, above ``tolerance()``.  Products
+    that overflow do not warn: the first atom whose least-squares data,
+    solution or residual is not finite raises :class:`NonFiniteError`
+    located at it.
     """
     index = source_system.index
     explicit = index.explicit_indices()
@@ -230,16 +235,21 @@ def solve_square_component(
         if rows == 0 or cols == 0:
             mats.append(np.zeros((rows, cols)))
             continue
+        atom = source_system.space.atom_ids[a]
         lhs = np.vstack([psi.matrices[a] for psi, _ in squares])
         rhs = np.vstack([chi.matrices[a] for _, chi in squares])
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise NonFiniteError("least-squares data is not finite").at_atom(atom)
         sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        mats.append(sol)
         res = float(np.max(np.abs(_mm(lhs, sol) - rhs), initial=0.0))
+        if not (np.isfinite(sol).all() and math.isfinite(res)):
+            raise NonFiniteError("least-squares solution or residual is not finite").at_atom(atom)
+        mats.append(sol)
         if res > residual:
             residual = res
             witness = (
                 f"squares above stage {solve_for!r} are unsolvable at atom "
-                f"{source_system.space.atom_ids[a]!r}: residual {res:g} "
+                f"{atom!r}: residual {res:g} "
                 "(image of the fixed family exceeds the reachable column space)"
             )
     exists = residual <= tolerance()

@@ -483,13 +483,9 @@ def _index_set_payload(index, id_of, iid: str) -> Dict:
             "relation": [list(p) for p in index.related_pairs()],
         }
     tail = index.tail
-    if isinstance(tail, IdentityTail):
-        tail_payload = {"kind": "identity"}
-    elif isinstance(tail, HarmonicTail):
-        tail_payload = {"kind": "harmonic"}
-    else:
-        fid = id_of("functions", tail.function, f"tail_{iid}")
-        tail_payload = {"kind": "scalar", "function": fid}
+    tail_payload = {"kind": tail.kind}
+    if tail.kind == "scalar":
+        tail_payload["function"] = id_of("functions", tail.function, f"tail_{iid}")
     return {"kind": "chain", "stages": index.stages, "tail": tail_payload}
 
 

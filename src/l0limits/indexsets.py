@@ -10,6 +10,12 @@ stage follow one of three finitely presented tail rules:
   limit keeps exactly the atoms where f equals 1;
 * harmonic tail: the map at step k scales by (k+1)/(k+2), so composite
   factors telescope to (N+1)/(N+j+1).
+
+Each tail answers ``steps(space)``, the per-atom factor of every tail map
+(``None`` for harmonic, whose factor changes with the step),
+``limit_factor(space)``, the per-atom 0/1 limit of the composite factors,
+and ``pulled(atom_map)``, the tail of the chain pulled back along an atom
+map.  What a tail does is decided here and nowhere else.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .measure import AtomicMeasureSpace, L0Function
+from .measure import AtomicMeasureSpace, AtomMap, L0Function
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +110,10 @@ class FinitePoset:
         positions of a, then of b, among the elements."""
         return self._pairs
 
+    def pulled(self, atom_map: AtomMap) -> "FinitePoset":
+        """The poset of a system pulled back along an atom map: itself."""
+        return self
+
     def same_shape(self, other) -> bool:
         return (
             isinstance(other, FinitePoset)
@@ -124,58 +134,62 @@ def greatest_element(poset: FinitePoset) -> str:
     return poset._greatest
 
 
+@dataclass(frozen=True)
 class IdentityTail:
     """Connecting maps beyond the last stage are identities."""
 
     kind = "identity"
 
-    def __eq__(self, other):
-        return isinstance(other, IdentityTail)
+    def steps(self, space: AtomicMeasureSpace) -> np.ndarray:
+        return np.ones(space.atom_count)
 
-    def __hash__(self):
-        return hash("identity-tail")
+    def limit_factor(self, space: AtomicMeasureSpace) -> np.ndarray:
+        return np.ones(space.atom_count)
 
-    def __repr__(self):
-        return "IdentityTail()"
+    def pulled(self, atom_map: AtomMap) -> "IdentityTail":
+        return self
 
 
+@dataclass(frozen=True)
 class ScalarTail:
     """Connecting maps beyond the last stage scale by a fixed function,
     kept as given.  Its values must lie in [0, 1] exactly: above 1 a tail
     map would not contract.  Since ``f**k -> 0`` for every ``f < 1``, the
     limit keeps an atom exactly where the value equals 1."""
 
+    function: L0Function
     kind = "scalar"
 
-    def __init__(self, function: L0Function):
-        values = function.values
+    def __post_init__(self):
+        values = self.function.values
         if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("scalar tail values must lie in [0, 1]")
-        self.function = function
 
-    def __eq__(self, other):
-        return isinstance(other, ScalarTail) and self.function == other.function
+    def steps(self, space: AtomicMeasureSpace) -> np.ndarray:
+        return self.function.values
 
-    def __hash__(self):
-        return hash(("scalar-tail", self.function))
+    def limit_factor(self, space: AtomicMeasureSpace) -> np.ndarray:
+        return (self.function.values == 1.0).astype(float)
 
-    def __repr__(self):
-        return f"ScalarTail({self.function!r})"
+    def pulled(self, atom_map: AtomMap) -> "ScalarTail":
+        values = self.function.values[list(atom_map.targets)]
+        return ScalarTail(L0Function(atom_map.source, values))
 
 
+@dataclass(frozen=True)
 class HarmonicTail:
     """Connecting maps beyond the last stage scale by (k+1)/(k+2)."""
 
     kind = "harmonic"
 
-    def __eq__(self, other):
-        return isinstance(other, HarmonicTail)
+    def steps(self, space: AtomicMeasureSpace) -> None:
+        return None
 
-    def __hash__(self):
-        return hash("harmonic-tail")
+    def limit_factor(self, space: AtomicMeasureSpace) -> np.ndarray:
+        return np.zeros(space.atom_count)
 
-    def __repr__(self):
-        return "HarmonicTail()"
+    def pulled(self, atom_map: AtomMap) -> "HarmonicTail":
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +202,8 @@ class Chain:
     def __post_init__(self):
         if self.stages < 1:
             raise ValueError("a chain needs at least one explicit stage")
+        if not isinstance(self.tail, (IdentityTail, ScalarTail, HarmonicTail)):
+            raise ValueError(f"unrecognized tail rule {self.tail!r}")
         n = self.stages  # immutable, so the pairs are kept from construction
         object.__setattr__(self, "_pairs", tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
@@ -204,6 +220,10 @@ class Chain:
 
     def leq(self, a: int, b: int) -> bool:
         return a <= b
+
+    def pulled(self, atom_map: AtomMap) -> "Chain":
+        """The chain of a system pulled back along an atom map."""
+        return Chain(self.stages, self.tail.pulled(atom_map))
 
     def same_shape(self, other) -> bool:
         """Equal explicit structure; tails may differ between systems."""
@@ -222,24 +242,7 @@ def tail_limit_factor(tail, space: AtomicMeasureSpace) -> np.ndarray:
     Identity stays one, a scalar tail converges to the indicator of the
     set where it equals one, and the harmonic products telescope to zero.
     """
-    if isinstance(tail, IdentityTail):
-        return np.ones(space.atom_count)
-    if isinstance(tail, ScalarTail):
-        return (tail.function.values == 1.0).astype(float)
-    if isinstance(tail, HarmonicTail):
-        return np.zeros(space.atom_count)
-    raise ValueError(f"unrecognized tail rule {tail!r}")
-
-
-def _scalar_values(tail, space: AtomicMeasureSpace):
-    """Per-atom step factor for scalar-like tails, None for harmonic."""
-    if isinstance(tail, IdentityTail):
-        return np.ones(space.atom_count)
-    if isinstance(tail, ScalarTail):
-        return tail.function.values
-    if isinstance(tail, HarmonicTail):
-        return None
-    raise ValueError(f"unrecognized tail rule {tail!r}")
+    return tail.limit_factor(space)
 
 
 def tail_growth_sup(num_tail, den_tail, last_stage: int, space: AtomicMeasureSpace):
@@ -250,30 +253,24 @@ def tail_growth_sup(num_tail, den_tail, last_stage: int, space: AtomicMeasureSpa
     much the last explicit component is amplified.  ``inf`` means the
     last component has to vanish at that atom.
     """
-    n_atoms = space.atom_count
-    num = _scalar_values(num_tail, space)
-    den = _scalar_values(den_tail, space)
-    out = np.ones(n_atoms)
+    num, den = num_tail.steps(space), den_tail.steps(space)
+    if num is None and den is None:
+        return np.ones(space.atom_count)
+    if num is None:
+        # harmonic over scalar: (base/(base+j)) / f^j
+        return np.where(den >= 1.0, 1.0, math.inf)
+    if den is not None:
+        return np.where(num <= den, 1.0, math.inf)
+    out = np.ones(space.atom_count)
     base = last_stage + 1  # harmonic composite factor is base / (base + j)
-    for a in range(n_atoms):
-        if num is not None and den is not None:
-            out[a] = 1.0 if num[a] <= den[a] else math.inf
-        elif num is None and den is None:
-            out[a] = 1.0
-        elif num is None:
-            # harmonic over scalar: (base/(base+j)) / f^j
-            out[a] = 1.0 if den[a] >= 1.0 else math.inf
-        else:
-            # scalar over harmonic: f^j (base+j)/base, maximized in closed form
-            f = num[a]
-            if f >= 1.0:
-                out[a] = math.inf
-            elif f == 0.0:
-                out[a] = 1.0
-            else:
-                peak = -1.0 / math.log(f) - base
-                best = 1.0
-                for j in {0, max(0, math.floor(peak)), max(0, math.ceil(peak))}:
-                    best = max(best, f**j * (base + j) / base)
-                out[a] = best
+    for a, f in enumerate(num):
+        # scalar over harmonic: f^j (base+j)/base, maximized in closed form
+        if f >= 1.0:
+            out[a] = math.inf
+        elif f > 0.0:
+            peak = -1.0 / math.log(f) - base
+            best = 1.0
+            for j in {0, max(0, math.floor(peak)), max(0, math.ceil(peak))}:
+                best = max(best, f**j * (base + j) / base)
+            out[a] = best
     return out

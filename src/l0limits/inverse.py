@@ -73,9 +73,9 @@ def validate_inverse_system(system: InverseSystem) -> SystemReport:
     supplied maps at pairs (i, i); the exact operator norm of every
     supplied map, and of every composite unless the one bound from the
     exact edge norms (their product, each taken at least 1, with
-    ``PRODUCT_SLACK``) is within ``1 + tolerance()``; and the cocycle law
-    ``P_ik = P_ij . P_jk`` on the triples where at least two paths of
-    supplied maps join i to k, since along a single path it is
+    ``PRODUCT_SLACK``) exceeds 1 by at most ``tolerance()``; and the
+    cocycle law ``P_ik = P_ij . P_jk`` on the triples where at least two
+    paths of supplied maps join i to k, since along a single path it is
     associativity of composition.  Which pairs the supplied maps join,
     once or twice, is read from the trees that compose the closures, as
     in the direct case.  The source
@@ -224,15 +224,12 @@ def _precompose_map(hom_from: HomModule, hom_to: HomModule, phi: ModuleMorphism)
 
 def _hom_system(system: DirectSystem, fixed: FiberModule) -> InverseSystem:
     """The inverse system of stage Hom modules into ``fixed``, connected by
-    precomposition with the maps of ``system``."""
-    index = system.index
-    homs = {i: hom_module(system.modules[i], fixed) for i in index.explicit_indices()}
-    if isinstance(index, FinitePoset):
-        pairs = index.related_pairs()
-    else:
-        pairs = [(k, k + 1) for k in range(index.last)]
-    maps = {(i, j): _precompose_map(homs[j], homs[i], system.map(i, j)) for (i, j) in pairs}
-    return InverseSystem(index, homs, maps)
+    precomposition with each map ``system`` supplies, at its pair."""
+    homs = {i: hom_module(system.modules[i], fixed) for i in system.index.explicit_indices()}
+    maps = {
+        (i, j): _precompose_map(homs[j], homs[i], phi) for (i, j), phi in system.maps.items()
+    }
+    return InverseSystem(system.index, homs, maps)
 
 
 def hom_inverse_system(system: DirectSystem, fixed: FiberModule) -> HomLimitComparison:

@@ -8,7 +8,7 @@ constructions stay exact.  Functions are per-atom real values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -142,23 +142,11 @@ def l0_distance(f: L0Function, g: L0Function) -> float:
     return float(np.sum(ref * np.minimum(np.abs(f.values - g.values), 1.0)))
 
 
-def ess_extremum(
-    functions: Sequence[L0Function],
-    mode: str,
-    tail_limit: Optional[L0Function] = None,
-) -> L0Function:
-    """Per-atom extremum of a family of functions.
-
-    ``functions`` is a finite family, or the explicit prefix of a chain
-    family whose eventually monotone tail has the closed-form per-atom
-    limit ``tail_limit`` (supplied by the caller; the limit modules derive
-    these in closed form).
-    """
+def ess_extremum(functions: Sequence[L0Function], mode: str) -> L0Function:
+    """Per-atom extremum of a finite family of functions."""
     if mode not in ("sup", "inf"):
         raise ValueError(f"mode must be 'sup' or 'inf', got {mode!r}")
     functions = list(functions)
-    if tail_limit is not None:
-        functions = functions + [tail_limit]
     if not functions:
         raise ValueError("ess_extremum of an empty family is undefined")
     space = functions[0].space

@@ -466,9 +466,9 @@ def operator_norm_witnesses(phi: ModuleMorphism):
 
 
 def is_morphism(phi: ModuleMorphism) -> bool:
-    """True iff the pointwise operator norm is at most ``1 + tolerance()``
-    at every atom."""
-    return bool(np.all(operator_pointwise_norm(phi).values <= 1.0 + tolerance()))
+    """True iff the pointwise operator norm exceeds 1 by at most
+    ``tolerance()`` at every atom."""
+    return bool(np.all(operator_pointwise_norm(phi).values - 1.0 <= tolerance()))
 
 
 def _orth_basis(columns: np.ndarray, tol: float) -> np.ndarray:

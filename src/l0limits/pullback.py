@@ -17,9 +17,8 @@ import numpy as np
 from .config import tolerance
 from .errors import ValidationError
 from .direct import DirectSystem
-from .indexsets import Chain, FinitePoset, ScalarTail
 from .inverse import InverseSystem
-from .measure import AtomMap, AtomicMeasureSpace, L0Function, pushforward_check
+from .measure import AtomMap, AtomicMeasureSpace, L0Function
 from .modules import (
     Element,
     FiberModule,
@@ -59,12 +58,13 @@ class PullbackPresentation:
 
 
 def pullback_module(atom_map: AtomMap, module: FiberModule) -> PullbackPresentation:
-    """Pull a module back along an atom map by reindexing its fibers."""
+    """Pull a module back along an atom map by reindexing its fibers.
+
+    The pushforward of the source measure is absolutely continuous with
+    respect to the target measure for every atom map, since every atom
+    weight is strictly positive, so there is nothing to check there."""
     if module.space != atom_map.target:
         raise ValidationError("module does not live over the map target")
-    _, abs_continuous = pushforward_check(atom_map)
-    if not abs_continuous:
-        raise ValidationError("pushforward is not absolutely continuous")
     fibers = tuple(module.fibers[y] for y in atom_map.targets)
     pulled = FiberModule(atom_map.source, fibers)
     return PullbackPresentation(atom_map, module, pulled)
@@ -219,17 +219,6 @@ def sections_iso(z: AtomicMeasureSpace, module: FiberModule) -> SectionsIsoRepor
     return SectionsIsoReport(sections, pulled, certificate, norm_exact, constant_matches)
 
 
-def _pull_index(atom_map: AtomMap, index):
-    """Transport an index set along an atom map (scalar tails reindex)."""
-    if isinstance(index, FinitePoset):
-        return index
-    tail = index.tail
-    if isinstance(tail, ScalarTail):
-        values = tail.function.values[list(atom_map.targets)]
-        tail = ScalarTail(L0Function(atom_map.source, values))
-    return Chain(index.stages, tail)
-
-
 def _pullback_system(atom_map: AtomMap, system: System):
     """The system of pulled-back stages and maps, with the presentation of
     each pulled-back stage."""
@@ -242,7 +231,7 @@ def _pullback_system(atom_map: AtomMap, system: System):
         source, target = system._arrow(presentations[i], presentations[j])
         maps[(i, j)] = source.pull_morphism(phi, target)
     pulled = type(system)(
-        _pull_index(atom_map, system.index),
+        system.index.pulled(atom_map),
         {i: p.module for i, p in presentations.items()},
         maps,
     )

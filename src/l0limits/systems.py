@@ -50,9 +50,9 @@ from .norms import _mm, _raise_first, _scalar_of
 #: over the atoms, taken at least 1.  Every exactly evaluated norm carries
 #: a few ulps of rounding, and so does the evaluation of the composite it
 #: bounds; 1e-12 absorbs that along paths of thousands of edges.  When the
-#: product over all supplied edges, times ``1 + PRODUCT_SLACK``, is at most
-#: ``1 + tolerance()``, it settles every composite and validation norms
-#: none; otherwise every composite is normed.
+#: product over all supplied edges, times ``1 + PRODUCT_SLACK``, exceeds 1
+#: by at most ``tolerance()``, it settles every composite and validation
+#: norms none; otherwise every composite is normed.
 PRODUCT_SLACK = 1e-12
 
 #: Absolute singular-value cut of the rank tests on canonical maps and on
@@ -251,9 +251,11 @@ def validate_system(system: System) -> SystemReport:
     The supplied edges are normed in one batch.  Every composite is
     bounded by one float, the product over all edges of each edge's
     largest norm taken at least 1; an edge with an error or a bracket atom
-    makes it infinite.  When that bound times ``1 + PRODUCT_SLACK`` is at
-    most ``1 + tolerance()``, no composite is built or normed; otherwise
-    every composite a path joins is normed in a second batch.  Which pairs
+    makes it infinite.  When that bound times ``1 + PRODUCT_SLACK``
+    exceeds 1 by at most ``tolerance()``, no composite is built or normed;
+    otherwise every composite a path joins is normed in a second batch.
+    A norm is admissible when it exceeds 1 by at most ``tolerance()``, the
+    one test every admissibility check in the library makes.  Which pairs
     the supplied edges join, and which two paths of them join, is read from
     the breadth-first trees that compose the closures
     (:meth:`System._tree`); when the bound settles and every pair is
@@ -280,7 +282,7 @@ def validate_system(system: System) -> SystemReport:
     bound = math.inf if results.inexact else 1.0
     for result in results:
         bound = math.inf if isinstance(result, Exception) else bound * max([1.0, *result])
-    settled = bound * (1.0 + PRODUCT_SLACK) <= 1.0 + tol
+    settled = bound * (1.0 + PRODUCT_SLACK) - 1.0 <= tol
     tree = system._tree
     if not settled:
         composites = [p for p in pairs if p not in norms and p[1] in tree(p[0])]
@@ -653,7 +655,7 @@ def _universal_factorization(
         cone.append(i)
     if check_admissibility:
         for i, result in zip(cone, _operator_norm_results([maps[i] for i in cone])):
-            if not max(_raise_first([result])[0], default=0.0) <= 1.0 + tol:
+            if not max(_raise_first([result])[0], default=0.0) - 1.0 <= tol:
                 raise ValidationError(f"{side} map at {i!r} is not admissible")
     if fault is not None:
         raise fault

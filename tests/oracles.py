@@ -58,7 +58,6 @@ from l0limits.modules import (
 from l0limits.pullback import (
     IL_PULLBACK_NOTE,
     PullbackCommuteReport,
-    _pull_index,
     pullback_module,
 )
 from l0limits.measure import AtomMap, L0Function
@@ -763,7 +762,7 @@ def reference_dl_universal_factorization(
         if psi.source != system.modules[i] or psi.target != target.module:
             raise ShapeMismatchError(f"target map at {i!r} has wrong endpoints")
         norm = operator_pointwise_norm(psi)
-        if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
+        if not float(norm.values.max(initial=0.0)) - 1.0 <= tol:
             raise ValidationError(f"target map at {i!r} is not admissible")
     worst = ("", 0.0)
     for (i, j) in index.related_pairs():
@@ -950,7 +949,7 @@ def reference_il_universal_factorization(
             raise ShapeMismatchError(f"source map at {i!r} has wrong endpoints")
         if check_admissibility:
             norm = operator_pointwise_norm(q)
-            if not float(norm.values.max(initial=0.0)) <= 1.0 + tol:
+            if not float(norm.values.max(initial=0.0)) - 1.0 <= tol:
                 raise ValidationError(f"source map at {i!r} is not admissible")
     worst = ("", 0.0)
     for (i, j) in index.related_pairs():
@@ -1075,7 +1074,7 @@ def reference_pullback_direct_system(atom_map: AtomMap, system: DirectSystem) ->
     for (i, j), phi in system.maps.items():
         maps[(i, j)] = presentations[i].pull_morphism(phi, presentations[j])
     return DirectSystem(
-        _pull_index(atom_map, system.index),
+        system.index.pulled(atom_map),
         {i: p.module for i, p in presentations.items()},
         maps,
     )
@@ -1090,7 +1089,7 @@ def reference_pullback_inverse_system(atom_map: AtomMap, system: InverseSystem) 
     for (i, j), phi in system.maps.items():
         maps[(i, j)] = presentations[j].pull_morphism(phi, presentations[i])
     return InverseSystem(
-        _pull_index(atom_map, system.index),
+        system.index.pulled(atom_map),
         {i: p.module for i, p in presentations.items()},
         maps,
     )

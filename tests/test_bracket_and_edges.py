@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from l0limits.errors import BracketTooWideError, UnsupportedNormError
-from l0limits.indexsets import tail_limit_factor
-from l0limits.measure import AtomicMeasureSpace
+from l0limits.indexsets import Chain
 from l0limits.norms import (
     OperatorNorm,
     WeightedP,
@@ -56,5 +55,5 @@ def test_unknown_tail_rule_rejected():
     class Mystery:
         pass
 
-    with pytest.raises(ValueError):
-        tail_limit_factor(Mystery(), AtomicMeasureSpace(["a"], [1.0]))
+    with pytest.raises(ValueError, match="unrecognized tail rule"):
+        Chain(2, Mystery())

@@ -90,14 +90,6 @@ def test_ess_extremum_singleton_inf():
     assert ess_extremum([f], "inf") == f
 
 
-def test_ess_extremum_tail_limit():
-    # explicit prefix of the family (1, 0.5^(k+1)) plus its closed-form limit
-    sp = space(1, 1)
-    prefix = [L0Function(sp, [1.0, 0.5 ** (k + 1)]) for k in range(3)]
-    out = ess_extremum(prefix, "inf", tail_limit=L0Function(sp, [1.0, 0.0]))
-    assert out.values.tolist() == [1.0, 0.0]
-
-
 def test_ess_extremum_empty_family_rejected():
     with pytest.raises(ValueError):
         ess_extremum([], "sup")

@@ -29,6 +29,7 @@ from l0limits.direct import (
     dl_functor,
     dl_seminorm,
     dl_universal_factorization,
+    solve_square_component,
     validate_direct_system,
     validate_system_morphism,
 )
@@ -58,7 +59,7 @@ from l0limits.inverse import (
     thread_from_components,
     validate_inverse_system,
 )
-from l0limits.measure import AtomicMeasureSpace, L0Function
+from l0limits.measure import AtomMap, AtomicMeasureSpace, L0Function
 from l0limits.modules import (
     Fiber,
     FiberModule,
@@ -68,7 +69,9 @@ from l0limits.modules import (
     euclidean_fiber,
     euclidean_module,
     identity_morphism,
+    is_morphism,
     operator_pointwise_norm,
+    scalar_module,
     scale_morphism,
     zero_morphism,
 )
@@ -682,6 +685,67 @@ def test_an_overflowing_cone_law_is_a_verdict_not_a_warning():
         reference_dl_universal_factorization(
             flooded, Target(presentation.module, dict(presentation.canonical)))
     assert str(reference.value) == want
+
+
+@pytest.mark.parametrize("fixed", ["unflooded", "flooded-top"])
+def test_a_non_finite_square_solve_is_a_located_error_not_a_warning(fixed):
+    """The flooded source of the chain morphism pair: its closures
+    overflow, so the least-squares data at the first atom is not finite,
+    with the target's components fixed as they are or with the top one
+    flooded too."""
+    theta = randgen.random_chain_morphism_pair(np.random.default_rng(4), stages=3)
+    components = dict(theta.components)
+    if fixed == "flooded-top":
+        components = {2: _flooded(components[2])}
+    with pytest.raises(NonFiniteError) as raised:
+        solve_square_component(_flooded_system(theta.source), theta.target, components, 0)
+    assert str(raised.value) == "at atom 'a0': least-squares data is not finite"
+    assert raised.value.atom == "a0"
+
+
+def test_every_admissibility_check_reads_the_excess_over_one():
+    """A norm of ``fl(1 + 1e-9)`` exceeds 1 by more than the tolerance
+    1e-9, though it equals ``1.0 + 1e-9`` in floats: a morphism test, a
+    system's validation and a cone's factorization all reject it."""
+    space = AtomicMeasureSpace(["pt"], [1.0])
+    line = scalar_module(space)
+    phi = ModuleMorphism(line, line, [np.array([[1.0 + 1e-9]])])
+    with tolerance_override(1e-9):
+        assert not is_morphism(phi)
+        system = DirectSystem(Chain(2, IdentityTail()), {0: line, 1: line}, {(0, 1): phi})
+        report = validate_direct_system(system)
+        assert [(v.kind, v.indices) for v in report.violations] == [("admissibility", (0, 1))]
+        assert report.violations[0].deviation == 1.000000082740371e-09
+        system = DirectSystem(Chain(2, IdentityTail()), {0: line, 1: line},
+                              {(0, 1): identity_morphism(line)})
+        with pytest.raises(ValidationError, match="target map at 0 is not admissible"):
+            dl_universal_factorization(system, Target(line, {0: phi, 1: phi}))
+
+
+def test_index_sets_pull_back_along_an_atom_map():
+    """A scalar tail is reindexed along the map; the other tails and a
+    poset stay as they are."""
+    base = AtomicMeasureSpace(["y0", "y1"], [1.0, 1.0])
+    cover = AtomicMeasureSpace(["x0", "x1", "x2"], [1.0, 2.0, 3.0])
+    atom_map = AtomMap(cover, base, {"x0": "y1", "x1": "y0", "x2": "y1"})
+    scalar = Chain(3, ScalarTail(L0Function(base, [1.0, 0.25])))
+    assert scalar.pulled(atom_map) == Chain(3, ScalarTail(L0Function(cover, [0.25, 1.0, 0.25])))
+    for tail in (IdentityTail(), HarmonicTail()):
+        assert Chain(3, tail).pulled(atom_map) == Chain(3, tail)
+    poset = FinitePoset(["p", "q"], [("p", "q")])
+    assert poset.pulled(atom_map) is poset
+
+
+def test_a_hom_system_is_connected_where_the_system_supplies_a_map():
+    """Over a poset the supplied maps need not cover every related pair;
+    the Hom system has a map exactly at each supplied pair."""
+    poset = FinitePoset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    space = AtomicMeasureSpace(["pt"], [1.0])
+    plane = euclidean_module(space, 2)
+    system = DirectSystem(poset, {k: plane for k in poset.elements},
+                          {("a", "b"): identity_morphism(plane), ("b", "c"): identity_morphism(plane)})
+    hom_system = hom_inverse_system(system, plane).hom_system
+    assert list(hom_system.maps) == [("a", "b"), ("b", "c")]
 
 
 @pytest.mark.parametrize("cone,error,text", [
