@@ -103,10 +103,12 @@ class System:
     path already built, one product per atom and edge in the order
     repeated :func:`compose` takes them, so its bytes do not depend on
     what was built before.  Only the pair asked for becomes a morphism and
-    is cached, so a chain's limit builds its canonical maps and none of
-    the pairs on their paths; the limit too is cached once built.  The
-    same trees tell validation which pairs the supplied maps join, and
-    which two paths of them join (:meth:`_redundant`).
+    is cached.  A limit composes its canonical maps along the same tree
+    paths but from the top down, sharing the products of common path
+    suffixes, and caches no closure (:func:`_build_limit`); the limit
+    itself is cached once built.  The same trees tell validation which
+    pairs the supplied maps join, and which two paths of them join
+    (:meth:`_redundant`).
     Subclasses fix the arrow direction through ``forward`` and
     ``stage_axis`` and name their maps and cones in the texts below.
     """
@@ -198,7 +200,9 @@ class System:
         is already built, at its upper end, atom by atom with the products
         repeated :func:`compose` takes, so a closure has the same bytes
         whichever pairs were built before it.  Only the requested pair
-        becomes a morphism, and is cached."""
+        becomes a morphism, and is cached.  Validation and the pair laws
+        build their closures here; a limit's canonical maps follow the
+        same paths, composed from the top down (:func:`_build_limit`)."""
         if i == j:
             return identity_morphism(self.modules[i])
         if (phi := self._closure.get((i, j))) is not None:
@@ -580,23 +584,46 @@ def _limit(system: System) -> LimitPresentation:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _build_limit(system: System) -> LimitPresentation:
-    """Builds the limit :func:`_limit` keeps; a closure or a canonical map
-    that overflows keeps its non-finite entries, with no warning."""
+    """Builds the limit :func:`_limit` keeps.
+
+    A poset's limit is its top stage, a chain's the top stage cut to the
+    atoms its tail keeps.  Each stage's canonical map follows the tree path
+    :meth:`System._connect` takes from it to the top, composed from the
+    top down: the cut (a poset's identity, never multiplied) first, then
+    one edge at a time.  A product is kept by the path suffix it composes,
+    so a suffix that several stages share, on a chain every one, is
+    multiplied once: a chain's limit takes n - 1 products per atom, and a
+    collapsed atom multiplies 0-row blocks.  Stages are walked in index
+    order, so the first one no path joins to the top raises its
+    ``KeyError``.  No closure is cached; a canonical map that overflows
+    keeps its non-finite entries, with no warning."""
     index = system.index
     top = _top(index)
     if isinstance(index, FinitePoset):
-        canonical = {i: system.map(i, top) for i in index.explicit_indices()}
-        return LimitPresentation(
-            system.limit_kind, system.modules[top], canonical, "greatest-element"
-        )
-    keep = tail_limit_factor(index.tail, system.space) > 0.0
-    limit, projection = mask_module(system.modules[top], keep)
-    cut = projection if system.forward else mask_inclusion(system.modules[top], limit)
-    canonical = {
-        i: compose(*system._outer_first(system.map(i, top), cut))
-        for i in index.explicit_indices()
-    }
-    return LimitPresentation(system.limit_kind, limit, canonical, "chain-tail")
+        limit, provenance, cut = system.modules[top], "greatest-element", None
+    else:
+        keep = tail_limit_factor(index.tail, system.space) > 0.0
+        limit, projection = mask_module(system.modules[top], keep)
+        cut = projection if system.forward else mask_inclusion(system.modules[top], limit)
+        provenance = "chain-tail"
+    built = [cut]  # by suffix; suffix 0 is the top alone
+    suffixes: Dict[tuple, int] = {}  # (stage, suffix after it) -> suffix from it
+    canonical = {}
+    for i in index.explicit_indices():
+        tree = system._reach(i, top)
+        node, suffix = top, 0
+        while node != i:
+            below = tree[node]
+            key = (below, suffix)
+            if key not in suffixes:
+                edge = system.maps[(below, node)]
+                outer = built[suffix]
+                built.append(edge if outer is None else compose(*system._outer_first(edge, outer)))
+                suffixes[key] = len(built) - 1
+            node, suffix = below, suffixes[key]
+        phi = built[suffix]
+        canonical[i] = identity_morphism(limit) if phi is None else phi
+    return LimitPresentation(system.limit_kind, limit, canonical, provenance)
 
 
 def _canonical_maps_unique(system: System, presentation: LimitPresentation) -> bool:

@@ -18,7 +18,10 @@ atom-by-atom loop over witness calls.  The shared limit core (limits,
 universal factorizations, limit functors, rank preservation, pullback
 comparisons) is checked against the per-direction functions it replaced,
 and so are threads and colimit seminorms against their hand-written
-versions, from before they went through the universal property.
+versions, from before they went through the universal property.  Their
+canonical maps (and the seminorms' pushed representatives) are composed
+from the top down along a fresh breadth-first path, one ``compose`` per
+edge, as the library groups them.
 """
 
 from __future__ import annotations
@@ -705,6 +708,29 @@ def _reference_chain_keep_mask(system, chain: Chain) -> np.ndarray:
     return tail_limit_factor(chain.tail, system.space) > 0.0
 
 
+def _reference_top_down(system, i, top, head: Optional[ModuleMorphism]) -> ModuleMorphism:
+    """The map from stage ``i`` into ``head``'s end at the top (a direct
+    system), or from it down to stage ``i`` (an inverse one), along the
+    breadth-first path of supplied maps from i to ``top``, composed from the
+    top down: ``head`` and the last edge first, then one edge at a time
+    towards i.  ``head=None`` stands for the identity of the top stage,
+    which is never multiplied, so a path of one edge is that edge."""
+    if i == top:
+        return identity_morphism(system.modules[top]) if head is None else head
+    path = _ReferenceSystem(system)._find_path(i, top)
+    if path is None:
+        text = "{i!r} to {j!r}" if system.forward else "{j!r} down to {i!r}"
+        raise KeyError(("no provided maps connect " + text).format(i=i, j=top))
+    phi = head
+    for a, b in reversed(list(zip(path, path[1:]))):
+        edge = system.maps[(a, b)]
+        if phi is None:
+            phi = edge
+        else:
+            phi = compose(phi, edge) if system.forward else compose(edge, phi)
+    return phi
+
+
 def reference_direct_limit(system: DirectSystem) -> LimitPresentation:
     """Construct the direct limit with its canonical morphisms.
 
@@ -716,13 +742,15 @@ def reference_direct_limit(system: DirectSystem) -> LimitPresentation:
     if isinstance(index, FinitePoset):
         top = greatest_element(index)
         limit = system.modules[top]
-        canonical = {i: system.map(i, top) for i in index.explicit_indices()}
+        canonical = {
+            i: _reference_top_down(system, i, top, None) for i in index.explicit_indices()
+        }
         return LimitPresentation("direct", limit, canonical, "greatest-element")
     last = index.last
     keep = _reference_chain_keep_mask(system, index)
     limit, projection = mask_module(system.modules[last], keep)
     canonical = {
-        i: compose(projection, system.map(i, last)) for i in index.explicit_indices()
+        i: _reference_top_down(system, i, last, projection) for i in index.explicit_indices()
     }
     return LimitPresentation("direct", limit, canonical, "chain-tail")
 
@@ -899,14 +927,16 @@ def reference_inverse_limit(system: InverseSystem) -> LimitPresentation:
     if isinstance(index, FinitePoset):
         top = greatest_element(index)
         limit = system.modules[top]
-        projections = {i: system.map(i, top) for i in index.explicit_indices()}
+        projections = {
+            i: _reference_top_down(system, i, top, None) for i in index.explicit_indices()
+        }
         return LimitPresentation("inverse", limit, projections, "greatest-element")
     last = index.last
     keep = tail_limit_factor(index.tail, system.space) >= 1.0
     limit, _ = mask_module(system.modules[last], keep)
     include = mask_inclusion(system.modules[last], limit)
     projections = {
-        i: compose(system.map(i, last), include) for i in index.explicit_indices()
+        i: _reference_top_down(system, i, last, include) for i in index.explicit_indices()
     }
     return LimitPresentation("inverse", limit, projections, "chain-tail")
 
@@ -1236,7 +1266,7 @@ def reference_dl_seminorm(system: DirectSystem, stage, element: Element) -> L0Fu
     the norm of the forward image at the greatest element (every
     connecting map contracts).  Over a chain the representative is pushed
     to the last stage and scaled by the per-atom limit of the tail
-    factors.
+    factors.  It is pushed with the map :func:`_reference_top_down` composes.
     """
     if stage not in system.modules:
         raise KeyError(f"stage {stage!r} is not explicit in the system")
@@ -1245,8 +1275,8 @@ def reference_dl_seminorm(system: DirectSystem, stage, element: Element) -> L0Fu
     index = system.index
     if isinstance(index, FinitePoset):
         top = greatest_element(index)
-        pushed = apply(system.map(stage, top), element)
+        pushed = apply(_reference_top_down(system, stage, top, None), element)
         return pointwise_norm(pushed)
-    pushed = apply(system.map(stage, index.last), element)
+    pushed = apply(_reference_top_down(system, stage, index.last, None), element)
     factor = tail_limit_factor(index.tail, system.space)
     return L0Function(system.space, factor * pointwise_norm(pushed).values)

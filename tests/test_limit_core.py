@@ -12,6 +12,8 @@ now names the law of the cone it is read as.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0limits import randgen
 from l0limits.direct import (
@@ -27,7 +29,15 @@ from l0limits.direct import (
     validate_system_morphism,
 )
 from l0limits.errors import L0LimitsError
-from l0limits.indexsets import Chain, HarmonicTail, IdentityTail, ScalarTail, greatest_element
+from l0limits.indexsets import (
+    Chain,
+    FinitePoset,
+    HarmonicTail,
+    IdentityTail,
+    ScalarTail,
+    greatest_element,
+    tail_limit_factor,
+)
 from l0limits.inverse import (
     InverseSystem,
     Source,
@@ -49,6 +59,8 @@ from l0limits.modules import (
     compose,
     euclidean_module,
     identity_morphism,
+    mask_inclusion,
+    mask_module,
     scale_morphism,
 )
 from l0limits.norms import WeightedP
@@ -58,7 +70,7 @@ from l0limits.pullback import (
     pullback_direct_system,
     pullback_inverse_system,
 )
-from l0limits.systems import LimitPresentation, _canonical_maps_unique
+from l0limits.systems import LimitPresentation, _canonical_maps_unique, _gamma
 
 from oracles import (
     _reference_projections_separate,
@@ -166,6 +178,91 @@ def test_limits_match_reference(seed):
     for _, system in _systems(seed):
         new, old = LIMIT[system.forward]
         _assert_same(_outcome(new, system), _outcome(old, system), _assert_same_presentation)
+
+
+def _ladder(rng, levels):
+    """A poset of ``levels`` ranks, one or two elements each and one at the
+    top, each element below every element of the next rank, so that tree
+    paths from the bottom have ``levels - 1`` edges and shortest paths tie.
+    The elements are listed in shuffled order, and so are their labels."""
+    widths = [int(rng.integers(1, 3)) for _ in range(levels - 1)] + [1]
+    names = iter(rng.permutation(sum(widths)).tolist())
+    ranks = [[f"p{next(names)}" for _ in range(w)] for w in widths]
+    pairs = [(a, b) for lower, upper in zip(ranks, ranks[1:]) for a in lower for b in upper]
+    elements = [e for rank in ranks for e in rank]
+    rng.shuffle(elements)
+    return FinitePoset(elements, pairs), pairs
+
+
+def _top_down_case(data):
+    """A direct or inverse system with Gaussian maps, which commute with
+    nothing: a chain of any tail, a chain with a map at each (k, k + 2)
+    as well (the composite of its two edges times ``1 + 2**-30``, so
+    shortest paths tie and differ by more than rounding), or a ladder."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    forward = data.draw(st.booleans())
+    shape = data.draw(st.sampled_from(["chain", "shortcut-chain", "ladder"]))
+    space = randgen.random_space(rng)
+    if shape == "ladder":
+        index, pairs = _ladder(rng, data.draw(st.integers(4, 6)))
+    else:
+        stages = data.draw(st.integers(2, 12))
+        index = Chain(stages, TAILS[data.draw(st.sampled_from(sorted(TAILS)))](rng, space))
+        pairs = [(k, k + 1) for k in range(stages - 1)]
+    modules = {i: randgen.random_module(rng, space, max_dim=3) for i in index.explicit_indices()}
+    maps = {}
+    for i, j in pairs:
+        source, target = (modules[i], modules[j]) if forward else (modules[j], modules[i])
+        mats = [rng.standard_normal((t, s)) for s, t in zip(source.dims(), target.dims())]
+        maps[(i, j)] = ModuleMorphism(source, target, mats)
+    if shape == "shortcut-chain":
+        for k in range(len(modules) - 2):
+            lower, upper = maps[(k, k + 1)], maps[(k + 1, k + 2)]
+            joined = compose(upper, lower) if forward else compose(lower, upper)
+            maps[(k, k + 2)] = scale_morphism(joined, 1 + 2**-30)
+    return (DirectSystem if forward else InverseSystem)(index, modules, maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_down_canonical_maps_are_the_closures_up_to_rounding(data):
+    """A limit composes each canonical map from the top down.  It differs
+    from the closure composed bottom up, ``cut . phi_{i,top}`` on a chain
+    (``phi_{i,top} . inclusion`` for an inverse system) and ``phi_{i,top}``
+    on a poset, by rounding only: along a tree path of r edges, by at most
+    ``2 gamma_{r d}`` times the product of the factors' absolute values,
+    with d the largest fiber dim (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., §3.5).  A canonical map that took
+    another path, where shortest paths tie, would differ by a cocycle
+    deviation, far beyond that bound."""
+    system = _top_down_case(data)
+    presentation = LIMIT[system.forward][0](system)
+    index = system.index
+    dim = max(max(m.dims(), default=0) for m in system.modules.values())
+    if isinstance(index, Chain):
+        top = index.last
+        keep = tail_limit_factor(index.tail, system.space) > 0.0
+        limit, cut = mask_module(system.modules[top], keep)
+        if not system.forward:
+            cut = mask_inclusion(system.modules[top], limit)
+        heads = [cut]
+    else:
+        top, heads = greatest_element(index), []
+    for i in index.explicit_indices():
+        closure = system.map(i, top)
+        old = compose(*system._outer_first(closure, heads[0])) if heads else closure
+        tree, node, factors = system._tree(i), top, list(heads)
+        while node != i:
+            factors.append(system.maps[(tree[node], node)])
+            node = tree[node]
+        edges = len(factors) - len(heads)
+        if not system.forward:
+            factors.reverse()
+        for a, new in enumerate(presentation.canonical[i].matrices):
+            size = np.abs(factors[0].matrices[a]) if factors else np.eye(len(new))
+            for phi in factors[1:]:
+                size = size @ np.abs(phi.matrices[a])
+            assert np.all(np.abs(new - old.matrices[a]) <= 2 * _gamma(edges * dim) * size)
 
 
 def _with_limit(system, presentation):
